@@ -456,6 +456,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"ValueError: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except OverflowError as exc:
+        print(f"OverflowError: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

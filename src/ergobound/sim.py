@@ -1,10 +1,13 @@
 """Seeded Monte Carlo for the state-space recursion.
 
 Path simulation, stationary-law sampling through the truncated series with
-an explicit tail-bias budget, and the empirical-mean process.  Every draw
-comes from a counter-based substream keyed by ``(seed, stream index)``, so
-ensembles are bit-reproducible regardless of how path blocks are scheduled
-across workers.  ``ERGOBOUND_THREADS`` caps the worker count.
+an explicit tail-bias budget, and the empirical-mean process.  Paths are
+split into fixed blocks of ``_BLOCK`` and every block draws from its own
+counter-based Philox stream keyed by ``(seed, block index)``, so ensembles
+are bit-reproducible regardless of how blocks are scheduled across workers.
+``ERGOBOUND_THREADS`` caps the worker count.  Noise is drawn step-major in
+bounded chunks as the recursion advances, so memory is O(n d) per kept
+time step rather than O(n d horizon).
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 4096
+# Noise values drawn per chunk.  Split draws from one stream equal a single
+# concatenated draw, so this bounds memory without changing any number.
+_CHUNK_VALUES = 1 << 16
 
 
 def _worker_count() -> int:
@@ -55,6 +61,31 @@ _PATH_PARITY = 0
 _STATIONARY_PARITY = 1
 
 
+def _run_blocks(n: int, seed: int, parity: int, run) -> list:
+    """``run(rng, lo, hi)`` over the fixed path blocks of ``0..n``, in block order.
+
+    Block ``b`` gets stream ``2 b + parity``; blocks may run on parallel
+    workers, and the results come back in block order.
+    """
+    blocks = [
+        (_stream_rng(seed, 2 * b + parity), lo, min(lo + _BLOCK, n))
+        for b, lo in enumerate(range(0, n, _BLOCK))
+    ]
+    workers = min(_worker_count(), len(blocks))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(lambda blk: run(*blk), blocks))
+    return [run(*blk) for blk in blocks]
+
+
+def _noise_steps(draw, rng: np.random.Generator, m: int, steps: int, d: int):
+    """Yield ``steps`` successive ``(m, d)`` noise draws, fetched in bounded chunks."""
+    per_chunk = max(1, _CHUNK_VALUES // (m * d))
+    for lo in range(0, steps, per_chunk):
+        k = min(per_chunk, steps - lo)
+        yield from draw(rng, k * m).reshape(k, m, d)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Monte Carlo run parameters."""
@@ -62,14 +93,10 @@ class SimConfig:
     n_paths: int
     horizon: int
     seed: int
-    stationary_tol: float = 1e-3
-    truncation: int | None = None
 
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
-        if self.stationary_tol <= 0:
-            raise ValueError("stationary_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -89,35 +116,14 @@ class SampleEnsemble:
         return self.samples[:, self.times.index(t), :]
 
 
-def _fill_noise(model: StateSpaceModel, seed: int, parity: int, n: int, steps: int) -> np.ndarray:
-    """Per-stream noise draws, shape (n, steps, d), filled block-parallel."""
-    draw = model.noise.sampler()
-    out = np.empty((n, steps, model.d))
-
-    def fill_block(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            rng = _stream_rng(seed, 2 * i + parity)
-            out[i] = draw(rng, steps)
-
-    blocks = [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
-    workers = min(_worker_count(), len(blocks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: fill_block(*b), blocks))
-    else:
-        for b in blocks:
-            fill_block(*b)
-    return out
-
-
 def simulate_paths(
     model: StateSpaceModel, x, config: SimConfig, times=None
 ) -> SampleEnsemble:
     """Independent realizations of the recursion from a common start.
 
     Runs ``X_t = Q X_{t-1} + Sigma xi_t`` for ``t = 1..horizon`` on
-    ``n_paths`` independent noise streams; ``times`` selects which steps to
-    keep (default: all of ``0..horizon``).
+    ``n_paths`` independent paths; ``times`` selects which steps to keep
+    (default: all of ``0..horizon``).
     """
     if config.horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -127,18 +133,22 @@ def simulate_paths(
     keep = tuple(range(config.horizon + 1)) if times is None else tuple(times)
     if any(t < 0 or t > config.horizon for t in keep):
         raise ValueError("times must lie in 0..horizon")
-    noise = _fill_noise(model, config.seed, _PATH_PARITY, config.n_paths, config.horizon)
     out = np.empty((config.n_paths, len(keep), model.d))
-    state = np.tile(x, (config.n_paths, 1))
     col = {t: k for k, t in enumerate(keep)}
-    if 0 in col:
-        out[:, col[0], :] = state
-    Qt = model.Q.T
-    St = model.Sigma.T
-    for t in range(1, config.horizon + 1):
-        state = state @ Qt + noise[:, t - 1, :] @ St
-        if t in col:
-            out[:, col[t], :] = state
+    draw = model.noise.sampler()
+    Qt, St = model.Q.T, model.Sigma.T
+
+    def run(rng, lo: int, hi: int) -> None:
+        state = np.tile(x, (hi - lo, 1))
+        if 0 in col:
+            out[lo:hi, col[0], :] = state
+        steps = _noise_steps(draw, rng, hi - lo, config.horizon, model.d)
+        for t, xi in enumerate(steps, start=1):
+            state = state @ Qt + xi @ St
+            if t in col:
+                out[lo:hi, col[t], :] = state
+
+    _run_blocks(config.n_paths, config.seed, _PATH_PARITY, run)
     return SampleEnsemble(
         samples=out,
         times=keep,
@@ -191,28 +201,21 @@ def sample_stationary(
         raise ValueError("n must be at least 1")
     star = star if star is not None else build_star_norm(model.Q)
     T = truncation if truncation is not None else truncation_horizon(model, eps_stat, star)
-    # stack of Q^j Sigma for j = 0..T
-    P = np.empty((T + 1, model.d, model.d))
-    P[0] = model.Sigma
+    # stack of (Q^j Sigma)^T for j = 0..T
+    Pt = np.empty((T + 1, model.d, model.d))
+    Pt[0] = model.Sigma.T
     for j in range(1, T + 1):
-        P[j] = model.Q @ P[j - 1]
+        Pt[j] = Pt[j - 1] @ model.Q.T
     draw = model.noise.sampler()
     out = np.empty((n, 1, model.d))
 
-    def fill_block(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            rng = _stream_rng(seed, 2 * i + _STATIONARY_PARITY)
-            xi = draw(rng, T + 1)
-            out[i, 0, :] = np.einsum("jab,jb->a", P, xi)
+    def run(rng, lo: int, hi: int) -> None:
+        acc = np.zeros((hi - lo, model.d))
+        for j, xi in enumerate(_noise_steps(draw, rng, hi - lo, T + 1, model.d)):
+            acc += xi @ Pt[j]
+        out[lo:hi, 0, :] = acc
 
-    blocks = [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
-    workers = min(_worker_count(), len(blocks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: fill_block(*b), blocks))
-    else:
-        for b in blocks:
-            fill_block(*b)
+    _run_blocks(n, seed, _STATIONARY_PARITY, run)
     return SampleEnsemble(
         samples=out,
         times=(math.inf,),
@@ -239,8 +242,9 @@ def empirical_mean_process(
 ) -> SampleEnsemble:
     """Averaged path of n independent copies, verified against its own recursion.
 
-    The empirical mean follows the same recursion driven by the averaged
-    noise; the residual
+    The copies are the paths :func:`simulate_paths` draws from the same
+    seed.  The empirical mean follows the same recursion driven by the
+    averaged noise; the residual
     ``max_t |S_{t+1} - Q S_t - Sigma zetabar_{t+1}|`` is checked against
     ``verify_tol`` (scaled by the path magnitude) and recorded in
     provenance.
@@ -248,14 +252,24 @@ def empirical_mean_process(
     if n < 1:
         raise ValueError("n must be at least 1")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    noise = _fill_noise(model, seed, _PATH_PARITY, n, horizon)
-    zeta_bar = noise.mean(axis=0)  # (horizon, d)
-    paths = np.empty((n, horizon + 1, model.d))
-    paths[:, 0, :] = x
+    draw = model.noise.sampler()
     Qt, St = model.Q.T, model.Sigma.T
-    for t in range(1, horizon + 1):
-        paths[:, t, :] = paths[:, t - 1, :] @ Qt + noise[:, t - 1, :] @ St
-    S = paths.mean(axis=0)  # (horizon + 1, d)
+
+    def run(rng, lo: int, hi: int):
+        # per-step sums over this block's paths of the states and the noise
+        state_sum = np.empty((horizon + 1, model.d))
+        noise_sum = np.empty((horizon, model.d))
+        state = np.tile(x, (hi - lo, 1))
+        state_sum[0] = state.sum(axis=0)
+        for t, xi in enumerate(_noise_steps(draw, rng, hi - lo, horizon, model.d), start=1):
+            state = state @ Qt + xi @ St
+            state_sum[t] = state.sum(axis=0)
+            noise_sum[t - 1] = xi.sum(axis=0)
+        return state_sum, noise_sum
+
+    sums = _run_blocks(n, seed, _PATH_PARITY, run)
+    S = sum(s for s, _ in sums) / n  # (horizon + 1, d)
+    zeta_bar = sum(z for _, z in sums) / n  # (horizon, d)
     resid = float(
         np.abs(S[1:] - S[:-1] @ Qt - zeta_bar @ St).max()
     )

@@ -179,14 +179,25 @@ def _shift_noise_scale(xs: np.ndarray, ys: np.ndarray, r: float) -> float:
     return math.exp(log_ratio / r) * math.sqrt(tr / n)
 
 
+def _sorted_projections(xs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Projections as contiguous ``(directions, n)`` rows, each sorted."""
+    proj = dirs @ xs.T
+    proj.sort(axis=1)
+    return proj
+
+
 def _sliced_from_sorted(px, py, r, n, n_directions, seed, deterministic, shift_se):
-    powers = np.mean(np.abs(px - py) ** r, axis=0)  # per-direction W_r^r
+    gaps = px - py
+    np.abs(gaps, out=gaps)
+    if r != 1:
+        gaps **= r
+    powers = gaps.mean(axis=1)  # per-direction W_r^r
     mean_pow = float(powers.mean())
     value = mean_pow ** (1.0 / r)
     if deterministic:
         stderr = 0.0
     else:
-        n_distinct = px.shape[1]
+        n_distinct = px.shape[0]
         se_dir = 0.0
         if n_distinct >= 2 and mean_pow > 0.0:
             se_mean = float(powers.std(ddof=1) / math.sqrt(n_distinct))
@@ -219,8 +230,8 @@ def sliced_empirical(
     """
     xs, ys = _check_sample_pair(xs, ys)
     dirs, deterministic = _sliced_directions(xs.shape[1], n_directions, seed, mode)
-    px = np.sort(xs @ dirs.T, axis=0)
-    py = np.sort(ys @ dirs.T, axis=0)
+    px = _sorted_projections(xs, dirs)
+    py = _sorted_projections(ys, dirs)
     shift_se = 0.0 if deterministic else _shift_noise_scale(xs, ys, r)
     return _sliced_from_sorted(
         px, py, r, xs.shape[0], n_directions, seed, deterministic, shift_se
@@ -249,8 +260,8 @@ def sliced_empirical_sweep(
         xs, ys = _check_sample_pair(xs, ys)
         if py is None:
             dirs, deterministic = _sliced_directions(ys.shape[1], n_directions, seed, mode)
-            py = np.sort(ys @ dirs.T, axis=0)
-        px = np.sort(xs @ dirs.T, axis=0)
+            py = _sorted_projections(ys, dirs)
+        px = _sorted_projections(xs, dirs)
         shift_se = 0.0 if deterministic else _shift_noise_scale(xs, ys, r)
         estimates.append(
             _sliced_from_sorted(

@@ -118,6 +118,19 @@ class TestBounds:
         assert code == 4
         assert "MomentUnavailable" in err
 
+    def test_overflowing_constants_exit_4(self, capsys):
+        # AR(100) with sum |phi| = 0.9 is Schur stable, but its contraction
+        # constants grow like kappa^(d-1) and overflow float64
+        w = np.random.default_rng(100).uniform(-1.0, 1.0, 100)
+        phi = 0.9 * w / np.abs(w).sum()
+        code, _, err = run(
+            capsys, "bounds", "--phi=" + ",".join(repr(float(v)) for v in phi),
+            "--flavor", "gauss_affine", "--t-max", "5",
+        )
+        assert code == 4
+        assert err.startswith("OverflowError")
+        assert "Traceback" not in err
+
     def test_roundtrip_float_precision(self, capsys, tmp_path):
         out_file = tmp_path / "bounds.csv"
         code, _, _ = run(

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ergobound import bounds as bnd
+from ergobound import sim
 from ergobound.errors import MomentUnavailable, NotSchurStable
 from ergobound.linalg import build_star_norm
 from ergobound.model import NoiseSpec, ar_state_space, raw_model
@@ -59,18 +61,68 @@ class TestSimulatePaths:
         np.testing.assert_array_equal(part.at_time(9), full.at_time(9))
 
     def test_worker_count_does_not_change_output(self, monkeypatch):
-        # per-path substreams make the ensemble schedule-independent
+        # streams keyed by (seed, block) make the ensemble schedule-independent
+        n = 2 * sim._BLOCK + 500  # three blocks, the last one partial
         m = ar_state_space([0.3, 0.5], [0.0], NoiseSpec.gaussian(0.0, 1.0))
-        cfg = SimConfig(n_paths=6000, horizon=4, seed=19)
-        monkeypatch.setenv("ERGOBOUND_THREADS", "1")
-        a = simulate_paths(m, [1.0, 0.0], cfg)
-        monkeypatch.setenv("ERGOBOUND_THREADS", "4")
-        b = simulate_paths(m, [1.0, 0.0], cfg)
-        c = sample_stationary(m, 6000, seed=19)
-        monkeypatch.setenv("ERGOBOUND_THREADS", "1")
-        d = sample_stationary(m, 6000, seed=19)
-        np.testing.assert_array_equal(a.samples, b.samples)
-        np.testing.assert_array_equal(c.samples, d.samples)
+        runs = []
+        for threads in ("1", "4"):
+            monkeypatch.setenv("ERGOBOUND_THREADS", threads)
+            runs.append(
+                (
+                    simulate_paths(m, [1.0, 0.0], SimConfig(n_paths=n, horizon=4, seed=19)).samples,
+                    sample_stationary(m, n, seed=19).samples,
+                    empirical_mean_process(m, n, [1.0, 0.0], 4, seed=19).samples,
+                )
+            )
+        for a, b in zip(*runs):
+            np.testing.assert_array_equal(a, b)
+        # every block draws from a stream of its own: first steps differ
+        first = runs[0][0][:, 1]
+        assert not np.allclose(first[:500], first[2 * sim._BLOCK :])
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            NoiseSpec.gaussian_d(np.zeros(3), np.diag([1.0, 2.0, 0.5])),
+            NoiseSpec.laplace_d(np.zeros(3), np.ones(3)),
+            NoiseSpec.student_t_d(4.0, np.ones(3)),
+            NoiseSpec.uniform_d(np.ones(3)),
+        ],
+    )
+    def test_step_chunk_does_not_change_output(self, monkeypatch, noise):
+        # the chunk bounds memory only: split draws equal one concatenated draw
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((3, 3))
+        m = raw_model(0.6 * A / np.abs(np.linalg.eigvals(A)).max(), np.eye(3), noise)
+        n = sim._BLOCK + 300
+        x = [1.0, -1.0, 0.5]
+
+        def run_all():
+            return (
+                simulate_paths(m, x, SimConfig(n_paths=n, horizon=9, seed=37), times=(3, 9)).samples,
+                sample_stationary(m, n, seed=37, truncation=12).samples,
+                empirical_mean_process(m, n, x, 9, seed=37).samples,
+            )
+
+        ref = run_all()
+        # one step per chunk; four steps per chunk in the full block, the last chunk short
+        for values in (1, 4 * sim._BLOCK * 3):
+            monkeypatch.setattr(sim, "_CHUNK_VALUES", values)
+            for a, b in zip(ref, run_all()):
+                np.testing.assert_array_equal(a, b)
+
+    def test_memory_follows_kept_times_not_horizon(self):
+        # the noise of all 2000 x 2000 x 3 steps alone would be 96 MB
+        m = ar_state_space([0.3, 0.2, 0.1], noise1d=NoiseSpec.laplace(0.0, 1.0))
+        cfg = SimConfig(n_paths=2000, horizon=2000, seed=43)
+        tracemalloc.start()
+        try:
+            ens = simulate_paths(m, [1.0, 0.0, 0.0], cfg, times=(2000,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.samples.shape == (2000, 1, 3)
+        assert peak < 10 * 2**20
 
 
 class TestSampleStationary:
