@@ -338,20 +338,42 @@ def _sym(S: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def stationary_covariance(Q, V, tol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
+# Cap on squarings: Q^(2^k) is below rounding long before k = 64 for any
+# rho(Q) that float64 separates from one.
+_MAX_DOUBLINGS = 64
+
+
+def _doubling(Q: np.ndarray, V: np.ndarray, tol: float) -> np.ndarray | None:
+    """Squaring iteration ``S <- S + M S M^T``, ``M <- M @ M`` from ``S = V``,
+    ``M = Q``; ``None`` if the increments never fall below the cap."""
+    S, M = V, Q
+    for _ in range(_MAX_DOUBLINGS):
+        inc = M @ S @ M.T
+        S = _sym(S + inc)
+        M = M @ M
+        if fro(inc) <= 0.25 * tol * max(1.0, fro(S)):
+            return S
+    return None
+
+
+def stationary_covariance(Q, V, tol: float = 1e-12) -> np.ndarray:
     """Solve ``S = Q S Q^T + V`` for the stationary covariance.
 
-    Uses the squaring (doubling) iteration ``S <- S + M S M^T``,
-    ``M <- M @ M`` starting from ``S = V``, ``M = Q``, which converges
-    geometrically without eigen-solves; iterates are symmetrized.
+    Runs the squaring (doubling) iteration, the fastest route when ``Q``
+    is near normal.  When rounding in the squarings of a strongly
+    non-normal ``Q`` misses the residual cap, or overflows, it falls back
+    to the bilinear method of ``scipy.linalg.solve_discrete_lyapunov`` (a
+    Bartels-Stewart solve), refined once if it misses the cap.  That
+    solver's default below dimension 10, an LU solve of
+    ``(I - Q (x) Q) vec S = vec V``, also meets the residual cap there but
+    can be off by percents in ``S`` itself.
 
     Raises
     ------
     NotSchurStable
         If ``rho(Q) >= 1``.
     NonConvergence
-        If the fixed-point residual cap ``tol`` is not met in ``max_iter``
-        doublings.
+        If the fixed-point residual exceeds ``tol * max(1, ||S||_F)``.
     """
     Q = as_matrix(Q, name="Q")
     V = as_matrix(V, name="V")
@@ -359,17 +381,30 @@ def stationary_covariance(Q, V, tol: float = 1e-12, max_iter: int = 200) -> np.n
         raise ValueError("Q and V must have matching shapes")
     if eigen(Q).spectral_radius >= 1.0:
         raise NotSchurStable("stationary covariance needs rho(Q) < 1")
-    S = _sym(V.astype(float))
-    M = Q.astype(float)
-    for _ in range(max_iter):
-        inc = M @ S @ M.T
-        S = _sym(S + inc)
-        M = M @ M
-        if fro(inc) <= 0.25 * tol * max(1.0, fro(S)):
-            resid = fro(S - Q @ S @ Q.T - V)
-            if resid <= tol * max(1.0, fro(S)):
-                return S
-    raise NonConvergence("doubling iteration did not reach the residual cap")
+    Qf, Vs = Q.astype(float), _sym(V.astype(float))
+
+    def meets_cap(S):
+        size = fro(S)
+        return math.isfinite(size) and fro(S - Q @ S @ Q.T - V) <= tol * max(1.0, size)
+
+    def bilinear(R):
+        return _sym(scipy.linalg.solve_discrete_lyapunov(Qf, R, method="bilinear"))
+
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed S fails the cap
+        S = _doubling(Qf, Vs, tol)
+        doubled = S is not None and meets_cap(S)
+    if not doubled:
+        try:
+            S = bilinear(Vs)
+            if not meets_cap(S):  # one step of iterative refinement
+                S = S + bilinear(_sym(Vs - S + Qf @ S @ Qf.T))
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(f"Lyapunov solve failed: {exc}") from exc
+        if not meets_cap(S):
+            raise NonConvergence(
+                f"stationary covariance misses the residual cap {tol:.1e} * max(1, ||S||_F)"
+            )
+    return S
 
 
 def _check_symmetric(S: np.ndarray, sym_tol: float, name: str) -> np.ndarray:

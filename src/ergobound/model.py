@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln, roots_hermite
+from scipy.special import gammaln, hyp1f1
 
-from .errors import EmptyCoefficients, MomentUnavailable, OrderViolation
+from .errors import EmptyCoefficients, MomentUnavailable, NonConvergence, OrderViolation
 from .linalg import as_matrix, eigen, smallest_eigenvalue_sym, stationary_covariance
 
 __all__ = [
@@ -35,22 +35,25 @@ __all__ = [
 
 _FAMILIES = ("gaussian", "laplace", "student_t", "uniform", "point_mass")
 
-# Number of Gauss-Hermite nodes used for scalar Gaussian absolute moments
-# with nonzero mean; the integrand kink limits convergence, 4001 nodes keep
-# the error below 2e-4 in the worst (centered, r=1) case.
-_GH_NODES = 4001
+# Rows drawn per chunk by the Monte Carlo moment route; memory stays
+# O(chunk * dim) whatever the number of draws.
+_MC_CHUNK_ROWS = 2**16
 
-
-def _gh_abs_moment(mean: float, std: float, p: float) -> float:
-    """E|mean + std*Z|**p for standard normal Z, by Gauss-Hermite quadrature."""
-    nodes, weights = roots_hermite(_GH_NODES)
-    z = math.sqrt(2.0) * nodes
-    return float((weights * np.abs(mean + std * z) ** p).sum() / math.sqrt(math.pi))
+# Relative error-estimate cap of the Gaussian moment quadrature.
+_QUAD_RTOL = 1e-10
 
 
 def _gauss_abs_moment_1d(p: float) -> float:
     """E|Z|**p for standard normal Z."""
     return math.exp((p / 2.0) * math.log(2.0) + gammaln((p + 1.0) / 2.0) - 0.5 * math.log(math.pi))
+
+
+def _gauss_shifted_abs_moment(mean: float, std: float, p: float) -> float:
+    """E|mean + std*Z|**p for standard normal Z, via Kummer's function."""
+    if std == 0.0:
+        return abs(mean) ** p
+    kummer = float(hyp1f1(-p / 2.0, 0.5, -((mean / std) ** 2) / 2.0))
+    return std**p * _gauss_abs_moment_1d(p) * kummer
 
 
 def _student_abs_moment(df: float, p: float) -> float:
@@ -77,6 +80,79 @@ def _laplace_abs_moment(loc: float, scale: float, p: float) -> float:
     left, _ = quad(integrand, -np.inf, -loc, limit=200)
     right, _ = quad(integrand, -loc, np.inf, limit=200)
     return float(left + right)
+
+
+def _quad(f, a, b, **kw) -> tuple[float, float]:
+    """``(integral, error estimate)``; a miss is judged by the caller, not warned."""
+    val, err, *_ = quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200, full_output=1, **kw)
+    return val, err
+
+
+def _gauss_norm_moment(mu: np.ndarray, S: np.ndarray, p: float) -> float:
+    """E|Y|**p for Y ~ N(mu, S), 0 < p < 2, by one-dimensional quadrature.
+
+    ``|Y|**2`` is a Gaussian quadratic form with Laplace transform
+    ``L(u) = prod_i (1 + 2 u lam_i)**-1/2 exp(-u sum_i nu_i**2 / (1 + 2 u lam_i))``
+    (``S = V diag(lam) V^T``, ``nu = V^T mu``; Mathai & Provost 1992), and
+    ``E X**s = s / Gamma(1 - s) * int_0^inf (1 - L(u)) u**(-s-1) du`` for
+    ``s = p/2`` in ``(0, 1)``.  ``u`` is scaled by ``c = E|Y|**2`` so the
+    split at ``u = 1`` sits where ``L`` turns; the head carries the
+    ``u**-s`` singularity as an algebraic weight and the tail integrates
+    ``L`` against ``u**(-s-1)``, whose integral over ``[1, inf)`` is ``1/s``.
+    """
+    lam, V = np.linalg.eigh(0.5 * (S + S.T))
+    lam = np.clip(lam, 0.0, None)
+    nu2 = (V.T @ mu) ** 2
+    c = float(lam.sum() + nu2.sum())
+    if c == 0.0:
+        return 0.0
+    lam, nu2, s = lam / c, nu2 / c, p / 2.0
+
+    def log_laplace(u):
+        w = 1.0 + 2.0 * u * lam
+        return -0.5 * float(np.log(w).sum()) - u * float((nu2 / w).sum())
+
+    def head(u):  # (1 - L(u)) / u, which tends to E|Y|**2 / c = 1 at u = 0
+        return -math.expm1(log_laplace(u)) / u if u > 0.0 else 1.0
+
+    def tail(u):
+        return math.exp(log_laplace(u)) * u ** (-s - 1.0)
+
+    h, h_err = _quad(head, 0.0, 1.0, weight="alg", wvar=(-s, 0.0))
+    t, t_err = _quad(tail, 1.0, np.inf)
+    integral = h + 1.0 / s - t
+    if h_err + t_err > _QUAD_RTOL * integral:
+        raise NonConvergence(
+            f"Gaussian moment quadrature error {h_err + t_err:.2e} exceeds "
+            f"{_QUAD_RTOL:.0e} relative"
+        )
+    return c**s * s / math.gamma(1.0 - s) * integral
+
+
+def _mc_abs_moment(draw, Sigma, p, n, seed) -> tuple[float, float]:
+    """Seeded Monte Carlo ``(E|Sigma xi|**p, stderr)``, drawn in fixed chunks.
+
+    Chunks come from one generator in order, so the draws equal a single
+    ``draw(rng, n)``; per-chunk means and centered sums of squares are
+    merged with the pairwise update of Chan, Golub & LeVeque (1979).
+    """
+    if n < 2:
+        raise ValueError("Monte Carlo moments need at least two draws")
+    rng = np.random.default_rng([seed, 0x5E1C])
+    count, mean, m2 = 0, 0.0, 0.0
+    for start in range(0, n, _MC_CHUNK_ROWS):
+        k = min(_MC_CHUNK_ROWS, n - start)
+        vals = np.linalg.norm(draw(rng, k) @ Sigma.T, axis=1)
+        if p != 1:
+            vals **= p
+        chunk_mean = float(vals.mean())
+        vals -= chunk_mean
+        delta = chunk_mean - mean
+        total = count + k
+        mean += delta * k / total
+        m2 += float(vals @ vals) + delta * delta * count * k / total
+        count = total
+    return mean, math.sqrt(m2 / (n - 1) / n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,9 +312,7 @@ class NoiseSpec:
         f, prm = self.family, self.params
         if f == "gaussian":
             std = math.sqrt(prm["var"])
-            if prm["mean"] == 0.0:
-                return std**p * _gauss_abs_moment_1d(p)
-            return _gh_abs_moment(prm["mean"], std, p)
+            return _gauss_shifted_abs_moment(prm["mean"], std, p)
         if f == "laplace":
             return _laplace_abs_moment(prm["loc"], prm["scale"], p)
         if f == "student_t":
@@ -329,8 +403,19 @@ class NoiseSpec:
     ) -> tuple[float, float]:
         """``(E|Sigma xi|**p, stderr)``; stderr is zero for deterministic routes.
 
-        Closed forms cover scalar-driven specs, point masses and the
-        ``p = 2`` case; everything else falls back to seeded Monte Carlo.
+        Deterministic routes: closed forms for scalar-driven specs, point
+        masses and ``p = 2``, and a one-dimensional quadrature for vector
+        Gaussian noise at ``0 < p < 2`` (the coupling regime).  The rest
+        (vector Laplace, Student-t and uniform noise, and vector Gaussian
+        noise at ``p > 2``) is a seeded ``mc_draws``-sample Monte Carlo with
+        a positive stderr.
+
+        Raises
+        ------
+        MomentUnavailable
+            If the order-``p`` moment is infinite.
+        NonConvergence
+            If the Gaussian quadrature misses its relative error cap.
         """
         Sigma = as_matrix(Sigma, name="Sigma").astype(float)
         if not self.has_moment(p):
@@ -351,14 +436,13 @@ class NoiseSpec:
             return self.scalar_abs_moment(p) * amp**p, 0.0
         if self.family == "point_mass":
             return float(np.linalg.norm(Sigma @ self.params["value"])) ** p, 0.0
-        if p == 2:
+        if p == 2 or (self.family == "gaussian" and 0 < p < 2):
             m = Sigma @ self.mean_vector()
             c = Sigma @ self.covariance() @ Sigma.T
-            return float(m @ m + np.trace(c)), 0.0
-        draw = self.sampler()
-        rng = np.random.default_rng([seed, 0x5E1C])
-        vals = np.linalg.norm(draw(rng, mc_draws) @ Sigma.T, axis=1) ** p
-        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mc_draws))
+            if p == 2:
+                return float(m @ m + np.trace(c)), 0.0
+            return _gauss_norm_moment(m, c, p), 0.0
+        return _mc_abs_moment(self.sampler(), Sigma, p, mc_draws, seed)
 
     # -- serialization ---------------------------------------------------------
 

@@ -226,6 +226,42 @@ class TestStationaryCovariance:
         with pytest.raises(NotSchurStable):
             stationary_covariance(np.eye(2), np.eye(2))
 
+    def test_strongly_non_normal_near_unit_radius(self):
+        # ||Q^k|| grows to ~1e3 before it decays, so ||S||_F ~ 3.5e6; a
+        # squaring iteration S <- S + M S M^T, M <- M^2 stalls above the
+        # 1e-12 residual cap on this seed.
+        rng = np.random.default_rng(7)
+        T = np.diag([0.99, -0.985, 0.98]) + np.triu(rng.uniform(1.0, 3.0, (3, 3)), 1)
+        O, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        Q = O @ T @ O.T
+        assert eigen(Q).spectral_radius == pytest.approx(0.99, abs=1e-9)
+        S = stationary_covariance(Q, np.eye(3))
+        fro_S = np.linalg.norm(S, "fro")
+        assert fro_S > 1e6
+        assert np.linalg.norm(S - Q @ S @ Q.T - np.eye(3), "fro") <= 1e-12 * fro_S
+        np.testing.assert_array_equal(S, S.T)
+        # S = sum_k Q^k Q^kT dominates its first term, the identity
+        assert smallest_eigenvalue_sym(S) >= 1.0 - 1e-9 * fro_S
+
+    def test_forward_accuracy_when_ill_conditioned(self):
+        # rho ~ 0.99 and ||S||_F ~ 2.5e14.  An LU solve of the Kronecker
+        # system (I - Q (x) Q) vec S = vec I meets the residual cap here too,
+        # yet is 7% off S; the reference is a 50-digit solve of that system.
+        Q = np.array([
+            [4.087223525586051, -0.7785181558496346, 1.5080977660473815, -1.36155457284103],
+            [1.9932834364318004, 0.17871308962571228, 0.9784771919430865, -0.717937219542643],
+            [-1.213790343700156, -1.5385760992075213, -0.09738745822572303, 1.0166409555245368],
+            [-0.18536155153620876, 1.0578587859898323, -1.0543860623633614, -0.23505460505639683],
+        ])
+        want = np.array([
+            [82221920881924.372696, 41366523563952.49953, -71221177586125.082485, 83893541266437.479968],
+            [41366523563952.49953, 20811845778394.060726, -35831960100805.963091, 42207418487311.960146],
+            [-71221177586125.082485, -35831960100805.963091, 61692260324372.369617, -72669134995885.279549],
+            [83893541266437.479968, 42207418487311.960146, -72669134995885.279549, 85600670152609.073615],
+        ])
+        S = stationary_covariance(Q, np.eye(4))
+        assert np.linalg.norm(S - want, "fro") <= 1e-5 * np.linalg.norm(want, "fro")
+
 
 class TestPsdSqrt:
     def test_diagonal(self):

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import gammaln, hyp1f1
+
 from ergobound.errors import EmptyCoefficients, MomentUnavailable, OrderViolation
 from ergobound.linalg import eigen
 from ergobound.model import (
@@ -195,6 +197,36 @@ class TestNoiseSpec:
         vals = np.linalg.norm(draws, axis=1) ** 3
         assert val == pytest.approx(vals.mean(), abs=4 * (se + vals.std() / math.sqrt(len(vals))))
 
+    def test_sigma_moment_mc_route_streams_one_draw(self):
+        # chunked draws from one generator equal a single draw of all rows
+        n = 150_000
+        Sigma = np.array([[1.0, 0.4], [0.0, 0.7]])
+        for spec in (
+            NoiseSpec.laplace_d(np.array([0.3, 0.0]), np.array([1.0, 2.0])),
+            NoiseSpec.student_t_d(4.5, np.array([1.0, 0.5])),
+            NoiseSpec.uniform_d(np.array([1.0, 3.0])),
+            NoiseSpec.gaussian_d([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]]),
+        ):
+            # p = 1 is exact for Gaussian noise; p = 3 is Monte Carlo for all
+            for p in (1.0, 3.0) if spec.family != "gaussian" else (3.0,):
+                val, se = spec.abs_moment_sigma(Sigma, p, mc_draws=n, seed=4)
+                rng = np.random.default_rng([4, 0x5E1C])
+                vals = np.linalg.norm(spec.sampler()(rng, n) @ Sigma.T, axis=1) ** p
+                assert val == pytest.approx(vals.mean(), rel=1e-12)
+                assert se == pytest.approx(vals.std(ddof=1) / math.sqrt(n), rel=1e-9)
+
+    def test_scalar_gaussian_with_mean_exact(self):
+        # 40-digit references by adaptive quadrature of |m + sd z|^p phi(z)
+        for mean, var, p, want in (
+            (0.7, 2.0, 1.0, 1.2638511496382269064),
+            (0.7, 2.0, 1.5, 1.7095279287498854813),
+            (-3.0, 0.25, 1.0, 3.0000000001563569796),
+            (0.7, 2.0, 3.0, 6.2058265368628731149),
+        ):
+            got = NoiseSpec.gaussian(mean, var).scalar_abs_moment(p)
+            assert got == pytest.approx(want, rel=1e-14)
+        assert NoiseSpec.gaussian(-2.5, 0.0).scalar_abs_moment(1.5) == 2.5**1.5
+
     def test_student_t_moment_guard(self):
         with pytest.raises(MomentUnavailable):
             NoiseSpec.student_t(1.5, 1.0).scalar_abs_moment(2.0)
@@ -204,6 +236,68 @@ class TestNoiseSpec:
         np.testing.assert_allclose(spec.mean_vector(), [0.5, 0.0, 0.5])
         u = np.array([1.0, 0.0, 1.0])
         np.testing.assert_allclose(spec.covariance(), 2.0 * np.outer(u, u))
+
+
+class TestGaussianVectorMoments:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_isotropic_centered_chi(self, d, p):
+        sigma = 1.7
+        spec = NoiseSpec.gaussian_d(np.zeros(d), sigma**2 * np.eye(d))
+        val, se = spec.abs_moment_sigma(np.eye(d), p)
+        want = sigma**p * math.exp((p / 2) * math.log(2) + gammaln((d + p) / 2) - gammaln(d / 2))
+        assert se == 0.0
+        assert val == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("mean", [0.3, -1.0, 4.0])
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_one_dimensional_with_mean(self, mean, p):
+        var = 0.8
+        spec = NoiseSpec.gaussian_d([mean], [[var]])
+        val, _ = spec.abs_moment_sigma(np.eye(1), p)
+        want = (
+            var ** (p / 2)
+            * 2 ** (p / 2)
+            * math.gamma((p + 1) / 2)
+            / math.sqrt(math.pi)
+            * hyp1f1(-p / 2, 0.5, -(mean**2) / (2 * var))
+        )
+        assert val == pytest.approx(want, rel=1e-10)
+
+    def test_anisotropic_non_centered_against_monte_carlo(self):
+        rng = np.random.default_rng(21)
+        M = rng.standard_normal((3, 3))
+        cov = M @ M.T + 0.1 * np.eye(3)
+        mean = 2.0 * rng.normal(size=3)
+        Sigma = rng.standard_normal((3, 3))
+        spec = NoiseSpec.gaussian_d(mean, cov)
+        n = 400_000
+        ys = np.linalg.norm(rng.multivariate_normal(mean, cov, size=n) @ Sigma.T, axis=1)
+        for p in (1.0, 1.5):
+            val, se = spec.abs_moment_sigma(Sigma, p)
+            assert se == 0.0
+            vals = ys**p
+            assert val == pytest.approx(vals.mean(), abs=4 * vals.std(ddof=1) / math.sqrt(n))
+
+    def test_rank_deficient_sigma(self):
+        spec = NoiseSpec.gaussian_d(np.zeros(3), np.eye(3))
+        val, se = spec.abs_moment_sigma(np.diag([2.0, 0.0, 0.0]), 1.0)
+        assert se == 0.0
+        assert val == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), rel=1e-12)
+        # only the mean survives: |Sigma mean| exactly
+        spec = NoiseSpec.gaussian_d([3.0, 4.0], [[0.0, 0.0], [0.0, 1.0]])
+        val, _ = spec.abs_moment_sigma(np.diag([1.0, 0.0]), 1.5)
+        assert val == pytest.approx(3.0**1.5, rel=1e-12)
+
+    def test_zero_mean_zero_covariance(self):
+        spec = NoiseSpec.gaussian_d(np.zeros(2), np.zeros((2, 2)))
+        assert spec.abs_moment_sigma(np.eye(2), 1.0) == (0.0, 0.0)
+
+    def test_stderr_zero_below_two_positive_above(self):
+        spec = NoiseSpec.gaussian_d([0.5, 0.0], [[1.0, 0.2], [0.2, 0.5]])
+        for p in (1.0, 1.5, 1.99):
+            assert spec.abs_moment_sigma(np.eye(2), p)[1] == 0.0
+        assert spec.abs_moment_sigma(np.eye(2), 3.0, mc_draws=10_000)[1] > 0.0
 
 
 class TestSerialization:
