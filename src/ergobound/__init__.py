@@ -9,6 +9,7 @@ exact Gaussian formulas and seeded Monte Carlo estimates.
 __version__ = "0.1.0"
 
 from .bounds import (
+    BoundPlan,
     BoundReport,
     SlicedConstants,
     chafai_w2_affine,

@@ -27,6 +27,7 @@ __all__ = [
     "jordan_power",
     "jordan_estimate",
     "jordan_pair_estimate",
+    "EigenSandwich",
     "lyapunov_sandwich",
 ]
 
@@ -373,19 +374,29 @@ def _abs_block_majorant(
     return math.sqrt(sum(c * c for c in comps))
 
 
-def lyapunov_sandwich(spec: SpectralInfo, z, t: int) -> tuple[float, float]:
-    """Two-sided eigen-coordinate estimate of ``|Q^t z|``.
+class EigenSandwich:
+    """Two-sided eigen-coordinate estimate of ``|Q^t z|``, one inversion of ``U``.
 
     ``lower^2 = ||U^{-1}||_F^{-2} sum |q_j|^{2t} |(U^{-1} z)_j|^2`` and
-    ``upper^2 = ||U||_F^2`` times the same sum; requires a well-conditioned
-    eigenvector basis.
+    ``upper^2 = ||U||_F^2`` times the same sum, with ``U`` the eigenvector
+    matrix of ``spec``; requires a well-conditioned eigenvector basis.
     """
-    if not spec.diagonalizable or spec.eigenvector_matrix is None:
-        raise NotDiagonalizable("sandwich requires a diagonalizable matrix")
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    U = spec.eigenvector_matrix
-    U_inv = np.linalg.inv(U)
-    core = float(np.linalg.norm(np.abs(spec.eigenvalues) ** t * (U_inv @ z)))
-    u_fro = float(np.linalg.norm(U, ord="fro"))
-    uinv_fro = float(np.linalg.norm(U_inv, ord="fro"))
-    return core / uinv_fro, u_fro * core
+
+    def __init__(self, spec: SpectralInfo):
+        if not spec.diagonalizable or spec.eigenvector_matrix is None:
+            raise NotDiagonalizable("sandwich requires a diagonalizable matrix")
+        U = spec.eigenvector_matrix
+        self.U_inv = np.linalg.inv(U)
+        self.moduli = np.abs(spec.eigenvalues)
+        self.rho = spec.spectral_radius
+        self.u_fro = float(np.linalg.norm(U, ord="fro"))
+        self.uinv_fro = float(np.linalg.norm(self.U_inv, ord="fro"))
+
+    def __call__(self, z, t: int) -> tuple[float, float]:
+        core = float(np.linalg.norm(self.moduli**t * (self.U_inv @ z)))
+        return core / self.uinv_fro, self.u_fro * core
+
+
+def lyapunov_sandwich(spec: SpectralInfo, z, t: int) -> tuple[float, float]:
+    """Two-sided eigen-coordinate estimate of ``|Q^t z|`` (see :class:`EigenSandwich`)."""
+    return EigenSandwich(spec)(np.atleast_1d(np.asarray(z, dtype=float)), t)

@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
 
+from .asymptotics import EigenSandwich
 from .errors import (
     DimensionMismatch,
     MomentUnavailable,
-    NotDiagonalizable,
     NotPSD,
     NotSchurStable,
     NotSymmetric,
@@ -42,9 +43,11 @@ from .linalg import (
     stationary_covariance,
 )
 from .model import NoiseSpec, StateSpaceModel
-from .wasserstein import GaussianLaw
+from .wasserstein import GaussianLaw, sphere_moment_ratio
 
 __all__ = [
+    "FLAVORS",
+    "BoundPlan",
     "BoundReport",
     "SlicedConstants",
     "surface_area",
@@ -99,24 +102,6 @@ def gaussian_abs_moment(d: int, r: float) -> float:
     return float(math.exp(logm / r))
 
 
-def sphere_moment_ratio(d: int, r: float) -> float:
-    """Uniform sphere average of ``|v_1|^r``: Gamma-ratio closed form.
-
-    Equals ``Gamma((r+1)/2) Gamma(d/2) / (Gamma((r+d)/2) sqrt(pi))``; at
-    ``r = 2`` this is exactly ``1/d``.
-    """
-    if d < 2 or r < 1:
-        raise ValueError("need d >= 2 and r >= 1")
-    return float(
-        math.exp(
-            gammaln((r + 1.0) / 2.0)
-            + gammaln(d / 2.0)
-            - gammaln((r + d) / 2.0)
-            - 0.5 * math.log(math.pi)
-        )
-    )
-
-
 @dataclass(frozen=True)
 class SlicedConstants:
     """Sphere constants entering the sliced bounds at dimension d, order r."""
@@ -142,13 +127,8 @@ class SlicedConstants:
 # exact 1-D formula
 
 
-def exact_w2_ar1(q: float, sigma: float, x: float, t: int) -> float:
-    """Exact W2 between the time-t and stationary laws of a scalar Gaussian AR(1).
-
-    ``sqrt(q^{2t} x^2 + sigma^2/(1-q^2) * q^{4t} / (sqrt(1-q^{2t}) + 1)^2)``;
-    the two summands are the squared mean gap and the squared standard
-    deviation gap, the latter decaying at twice the exponential rate.
-    """
+def _ar1_gaps_sq(q: float, sigma: float, x: float, t: int) -> tuple[float, float]:
+    """Squared mean gap and squared standard-deviation gap of a scalar Gaussian AR(1)."""
     if abs(q) >= 1.0:
         raise NotSchurStable(f"|q| = {abs(q)} must be below 1")
     if sigma == 0.0:
@@ -160,25 +140,32 @@ def exact_w2_ar1(q: float, sigma: float, x: float, t: int) -> float:
     noise_sq = (sigma * sigma / (1.0 - q * q)) * q ** (4 * t) / (
         math.sqrt(1.0 - q2t) + 1.0
     ) ** 2
+    return mean_sq, noise_sq
+
+
+def exact_w2_ar1(q: float, sigma: float, x: float, t: int) -> float:
+    """Exact W2 between the time-t and stationary laws of a scalar Gaussian AR(1).
+
+    ``sqrt(q^{2t} x^2 + sigma^2/(1-q^2) * q^{4t} / (sqrt(1-q^{2t}) + 1)^2)``;
+    the two summands are the squared mean gap and the squared standard
+    deviation gap, the latter decaying at twice the exponential rate.
+    """
+    mean_sq, noise_sq = _ar1_gaps_sq(q, sigma, x, t)
     return math.sqrt(mean_sq + noise_sq)
 
 
 def exact_ar1_report(q: float, sigma: float, x: float, t: int) -> BoundReport:
     """Wrap the exact scalar value as a degenerate report (lower = upper)."""
-    value = exact_w2_ar1(q, sigma, x, t)
-    q2t = q ** (2 * t)
-    mean_part = math.sqrt(q2t * x * x)
-    noise_part = math.sqrt(
-        (sigma * sigma / (1.0 - q * q)) * q ** (4 * t) / (math.sqrt(1.0 - q2t) + 1.0) ** 2
-    )
+    mean_sq, noise_sq = _ar1_gaps_sq(q, sigma, x, t)
+    value = math.sqrt(mean_sq + noise_sq)
     return BoundReport(
         t=t,
         flavor="exact_ar1",
         order=2.0,
         lower=value,
         upper=value,
-        mean_part=mean_part,
-        noise_part=noise_part,
+        mean_part=math.sqrt(mean_sq),
+        noise_part=math.sqrt(noise_sq),
         constants_used={"q": q, "sigma": sigma},
         details={"exact": True, "t_in_stated_range": t >= 1},
     )
@@ -192,12 +179,6 @@ def stationary_mean(model: StateSpaceModel) -> np.ndarray:
     """``(I - Q)^{-1} Sigma E[xi_1]``, the mean of the stationary law."""
     m = model.Sigma @ model.noise.mean_vector()
     return np.linalg.solve(np.eye(model.d) - model.Q, m)
-
-
-def _mean_gap_vector(model: StateSpaceModel, x, t: int) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    z = x - stationary_mean(model)
-    return np.linalg.matrix_power(model.Q, t) @ z
 
 
 def _noise_cov_factor(model: StateSpaceModel) -> np.ndarray:
@@ -234,44 +215,230 @@ def _require_gaussian(model: StateSpaceModel) -> None:
         raise ValueError("this flavor requires Gaussian noise")
 
 
-def _require_star(model: StateSpaceModel, star: StarNorm | None) -> StarNorm:
-    if star is None:
-        return build_star_norm(model.Q)
-    if star.dim != model.d:
-        raise DimensionMismatch("star norm dimension does not match the model")
-    return star
+# ---------------------------------------------------------------------------
+# the bound engine
+
+FLAVORS = ("exact_ar1", "gauss_affine", "projected", "sliced_gauss", "generic",
+           "generic_diag", "sliced_generic", "parallel", "empirical_mean")
 
 
-def _lambda_minus(model: StateSpaceModel, B: np.ndarray) -> tuple[float, np.ndarray]:
-    cov = stationary_covariance(model.Q, _noise_cov_factor(model))
-    cov_B = B @ cov @ B.T
-    lam = smallest_eigenvalue_sym(cov_B)
-    if lam <= 1e-12 * max(1.0, float(np.trace(cov_B))):
-        raise SingularStationaryCovariance(
-            f"smallest stationary eigenvalue {lam:.3e} is not safely positive"
+class BoundPlan:
+    """The data every row of a bound sweep over ``t`` shares, for one model and start ``x``.
+
+    Each field is computed on first use and then kept: a sweep solves each
+    problem once, and a single report solves only what its flavor reads
+    (the coupling flavors never touch the stationary covariance).
+    """
+
+    def __init__(self, model: StateSpaceModel, x, star: StarNorm | None = None):
+        self.model = model
+        self.x = np.atleast_1d(np.asarray(x, dtype=float))
+        self._star = star
+        self._averaged: dict[int, NoiseSpec] = {}
+
+    @cached_property
+    def star(self) -> StarNorm:
+        """The contraction norm given to the plan, or the default one of ``Q``."""
+        if self._star is None:
+            return build_star_norm(self.model.Q)
+        if self._star.dim != self.model.d:
+            raise DimensionMismatch("star norm dimension does not match the model")
+        return self._star
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        """Stationary mean."""
+        return stationary_mean(self.model)
+
+    @cached_property
+    def cov(self) -> np.ndarray:
+        """Stationary covariance ``Sigma_inf``."""
+        return stationary_covariance(self.model.Q, _noise_cov_factor(self.model))
+
+    @cached_property
+    def lambda_min(self) -> float | None:
+        """Smallest eigenvalue of ``Sigma_inf`` for Gaussian noise, else ``None``."""
+        if self.model.noise.family != "gaussian":
+            return None
+        return smallest_eigenvalue_sym(self.cov)
+
+    @cached_property
+    def spectrum(self) -> SpectralInfo:
+        """``eigen(Q)``."""
+        return eigen(self.model.Q)
+
+    @cached_property
+    def sandwich(self) -> EigenSandwich:
+        """Eigen-coordinate estimate of ``|Q^t z|``; raises ``NotDiagonalizable``."""
+        return EigenSandwich(self.spectrum)
+
+    @cached_property
+    def ar1_params(self) -> tuple[float, float]:
+        """``(q, sigma)`` of a scalar, scalar-driven, centered Gaussian model."""
+        model = self.model
+        if model.d != 1 or model.noise.family != "gaussian":
+            raise ValueError("exact_ar1 needs a scalar Gaussian model")
+        if not model.noise.is_scalar_driven:
+            raise ValueError("exact_ar1 needs scalar-driven noise")
+        if model.noise.params["mean"] != 0.0:
+            raise ValueError("exact_ar1 needs centered noise")
+        sigma = abs(model.Sigma[0, 0] * model.noise.direction[0]) * math.sqrt(
+            model.noise.params["var"]
         )
-    return lam, cov
+        return float(model.Q[0, 0]), float(sigma)
+
+    def lambda_minus(self, B=None) -> float:
+        """Smallest eigenvalue of ``B Sigma_inf B^T`` (``B = I`` by default).
+
+        Raises ``SingularStationaryCovariance`` unless it is safely positive.
+        """
+        if B is None:
+            cov, lam = self.cov, self.lambda_min
+        else:
+            cov = B @ self.cov @ B.T
+            lam = smallest_eigenvalue_sym(cov)
+        if lam <= 1e-12 * max(1.0, float(np.trace(cov))):
+            raise SingularStationaryCovariance(
+                f"smallest stationary eigenvalue {lam:.3e} is not safely positive"
+            )
+        return lam
+
+    def averaged_noise(self, n: int) -> NoiseSpec:
+        """Gaussian noise of the empirical mean of n paths; one spec (and moment cache) per n."""
+        if n not in self._averaged:
+            noise, factor = self.model.noise, 1.0 / n
+            if noise.is_scalar_driven:
+                avg = NoiseSpec.gaussian(noise.params["mean"], noise.params["var"] * factor)
+                if "direction" in noise.params:
+                    avg = avg.lift(noise.params["direction"])
+            else:
+                avg = NoiseSpec.gaussian_d(noise.params["mean"], noise.params["cov"] * factor)
+            self._averaged[n] = avg
+        return self._averaged[n]
+
+    def report(
+        self, flavor: str, r: float, t: int, *, v=None, mode: str = "jensen_consistent",
+        mc_seed: int = 0, n_copies: int = 1, per_copy_flavor: str = "generic",
+    ) -> BoundReport:
+        """The ``flavor`` report at time step ``t`` and order ``r`` (``p`` of coupling flavors).
+
+        ``gauss_affine`` takes ``B = I``; ``v`` is the unit direction of
+        ``projected`` and ``mode`` the mean constant of ``sliced_gauss``.
+        ``parallel`` scales the ``per_copy_flavor`` report to ``n_copies``
+        copies; ``empirical_mean`` averages ``n_copies`` paths.
+        """
+        if flavor == "exact_ar1":
+            q, sigma = self.ar1_params
+            return exact_ar1_report(q, sigma, float(self.x[0]), t)
+        if flavor == "gauss_affine":
+            return _gauss_affine(self, None, r, t)
+        if flavor == "projected":
+            return _projected(self, v, r, t)
+        if flavor == "sliced_gauss":
+            return _sliced_gauss(self, r, t, mode)
+        if flavor == "generic":
+            return _coupling(self, "generic", r, t, mc_seed)[0]
+        if flavor == "generic_diag":
+            return _generic_diag(self, r, t, mc_seed)
+        if flavor == "sliced_generic":
+            return _sliced_generic(self, r, t, mc_seed)
+        if flavor == "parallel":
+            if per_copy_flavor == "parallel":
+                raise ValueError("the per-copy flavor of parallel cannot be parallel")
+            per_copy = self.report(
+                per_copy_flavor, r, t, v=v, mode=mode, mc_seed=mc_seed, n_copies=n_copies
+            )
+            return parallel_bounds(per_copy, n_copies, r)
+        if flavor == "empirical_mean":
+            return _empirical_mean(self, n_copies, r, t, mc_seed)
+        raise ValueError(f"unknown flavor {flavor!r}")
 
 
-def _constants(star: StarNorm, extra: dict | None = None) -> dict:
-    base = {
-        "star_norm": star.value,
-        "K_d": star.K_d,
-        "C_star": star.C_star,
-        "kappa": star.kappa,
-    }
-    if extra:
-        base.update(extra)
-    return base
-
-
-def _one_d_gauss_constant(r: float) -> float:
-    """``(E|N_1|^r)^{1/r} = sqrt(2) Gamma((r+1)/2)^{1/r} / pi^{1/(2r)}``."""
-    return gaussian_abs_moment(1, r)
+def _report(
+    plan: BoundPlan, flavor, order, t, lower, upper, mean_part, noise_part,
+    constants=None, details=None,
+) -> BoundReport:
+    """A report with the star constants and ``t_in_stated_range`` filled in."""
+    star = plan.star
+    constants = {"star_norm": star.value, "K_d": star.K_d, "C_star": star.C_star,
+                 "kappa": star.kappa, **(constants or {})}
+    details = {**(details or {}), "t_in_stated_range": t >= 1}
+    return BoundReport(t, flavor, order, lower, upper, mean_part, noise_part, constants, details)
 
 
 # ---------------------------------------------------------------------------
 # Gaussian flavors
+
+
+def _gauss_tail(plan: BoundPlan, r: float, k: int, t: int, denom: float) -> float:
+    """Gaussian noise tail ``C*^2 ||Sigma||_F^2 ||cov||_F s^(2t) / ((1 - s^2) denom)``.
+
+    ``cov`` is the noise covariance; the tail is scaled by ``(E|N_k|^r)^(1/r)``.
+    """
+    star, model = plan.star, plan.model
+    s = star.value
+    tail = star.C_star**2 * fro(model.Sigma) ** 2 * fro(model.noise.covariance())
+    return tail * s ** (2 * t) / ((1.0 - s * s) * denom) * gaussian_abs_moment(k, r)
+
+
+def _gauss_affine(plan: BoundPlan, B, r: float, t: int) -> BoundReport:
+    _require_gaussian(plan.model)
+    lam = plan.lambda_minus(B)
+    if B is None:
+        B = np.eye(plan.model.d)
+    gap = np.linalg.matrix_power(plan.model.Q, t) @ (plan.x - plan.mean)
+    lower = float(np.linalg.norm(B @ gap))
+    noise = fro(B) ** 2 * _gauss_tail(plan, r, B.shape[0], t, math.sqrt(lam))
+    return _report(
+        plan, "gauss_affine", r, t, lower, lower + noise, lower, noise,
+        {"lambda_minus": lam}, {"hemmen_ando_constant": "1/sqrt(lambda_minus)"},
+    )
+
+
+def _projected(plan: BoundPlan, v, r: float, t: int) -> BoundReport:
+    model = plan.model
+    _require_gaussian(model)
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.shape[0] != model.d:
+        raise DimensionMismatch("v must have length d")
+    if abs(np.linalg.norm(v) - 1.0) > 1e-8:
+        raise ValueError("v must be a unit vector")
+    lam = plan.lambda_minus()
+    P = np.linalg.matrix_power(model.Q, t)
+    lower = float(abs(v @ (P @ (plan.x - plan.mean))))
+    # Sigma_t = Sigma_inf - Q^t Sigma_inf Q^tT, so with w = Q^tT v:
+    # <v, (Sigma_t + Sigma_inf) v> = 2 <v, Sigma_inf v> - <w, Sigma_inf w>
+    w = P.T @ v
+    denom_sq = 2.0 * float(v @ plan.cov @ v) - float(w @ plan.cov @ w)
+    mid = _gauss_tail(plan, r, 1, t, math.sqrt(denom_sq))
+    fin = _gauss_tail(plan, r, 1, t, math.sqrt(lam))
+    noise = min(mid, fin)
+    return _report(
+        plan, "projected", r, t, lower, lower + noise, lower, noise,
+        {"lambda_minus": lam}, {"upper_middle": lower + mid, "upper_final": lower + fin},
+    )
+
+
+def _sliced_gauss(plan: BoundPlan, r: float, t: int, mode: str) -> BoundReport:
+    model = plan.model
+    _require_gaussian(model)
+    if model.d < 2:
+        raise ValueError("sliced bounds need dimension at least 2")
+    lam = plan.lambda_minus()
+    c_tilde = sphere_moment_ratio(model.d, r)
+    if mode == "as_printed":
+        mean_const = c_tilde
+    elif mode == "jensen_consistent":
+        mean_const = c_tilde ** (1.0 / r)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    gap = np.linalg.matrix_power(model.Q, t) @ (plan.x - plan.mean)
+    lower = mean_const * float(np.linalg.norm(gap))
+    noise = _gauss_tail(plan, r, 1, t, math.sqrt(lam))
+    return _report(
+        plan, "sliced_gauss", r, t, lower, lower + noise, lower, noise,
+        {"lambda_minus": lam}, {"mode": mode, "moment_ratio": c_tilde},
+    )
 
 
 def gaussian_affine_bounds(
@@ -287,36 +454,10 @@ def gaussian_affine_bounds(
     exceeds one (``details["hemmen_ando_constant"]`` records the choice).
     """
     _require_gaussian(model)
-    star = _require_star(model, star)
     B = as_matrix(B, square=False, name="B")
     if B.shape[1] != model.d:
         raise DimensionMismatch("B must have d columns")
-    lam, _ = _lambda_minus(model, B)
-    lower = float(np.linalg.norm(B @ _mean_gap_vector(model, x, t)))
-    s = star.value
-    noise = (
-        (star.C_star**2 / math.sqrt(lam))
-        * fro(B) ** 2
-        * fro(model.Sigma) ** 2
-        * fro(model.noise.covariance())
-        * s ** (2 * t)
-        / (1.0 - s * s)
-        * gaussian_abs_moment(B.shape[0], r)
-    )
-    return BoundReport(
-        t=t,
-        flavor="gauss_affine",
-        order=r,
-        lower=lower,
-        upper=lower + noise,
-        mean_part=lower,
-        noise_part=noise,
-        constants_used=_constants(star, {"lambda_minus": lam}),
-        details={
-            "hemmen_ando_constant": "1/sqrt(lambda_minus)",
-            "t_in_stated_range": t >= 1,
-        },
-    )
+    return _gauss_affine(BoundPlan(model, x, star), B, r, t)
 
 
 def projected_bounds(
@@ -329,38 +470,7 @@ def projected_bounds(
     cheaper one with ``sqrt(lambda_minus)``; the report's upper is their
     minimum and ``details`` carries both chain members.
     """
-    _require_gaussian(model)
-    star = _require_star(model, star)
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.shape[0] != model.d:
-        raise DimensionMismatch("v must have length d")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-        raise ValueError("v must be a unit vector")
-    lam, cov_inf = _lambda_minus(model, np.eye(model.d))
-    cov_t = law_at(model, np.zeros(model.d), t).cov
-    lower = float(abs(v @ _mean_gap_vector(model, x, t)))
-    s = star.value
-    m_const = _one_d_gauss_constant(r)
-    common = star.C_star**2 * fro(model.Sigma) ** 2 * fro(model.noise.covariance())
-    denom_mid = math.sqrt(float(v @ (cov_t + cov_inf) @ v))
-    mid = common / denom_mid * s ** (2 * t) / (1.0 - s * s) * m_const
-    fin = common / math.sqrt(lam) * s ** (2 * t) / (1.0 - s * s) * m_const
-    noise = min(mid, fin)
-    return BoundReport(
-        t=t,
-        flavor="projected",
-        order=r,
-        lower=lower,
-        upper=lower + noise,
-        mean_part=lower,
-        noise_part=noise,
-        constants_used=_constants(star, {"lambda_minus": lam}),
-        details={
-            "upper_middle": lower + mid,
-            "upper_final": lower + fin,
-            "t_in_stated_range": t >= 1,
-        },
-    )
+    return _projected(BoundPlan(model, x, star), v, r, t)
 
 
 def sliced_gauss_bounds(
@@ -380,45 +490,7 @@ def sliced_gauss_bounds(
     the final root (the convention of the empirical sliced estimator).
     Both modes coincide at ``r = 1``.
     """
-    _require_gaussian(model)
-    if model.d < 2:
-        raise ValueError("sliced bounds need dimension at least 2")
-    star = _require_star(model, star)
-    lam, _ = _lambda_minus(model, np.eye(model.d))
-    c_tilde = sphere_moment_ratio(model.d, r)
-    if mode == "as_printed":
-        mean_const = c_tilde
-    elif mode == "jensen_consistent":
-        mean_const = c_tilde ** (1.0 / r)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    gap = float(np.linalg.norm(_mean_gap_vector(model, x, t)))
-    lower = mean_const * gap
-    s = star.value
-    noise = (
-        star.C_star**2
-        / (1.0 - s * s)
-        * fro(model.Sigma) ** 2
-        * fro(model.noise.covariance())
-        / math.sqrt(lam)
-        * _one_d_gauss_constant(r)
-        * s ** (2 * t)
-    )
-    return BoundReport(
-        t=t,
-        flavor="sliced_gauss",
-        order=r,
-        lower=lower,
-        upper=lower + noise,
-        mean_part=lower,
-        noise_part=noise,
-        constants_used=_constants(star, {"lambda_minus": lam}),
-        details={
-            "mode": mode,
-            "moment_ratio": c_tilde,
-            "t_in_stated_range": t >= 1,
-        },
-    )
+    return _sliced_gauss(BoundPlan(model, x, star), r, t, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +520,97 @@ def _coupling_regime_sound(model: StateSpaceModel, p: float, t: int) -> bool:
     return bool(np.all(model.noise.mean_vector() == 0.0))
 
 
+def _coupling(
+    plan: BoundPlan, flavor: str, p: float, t: int, mc_seed: int, *,
+    weight: float = 1.0, sandwich: EigenSandwich | None = None, majorant: bool = False,
+    constants=None,
+) -> tuple[BoundReport, float]:
+    """Routes (a)/(b) of the coupling flavors; returns the report and the route (b) moment root.
+
+    ``weight`` scales the mean terms (the sliced flavor's sphere ratio).
+    With ``sandwich``, ``|Q^t z|`` and the route (a) factor ``K_d s^t``
+    become the eigen sandwich and ``||U||_F ||U^{-1}||_F rho^t``.  With
+    ``majorant``, route (b) takes the n-free majorant
+    ``||Sigma||_F (E|xi|^p)^{1/p}`` in place of the model's moment.
+    """
+    model, x = plan.model, plan.x
+    if not model.noise.has_moment(p):
+        raise MomentUnavailable(f"order {p} moment unavailable for this noise")
+    star = plan.star
+    s = star.value
+    if sandwich is None:
+        P = np.linalg.matrix_power(model.Q, t)
+        lower = weight * float(np.linalg.norm(P @ (x - plan.mean)))
+        mean_b = weight * float(np.linalg.norm(P @ x))
+        const, rate = star.K_d, s
+    else:
+        lower = weight * sandwich(x - plan.mean, t)[0]
+        mean_b = weight * sandwich(x, t)[1]
+        const, rate = sandwich.u_fro * sandwich.uinv_fro, sandwich.rho
+    m1_root, se1 = _sigma_moment_root(model, 1.0, mc_seed)
+    if majorant:
+        raw, sep = model.noise.abs_moment_sigma(np.eye(model.d), p, seed=mc_seed)
+        mp_root = fro(model.Sigma) * (raw + 3.0 * sep) ** (1.0 / p)
+    else:
+        mp_root, sep = _sigma_moment_root(model, p, mc_seed)
+    upper_a = weight * const * rate**t * (
+        float(np.linalg.norm(x)) + star.K_d * m1_root * s / (1.0 - s)
+    )
+    noise_b = star.K_d * mp_root * s ** (t + 1) / (1.0 - s**p) ** (1.0 / p)
+    rep = _report(
+        plan, flavor, p, t, lower, min(upper_a, mean_b + noise_b), mean_b, noise_b,
+        constants,
+        {
+            "upper_a": upper_a,
+            "upper_b": mean_b + noise_b,
+            "moment_stderr": sep,
+            "first_moment_stderr": se1,
+            "coupling_regime_sound": _coupling_regime_sound(model, p, t),
+        },
+    )
+    return rep, mp_root
+
+
+def _generic_diag(plan: BoundPlan, p: float, t: int, mc_seed: int) -> BoundReport:
+    sw = plan.sandwich
+    rep, mp_root = _coupling(
+        plan, "generic_diag", p, t, mc_seed, sandwich=sw,
+        constants={"U_fro": sw.u_fro, "U_inv_fro": sw.uinv_fro, "rho": sw.rho},
+    )
+    rho = sw.rho
+    rep.details["upper_b_eigenrate"] = rep.mean_part + (
+        sw.u_fro * sw.uinv_fro * mp_root * rho ** (t + 1) / (1.0 - rho**p) ** (1.0 / p)
+        if rho > 0.0
+        else 0.0
+    )
+    return rep
+
+
+def _sliced_generic(plan: BoundPlan, p: float, t: int, mc_seed: int) -> BoundReport:
+    if plan.model.d < 2:
+        raise ValueError("sliced bounds need dimension at least 2")
+    c1 = sphere_moment_ratio(plan.model.d, 1.0)
+    return _coupling(
+        plan, "sliced_generic", p, t, mc_seed, weight=c1, constants={"moment_ratio_r1": c1}
+    )[0]
+
+
+def _empirical_mean(plan: BoundPlan, n: int, p: float, t: int, mc_seed: int) -> BoundReport:
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    rep, _ = _coupling(plan, "empirical_mean", p, t, mc_seed, majorant=True)
+    rep.details["n_copies"] = n
+    model = plan.model
+    if model.noise.family == "gaussian":
+        avg_val, _ = plan.averaged_noise(n).abs_moment_sigma(model.Sigma, p, seed=mc_seed)
+        star = plan.star
+        s = star.value
+        rep.details["upper_b_exact_n"] = rep.mean_part + star.K_d * avg_val ** (
+            1.0 / p
+        ) * s ** (t + 1) / (1.0 - s**p) ** (1.0 / p)
+    return rep
+
+
 def generic_bounds(
     model: StateSpaceModel,
     x,
@@ -472,37 +635,7 @@ def generic_bounds(
     ``details["coupling_regime_sound"]`` records whether the inputs are in
     the reliable regime.
     """
-    if not model.noise.has_moment(p):
-        raise MomentUnavailable(f"order {p} moment unavailable for this noise")
-    star = _require_star(model, star)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    s = star.value
-    lower = float(np.linalg.norm(_mean_gap_vector(model, x, t)))
-    m1_root, se1 = _sigma_moment_root(model, 1.0, mc_seed)
-    mp_root, sep = _sigma_moment_root(model, p, mc_seed)
-    upper_a = star.K_d * s**t * (
-        float(np.linalg.norm(x)) + star.K_d * m1_root * s / (1.0 - s)
-    )
-    mean_b = float(np.linalg.norm(np.linalg.matrix_power(model.Q, t) @ x))
-    noise_b = star.K_d * mp_root * s ** (t + 1) / (1.0 - s**p) ** (1.0 / p)
-    return BoundReport(
-        t=t,
-        flavor="generic",
-        order=p,
-        lower=lower,
-        upper=min(upper_a, mean_b + noise_b),
-        mean_part=mean_b,
-        noise_part=noise_b,
-        constants_used=_constants(star),
-        details={
-            "upper_a": upper_a,
-            "upper_b": mean_b + noise_b,
-            "moment_stderr": sep,
-            "first_moment_stderr": se1,
-            "coupling_regime_sound": _coupling_regime_sound(model, p, t),
-            "t_in_stated_range": t >= 1,
-        },
-    )
+    return _coupling(BoundPlan(model, x, star), "generic", p, t, mc_seed)[0]
 
 
 def diagonalizable_bounds(
@@ -524,58 +657,10 @@ def diagonalizable_bounds(
     reports the noise tail at the eigenvalue rate with constant
     ``||U||_F ||U^{-1}||_F``.
     """
-    if spec is None:
-        spec = eigen(model.Q)
-    if not spec.diagonalizable:
-        raise NotDiagonalizable("no well-conditioned eigenvector basis")
-    if not model.noise.has_moment(p):
-        raise MomentUnavailable(f"order {p} moment unavailable for this noise")
-    star = _require_star(model, star)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    U = spec.eigenvector_matrix
-    U_inv = np.linalg.inv(U)
-    qpow = np.abs(spec.eigenvalues) ** t
-    u_fro, uinv_fro = fro(U), fro(U_inv)
-
-    def sandwich_scale(z):
-        return float(np.linalg.norm(qpow * (U_inv @ z)))
-
-    z_mu = np.atleast_1d(x) - stationary_mean(model)
-    lower = sandwich_scale(z_mu) / uinv_fro
-    s = star.value
-    rho = spec.spectral_radius
-    m1_root, se1 = _sigma_moment_root(model, 1.0, mc_seed)
-    mp_root, sep = _sigma_moment_root(model, p, mc_seed)
-    x_infty_reach = float(np.linalg.norm(x)) + star.K_d * m1_root * s / (1.0 - s)
-    upper_a = u_fro * uinv_fro * rho**t * x_infty_reach
-    mean_b = u_fro * sandwich_scale(x)
-    noise_b = star.K_d * mp_root * s ** (t + 1) / (1.0 - s**p) ** (1.0 / p)
-    noise_b_eigenrate = (
-        u_fro * uinv_fro * mp_root * rho ** (t + 1) / (1.0 - rho**p) ** (1.0 / p)
-        if rho > 0.0
-        else 0.0
-    )
-    return BoundReport(
-        t=t,
-        flavor="generic_diag",
-        order=p,
-        lower=lower,
-        upper=min(upper_a, mean_b + noise_b),
-        mean_part=mean_b,
-        noise_part=noise_b,
-        constants_used=_constants(
-            star, {"U_fro": u_fro, "U_inv_fro": uinv_fro, "rho": rho}
-        ),
-        details={
-            "upper_a": upper_a,
-            "upper_b": mean_b + noise_b,
-            "upper_b_eigenrate": mean_b + noise_b_eigenrate,
-            "moment_stderr": sep,
-            "first_moment_stderr": se1,
-            "coupling_regime_sound": _coupling_regime_sound(model, p, t),
-            "t_in_stated_range": t >= 1,
-        },
-    )
+    plan = BoundPlan(model, x, star)
+    if spec is not None:
+        plan.spectrum = spec
+    return _generic_diag(plan, p, t, mc_seed)
 
 
 def sliced_generic_bounds(
@@ -592,40 +677,7 @@ def sliced_generic_bounds(
     bound and the upper routes, while the noise tail keeps its full
     (unprojected) constant.
     """
-    if model.d < 2:
-        raise ValueError("sliced bounds need dimension at least 2")
-    if not model.noise.has_moment(p):
-        raise MomentUnavailable(f"order {p} moment unavailable for this noise")
-    star = _require_star(model, star)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    c1 = sphere_moment_ratio(model.d, 1.0)
-    s = star.value
-    lower = c1 * float(np.linalg.norm(_mean_gap_vector(model, x, t)))
-    m1_root, se1 = _sigma_moment_root(model, 1.0, mc_seed)
-    mp_root, sep = _sigma_moment_root(model, p, mc_seed)
-    upper_a = c1 * star.K_d * s**t * (
-        float(np.linalg.norm(x)) + star.K_d * m1_root * s / (1.0 - s)
-    )
-    mean_b = c1 * float(np.linalg.norm(np.linalg.matrix_power(model.Q, t) @ x))
-    noise_b = star.K_d * mp_root * s ** (t + 1) / (1.0 - s**p) ** (1.0 / p)
-    return BoundReport(
-        t=t,
-        flavor="sliced_generic",
-        order=p,
-        lower=lower,
-        upper=min(upper_a, mean_b + noise_b),
-        mean_part=mean_b,
-        noise_part=noise_b,
-        constants_used=_constants(star, {"moment_ratio_r1": c1}),
-        details={
-            "upper_a": upper_a,
-            "upper_b": mean_b + noise_b,
-            "moment_stderr": sep,
-            "first_moment_stderr": se1,
-            "coupling_regime_sound": _coupling_regime_sound(model, p, t),
-            "t_in_stated_range": t >= 1,
-        },
-    )
+    return _sliced_generic(BoundPlan(model, x, star), p, t, mc_seed)
 
 
 def parallel_bounds(per_copy: BoundReport, n: int, p: float) -> BoundReport:
@@ -673,57 +725,7 @@ def empirical_mean_bounds(
     Gaussian with covariance ``Xi / n`` and the exact per-n route (b) is
     reported in ``details["upper_b_exact_n"]``.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not model.noise.has_moment(p):
-        raise MomentUnavailable(f"order {p} moment unavailable for this noise")
-    star = _require_star(model, star)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    s = star.value
-    lower = float(np.linalg.norm(_mean_gap_vector(model, x, t)))
-    m1_root, se1 = _sigma_moment_root(model, 1.0, mc_seed)
-    raw_val, raw_se = model.noise.abs_moment_sigma(np.eye(model.d), p, seed=mc_seed)
-    majorant_root = fro(model.Sigma) * (raw_val + 3.0 * raw_se) ** (1.0 / p)
-    upper_a = star.K_d * s**t * (
-        float(np.linalg.norm(x)) + star.K_d * m1_root * s / (1.0 - s)
-    )
-    mean_b = float(np.linalg.norm(np.linalg.matrix_power(model.Q, t) @ x))
-    noise_b = star.K_d * majorant_root * s ** (t + 1) / (1.0 - s**p) ** (1.0 / p)
-    details = {
-        "upper_a": upper_a,
-        "upper_b": mean_b + noise_b,
-        "moment_stderr": raw_se,
-        "first_moment_stderr": se1,
-        "n_copies": n,
-        "coupling_regime_sound": _coupling_regime_sound(model, p, t),
-        "t_in_stated_range": t >= 1,
-    }
-    if model.noise.family == "gaussian":
-        avg = _with_scaled_gaussian_cov(model.noise, 1.0 / n)
-        avg_val, _ = avg.abs_moment_sigma(model.Sigma, p, seed=mc_seed)
-        details["upper_b_exact_n"] = mean_b + star.K_d * avg_val ** (1.0 / p) * s ** (
-            t + 1
-        ) / (1.0 - s**p) ** (1.0 / p)
-    return BoundReport(
-        t=t,
-        flavor="empirical_mean",
-        order=p,
-        lower=lower,
-        upper=min(upper_a, mean_b + noise_b),
-        mean_part=mean_b,
-        noise_part=noise_b,
-        constants_used=_constants(star),
-        details=details,
-    )
-
-
-def _with_scaled_gaussian_cov(noise: NoiseSpec, factor: float) -> NoiseSpec:
-    if noise.is_scalar_driven:
-        scaled = NoiseSpec.gaussian(noise.params["mean"], noise.params["var"] * factor)
-        if "direction" in noise.params:
-            return scaled.lift(noise.params["direction"])
-        return scaled
-    return NoiseSpec.gaussian_d(noise.params["mean"], noise.params["cov"] * factor)
+    return _empirical_mean(BoundPlan(model, x, star), n, p, t, mc_seed)
 
 
 def chafai_w2_affine(X_law: GaussianLaw, R, v) -> float:

@@ -17,14 +17,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import __version__, bounds as bnd
 from .errors import ErgoboundError
-from .linalg import build_star_norm, smallest_eigenvalue_sym, stationary_covariance
+from .linalg import build_star_norm
 from .model import (
     NoiseSpec,
     StateSpaceModel,
@@ -35,7 +34,7 @@ from .model import (
 )
 from .sim import SimConfig, sample_stationary, simulate_paths
 from .stability import ar2_region, is_schur_stable, sufficient_tests
-from .wasserstein import empirical_w1d, gaussian_w2, sliced_empirical_sweep
+from .wasserstein import GaussianLaw, empirical_w1d, gaussian_w2, sliced_empirical_sweep
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -110,6 +109,13 @@ def _load_model(args) -> StateSpaceModel:
     raise _ModelError("provide a model via --model FILE or --phi LIST")
 
 
+def _start_state(args, model: StateSpaceModel) -> np.ndarray:
+    x = np.asarray(_parse_floats(args.x), dtype=float) if args.x else np.zeros(model.d)
+    if x.shape != (model.d,):
+        raise ValueError("--x must have length d")
+    return x
+
+
 def _kappa_policy(text: str | None) -> dict:
     if not text:
         return {"auto_margin": 2.0}
@@ -175,63 +181,20 @@ def _cmd_stability(args) -> int:
 # bounds
 
 
-def _ar1_exact_params(model: StateSpaceModel) -> tuple[float, float]:
-    if model.d != 1 or model.noise.family != "gaussian":
-        raise ValueError("exact_ar1 needs a scalar Gaussian model")
-    if not model.noise.is_scalar_driven:
-        raise ValueError("exact_ar1 needs scalar-driven noise")
-    if model.noise.params["mean"] != 0.0:
-        raise ValueError("exact_ar1 needs centered noise")
-    q = float(model.Q[0, 0])
-    sigma = float(
-        abs(model.Sigma[0, 0] * model.noise.direction[0])
-        * math.sqrt(model.noise.params["var"])
-    )
-    return q, sigma
-
-
-def _bound_report(model, flavor, x, r, t, star, args):
-    if flavor == "exact_ar1":
-        q, sigma = _ar1_exact_params(model)
-        return bnd.exact_ar1_report(q, sigma, float(x[0]), t)
-    if flavor == "gauss_affine":
-        return bnd.gaussian_affine_bounds(model, np.eye(model.d), x, r, t, star)
-    if flavor == "projected":
-        v = np.asarray(_parse_floats(args.v), dtype=float)
-        return bnd.projected_bounds(model, v, x, r, t, star)
-    if flavor == "sliced_gauss":
-        return bnd.sliced_gauss_bounds(model, x, r, t, star, mode=args.mode)
-    if flavor == "generic":
-        return bnd.generic_bounds(model, x, r, t, star, mc_seed=args.seed)
-    if flavor == "generic_diag":
-        return bnd.diagonalizable_bounds(model, x, r, t, star=star, mc_seed=args.seed)
-    if flavor == "sliced_generic":
-        return bnd.sliced_generic_bounds(model, x, r, t, star, mc_seed=args.seed)
-    if flavor == "parallel":
-        per = _bound_report(model, args.per_copy_flavor, x, r, t, star, args)
-        return bnd.parallel_bounds(per, args.n_copies, r)
-    if flavor == "empirical_mean":
-        return bnd.empirical_mean_bounds(model, args.n_copies, x, r, t, star, mc_seed=args.seed)
-    raise ValueError(f"unknown flavor {flavor!r}")
-
-
-def _lambda_or_none(model: StateSpaceModel):
-    if model.noise.family != "gaussian":
-        return None
-    cov = stationary_covariance(model.Q, model.Sigma @ model.noise.covariance() @ model.Sigma.T)
-    return smallest_eigenvalue_sym(cov)
-
-
 def _cmd_bounds(args) -> int:
     model = _load_model(args)
-    x = np.asarray(_parse_floats(args.x), dtype=float) if args.x else np.zeros(model.d)
-    if x.shape[0] != model.d:
-        raise ValueError("--x must have length d")
+    flavors = (args.flavor, args.per_copy_flavor) if args.flavor == "parallel" else (args.flavor,)
+    if "projected" in flavors and not args.v:
+        raise _ParseError("the projected flavor needs --v")
+    v = _parse_floats(args.v) if args.v else None
     star = build_star_norm(model.Q, _kappa_policy(args.kappa_policy))
-    lam = _lambda_or_none(model)
+    plan = bnd.BoundPlan(model, _start_state(args, model), star)
     rows = [_BOUNDS_COLUMNS]
     for t in range(args.t_max + 1):
-        rep = _bound_report(model, args.flavor, x, args.r, t, star, args)
+        rep = plan.report(
+            args.flavor, args.r, t, v=v, mode=args.mode, mc_seed=args.seed,
+            n_copies=args.n_copies, per_copy_flavor=args.per_copy_flavor,
+        )
         rows.append(
             ",".join(
                 [
@@ -245,7 +208,7 @@ def _cmd_bounds(args) -> int:
                     _fmt(star.value),
                     _fmt(star.K_d),
                     _fmt(star.C_star),
-                    _fmt(rep.constants_used.get("lambda_minus", lam)),
+                    _fmt(rep.constants_used.get("lambda_minus", plan.lambda_min)),
                 ]
             )
         )
@@ -263,8 +226,9 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_validate(args) -> int:
     model = _load_model(args)
-    x = np.asarray(_parse_floats(args.x), dtype=float) if args.x else np.zeros(model.d)
+    x = _start_state(args, model)
     star = build_star_norm(model.Q, _kappa_policy(args.kappa_policy))
+    plan = bnd.BoundPlan(model, x, star)
     exact_gaussian = (
         args.flavor in ("gauss_affine", "exact_ar1") and model.noise.family == "gaussian"
     )
@@ -291,13 +255,15 @@ def _cmd_validate(args) -> int:
                 n_directions=args.n_directions,
                 seed=args.seed,
             )
+    else:
+        stationary = GaussianLaw(plan.mean, plan.cov)
     rows = [_VALIDATE_COLUMNS]
     violations = 0
     first_violation = None
     for t in range(args.t_max + 1):
-        rep = _bound_report(model, args.flavor, x, args.r, t, star, args)
+        rep = plan.report(args.flavor, args.r, t, mode=args.mode, mc_seed=args.seed)
         if exact_gaussian:
-            dist = gaussian_w2(bnd.law_at(model, x, t), bnd.stationary_law(model))
+            dist = gaussian_w2(bnd.law_at(model, x, t), stationary)
             se = 0.0
         else:
             dist, se = estimates[t].value, estimates[t].stderr
@@ -345,7 +311,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model = _load_model(args)
-    x = np.asarray(_parse_floats(args.x), dtype=float) if args.x else np.zeros(model.d)
+    x = _start_state(args, model)
     config = SimConfig(n_paths=args.paths, horizon=args.horizon, seed=args.seed)
     ens = simulate_paths(model, x, config)
     header = "path,t," + ",".join(f"x{i + 1}" for i in range(model.d))
@@ -388,10 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="bound sweep as CSV")
     _add_model_args(p)
-    p.add_argument("--flavor", default="gauss_affine",
-                   choices=["exact_ar1", "gauss_affine", "projected", "sliced_gauss",
-                            "generic", "generic_diag", "sliced_generic", "parallel",
-                            "empirical_mean"])
+    p.add_argument("--flavor", default="gauss_affine", choices=bnd.FLAVORS)
     p.add_argument("--r", type=float, default=2.0, help="distance order (p for generic flavors)")
     p.add_argument("--t-max", dest="t_max", type=int, default=20)
     p.add_argument("--x", help="comma-separated initial state (default zeros)")
@@ -401,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa-policy", dest="kappa_policy",
                    help="auto[:margin] | fixed:value | optimize[:t]")
     p.add_argument("--n-copies", dest="n_copies", type=int, default=1)
-    p.add_argument("--per-copy-flavor", dest="per_copy_flavor", default="generic")
+    p.add_argument("--per-copy-flavor", dest="per_copy_flavor", default="generic",
+                   choices=[f for f in bnd.FLAVORS if f != "parallel"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV output file (stdout when omitted)")
     p.set_defaults(func=_cmd_bounds)
@@ -414,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=2.0)
     p.add_argument("--t-max", dest="t_max", type=int, default=20)
     p.add_argument("--x", help="comma-separated initial state")
-    p.add_argument("--v", help="unit projection direction")
     p.add_argument("--mode", default="jensen_consistent",
                    choices=["as_printed", "jensen_consistent"])
     p.add_argument("--n-samples", dest="n_samples", type=int, default=10000)
@@ -422,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=1e-3, help="stationary truncation budget")
     p.add_argument("--kappa-policy", dest="kappa_policy")
-    p.add_argument("--n-copies", dest="n_copies", type=int, default=1)
-    p.add_argument("--per-copy-flavor", dest="per_copy_flavor", default="generic")
     p.add_argument("--out", help="CSV output file; summary JSON then goes to stdout")
     p.set_defaults(func=_cmd_validate)
 

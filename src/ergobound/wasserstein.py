@@ -1,8 +1,8 @@
 """Reference transport distances.
 
 Exact Gaussian W2 by the Bures/mean decomposition, one-dimensional
-empirical W_r by the quantile formula, one-dimensional Gaussian W_r by
-quadrature, and sliced empirical estimators over random or equispaced
+empirical W_r by the quantile formula, one-dimensional Gaussian W_r in
+closed form, and sliced empirical estimators over random or equispaced
 projection directions.  The sliced value follows the normalized-average
 convention ``((1/A_d) \\int W_r^r)^{1/r}``.
 """
@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, roots_hermite
+from scipy.special import gammaln
 
 from .errors import DimensionMismatch, UnequalSampleSizes
 from .linalg import as_matrix, psd_sqrt
+from .model import _gauss_shifted_abs_moment
 
 __all__ = [
     "GaussianLaw",
@@ -25,6 +25,7 @@ __all__ = [
     "gaussian_w2",
     "empirical_w1d",
     "gaussian_wr_1d",
+    "sphere_moment_ratio",
     "sliced_empirical",
     "sliced_empirical_sweep",
 ]
@@ -98,28 +99,39 @@ def empirical_w1d(xs, ys, r: float = 1.0) -> EmpiricalEstimate:
     return EmpiricalEstimate(value=value, n_samples=xs.shape[0])
 
 
-@lru_cache(maxsize=8)
-def _hermite_rule(n: int):
-    nodes, weights = roots_hermite(n)
-    return math.sqrt(2.0) * nodes, weights / math.sqrt(math.pi)
-
-
-def gaussian_wr_1d(
-    m1: float, s1: float, m2: float, s2: float, r: float, quad_nodes: int = 4001
-) -> float:
+def gaussian_wr_1d(m1: float, s1: float, m2: float, s2: float, r: float) -> float:
     """Order-r distance between 1-D Gaussians via the quantile map.
 
     The comonotone coupling gives ``(E|dm + ds Z|^r)^{1/r}`` with ``Z``
-    standard normal, evaluated by Gauss-Hermite quadrature; ``r = 2`` uses
-    the exact closed form ``sqrt(dm**2 + ds**2)``.
+    standard normal, evaluated exactly through Kummer's function;
+    ``r = 2`` uses the closed form ``sqrt(dm**2 + ds**2)``.
     """
     if s1 < 0 or s2 < 0:
         raise ValueError("standard deviations must be nonnegative")
     dm, ds = m2 - m1, s2 - s1
     if r == 2:
         return math.hypot(dm, ds)
-    z, w = _hermite_rule(quad_nodes)
-    return float((w * np.abs(dm + ds * z) ** r).sum() ** (1.0 / r))
+    return _gauss_shifted_abs_moment(dm, abs(ds), r) ** (1.0 / r)
+
+
+def _log_sphere_moment_ratio(d: int, r: float) -> float:
+    return (
+        gammaln((r + 1.0) / 2.0)
+        + gammaln(d / 2.0)
+        - gammaln((r + d) / 2.0)
+        - 0.5 * math.log(math.pi)
+    )
+
+
+def sphere_moment_ratio(d: int, r: float) -> float:
+    """Uniform sphere average of ``|v_1|^r``: Gamma-ratio closed form.
+
+    Equals ``Gamma((r+1)/2) Gamma(d/2) / (Gamma((r+d)/2) sqrt(pi))``; at
+    ``r = 2`` this is exactly ``1/d``.
+    """
+    if d < 2 or r < 1:
+        raise ValueError("need d >= 2 and r >= 1")
+    return float(math.exp(_log_sphere_moment_ratio(d, r)))
 
 
 def _directions(d: int, n_distinct: int, seed) -> np.ndarray:
@@ -170,13 +182,7 @@ def _shift_noise_scale(xs: np.ndarray, ys: np.ndarray, r: float) -> float:
     """
     n, d = xs.shape
     tr = float(np.var(xs, axis=0, ddof=1).sum() + np.var(ys, axis=0, ddof=1).sum())
-    log_ratio = (
-        gammaln((r + 1.0) / 2.0)
-        + gammaln(d / 2.0)
-        - gammaln((r + d) / 2.0)
-        - 0.5 * math.log(math.pi)
-    )
-    return math.exp(log_ratio / r) * math.sqrt(tr / n)
+    return math.exp(_log_sphere_moment_ratio(d, r) / r) * math.sqrt(tr / n)
 
 
 def _sorted_projections(xs: np.ndarray, dirs: np.ndarray) -> np.ndarray:

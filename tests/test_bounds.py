@@ -526,6 +526,26 @@ class TestEmpiricalMean:
         assert tail2 == pytest.approx(tail0 / 4.0, rel=1e-9)
 
 
+class TestBoundPlan:
+    @pytest.mark.parametrize(
+        "flavor", ["generic", "generic_diag", "sliced_generic", "empirical_mean"]
+    )
+    def test_coupling_call_solves_no_stationary_covariance(self, monkeypatch, flavor):
+        def refuse(*args, **kwargs):
+            raise AssertionError("stationary covariance solved")
+
+        monkeypatch.setattr(bnd, "stationary_covariance", refuse)
+        m = ar_state_space([0.3, 0.5], [0.0], NoiseSpec.gaussian(0.0, 1.0))
+        rep = bnd.BoundPlan(m, [1.0, 0.0]).report(flavor, 1.5, 4, n_copies=3)
+        assert rep.lower <= rep.upper
+        assert bnd.generic_bounds(m, [1.0, 0.0], 1.5, 4).flavor == "generic"
+
+    def test_rejects_parallel_per_copy_flavor(self):
+        plan = bnd.BoundPlan(ar1(0.5), [1.0])
+        with pytest.raises(ValueError):
+            plan.report("parallel", 2.0, 1, per_copy_flavor="parallel")
+
+
 class TestChafai:
     def test_identity_shift(self):
         rng = np.random.default_rng(10)

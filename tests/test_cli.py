@@ -175,6 +175,101 @@ class TestBounds:
         assert code == 2
 
 
+    def test_library_rows_bit_for_bit(self, capsys):
+        from ergobound import bounds as bnd
+        from ergobound.linalg import build_star_norm
+
+        def cli_rows(*argv):
+            code, out, err = run(capsys, "bounds", "--t-max", "6", "--r", "1.5", "--seed", "3",
+                                 "--n-copies", "3", "--v", "0.6,0.8", *argv)
+            assert code == 0, err
+            return [row.split(",")[1:5] for row in out.strip().splitlines()[1:]]
+
+        def fields(rep):
+            parts = (rep.lower, rep.upper, rep.mean_part, rep.noise_part)
+            return [format(v, ".17g") for v in parts]
+
+        m = ar_state_space([0.3, 0.5], None, NoiseSpec.gaussian(0.0, 1.0))
+        star, x, v = build_star_norm(m.Q), np.array([1.0, -0.5]), np.array([0.6, 0.8])
+        calls = {
+            "gauss_affine": lambda t: bnd.gaussian_affine_bounds(m, np.eye(2), x, 1.5, t, star),
+            "projected": lambda t: bnd.projected_bounds(m, v, x, 1.5, t, star),
+            "sliced_gauss": lambda t: bnd.sliced_gauss_bounds(m, x, 1.5, t, star),
+            "generic": lambda t: bnd.generic_bounds(m, x, 1.5, t, star, mc_seed=3),
+            "generic_diag": lambda t: bnd.diagonalizable_bounds(m, x, 1.5, t, star=star, mc_seed=3),
+            "sliced_generic": lambda t: bnd.sliced_generic_bounds(m, x, 1.5, t, star, mc_seed=3),
+            "parallel": lambda t: bnd.parallel_bounds(
+                bnd.generic_bounds(m, x, 1.5, t, star, mc_seed=3), 3, 1.5),
+            "empirical_mean": lambda t: bnd.empirical_mean_bounds(m, 3, x, 1.5, t, star, mc_seed=3),
+        }
+        for flavor, call in calls.items():
+            rows = cli_rows("--phi", "0.3,0.5", "--x=1,-0.5", "--flavor", flavor)
+            assert rows == [fields(call(t)) for t in range(7)], flavor
+        rows = cli_rows("--phi", "0.5", "--x", "2", "--flavor", "exact_ar1")
+        assert rows == [fields(bnd.exact_ar1_report(0.5, 1.0, 2.0, t)) for t in range(7)]
+        assert set(calls) | {"exact_ar1"} == set(bnd.FLAVORS)
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--flavor", "gauss_affine", "--t-max", "50"],
+        ["bounds", "--flavor", "projected", "--v", "1,0", "--t-max", "50"],
+        ["bounds", "--flavor", "parallel", "--per-copy-flavor", "sliced_gauss", "--t-max", "50"],
+        ["validate", "--flavor", "gauss_affine", "--t-max", "50"],
+        ["validate", "--flavor", "sliced_gauss", "--t-max", "5", "--n-samples", "200"],
+    ])
+    def test_one_stationary_solve_per_command(self, capsys, monkeypatch, argv):
+        from ergobound import bounds as bnd
+
+        solves = []
+        solve = bnd.stationary_covariance
+        monkeypatch.setattr(bnd, "stationary_covariance",
+                            lambda *a, **k: solves.append(1) or solve(*a, **k))
+        code, _, err = run(capsys, *argv, "--phi", "0.3,0.5", "--x", "1,0")
+        assert code == 0, err
+        assert len(solves) == 1
+
+    def test_empirical_mean_averaged_moment_once(self, capsys, monkeypatch, tmp_path):
+        # d = 3 vector Gaussian noise: the averaged noise's order-p moment is a
+        # quadrature, which a sweep should run once, not once per row
+        from ergobound import model as mdl
+        from ergobound.model import raw_model
+
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((3, 3))
+        Sigma = np.diag([1.0, 0.5, 2.0])
+        m = raw_model(0.6 * A / np.abs(np.linalg.eigvals(A)).max(), Sigma,
+                      NoiseSpec.gaussian_d(rng.normal(size=3), A @ A.T + np.eye(3)))
+        averaged = Sigma @ m.noise.covariance() @ Sigma.T / 4
+        covs = []
+        quad = mdl._gauss_norm_moment
+        monkeypatch.setattr(mdl, "_gauss_norm_moment",
+                            lambda mu, S, p: covs.append(S) or quad(mu, S, p))
+        code, out, err = run(capsys, "bounds", "--model", write_model(tmp_path, m),
+                             "--flavor", "empirical_mean", "--n-copies", "4", "--r", "1.5",
+                             "--t-max", "49")
+        assert code == 0, err
+        assert len(out.strip().splitlines()) == 51
+        assert sum(np.allclose(S, averaged, rtol=1e-12, atol=0.0) for S in covs) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--flavor", "projected"],
+        ["--flavor", "parallel", "--per-copy-flavor", "parallel"],
+        ["--per-copy-flavor", "bogus"],
+    ])
+    def test_bad_flavor_arguments_exit_2(self, capsys, argv):
+        try:
+            code = main(["bounds", "--phi", "0.3,0.5", "--t-max", "1", *argv])
+        except SystemExit as exc:  # argparse rejects the command line itself
+            code = exc.code
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bounds", "validate", "simulate"])
+    def test_start_state_length_checked(self, capsys, command):
+        code, _, err = run(capsys, command, "--phi", "0.3,0.5", "--x", "1,2,3")
+        assert code == 4
+        assert "--x must have length d" in err
+
+
 class TestValidate:
     def test_gaussian_exact_between_bounds(self, capsys):
         code, out, err = run(

@@ -173,6 +173,15 @@ class TestGaussianWr1d:
         vals = [gaussian_wr_1d(0.3, 1.0, 0.0, 2.0, r) for r in (1.0, 2.0, 3.0)]
         assert vals[0] <= vals[1] <= vals[2]
 
+    def test_exact_first_moment(self):
+        # E|Z| = sqrt(2/pi) and E|mu + Z| = sqrt(2/pi) exp(-mu^2/2) + mu erf(mu/sqrt 2)
+        assert gaussian_wr_1d(0.0, 1.0, 0.0, 2.0, 1.0) == pytest.approx(
+            math.sqrt(2 / math.pi), rel=1e-14
+        )
+        mu = -0.3
+        want = math.sqrt(2 / math.pi) * math.exp(-mu * mu / 2) + mu * math.erf(mu / math.sqrt(2))
+        assert gaussian_wr_1d(0.0, 1.0, mu, 2.0, 1.0) == pytest.approx(want, rel=1e-14)
+
 
 class TestSlicedEmpirical:
     def test_identical_samples(self):
