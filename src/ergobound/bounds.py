@@ -32,17 +32,8 @@ from .errors import (
     NotSymmetric,
     SingularStationaryCovariance,
 )
-from .linalg import (
-    SpectralInfo,
-    StarNorm,
-    as_matrix,
-    build_star_norm,
-    eigen,
-    fro,
-    smallest_eigenvalue_sym,
-    stationary_covariance,
-)
-from .model import NoiseSpec, StateSpaceModel
+from .linalg import SpectralInfo, StarNorm, as_matrix, fro, smallest_eigenvalue_sym
+from .model import StateSpaceModel, stationary_cov_positive
 from .wasserstein import GaussianLaw, sphere_moment_ratio
 
 __all__ = [
@@ -176,13 +167,8 @@ def exact_ar1_report(q: float, sigma: float, x: float, t: int) -> BoundReport:
 
 
 def stationary_mean(model: StateSpaceModel) -> np.ndarray:
-    """``(I - Q)^{-1} Sigma E[xi_1]``, the mean of the stationary law."""
-    m = model.Sigma @ model.noise.mean_vector()
-    return np.linalg.solve(np.eye(model.d) - model.Q, m)
-
-
-def _noise_cov_factor(model: StateSpaceModel) -> np.ndarray:
-    return model.Sigma @ model.noise.covariance() @ model.Sigma.T
+    """``(I - Q)^{-1} Sigma E[xi_1]``, the mean of the stationary law (read-only)."""
+    return model.stationary_mean
 
 
 def law_at(model: StateSpaceModel, x, t: int, B=None) -> GaussianLaw:
@@ -191,7 +177,7 @@ def law_at(model: StateSpaceModel, x, t: int, B=None) -> GaussianLaw:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     B = np.eye(model.d) if B is None else as_matrix(B, square=False, name="B")
     m = model.Sigma @ model.noise.mean_vector()
-    V = _noise_cov_factor(model)
+    V = model.noise_cov
     mean = np.linalg.matrix_power(model.Q, t) @ x
     cov = np.zeros((model.d, model.d))
     P = np.eye(model.d)
@@ -206,8 +192,7 @@ def stationary_law(model: StateSpaceModel, B=None) -> GaussianLaw:
     """Gaussian stationary law of ``B X_inf``."""
     _require_gaussian(model)
     B = np.eye(model.d) if B is None else as_matrix(B, square=False, name="B")
-    cov = stationary_covariance(model.Q, _noise_cov_factor(model))
-    return GaussianLaw(mean=B @ stationary_mean(model), cov=B @ cov @ B.T)
+    return GaussianLaw(mean=B @ model.stationary_mean, cov=B @ model.stationary_cov @ B.T)
 
 
 def _require_gaussian(model: StateSpaceModel) -> None:
@@ -223,54 +208,31 @@ FLAVORS = ("exact_ar1", "gauss_affine", "projected", "sliced_gauss", "generic",
 
 
 class BoundPlan:
-    """The data every row of a bound sweep over ``t`` shares, for one model and start ``x``.
+    """The start ``x`` and the star norm a bound sweep over ``t`` shares, on top of its model.
 
-    Each field is computed on first use and then kept: a sweep solves each
-    problem once, and a single report solves only what its flavor reads
-    (the coupling flavors never touch the stationary covariance).
+    The model keeps its stationary law, spectrum and default star norm; the
+    plan holds the start, the caller's star norm if any and the eigen
+    sandwich, and :meth:`report` dispatches the flavors.
     """
 
     def __init__(self, model: StateSpaceModel, x, star: StarNorm | None = None):
         self.model = model
         self.x = np.atleast_1d(np.asarray(x, dtype=float))
         self._star = star
-        self._averaged: dict[int, NoiseSpec] = {}
 
     @cached_property
     def star(self) -> StarNorm:
-        """The contraction norm given to the plan, or the default one of ``Q``."""
+        """The contraction norm given to the plan, or the model's default one."""
         if self._star is None:
-            return build_star_norm(self.model.Q)
+            return self.model.star
         if self._star.dim != self.model.d:
             raise DimensionMismatch("star norm dimension does not match the model")
         return self._star
 
     @cached_property
-    def mean(self) -> np.ndarray:
-        """Stationary mean."""
-        return stationary_mean(self.model)
-
-    @cached_property
-    def cov(self) -> np.ndarray:
-        """Stationary covariance ``Sigma_inf``."""
-        return stationary_covariance(self.model.Q, _noise_cov_factor(self.model))
-
-    @cached_property
-    def lambda_min(self) -> float | None:
-        """Smallest eigenvalue of ``Sigma_inf`` for Gaussian noise, else ``None``."""
-        if self.model.noise.family != "gaussian":
-            return None
-        return smallest_eigenvalue_sym(self.cov)
-
-    @cached_property
-    def spectrum(self) -> SpectralInfo:
-        """``eigen(Q)``."""
-        return eigen(self.model.Q)
-
-    @cached_property
     def sandwich(self) -> EigenSandwich:
         """Eigen-coordinate estimate of ``|Q^t z|``; raises ``NotDiagonalizable``."""
-        return EigenSandwich(self.spectrum)
+        return EigenSandwich(self.model.spectrum)
 
     @cached_property
     def ar1_params(self) -> tuple[float, float]:
@@ -292,29 +254,17 @@ class BoundPlan:
 
         Raises ``SingularStationaryCovariance`` unless it is safely positive.
         """
+        cov = self.model.stationary_cov
         if B is None:
-            cov, lam = self.cov, self.lambda_min
+            lam = self.model.lambda_min
         else:
-            cov = B @ self.cov @ B.T
+            cov = B @ cov @ B.T
             lam = smallest_eigenvalue_sym(cov)
-        if lam <= 1e-12 * max(1.0, float(np.trace(cov))):
+        if not stationary_cov_positive(lam, cov):
             raise SingularStationaryCovariance(
                 f"smallest stationary eigenvalue {lam:.3e} is not safely positive"
             )
         return lam
-
-    def averaged_noise(self, n: int) -> NoiseSpec:
-        """Gaussian noise of the empirical mean of n paths; one spec (and moment cache) per n."""
-        if n not in self._averaged:
-            noise, factor = self.model.noise, 1.0 / n
-            if noise.is_scalar_driven:
-                avg = NoiseSpec.gaussian(noise.params["mean"], noise.params["var"] * factor)
-                if "direction" in noise.params:
-                    avg = avg.lift(noise.params["direction"])
-            else:
-                avg = NoiseSpec.gaussian_d(noise.params["mean"], noise.params["cov"] * factor)
-            self._averaged[n] = avg
-        return self._averaged[n]
 
     def report(
         self, flavor: str, r: float, t: int, *, v=None, mode: str = "jensen_consistent",
@@ -386,7 +336,7 @@ def _gauss_affine(plan: BoundPlan, B, r: float, t: int) -> BoundReport:
     lam = plan.lambda_minus(B)
     if B is None:
         B = np.eye(plan.model.d)
-    gap = np.linalg.matrix_power(plan.model.Q, t) @ (plan.x - plan.mean)
+    gap = np.linalg.matrix_power(plan.model.Q, t) @ (plan.x - plan.model.stationary_mean)
     lower = float(np.linalg.norm(B @ gap))
     noise = fro(B) ** 2 * _gauss_tail(plan, r, B.shape[0], t, math.sqrt(lam))
     return _report(
@@ -405,11 +355,11 @@ def _projected(plan: BoundPlan, v, r: float, t: int) -> BoundReport:
         raise ValueError("v must be a unit vector")
     lam = plan.lambda_minus()
     P = np.linalg.matrix_power(model.Q, t)
-    lower = float(abs(v @ (P @ (plan.x - plan.mean))))
+    lower = float(abs(v @ (P @ (plan.x - model.stationary_mean))))
     # Sigma_t = Sigma_inf - Q^t Sigma_inf Q^tT, so with w = Q^tT v:
     # <v, (Sigma_t + Sigma_inf) v> = 2 <v, Sigma_inf v> - <w, Sigma_inf w>
-    w = P.T @ v
-    denom_sq = 2.0 * float(v @ plan.cov @ v) - float(w @ plan.cov @ w)
+    w, cov = P.T @ v, model.stationary_cov
+    denom_sq = 2.0 * float(v @ cov @ v) - float(w @ cov @ w)
     mid = _gauss_tail(plan, r, 1, t, math.sqrt(denom_sq))
     fin = _gauss_tail(plan, r, 1, t, math.sqrt(lam))
     noise = min(mid, fin)
@@ -432,7 +382,7 @@ def _sliced_gauss(plan: BoundPlan, r: float, t: int, mode: str) -> BoundReport:
         mean_const = c_tilde ** (1.0 / r)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    gap = np.linalg.matrix_power(model.Q, t) @ (plan.x - plan.mean)
+    gap = np.linalg.matrix_power(model.Q, t) @ (plan.x - model.stationary_mean)
     lower = mean_const * float(np.linalg.norm(gap))
     noise = _gauss_tail(plan, r, 1, t, math.sqrt(lam))
     return _report(
@@ -497,14 +447,6 @@ def sliced_gauss_bounds(
 # generic (coupling) flavors
 
 
-def _sigma_moment_root(
-    model: StateSpaceModel, p: float, mc_seed: int
-) -> tuple[float, float]:
-    """Conservative ``(E|Sigma xi|^p)^{1/p}``: MC estimates fold in +3 stderr."""
-    val, se = model.noise.abs_moment_sigma(model.Sigma, p, seed=mc_seed)
-    return (val + 3.0 * se) ** (1.0 / p), se
-
-
 def _coupling_regime_sound(model: StateSpaceModel, p: float, t: int) -> bool:
     """Whether the coupling routes are reliable upper bounds as evaluated.
 
@@ -540,19 +482,19 @@ def _coupling(
     s = star.value
     if sandwich is None:
         P = np.linalg.matrix_power(model.Q, t)
-        lower = weight * float(np.linalg.norm(P @ (x - plan.mean)))
+        lower = weight * float(np.linalg.norm(P @ (x - model.stationary_mean)))
         mean_b = weight * float(np.linalg.norm(P @ x))
         const, rate = star.K_d, s
     else:
-        lower = weight * sandwich(x - plan.mean, t)[0]
+        lower = weight * sandwich(x - model.stationary_mean, t)[0]
         mean_b = weight * sandwich(x, t)[1]
         const, rate = sandwich.u_fro * sandwich.uinv_fro, sandwich.rho
-    m1_root, se1 = _sigma_moment_root(model, 1.0, mc_seed)
+    m1_root, se1 = model.noise.moment_root(model.Sigma, 1.0, mc_seed)
     if majorant:
-        raw, sep = model.noise.abs_moment_sigma(np.eye(model.d), p, seed=mc_seed)
-        mp_root = fro(model.Sigma) * (raw + 3.0 * sep) ** (1.0 / p)
+        raw_root, sep = model.noise.moment_root(np.eye(model.d), p, mc_seed)
+        mp_root = fro(model.Sigma) * raw_root
     else:
-        mp_root, sep = _sigma_moment_root(model, p, mc_seed)
+        mp_root, sep = model.noise.moment_root(model.Sigma, p, mc_seed)
     upper_a = weight * const * rate**t * (
         float(np.linalg.norm(x)) + star.K_d * m1_root * s / (1.0 - s)
     )
@@ -602,7 +544,7 @@ def _empirical_mean(plan: BoundPlan, n: int, p: float, t: int, mc_seed: int) -> 
     rep.details["n_copies"] = n
     model = plan.model
     if model.noise.family == "gaussian":
-        avg_val, _ = plan.averaged_noise(n).abs_moment_sigma(model.Sigma, p, seed=mc_seed)
+        avg_val, _ = model.noise.averaged(n).abs_moment_sigma(model.Sigma, p, seed=mc_seed)
         star = plan.star
         s = star.value
         rep.details["upper_b_exact_n"] = rep.mean_part + star.K_d * avg_val ** (
@@ -659,7 +601,7 @@ def diagonalizable_bounds(
     """
     plan = BoundPlan(model, x, star)
     if spec is not None:
-        plan.spectrum = spec
+        plan.sandwich = EigenSandwich(spec)
     return _generic_diag(plan, p, t, mc_seed)
 
 

@@ -34,7 +34,7 @@ from .model import (
 )
 from .sim import SimConfig, sample_stationary, simulate_paths
 from .stability import ar2_region, is_schur_stable, sufficient_tests
-from .wasserstein import GaussianLaw, empirical_w1d, gaussian_w2, sliced_empirical_sweep
+from .wasserstein import empirical_w1d, gaussian_w2, sliced_empirical_sweep
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -62,6 +62,11 @@ def _fmt(x) -> str:
     if x is None:
         return "nan"
     return format(float(x), ".17g")
+
+
+def _row(*fields) -> str:
+    """One CSV line: strings as given, numbers (and ``None``) through :func:`_fmt`."""
+    return ",".join(f if isinstance(f, str) else _fmt(f) for f in fields)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -195,23 +200,9 @@ def _cmd_bounds(args) -> int:
             args.flavor, args.r, t, v=v, mode=args.mode, mc_seed=args.seed,
             n_copies=args.n_copies, per_copy_flavor=args.per_copy_flavor,
         )
-        rows.append(
-            ",".join(
-                [
-                    str(t),
-                    _fmt(rep.lower),
-                    _fmt(rep.upper),
-                    _fmt(rep.mean_part),
-                    _fmt(rep.noise_part),
-                    rep.flavor,
-                    _fmt(rep.order),
-                    _fmt(star.value),
-                    _fmt(star.K_d),
-                    _fmt(star.C_star),
-                    _fmt(rep.constants_used.get("lambda_minus", plan.lambda_min)),
-                ]
-            )
-        )
+        lam = rep.constants_used.get("lambda_minus", model.lambda_min)
+        rows.append(_row(str(t), rep.lower, rep.upper, rep.mean_part, rep.noise_part,
+                         rep.flavor, rep.order, star.value, star.K_d, star.C_star, lam))
     manifest = _manifest(
         "bounds", model, args,
         ("flavor", "r", "t_max", "x", "kappa_policy", "mode", "seed", "n_copies"),
@@ -256,7 +247,7 @@ def _cmd_validate(args) -> int:
                 seed=args.seed,
             )
     else:
-        stationary = GaussianLaw(plan.mean, plan.cov)
+        stationary = bnd.stationary_law(model)
     rows = [_VALIDATE_COLUMNS]
     violations = 0
     first_violation = None
@@ -272,28 +263,13 @@ def _cmd_validate(args) -> int:
             violations += 1
             if first_violation is None:
                 first_violation = t
-        rows.append(
-            ",".join(
-                [
-                    str(t),
-                    _fmt(rep.lower),
-                    _fmt(dist),
-                    _fmt(se),
-                    _fmt(rep.upper),
-                    "1" if ok else "0",
-                ]
-            )
-        )
+        rows.append(_row(str(t), rep.lower, dist, se, rep.upper, "1" if ok else "0"))
     manifest = _manifest(
         "validate", model, args,
         ("flavor", "r", "t_max", "x", "n_samples", "n_directions", "seed", "eps", "kappa_policy"),
     )
-    if args.out:
-        _write_lines(args.out, rows, manifest)
-        summary_stream = sys.stdout
-    else:
-        _write_lines(None, rows, manifest)
-        summary_stream = sys.stderr
+    _write_lines(args.out or None, rows, manifest)
+    summary_stream = sys.stdout if args.out else sys.stderr
     summary = {
         "rows": args.t_max + 1,
         "violations": violations,

@@ -12,13 +12,15 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln, hyp1f1
 
 from .errors import EmptyCoefficients, MomentUnavailable, NonConvergence, OrderViolation
-from .linalg import as_matrix, eigen, smallest_eigenvalue_sym, stationary_covariance
+from .linalg import (SpectralInfo, StarNorm, as_matrix, build_star_norm, eigen,
+                     smallest_eigenvalue_sym, stationary_covariance)
 
 __all__ = [
     "NoiseSpec",
@@ -155,6 +157,13 @@ def _mc_abs_moment(draw, Sigma, p, n, seed) -> tuple[float, float]:
     return mean, math.sqrt(m2 / (n - 1) / n)
 
 
+def _read_only(*arrays) -> np.ndarray:
+    """Mark the arrays read-only; returns the first."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays[0]
+
+
 @dataclass(frozen=True, eq=False)
 class NoiseSpec:
     """An i.i.d. driving-noise family.
@@ -167,7 +176,8 @@ class NoiseSpec:
 
     ``r_max`` is the supremum of orders with a finite absolute moment:
     infinite for every family except Student-t, where it equals the degrees
-    of freedom (the moment at ``r = df`` itself is infinite).
+    of freedom (the moment at ``r = df`` itself is infinite).  Array
+    parameters are read-only copies the spec owns.
     """
 
     family: str
@@ -177,7 +187,11 @@ class NoiseSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
+        params = {k: _read_only(np.array(v)) if isinstance(v, np.ndarray) else v
+                  for k, v in self.params.items()}
+        object.__setattr__(self, "params", params)
         object.__setattr__(self, "_moment_cache", {})
+        object.__setattr__(self, "_averaged", {})
 
     # -- constructors -----------------------------------------------------
 
@@ -246,6 +260,21 @@ class NoiseSpec:
         params = dict(self.params)
         params["direction"] = u
         return NoiseSpec(self.family, u.shape[0], params)
+
+    def averaged(self, n: int) -> "NoiseSpec":
+        """Gaussian noise of the mean of ``n`` i.i.d. copies; one spec (and moment cache) per n."""
+        if self.family != "gaussian":
+            raise ValueError("only Gaussian noise averages to a noise spec")
+        if n not in self._averaged:
+            prm, factor = self.params, 1.0 / n
+            if self.is_scalar_driven:
+                avg = NoiseSpec.gaussian(prm["mean"], prm["var"] * factor)
+                if "direction" in prm:
+                    avg = avg.lift(prm["direction"])
+            else:
+                avg = NoiseSpec.gaussian_d(prm["mean"], prm["cov"] * factor)
+            self._averaged[n] = avg
+        return self._averaged[n]
 
     # -- structure ---------------------------------------------------------
 
@@ -430,6 +459,12 @@ class NoiseSpec:
         self._moment_cache[key] = result
         return result
 
+    def moment_root(self, Sigma, p: float, seed: int = 0) -> tuple[float, float]:
+        """``(E|Sigma xi|**p + 3 stderr)**(1/p)`` and the stderr: Monte Carlo
+        estimates enter bounds with a +3 stderr margin (exact routes have none)."""
+        val, se = self.abs_moment_sigma(Sigma, p, seed=seed)
+        return (val + 3.0 * se) ** (1.0 / p), se
+
     def _abs_moment_sigma(self, Sigma, p, mc_draws, seed):
         if self.is_scalar_driven:
             amp = float(np.linalg.norm(Sigma @ self.direction))
@@ -473,9 +508,20 @@ class NoiseSpec:
         return cls(family, dim, params)
 
 
+def stationary_cov_positive(lam: float, cov) -> bool:
+    """Whether the smallest eigenvalue ``lam`` of ``cov`` is safely positive."""
+    return lam > 1e-12 * max(1.0, float(np.trace(cov)))
+
+
 @dataclass(frozen=True, eq=False)
 class StateSpaceModel:
-    """The recursion data ``(d, Q, Sigma, noise)`` plus construction provenance."""
+    """The recursion data ``(d, Q, Sigma, noise)`` plus construction provenance.
+
+    ``Q`` and ``Sigma`` are read-only copies the model owns.  The per-model
+    quantities every bound reads (the noise covariance, ``eigen(Q)``, the
+    default star norm and the stationary law) are computed on first use
+    and kept, so all calls on one model solve each problem once.
+    """
 
     d: int
     Q: np.ndarray
@@ -484,10 +530,49 @@ class StateSpaceModel:
     provenance: dict
 
     def __post_init__(self):
+        for name in ("Q", "Sigma"):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name))))
         if self.Q.shape != (self.d, self.d) or self.Sigma.shape != (self.d, self.d):
             raise ValueError("Q and Sigma must be d x d")
         if self.noise.dim != self.d:
             raise ValueError("noise dimension must match the state dimension")
+
+    @cached_property
+    def noise_cov(self) -> np.ndarray:
+        """``Sigma Cov(xi) Sigma^T``, the covariance of one noise increment."""
+        return _read_only(self.Sigma @ self.noise.covariance() @ self.Sigma.T)
+
+    @cached_property
+    def spectrum(self) -> SpectralInfo:
+        """``eigen(Q)``."""
+        info = eigen(self.Q)
+        _read_only(info.eigenvalues, info.eigenvector_matrix)
+        return info
+
+    @cached_property
+    def star(self) -> StarNorm:
+        """The default contraction norm ``build_star_norm(Q)``."""
+        star = build_star_norm(self.Q)
+        _read_only(star.U, star.Delta)
+        return star
+
+    @cached_property
+    def stationary_mean(self) -> np.ndarray:
+        """``(I - Q)^{-1} Sigma E[xi_1]``, the mean of the stationary law."""
+        m = self.Sigma @ self.noise.mean_vector()
+        return _read_only(np.linalg.solve(np.eye(self.d) - self.Q, m))
+
+    @cached_property
+    def stationary_cov(self) -> np.ndarray:
+        """Stationary covariance ``Sigma_inf``, solving ``S = Q S Q^T + noise_cov``."""
+        return _read_only(stationary_covariance(self.Q, self.noise_cov))
+
+    @cached_property
+    def lambda_min(self) -> float | None:
+        """Smallest eigenvalue of ``Sigma_inf`` for Gaussian noise, else ``None``."""
+        if self.noise.family != "gaussian":
+            return None
+        return smallest_eigenvalue_sym(self.stationary_cov)
 
 
 def raw_model(Q, Sigma, noise: NoiseSpec) -> StateSpaceModel:
@@ -609,7 +694,7 @@ def validate_model(
     """Stability, moment and Gaussian-flavor applicability diagnostics."""
     if r < 1:
         raise ValueError("order r must be at least 1")
-    rho = eigen(model.Q).spectral_radius
+    rho = model.spectrum.spectral_radius
     stable = rho < 1.0 - boundary_tol
     boundary = abs(rho - 1.0) <= boundary_tol
     moment_ok = model.noise.has_moment(r)
@@ -618,13 +703,10 @@ def validate_model(
         flags.append("NotSchurStable")
     if not moment_ok:
         flags.append("MomentUnavailable")
-    gaussian_applicable = False
-    lam = None
+    gaussian_applicable, lam = False, None
     if model.noise.family == "gaussian" and stable:
-        V = model.Sigma @ model.noise.covariance() @ model.Sigma.T
-        Sinf = stationary_covariance(model.Q, V)
-        lam = smallest_eigenvalue_sym(Sinf)
-        gaussian_applicable = lam > 1e-12 * max(1.0, float(np.trace(Sinf)))
+        lam = model.lambda_min
+        gaussian_applicable = stationary_cov_positive(lam, model.stationary_cov)
         if not gaussian_applicable:
             flags.append("SingularStationaryCovariance")
     elif model.noise.family != "gaussian":

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MomentUnavailable
-from .linalg import StarNorm, build_star_norm
+from .linalg import StarNorm
 from .model import StateSpaceModel, model_digest
 
 __all__ = [
@@ -86,6 +86,16 @@ def _noise_steps(draw, rng: np.random.Generator, m: int, steps: int, d: int):
         yield from draw(rng, k * m).reshape(k, m, d)
 
 
+def _checked_start(model: StateSpaceModel, x, horizon: int) -> np.ndarray:
+    """The start ``x`` as a float vector, after the checks every path run makes."""
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape[0] != model.d:
+        raise ValueError("x must have length d")
+    return x
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Monte Carlo run parameters."""
@@ -123,16 +133,14 @@ def simulate_paths(
 
     Runs ``X_t = Q X_{t-1} + Sigma xi_t`` for ``t = 1..horizon`` on
     ``n_paths`` independent paths; ``times`` selects which steps to keep
-    (default: all of ``0..horizon``).
+    (default: all of ``0..horizon``, each step at most once).
     """
-    if config.horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[0] != model.d:
-        raise ValueError("x must have length d")
+    x = _checked_start(model, x, config.horizon)
     keep = tuple(range(config.horizon + 1)) if times is None else tuple(times)
     if any(t < 0 or t > config.horizon for t in keep):
         raise ValueError("times must lie in 0..horizon")
+    if len(set(keep)) != len(keep):
+        raise ValueError("times must not repeat a step")
     out = np.empty((config.n_paths, len(keep), model.d))
     col = {t: k for k, t in enumerate(keep)}
     draw = model.noise.sampler()
@@ -167,11 +175,10 @@ def truncation_horizon(
     model: StateSpaceModel, eps_stat: float, star: StarNorm | None = None
 ) -> int:
     """Least T with tail majorant ``K_d E|Sigma xi| s^{T+1} / (1 - s) <= eps_stat``."""
-    star = star if star is not None else build_star_norm(model.Q)
+    star = star if star is not None else model.star
     if not model.noise.has_moment(1.0):
         raise MomentUnavailable("stationary sampling needs a finite first moment")
-    m1, se1 = model.noise.abs_moment_sigma(model.Sigma, 1.0)
-    m1 += 3.0 * se1
+    m1, _ = model.noise.moment_root(model.Sigma, 1.0)
     s = star.value
     if m1 == 0.0 or s == 0.0:
         return 0
@@ -199,7 +206,7 @@ def sample_stationary(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    star = star if star is not None else build_star_norm(model.Q)
+    star = star if star is not None else model.star
     T = truncation if truncation is not None else truncation_horizon(model, eps_stat, star)
     # stack of (Q^j Sigma)^T for j = 0..T
     Pt = np.empty((T + 1, model.d, model.d))
@@ -251,7 +258,7 @@ def empirical_mean_process(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _checked_start(model, x, horizon)
     draw = model.noise.sampler()
     Qt, St = model.Q.T, model.Sigma.T
 

@@ -234,14 +234,7 @@ def sliced_empirical(
     ``d = 2``, ``mode="equispaced"`` uses deterministic equally spaced
     angles on the half-circle and reports zero stderr.
     """
-    xs, ys = _check_sample_pair(xs, ys)
-    dirs, deterministic = _sliced_directions(xs.shape[1], n_directions, seed, mode)
-    px = _sorted_projections(xs, dirs)
-    py = _sorted_projections(ys, dirs)
-    shift_se = 0.0 if deterministic else _shift_noise_scale(xs, ys, r)
-    return _sliced_from_sorted(
-        px, py, r, xs.shape[0], n_directions, seed, deterministic, shift_se
-    )
+    return sliced_empirical_sweep([xs], ys, r, n_directions, seed, mode)[0]
 
 
 def sliced_empirical_sweep(
@@ -261,7 +254,6 @@ def sliced_empirical_sweep(
     ys = np.asarray(ys, dtype=float)
     estimates = []
     py = None
-    dirs = deterministic = None
     for xs in xs_list:
         xs, ys = _check_sample_pair(xs, ys)
         if py is None:

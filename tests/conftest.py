@@ -1,0 +1,37 @@
+"""Shared test fixtures."""
+
+import sys
+
+import pytest
+
+import ergobound  # noqa: F401  (loads every package module before a patch)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(name)`` counts the calls of the package function ``name``.
+
+    The function is wrapped in every ``ergobound`` module that binds it, so
+    a call counts whichever module looks the name up, the defining one
+    included.  Returns the list that grows by one entry per call.
+    """
+
+    def install(name: str) -> list:
+        modules = [
+            mod for key, mod in sorted(sys.modules.items())
+            if key.split(".")[0] == "ergobound" and hasattr(mod, name)
+        ]
+        originals = {getattr(mod, name) for mod in modules}
+        assert len(originals) == 1, f"{name!r} is bound to {len(originals)} objects"
+        original = originals.pop()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for mod in modules:
+            monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    return install

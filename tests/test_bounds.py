@@ -11,7 +11,7 @@ from ergobound.errors import (
     NotSchurStable,
 )
 from ergobound.linalg import build_star_norm, eigen, psd_sqrt
-from ergobound.model import NoiseSpec, ar_state_space, raw_model
+from ergobound.model import NoiseSpec, ar_state_space, raw_model, validate_model
 from ergobound.wasserstein import GaussianLaw, gaussian_w2
 
 
@@ -530,15 +530,38 @@ class TestBoundPlan:
     @pytest.mark.parametrize(
         "flavor", ["generic", "generic_diag", "sliced_generic", "empirical_mean"]
     )
-    def test_coupling_call_solves_no_stationary_covariance(self, monkeypatch, flavor):
-        def refuse(*args, **kwargs):
-            raise AssertionError("stationary covariance solved")
-
-        monkeypatch.setattr(bnd, "stationary_covariance", refuse)
+    def test_coupling_call_solves_no_stationary_covariance(self, count_calls, flavor):
+        solves = count_calls("stationary_covariance")
         m = ar_state_space([0.3, 0.5], [0.0], NoiseSpec.gaussian(0.0, 1.0))
         rep = bnd.BoundPlan(m, [1.0, 0.0]).report(flavor, 1.5, 4, n_copies=3)
         assert rep.lower <= rep.upper
         assert bnd.generic_bounds(m, [1.0, 0.0], 1.5, 4).flavor == "generic"
+        assert solves == []
+
+    def test_model_level_problems_solved_once_per_model(self, count_calls):
+        # the per-t public calls read the model's stationary law, spectrum
+        # and default star norm, so a longer sweep solves nothing more
+        names = ("stationary_covariance", "build_star_norm", "eigen")
+
+        def sweep_counts(t_max):
+            counts = {name: count_calls(name) for name in names}
+            m = ar_state_space([0.3, 0.5], [0.0], NoiseSpec.gaussian(0.0, 1.0))
+            x, v = [1.0, -0.5], [0.6, 0.8]
+            for t in range(t_max + 1):
+                bnd.gaussian_affine_bounds(m, np.eye(2), x, 1.5, t)
+                bnd.projected_bounds(m, v, x, 1.5, t)
+                bnd.sliced_gauss_bounds(m, x, 1.5, t)
+                bnd.generic_bounds(m, x, 1.5, t)
+                bnd.diagonalizable_bounds(m, x, 1.5, t)
+                bnd.sliced_generic_bounds(m, x, 1.5, t)
+                bnd.empirical_mean_bounds(m, 3, x, 1.5, t)
+                bnd.stationary_law(m)
+                validate_model(m, 2.0)
+            return {name: len(calls) for name, calls in counts.items()}
+
+        one, eleven = sweep_counts(0), sweep_counts(10)
+        assert one == eleven
+        assert one["stationary_covariance"] == 1 and one["build_star_norm"] == 1
 
     def test_rejects_parallel_per_copy_flavor(self):
         plan = bnd.BoundPlan(ar1(0.5), [1.0])

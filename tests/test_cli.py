@@ -216,13 +216,8 @@ class TestBounds:
         ["validate", "--flavor", "gauss_affine", "--t-max", "50"],
         ["validate", "--flavor", "sliced_gauss", "--t-max", "5", "--n-samples", "200"],
     ])
-    def test_one_stationary_solve_per_command(self, capsys, monkeypatch, argv):
-        from ergobound import bounds as bnd
-
-        solves = []
-        solve = bnd.stationary_covariance
-        monkeypatch.setattr(bnd, "stationary_covariance",
-                            lambda *a, **k: solves.append(1) or solve(*a, **k))
+    def test_one_stationary_solve_per_command(self, capsys, count_calls, argv):
+        solves = count_calls("stationary_covariance")
         code, _, err = run(capsys, *argv, "--phi", "0.3,0.5", "--x", "1,0")
         assert code == 0, err
         assert len(solves) == 1

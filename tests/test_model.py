@@ -137,6 +137,36 @@ class TestValidateModel:
         assert diag.spectral_radius == pytest.approx(root, abs=1e-9)
 
 
+class TestOwnedArrays:
+    def test_matrices_are_read_only_copies(self):
+        Q, Sigma = np.array([[0.5, 0.1], [0.0, 0.3]]), np.eye(2)
+        m = raw_model(Q, Sigma, NoiseSpec.gaussian_d(np.zeros(2), np.eye(2)))
+        with pytest.raises(ValueError):
+            m.Q[0, 0] = 0.9
+        with pytest.raises(ValueError):
+            m.Sigma[1, 1] = 2.0
+        Q[0, 0] = 0.9  # the caller's array is not the model's
+        assert m.Q[0, 0] == 0.5
+
+    def test_cached_arrays_are_read_only(self):
+        m = ar_state_space([0.3, 0.5], [0.0], NoiseSpec.gaussian(1.0, 1.0))
+        for a in (m.noise_cov, m.stationary_mean, m.stationary_cov,
+                  m.spectrum.eigenvector_matrix, m.star.U):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        assert m.stationary_cov is m.stationary_cov
+
+    def test_noise_arrays_are_read_only_copies(self):
+        mean = np.array([1.0, 0.0])
+        m = raw_model(0.5 * np.eye(2), np.eye(2), NoiseSpec.gaussian_d(mean, np.eye(2)))
+        before = m.stationary_mean.copy()
+        mean[0] = 5.0  # the caller's array is not the spec's
+        np.testing.assert_array_equal(m.noise.params["mean"], [1.0, 0.0])
+        np.testing.assert_array_equal(m.stationary_mean, before)
+        with pytest.raises(ValueError):
+            m.noise.params["cov"][0, 0] = 2.0
+
+
 class TestNoiseSpec:
     def test_r_max(self):
         assert NoiseSpec.gaussian(0, 1).r_max == math.inf

@@ -60,6 +60,11 @@ class TestSimulatePaths:
         np.testing.assert_array_equal(part.at_time(4), full.at_time(4))
         np.testing.assert_array_equal(part.at_time(9), full.at_time(9))
 
+    def test_rejects_repeated_times(self):
+        # a repeated step would leave one kept column unwritten
+        with pytest.raises(ValueError, match="must not repeat"):
+            simulate_paths(ar1(0.5), [1.0], SimConfig(n_paths=3, horizon=9, seed=2), times=[5, 5])
+
     def test_worker_count_does_not_change_output(self, monkeypatch):
         # streams keyed by (seed, block) make the ensemble schedule-independent
         n = 2 * sim._BLOCK + 500  # three blocks, the last one partial
@@ -200,6 +205,17 @@ class TestSampleStationary:
 
 
 class TestEmpiricalMeanProcess:
+    def test_input_checks_match_simulate_paths(self):
+        m = ar_state_space([0.3, 0.5], [0.0], NoiseSpec.laplace(0.0, 1.0))
+        for call in (
+            lambda x, h: empirical_mean_process(m, 4, x, h, seed=1),
+            lambda x, h: simulate_paths(m, x, SimConfig(n_paths=4, horizon=h, seed=1)),
+        ):
+            with pytest.raises(ValueError, match="horizon must be at least 1"):
+                call([1.0, 0.0], 0)
+            with pytest.raises(ValueError, match="x must have length d"):
+                call([1.0, 0.0, 2.0], 5)
+
     def test_n1_is_single_path(self):
         m = ar_state_space([0.3, 0.5], [0.0], NoiseSpec.laplace(0.0, 1.0))
         single = simulate_paths(m, [1.0, 0.0], SimConfig(n_paths=1, horizon=10, seed=31))
