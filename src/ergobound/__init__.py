@@ -9,9 +9,7 @@ exact Gaussian formulas and seeded Monte Carlo estimates.
 __version__ = "0.1.0"
 
 from .bounds import (
-    BoundPlan,
     BoundReport,
-    SlicedConstants,
     chafai_w2_affine,
     diagonalizable_bounds,
     empirical_mean_bounds,
@@ -22,6 +20,7 @@ from .bounds import (
     law_at,
     parallel_bounds,
     projected_bounds,
+    report,
     sliced_gauss_bounds,
     sliced_generic_bounds,
     sphere_moment_ratio,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -32,16 +31,14 @@ from .errors import (
     NotSymmetric,
     SingularStationaryCovariance,
 )
-from .linalg import SpectralInfo, StarNorm, as_matrix, fro, smallest_eigenvalue_sym
+from .linalg import StarNorm, as_matrix, fro, smallest_eigenvalue_sym
 from .model import StateSpaceModel, stationary_cov_positive
 from .wasserstein import GaussianLaw, sphere_moment_ratio
 
 __all__ = [
     "FLAVORS",
-    "BoundPlan",
     "BoundReport",
-    "SlicedConstants",
-    "surface_area",
+    "report",
     "gaussian_abs_moment",
     "sphere_moment_ratio",
     "exact_w2_ar1",
@@ -76,11 +73,6 @@ class BoundReport:
     details: dict = field(default_factory=dict)
 
 
-def surface_area(d: int) -> float:
-    """Surface measure of the unit sphere in R^d: ``2 pi^{d/2} / Gamma(d/2)``."""
-    return float(2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0))
-
-
 def gaussian_abs_moment(d: int, r: float) -> float:
     """``(E|N_d|^r)^{1/r}`` for a standard Gaussian vector in R^d.
 
@@ -91,27 +83,6 @@ def gaussian_abs_moment(d: int, r: float) -> float:
         raise ValueError("need d >= 1 and r >= 1")
     logm = (r / 2.0) * math.log(2.0) + gammaln((d + r) / 2.0) - gammaln(d / 2.0)
     return float(math.exp(logm / r))
-
-
-@dataclass(frozen=True)
-class SlicedConstants:
-    """Sphere constants entering the sliced bounds at dimension d, order r."""
-
-    d: int
-    r: float
-    surface_area: float
-    moment_ratio: float
-    gaussian_abs_moment: float
-
-    @classmethod
-    def compute(cls, d: int, r: float) -> "SlicedConstants":
-        return cls(
-            d=d,
-            r=r,
-            surface_area=surface_area(d),
-            moment_ratio=sphere_moment_ratio(d, r),
-            gaussian_abs_moment=gaussian_abs_moment(d, r),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -207,109 +178,98 @@ FLAVORS = ("exact_ar1", "gauss_affine", "projected", "sliced_gauss", "generic",
            "generic_diag", "sliced_generic", "parallel", "empirical_mean")
 
 
-class BoundPlan:
-    """The start ``x`` and the star norm a bound sweep over ``t`` shares, on top of its model.
+def _star(model: StateSpaceModel, star: StarNorm | None) -> StarNorm:
+    """The caller's contraction norm, or the model's default one."""
+    if star is None:
+        return model.star
+    if star.dim != model.d:
+        raise DimensionMismatch("star norm dimension does not match the model")
+    return star
 
-    The model keeps its stationary law, spectrum and default star norm; the
-    plan holds the start, the caller's star norm if any and the eigen
-    sandwich, and :meth:`report` dispatches the flavors.
+
+def _vec(x) -> np.ndarray:
+    return np.atleast_1d(np.asarray(x, dtype=float))
+
+
+def ar1_params(model: StateSpaceModel) -> tuple[float, float]:
+    """``(q, sigma)`` of a scalar, scalar-driven, centered Gaussian model."""
+    if model.d != 1 or model.noise.family != "gaussian":
+        raise ValueError("exact_ar1 needs a scalar Gaussian model")
+    if not model.noise.is_scalar_driven:
+        raise ValueError("exact_ar1 needs scalar-driven noise")
+    if model.noise.params["mean"] != 0.0:
+        raise ValueError("exact_ar1 needs centered noise")
+    sigma = abs(model.Sigma[0, 0] * model.noise.direction[0]) * math.sqrt(
+        model.noise.params["var"]
+    )
+    return float(model.Q[0, 0]), float(sigma)
+
+
+def lambda_minus(model: StateSpaceModel, B=None) -> float:
+    """Smallest eigenvalue of ``B Sigma_inf B^T`` (``B = I`` by default).
+
+    Raises ``SingularStationaryCovariance`` unless it is safely positive.
     """
-
-    def __init__(self, model: StateSpaceModel, x, star: StarNorm | None = None):
-        self.model = model
-        self.x = np.atleast_1d(np.asarray(x, dtype=float))
-        self._star = star
-
-    @cached_property
-    def star(self) -> StarNorm:
-        """The contraction norm given to the plan, or the model's default one."""
-        if self._star is None:
-            return self.model.star
-        if self._star.dim != self.model.d:
-            raise DimensionMismatch("star norm dimension does not match the model")
-        return self._star
-
-    @cached_property
-    def sandwich(self) -> EigenSandwich:
-        """Eigen-coordinate estimate of ``|Q^t z|``; raises ``NotDiagonalizable``."""
-        return EigenSandwich(self.model.spectrum)
-
-    @cached_property
-    def ar1_params(self) -> tuple[float, float]:
-        """``(q, sigma)`` of a scalar, scalar-driven, centered Gaussian model."""
-        model = self.model
-        if model.d != 1 or model.noise.family != "gaussian":
-            raise ValueError("exact_ar1 needs a scalar Gaussian model")
-        if not model.noise.is_scalar_driven:
-            raise ValueError("exact_ar1 needs scalar-driven noise")
-        if model.noise.params["mean"] != 0.0:
-            raise ValueError("exact_ar1 needs centered noise")
-        sigma = abs(model.Sigma[0, 0] * model.noise.direction[0]) * math.sqrt(
-            model.noise.params["var"]
+    cov = model.stationary_cov
+    if B is None:
+        lam = model.lambda_min
+    else:
+        cov = B @ cov @ B.T
+        lam = smallest_eigenvalue_sym(cov)
+    if not stationary_cov_positive(lam, cov):
+        raise SingularStationaryCovariance(
+            f"smallest stationary eigenvalue {lam:.3e} is not safely positive"
         )
-        return float(model.Q[0, 0]), float(sigma)
+    return lam
 
-    def lambda_minus(self, B=None) -> float:
-        """Smallest eigenvalue of ``B Sigma_inf B^T`` (``B = I`` by default).
 
-        Raises ``SingularStationaryCovariance`` unless it is safely positive.
-        """
-        cov = self.model.stationary_cov
-        if B is None:
-            lam = self.model.lambda_min
-        else:
-            cov = B @ cov @ B.T
-            lam = smallest_eigenvalue_sym(cov)
-        if not stationary_cov_positive(lam, cov):
-            raise SingularStationaryCovariance(
-                f"smallest stationary eigenvalue {lam:.3e} is not safely positive"
-            )
-        return lam
+def report(
+    model: StateSpaceModel, flavor: str, x, r: float, t: int, *, star: StarNorm | None = None,
+    v=None, mode: str = "jensen_consistent", mc_seed: int = 0, n_copies: int = 1,
+    per_copy_flavor: str = "generic",
+) -> BoundReport:
+    """The ``flavor`` report at start ``x``, step ``t`` and order ``r``: the one flavor dispatch.
 
-    def report(
-        self, flavor: str, r: float, t: int, *, v=None, mode: str = "jensen_consistent",
-        mc_seed: int = 0, n_copies: int = 1, per_copy_flavor: str = "generic",
-    ) -> BoundReport:
-        """The ``flavor`` report at time step ``t`` and order ``r`` (``p`` of coupling flavors).
-
-        ``gauss_affine`` takes ``B = I``; ``v`` is the unit direction of
-        ``projected`` and ``mode`` the mean constant of ``sliced_gauss``.
-        ``parallel`` scales the ``per_copy_flavor`` report to ``n_copies``
-        copies; ``empirical_mean`` averages ``n_copies`` paths.
-        """
-        if flavor == "exact_ar1":
-            q, sigma = self.ar1_params
-            return exact_ar1_report(q, sigma, float(self.x[0]), t)
-        if flavor == "gauss_affine":
-            return _gauss_affine(self, None, r, t)
-        if flavor == "projected":
-            return _projected(self, v, r, t)
-        if flavor == "sliced_gauss":
-            return _sliced_gauss(self, r, t, mode)
-        if flavor == "generic":
-            return _coupling(self, "generic", r, t, mc_seed)[0]
-        if flavor == "generic_diag":
-            return _generic_diag(self, r, t, mc_seed)
-        if flavor == "sliced_generic":
-            return _sliced_generic(self, r, t, mc_seed)
-        if flavor == "parallel":
-            if per_copy_flavor == "parallel":
-                raise ValueError("the per-copy flavor of parallel cannot be parallel")
-            per_copy = self.report(
-                per_copy_flavor, r, t, v=v, mode=mode, mc_seed=mc_seed, n_copies=n_copies
-            )
-            return parallel_bounds(per_copy, n_copies, r)
-        if flavor == "empirical_mean":
-            return _empirical_mean(self, n_copies, r, t, mc_seed)
-        raise ValueError(f"unknown flavor {flavor!r}")
+    ``r`` is the ``p`` of the coupling flavors, and ``star`` defaults to the
+    model's own.  ``gauss_affine`` takes ``B = I``; ``v`` is the unit direction of
+    ``projected`` and ``mode`` the mean constant of ``sliced_gauss``.
+    ``parallel`` scales the ``per_copy_flavor`` report to ``n_copies``
+    copies; ``empirical_mean`` averages ``n_copies`` paths.
+    """
+    if flavor == "exact_ar1":
+        q, sigma = ar1_params(model)
+        return exact_ar1_report(q, sigma, float(_vec(x)[0]), t)
+    if flavor == "gauss_affine":
+        return gaussian_affine_bounds(model, None, x, r, t, star)
+    if flavor == "projected":
+        return projected_bounds(model, v, x, r, t, star)
+    if flavor == "sliced_gauss":
+        return sliced_gauss_bounds(model, x, r, t, star, mode)
+    if flavor == "generic":
+        return generic_bounds(model, x, r, t, star, mc_seed)
+    if flavor == "generic_diag":
+        return diagonalizable_bounds(model, x, r, t, star, mc_seed)
+    if flavor == "sliced_generic":
+        return sliced_generic_bounds(model, x, r, t, star, mc_seed)
+    if flavor == "parallel":
+        if per_copy_flavor == "parallel":
+            raise ValueError("the per-copy flavor of parallel cannot be parallel")
+        per_copy = report(
+            model, per_copy_flavor, x, r, t, star=star, v=v, mode=mode, mc_seed=mc_seed,
+            n_copies=n_copies,
+        )
+        return parallel_bounds(per_copy, n_copies, r)
+    if flavor == "empirical_mean":
+        return empirical_mean_bounds(model, n_copies, x, r, t, star, mc_seed)
+    raise ValueError(f"unknown flavor {flavor!r}")
 
 
 def _report(
-    plan: BoundPlan, flavor, order, t, lower, upper, mean_part, noise_part,
+    model, star, flavor, order, t, lower, upper, mean_part, noise_part,
     constants=None, details=None,
 ) -> BoundReport:
     """A report with the star constants and ``t_in_stated_range`` filled in."""
-    star = plan.star
+    star = _star(model, star)
     constants = {"star_norm": star.value, "K_d": star.K_d, "C_star": star.C_star,
                  "kappa": star.kappa, **(constants or {})}
     details = {**(details or {}), "t_in_stated_range": t >= 1}
@@ -320,75 +280,15 @@ def _report(
 # Gaussian flavors
 
 
-def _gauss_tail(plan: BoundPlan, r: float, k: int, t: int, denom: float) -> float:
+def _gauss_tail(model, star, r: float, k: int, t: int, denom: float) -> float:
     """Gaussian noise tail ``C*^2 ||Sigma||_F^2 ||cov||_F s^(2t) / ((1 - s^2) denom)``.
 
     ``cov`` is the noise covariance; the tail is scaled by ``(E|N_k|^r)^(1/r)``.
     """
-    star, model = plan.star, plan.model
+    star = _star(model, star)
     s = star.value
     tail = star.C_star**2 * fro(model.Sigma) ** 2 * fro(model.noise.covariance())
     return tail * s ** (2 * t) / ((1.0 - s * s) * denom) * gaussian_abs_moment(k, r)
-
-
-def _gauss_affine(plan: BoundPlan, B, r: float, t: int) -> BoundReport:
-    _require_gaussian(plan.model)
-    lam = plan.lambda_minus(B)
-    if B is None:
-        B = np.eye(plan.model.d)
-    gap = np.linalg.matrix_power(plan.model.Q, t) @ (plan.x - plan.model.stationary_mean)
-    lower = float(np.linalg.norm(B @ gap))
-    noise = fro(B) ** 2 * _gauss_tail(plan, r, B.shape[0], t, math.sqrt(lam))
-    return _report(
-        plan, "gauss_affine", r, t, lower, lower + noise, lower, noise,
-        {"lambda_minus": lam}, {"hemmen_ando_constant": "1/sqrt(lambda_minus)"},
-    )
-
-
-def _projected(plan: BoundPlan, v, r: float, t: int) -> BoundReport:
-    model = plan.model
-    _require_gaussian(model)
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.shape[0] != model.d:
-        raise DimensionMismatch("v must have length d")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-        raise ValueError("v must be a unit vector")
-    lam = plan.lambda_minus()
-    P = np.linalg.matrix_power(model.Q, t)
-    lower = float(abs(v @ (P @ (plan.x - model.stationary_mean))))
-    # Sigma_t = Sigma_inf - Q^t Sigma_inf Q^tT, so with w = Q^tT v:
-    # <v, (Sigma_t + Sigma_inf) v> = 2 <v, Sigma_inf v> - <w, Sigma_inf w>
-    w, cov = P.T @ v, model.stationary_cov
-    denom_sq = 2.0 * float(v @ cov @ v) - float(w @ cov @ w)
-    mid = _gauss_tail(plan, r, 1, t, math.sqrt(denom_sq))
-    fin = _gauss_tail(plan, r, 1, t, math.sqrt(lam))
-    noise = min(mid, fin)
-    return _report(
-        plan, "projected", r, t, lower, lower + noise, lower, noise,
-        {"lambda_minus": lam}, {"upper_middle": lower + mid, "upper_final": lower + fin},
-    )
-
-
-def _sliced_gauss(plan: BoundPlan, r: float, t: int, mode: str) -> BoundReport:
-    model = plan.model
-    _require_gaussian(model)
-    if model.d < 2:
-        raise ValueError("sliced bounds need dimension at least 2")
-    lam = plan.lambda_minus()
-    c_tilde = sphere_moment_ratio(model.d, r)
-    if mode == "as_printed":
-        mean_const = c_tilde
-    elif mode == "jensen_consistent":
-        mean_const = c_tilde ** (1.0 / r)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    gap = np.linalg.matrix_power(model.Q, t) @ (plan.x - model.stationary_mean)
-    lower = mean_const * float(np.linalg.norm(gap))
-    noise = _gauss_tail(plan, r, 1, t, math.sqrt(lam))
-    return _report(
-        plan, "sliced_gauss", r, t, lower, lower + noise, lower, noise,
-        {"lambda_minus": lam}, {"mode": mode, "moment_ratio": c_tilde},
-    )
 
 
 def gaussian_affine_bounds(
@@ -396,18 +296,29 @@ def gaussian_affine_bounds(
 ) -> BoundReport:
     """Affine-interpolation sandwich for ``W_r(B X_t(x), B X_inf)``, Gaussian noise.
 
-    Lower bound is the mean gap ``|B Q^t (x - mean_inf)|``.  The noise part
-    of the upper bound controls the Frobenius gap of the covariance square
-    roots through the matrix square-root Lipschitz estimate with constant
-    ``1/sqrt(lambda_minus)``; dividing by ``lambda_minus`` itself instead
-    of its square root would break the sandwich whenever ``lambda_minus``
-    exceeds one (``details["hemmen_ando_constant"]`` records the choice).
+    ``B = None`` is the identity.  Lower bound is the mean gap ``|B Q^t (x -
+    mean_inf)|``.  The noise part of the upper bound controls the Frobenius
+    gap of the covariance square roots through the matrix square-root
+    Lipschitz estimate with constant ``1/sqrt(lambda_minus)``; dividing by
+    ``lambda_minus`` itself instead of its square root would break the
+    sandwich whenever ``lambda_minus`` exceeds one
+    (``details["hemmen_ando_constant"]`` records the choice).
     """
     _require_gaussian(model)
-    B = as_matrix(B, square=False, name="B")
-    if B.shape[1] != model.d:
-        raise DimensionMismatch("B must have d columns")
-    return _gauss_affine(BoundPlan(model, x, star), B, r, t)
+    if B is not None:
+        B = as_matrix(B, square=False, name="B")
+        if B.shape[1] != model.d:
+            raise DimensionMismatch("B must have d columns")
+    lam = lambda_minus(model, B)
+    if B is None:
+        B = np.eye(model.d)
+    gap = np.linalg.matrix_power(model.Q, t) @ (_vec(x) - model.stationary_mean)
+    lower = float(np.linalg.norm(B @ gap))
+    noise = fro(B) ** 2 * _gauss_tail(model, star, r, B.shape[0], t, math.sqrt(lam))
+    return _report(
+        model, star, "gauss_affine", r, t, lower, lower + noise, lower, noise,
+        {"lambda_minus": lam}, {"hemmen_ando_constant": "1/sqrt(lambda_minus)"},
+    )
 
 
 def projected_bounds(
@@ -420,7 +331,26 @@ def projected_bounds(
     cheaper one with ``sqrt(lambda_minus)``; the report's upper is their
     minimum and ``details`` carries both chain members.
     """
-    return _projected(BoundPlan(model, x, star), v, r, t)
+    _require_gaussian(model)
+    v = _vec(v)
+    if v.shape[0] != model.d:
+        raise DimensionMismatch("v must have length d")
+    if abs(np.linalg.norm(v) - 1.0) > 1e-8:
+        raise ValueError("v must be a unit vector")
+    lam = lambda_minus(model)
+    P = np.linalg.matrix_power(model.Q, t)
+    lower = float(abs(v @ (P @ (_vec(x) - model.stationary_mean))))
+    # Sigma_t = Sigma_inf - Q^t Sigma_inf Q^tT, so with w = Q^tT v:
+    # <v, (Sigma_t + Sigma_inf) v> = 2 <v, Sigma_inf v> - <w, Sigma_inf w>
+    w, cov = P.T @ v, model.stationary_cov
+    denom_sq = 2.0 * float(v @ cov @ v) - float(w @ cov @ w)
+    mid = _gauss_tail(model, star, r, 1, t, math.sqrt(denom_sq))
+    fin = _gauss_tail(model, star, r, 1, t, math.sqrt(lam))
+    noise = min(mid, fin)
+    return _report(
+        model, star, "projected", r, t, lower, lower + noise, lower, noise,
+        {"lambda_minus": lam}, {"upper_middle": lower + mid, "upper_final": lower + fin},
+    )
 
 
 def sliced_gauss_bounds(
@@ -440,7 +370,24 @@ def sliced_gauss_bounds(
     the final root (the convention of the empirical sliced estimator).
     Both modes coincide at ``r = 1``.
     """
-    return _sliced_gauss(BoundPlan(model, x, star), r, t, mode)
+    _require_gaussian(model)
+    if model.d < 2:
+        raise ValueError("sliced bounds need dimension at least 2")
+    lam = lambda_minus(model)
+    c_tilde = sphere_moment_ratio(model.d, r)
+    if mode == "as_printed":
+        mean_const = c_tilde
+    elif mode == "jensen_consistent":
+        mean_const = c_tilde ** (1.0 / r)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    gap = np.linalg.matrix_power(model.Q, t) @ (_vec(x) - model.stationary_mean)
+    lower = mean_const * float(np.linalg.norm(gap))
+    noise = _gauss_tail(model, star, r, 1, t, math.sqrt(lam))
+    return _report(
+        model, star, "sliced_gauss", r, t, lower, lower + noise, lower, noise,
+        {"lambda_minus": lam}, {"mode": mode, "moment_ratio": c_tilde},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +410,9 @@ def _coupling_regime_sound(model: StateSpaceModel, p: float, t: int) -> bool:
 
 
 def _coupling(
-    plan: BoundPlan, flavor: str, p: float, t: int, mc_seed: int, *,
-    weight: float = 1.0, sandwich: EigenSandwich | None = None, majorant: bool = False,
-    constants=None,
+    model: StateSpaceModel, x, star: StarNorm | None, flavor: str, p: float, t: int,
+    mc_seed: int, *, weight: float = 1.0, sandwich: EigenSandwich | None = None,
+    majorant: bool = False, constants=None,
 ) -> tuple[BoundReport, float]:
     """Routes (a)/(b) of the coupling flavors; returns the report and the route (b) moment root.
 
@@ -475,10 +422,10 @@ def _coupling(
     ``majorant``, route (b) takes the n-free majorant
     ``||Sigma||_F (E|xi|^p)^{1/p}`` in place of the model's moment.
     """
-    model, x = plan.model, plan.x
+    x = _vec(x)
     if not model.noise.has_moment(p):
         raise MomentUnavailable(f"order {p} moment unavailable for this noise")
-    star = plan.star
+    star = _star(model, star)
     s = star.value
     if sandwich is None:
         P = np.linalg.matrix_power(model.Q, t)
@@ -500,7 +447,7 @@ def _coupling(
     )
     noise_b = star.K_d * mp_root * s ** (t + 1) / (1.0 - s**p) ** (1.0 / p)
     rep = _report(
-        plan, flavor, p, t, lower, min(upper_a, mean_b + noise_b), mean_b, noise_b,
+        model, star, flavor, p, t, lower, min(upper_a, mean_b + noise_b), mean_b, noise_b,
         constants,
         {
             "upper_a": upper_a,
@@ -511,46 +458,6 @@ def _coupling(
         },
     )
     return rep, mp_root
-
-
-def _generic_diag(plan: BoundPlan, p: float, t: int, mc_seed: int) -> BoundReport:
-    sw = plan.sandwich
-    rep, mp_root = _coupling(
-        plan, "generic_diag", p, t, mc_seed, sandwich=sw,
-        constants={"U_fro": sw.u_fro, "U_inv_fro": sw.uinv_fro, "rho": sw.rho},
-    )
-    rho = sw.rho
-    rep.details["upper_b_eigenrate"] = rep.mean_part + (
-        sw.u_fro * sw.uinv_fro * mp_root * rho ** (t + 1) / (1.0 - rho**p) ** (1.0 / p)
-        if rho > 0.0
-        else 0.0
-    )
-    return rep
-
-
-def _sliced_generic(plan: BoundPlan, p: float, t: int, mc_seed: int) -> BoundReport:
-    if plan.model.d < 2:
-        raise ValueError("sliced bounds need dimension at least 2")
-    c1 = sphere_moment_ratio(plan.model.d, 1.0)
-    return _coupling(
-        plan, "sliced_generic", p, t, mc_seed, weight=c1, constants={"moment_ratio_r1": c1}
-    )[0]
-
-
-def _empirical_mean(plan: BoundPlan, n: int, p: float, t: int, mc_seed: int) -> BoundReport:
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    rep, _ = _coupling(plan, "empirical_mean", p, t, mc_seed, majorant=True)
-    rep.details["n_copies"] = n
-    model = plan.model
-    if model.noise.family == "gaussian":
-        avg_val, _ = model.noise.averaged(n).abs_moment_sigma(model.Sigma, p, seed=mc_seed)
-        star = plan.star
-        s = star.value
-        rep.details["upper_b_exact_n"] = rep.mean_part + star.K_d * avg_val ** (
-            1.0 / p
-        ) * s ** (t + 1) / (1.0 - s**p) ** (1.0 / p)
-    return rep
 
 
 def generic_bounds(
@@ -577,7 +484,7 @@ def generic_bounds(
     ``details["coupling_regime_sound"]`` records whether the inputs are in
     the reliable regime.
     """
-    return _coupling(BoundPlan(model, x, star), "generic", p, t, mc_seed)[0]
+    return _coupling(model, x, star, "generic", p, t, mc_seed)[0]
 
 
 def diagonalizable_bounds(
@@ -585,7 +492,6 @@ def diagonalizable_bounds(
     x,
     p: float,
     t: int,
-    spec: SpectralInfo | None = None,
     star: StarNorm | None = None,
     mc_seed: int = 0,
 ) -> BoundReport:
@@ -597,12 +503,21 @@ def diagonalizable_bounds(
     the coupling constants.  The lower prefactor is ``||U^{-1}||_F^{-1}``,
     the square root of the squared-norm estimate; ``details`` additionally
     reports the noise tail at the eigenvalue rate with constant
-    ``||U||_F ||U^{-1}||_F``.
+    ``||U||_F ||U^{-1}||_F``.  ``U`` is the model's eigenvector matrix,
+    inverted once per model (``StateSpaceModel.sandwich``).
     """
-    plan = BoundPlan(model, x, star)
-    if spec is not None:
-        plan.sandwich = EigenSandwich(spec)
-    return _generic_diag(plan, p, t, mc_seed)
+    sw = model.sandwich
+    rep, mp_root = _coupling(
+        model, x, star, "generic_diag", p, t, mc_seed, sandwich=sw,
+        constants={"U_fro": sw.u_fro, "U_inv_fro": sw.uinv_fro, "rho": sw.rho},
+    )
+    rho = sw.rho
+    rep.details["upper_b_eigenrate"] = rep.mean_part + (
+        sw.u_fro * sw.uinv_fro * mp_root * rho ** (t + 1) / (1.0 - rho**p) ** (1.0 / p)
+        if rho > 0.0
+        else 0.0
+    )
+    return rep
 
 
 def sliced_generic_bounds(
@@ -619,7 +534,13 @@ def sliced_generic_bounds(
     bound and the upper routes, while the noise tail keeps its full
     (unprojected) constant.
     """
-    return _sliced_generic(BoundPlan(model, x, star), p, t, mc_seed)
+    if model.d < 2:
+        raise ValueError("sliced bounds need dimension at least 2")
+    c1 = sphere_moment_ratio(model.d, 1.0)
+    return _coupling(
+        model, x, star, "sliced_generic", p, t, mc_seed, weight=c1,
+        constants={"moment_ratio_r1": c1},
+    )[0]
 
 
 def parallel_bounds(per_copy: BoundReport, n: int, p: float) -> BoundReport:
@@ -667,7 +588,18 @@ def empirical_mean_bounds(
     Gaussian with covariance ``Xi / n`` and the exact per-n route (b) is
     reported in ``details["upper_b_exact_n"]``.
     """
-    return _empirical_mean(BoundPlan(model, x, star), n, p, t, mc_seed)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    rep, _ = _coupling(model, x, star, "empirical_mean", p, t, mc_seed, majorant=True)
+    rep.details["n_copies"] = n
+    if model.noise.family == "gaussian":
+        avg_val, _ = model.noise.averaged(n).abs_moment_sigma(model.Sigma, p, seed=mc_seed)
+        star = _star(model, star)
+        s = star.value
+        rep.details["upper_b_exact_n"] = rep.mean_part + star.K_d * avg_val ** (
+            1.0 / p
+        ) * s ** (t + 1) / (1.0 - s**p) ** (1.0 / p)
+    return rep
 
 
 def chafai_w2_affine(X_law: GaussianLaw, R, v) -> float:

@@ -76,23 +76,20 @@ def _parse_floats(text: str) -> list[float]:
         raise _ParseError(f"expected a comma-separated float list, got {text!r}") from exc
 
 
+# Default ``--noise-params`` of each family, in ``NoiseSpec`` constructor order.
+_NOISE_DEFAULTS = {"gaussian": (0.0, 1.0), "laplace": (0.0, 1.0), "student_t": (3.0, 1.0),
+                   "uniform": (1.0,), "point_mass": (0.0,)}
+
+
 def _noise_from_args(args) -> NoiseSpec:
-    family = args.noise
-    p = _parse_floats(args.noise_params) if args.noise_params else []
-    if family == "gaussian":
-        mean, var = (p + [0.0, 1.0])[:2] if p else (0.0, 1.0)
-        return NoiseSpec.gaussian(mean, var)
-    if family == "laplace":
-        loc, scale = (p + [0.0, 1.0])[:2] if p else (0.0, 1.0)
-        return NoiseSpec.laplace(loc, scale)
-    if family == "student_t":
-        df, scale = (p + [3.0, 1.0])[:2] if p else (3.0, 1.0)
-        return NoiseSpec.student_t(df, scale)
-    if family == "uniform":
-        return NoiseSpec.uniform(p[0] if p else 1.0)
-    if family == "point_mass":
-        return NoiseSpec.point_mass(p[0] if p else 0.0)
-    raise ValueError(f"unknown noise family {family!r}")
+    """The ``--noise`` family with ``--noise-params``; missing trailing values take defaults."""
+    defaults = _NOISE_DEFAULTS[args.noise]
+    given = _parse_floats(args.noise_params) if args.noise_params else []
+    if len(given) > len(defaults):
+        raise _ParseError(
+            f"{args.noise} noise takes at most {len(defaults)} parameters, got {len(given)}"
+        )
+    return getattr(NoiseSpec, args.noise)(*given, *defaults[len(given):])
 
 
 def _load_model(args) -> StateSpaceModel:
@@ -193,12 +190,12 @@ def _cmd_bounds(args) -> int:
         raise _ParseError("the projected flavor needs --v")
     v = _parse_floats(args.v) if args.v else None
     star = build_star_norm(model.Q, _kappa_policy(args.kappa_policy))
-    plan = bnd.BoundPlan(model, _start_state(args, model), star)
+    x = _start_state(args, model)
     rows = [_BOUNDS_COLUMNS]
     for t in range(args.t_max + 1):
-        rep = plan.report(
-            args.flavor, args.r, t, v=v, mode=args.mode, mc_seed=args.seed,
-            n_copies=args.n_copies, per_copy_flavor=args.per_copy_flavor,
+        rep = bnd.report(
+            model, args.flavor, x, args.r, t, star=star, v=v, mode=args.mode,
+            mc_seed=args.seed, n_copies=args.n_copies, per_copy_flavor=args.per_copy_flavor,
         )
         lam = rep.constants_used.get("lambda_minus", model.lambda_min)
         rows.append(_row(str(t), rep.lower, rep.upper, rep.mean_part, rep.noise_part,
@@ -219,7 +216,6 @@ def _cmd_validate(args) -> int:
     model = _load_model(args)
     x = _start_state(args, model)
     star = build_star_norm(model.Q, _kappa_policy(args.kappa_policy))
-    plan = bnd.BoundPlan(model, x, star)
     exact_gaussian = (
         args.flavor in ("gauss_affine", "exact_ar1") and model.noise.family == "gaussian"
     )
@@ -252,7 +248,8 @@ def _cmd_validate(args) -> int:
     violations = 0
     first_violation = None
     for t in range(args.t_max + 1):
-        rep = plan.report(args.flavor, args.r, t, mode=args.mode, mc_seed=args.seed)
+        rep = bnd.report(model, args.flavor, x, args.r, t, star=star, mode=args.mode,
+                         mc_seed=args.seed)
         if exact_gaussian:
             dist = gaussian_w2(bnd.law_at(model, x, t), stationary)
             se = 0.0

@@ -13,11 +13,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln, hyp1f1
 
+from .asymptotics import EigenSandwich
 from .errors import EmptyCoefficients, MomentUnavailable, NonConvergence, OrderViolation
 from .linalg import (SpectralInfo, StarNorm, as_matrix, build_star_norm, eigen,
                      smallest_eigenvalue_sym, stationary_covariance)
@@ -176,20 +178,21 @@ class NoiseSpec:
 
     ``r_max`` is the supremum of orders with a finite absolute moment:
     infinite for every family except Student-t, where it equals the degrees
-    of freedom (the moment at ``r = df`` itself is infinite).  Array
-    parameters are read-only copies the spec owns.
+    of freedom (the moment at ``r = df`` itself is infinite).  ``params``
+    is a read-only mapping over a copy the spec owns, its arrays read-only
+    copies too.
     """
 
     family: str
     dim: int
-    params: dict = field(repr=False)
+    params: MappingProxyType = field(repr=False)
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
         params = {k: _read_only(np.array(v)) if isinstance(v, np.ndarray) else v
                   for k, v in self.params.items()}
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "params", MappingProxyType(params))
         object.__setattr__(self, "_moment_cache", {})
         object.__setattr__(self, "_averaged", {})
 
@@ -517,10 +520,11 @@ def stationary_cov_positive(lam: float, cov) -> bool:
 class StateSpaceModel:
     """The recursion data ``(d, Q, Sigma, noise)`` plus construction provenance.
 
-    ``Q`` and ``Sigma`` are read-only copies the model owns.  The per-model
-    quantities every bound reads (the noise covariance, ``eigen(Q)``, the
-    default star norm and the stationary law) are computed on first use
-    and kept, so all calls on one model solve each problem once.
+    ``Q`` and ``Sigma`` are finite, read-only copies the model owns.  The
+    per-model quantities every bound reads (the noise covariance,
+    ``eigen(Q)`` and its eigen sandwich, the default star norm and the
+    stationary law) are computed on first use and kept, so all calls on one
+    model solve each problem once.
     """
 
     d: int
@@ -531,7 +535,8 @@ class StateSpaceModel:
 
     def __post_init__(self):
         for name in ("Q", "Sigma"):
-            object.__setattr__(self, name, _read_only(np.array(getattr(self, name))))
+            matrix = as_matrix(getattr(self, name), name=name)
+            object.__setattr__(self, name, _read_only(np.array(matrix)))
         if self.Q.shape != (self.d, self.d) or self.Sigma.shape != (self.d, self.d):
             raise ValueError("Q and Sigma must be d x d")
         if self.noise.dim != self.d:
@@ -548,6 +553,13 @@ class StateSpaceModel:
         info = eigen(self.Q)
         _read_only(info.eigenvalues, info.eigenvector_matrix)
         return info
+
+    @cached_property
+    def sandwich(self) -> EigenSandwich:
+        """The eigen sandwich of ``|Q^t z|``: ``U`` inverted once; raises ``NotDiagonalizable``."""
+        sw = EigenSandwich(self.spectrum)
+        _read_only(sw.U_inv, sw.moduli)
+        return sw
 
     @cached_property
     def star(self) -> StarNorm:

@@ -69,6 +69,7 @@ class TestSphereConstants:
     def test_gaussian_abs_moment_values(self):
         assert bnd.gaussian_abs_moment(1, 2) == pytest.approx(1.0, abs=1e-14)
         assert bnd.gaussian_abs_moment(3, 2) == pytest.approx(math.sqrt(3), abs=1e-12)
+        assert bnd.gaussian_abs_moment(4, 2) == pytest.approx(2.0, abs=1e-12)
         assert bnd.gaussian_abs_moment(1, 1) == pytest.approx(
             math.sqrt(2 / math.pi), abs=1e-12
         )
@@ -92,15 +93,6 @@ class TestSphereConstants:
         theta = np.linspace(0, 2 * math.pi, 200001)[:-1]
         avg = np.abs(np.cos(theta)).mean()
         assert bnd.sphere_moment_ratio(2, 1) == pytest.approx(avg, abs=1e-8)
-
-    def test_surface_area(self):
-        assert bnd.surface_area(2) == pytest.approx(2 * math.pi, abs=1e-12)
-        assert bnd.surface_area(3) == pytest.approx(4 * math.pi, abs=1e-12)
-
-    def test_sliced_constants_bundle(self):
-        c = bnd.SlicedConstants.compute(4, 2.0)
-        assert c.moment_ratio == pytest.approx(0.25, abs=1e-14)
-        assert c.gaussian_abs_moment == pytest.approx(2.0, abs=1e-12)
 
 
 class TestGaussianAffine:
@@ -391,8 +383,7 @@ class TestGeneric:
 class TestDiagonalizable:
     def test_sandwich_example(self):
         m = raw_model(np.diag([0.5, 0.9]), np.eye(2), NoiseSpec.gaussian_d(np.zeros(2), np.eye(2)))
-        spec = eigen(m.Q)
-        rep = bnd.diagonalizable_bounds(m, [1.0, 0.0], 2.0, 1, spec=spec)
+        rep = bnd.diagonalizable_bounds(m, [1.0, 0.0], 2.0, 1)
         # U = I: sandwich scale is 0.5, Frobenius norms sqrt(2)
         core = 0.5
         assert rep.lower == pytest.approx(core / math.sqrt(2), rel=1e-10)
@@ -401,9 +392,8 @@ class TestDiagonalizable:
 
     def test_eigenvector_start(self):
         m = raw_model(np.diag([0.5, 0.9]), np.eye(2), NoiseSpec.gaussian_d(np.zeros(2), np.eye(2)))
-        spec = eigen(m.Q)
         for t in (1, 3, 10):
-            rep = bnd.diagonalizable_bounds(m, [0.0, 1.0], 2.0, t, spec=spec)
+            rep = bnd.diagonalizable_bounds(m, [0.0, 1.0], 2.0, t)
             # x is the 0.9-eigenvector; sandwich collapses onto |q|^t up to U norms
             assert rep.mean_part == pytest.approx(math.sqrt(2) * 0.9**t, rel=1e-10)
 
@@ -417,7 +407,7 @@ class TestDiagonalizable:
             x = rng.normal(size=3)
             star = build_star_norm(m.Q)
             for t in (0, 2, 8, 20):
-                rep = bnd.diagonalizable_bounds(m, x, 2.0, t, spec=spec, star=star)
+                rep = bnd.diagonalizable_bounds(m, x, 2.0, t, star=star)
                 assert rep.lower <= rep.upper * (1 + 1e-12)
                 # the eigen-split lower stays below the true matrix-power gap
                 gap = np.linalg.norm(
@@ -526,14 +516,14 @@ class TestEmpiricalMean:
         assert tail2 == pytest.approx(tail0 / 4.0, rel=1e-9)
 
 
-class TestBoundPlan:
+class TestReport:
     @pytest.mark.parametrize(
         "flavor", ["generic", "generic_diag", "sliced_generic", "empirical_mean"]
     )
     def test_coupling_call_solves_no_stationary_covariance(self, count_calls, flavor):
         solves = count_calls("stationary_covariance")
         m = ar_state_space([0.3, 0.5], [0.0], NoiseSpec.gaussian(0.0, 1.0))
-        rep = bnd.BoundPlan(m, [1.0, 0.0]).report(flavor, 1.5, 4, n_copies=3)
+        rep = bnd.report(m, flavor, [1.0, 0.0], 1.5, 4, n_copies=3)
         assert rep.lower <= rep.upper
         assert bnd.generic_bounds(m, [1.0, 0.0], 1.5, 4).flavor == "generic"
         assert solves == []
@@ -564,9 +554,15 @@ class TestBoundPlan:
         assert one["stationary_covariance"] == 1 and one["build_star_norm"] == 1
 
     def test_rejects_parallel_per_copy_flavor(self):
-        plan = bnd.BoundPlan(ar1(0.5), [1.0])
         with pytest.raises(ValueError):
-            plan.report("parallel", 2.0, 1, per_copy_flavor="parallel")
+            bnd.report(ar1(0.5), "parallel", [1.0], 2.0, 1, per_copy_flavor="parallel")
+
+    def test_eigenvector_matrix_inverted_once_per_model(self, count_calls):
+        sandwiches = count_calls("EigenSandwich")
+        m = ar_state_space([0.3, 0.5], [0.0], NoiseSpec.gaussian(0.0, 1.0))
+        for t in range(11):
+            bnd.diagonalizable_bounds(m, [1.0, -0.5], 1.5, t)
+        assert len(sandwiches) == 1
 
 
 class TestChafai:

@@ -64,6 +64,40 @@ class TestStability:
         assert code == 3
 
 
+class TestModelArgs:
+    @pytest.mark.parametrize("family, partial, full", [
+        ("gaussian", "0.5", "0.5,1"),
+        ("laplace", "0.5", "0.5,1"),
+        ("student_t", "5", "5,1"),
+    ])
+    def test_missing_noise_params_take_family_defaults(self, capsys, family, partial, full):
+        def paths(params):
+            code, out, err = run(capsys, "simulate", "--phi", "0.5", "--paths", "3",
+                                 "--horizon", "3", "--seed", "1", "--noise", family,
+                                 "--noise-params", params)
+            assert code == 0, err
+            return out
+
+        assert paths(partial) == paths(full)
+
+    @pytest.mark.parametrize("family, params", [
+        ("gaussian", "0,1,2"), ("student_t", "5,1,1"), ("uniform", "1,2"), ("point_mass", "0,1"),
+    ])
+    def test_extra_noise_params_exit_2(self, capsys, family, params):
+        code, _, err = run(capsys, "bounds", "--phi", "0.5", "--flavor", "generic",
+                           "--noise", family, "--noise-params", params)
+        assert code == 2, err
+
+    @pytest.mark.parametrize("command", ["stability", "bounds", "simulate"])
+    def test_non_finite_model_file_exit_3(self, capsys, tmp_path, command):
+        doc = model_to_json(ar_state_space([0.3, 0.5]))
+        doc["Q"][1] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, command, "--model", str(path))
+        assert code == 3, err
+
+
 class TestBounds:
     def test_gauss_affine_row_values(self, capsys):
         code, out, _ = run(

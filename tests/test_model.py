@@ -166,6 +166,14 @@ class TestOwnedArrays:
         with pytest.raises(ValueError):
             m.noise.params["cov"][0, 0] = 2.0
 
+    def test_noise_params_mapping_is_read_only(self):
+        m = raw_model(0.5 * np.eye(2), np.eye(2), NoiseSpec.gaussian_d(np.zeros(2), np.eye(2)))
+        before = m.stationary_mean.copy()
+        with pytest.raises(TypeError):
+            m.noise.params["mean"] = np.array([5.0, 0.0])
+        np.testing.assert_array_equal(m.stationary_mean, before)
+        np.testing.assert_array_equal(m.noise.mean_vector(), before)
+
 
 class TestNoiseSpec:
     def test_r_max(self):
