@@ -16,6 +16,7 @@ and set ``details["t_in_stated_range"]`` accordingly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -73,6 +74,12 @@ class BoundReport:
     details: dict = field(default_factory=dict)
 
 
+def _check_t(t: int) -> None:
+    """The per-t functions are defined for ``t >= 0`` only (``Q^t`` would invert ``Q``)."""
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+
+
 def gaussian_abs_moment(d: int, r: float) -> float:
     """``(E|N_d|^r)^{1/r}`` for a standard Gaussian vector in R^d.
 
@@ -91,12 +98,11 @@ def gaussian_abs_moment(d: int, r: float) -> float:
 
 def _ar1_gaps_sq(q: float, sigma: float, x: float, t: int) -> tuple[float, float]:
     """Squared mean gap and squared standard-deviation gap of a scalar Gaussian AR(1)."""
+    _check_t(t)
     if abs(q) >= 1.0:
         raise NotSchurStable(f"|q| = {abs(q)} must be below 1")
     if sigma == 0.0:
         raise ValueError("sigma must be nonzero")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     q2t = q ** (2 * t)
     mean_sq = q2t * x * x
     noise_sq = (sigma * sigma / (1.0 - q * q)) * q ** (4 * t) / (
@@ -112,8 +118,7 @@ def exact_w2_ar1(q: float, sigma: float, x: float, t: int) -> float:
     the two summands are the squared mean gap and the squared standard
     deviation gap, the latter decaying at twice the exponential rate.
     """
-    mean_sq, noise_sq = _ar1_gaps_sq(q, sigma, x, t)
-    return math.sqrt(mean_sq + noise_sq)
+    return exact_ar1_report(q, sigma, x, t).upper
 
 
 def exact_ar1_report(q: float, sigma: float, x: float, t: int) -> BoundReport:
@@ -121,13 +126,8 @@ def exact_ar1_report(q: float, sigma: float, x: float, t: int) -> BoundReport:
     mean_sq, noise_sq = _ar1_gaps_sq(q, sigma, x, t)
     value = math.sqrt(mean_sq + noise_sq)
     return BoundReport(
-        t=t,
-        flavor="exact_ar1",
-        order=2.0,
-        lower=value,
-        upper=value,
-        mean_part=math.sqrt(mean_sq),
-        noise_part=math.sqrt(noise_sq),
+        t=t, flavor="exact_ar1", order=2.0, lower=value, upper=value,
+        mean_part=math.sqrt(mean_sq), noise_part=math.sqrt(noise_sq),
         constants_used={"q": q, "sigma": sigma},
         details={"exact": True, "t_in_stated_range": t >= 1},
     )
@@ -144,19 +144,29 @@ def stationary_mean(model: StateSpaceModel) -> np.ndarray:
 
 def law_at(model: StateSpaceModel, x, t: int, B=None) -> GaussianLaw:
     """Gaussian law of ``B X_t(x)`` (finite Neumann sums for mean and covariance)."""
+    _check_t(t)
     _require_gaussian(model)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return _law(model, x, t, next(itertools.islice(_neumann_sums(model), t, None)), B)
+
+
+def _neumann_sums(model: StateSpaceModel):
+    """``sum_{j<t} Q^j Sigma E[xi]`` and ``sum_{j<t} Q^j Cov(Sigma xi) Q^jT`` for t = 0, 1, ...
+
+    Each step adds one power, so a sweep to ``T`` costs O(T) products.
+    """
+    m, V = model.Sigma @ model.noise.mean_vector(), model.noise_cov
+    drift, cov, P = np.zeros(model.d), np.zeros((model.d, model.d)), np.eye(model.d)
+    while True:
+        yield drift, cov
+        drift, cov, P = drift + P @ m, cov + P @ V @ P.T, model.Q @ P
+
+
+def _law(model: StateSpaceModel, x, t: int, sums, B=None) -> GaussianLaw:
+    """:func:`law_at` from item ``t`` of :func:`_neumann_sums`; nothing is added to ``Q^0 x``."""
+    drift, cov = sums
     B = np.eye(model.d) if B is None else as_matrix(B, square=False, name="B")
-    m = model.Sigma @ model.noise.mean_vector()
-    V = model.noise_cov
-    mean = np.linalg.matrix_power(model.Q, t) @ x
-    cov = np.zeros((model.d, model.d))
-    P = np.eye(model.d)
-    for _ in range(t):  # powers j = 0 .. t-1
-        mean = mean + P @ m
-        cov = cov + P @ V @ P.T
-        P = model.Q @ P
-    return GaussianLaw(mean=B @ mean, cov=B @ cov @ B.T)
+    mean = np.linalg.matrix_power(model.Q, t) @ _vec(x)
+    return GaussianLaw(mean=B @ (mean + drift if t else mean), cov=B @ cov @ B.T)
 
 
 def stationary_law(model: StateSpaceModel, B=None) -> GaussianLaw:
@@ -236,6 +246,7 @@ def report(
     ``parallel`` scales the ``per_copy_flavor`` report to ``n_copies``
     copies; ``empirical_mean`` averages ``n_copies`` paths.
     """
+    _check_t(t)
     if flavor == "exact_ar1":
         q, sigma = ar1_params(model)
         return exact_ar1_report(q, sigma, float(_vec(x)[0]), t)
@@ -304,6 +315,7 @@ def gaussian_affine_bounds(
     sandwich whenever ``lambda_minus`` exceeds one
     (``details["hemmen_ando_constant"]`` records the choice).
     """
+    _check_t(t)
     _require_gaussian(model)
     if B is not None:
         B = as_matrix(B, square=False, name="B")
@@ -331,6 +343,7 @@ def projected_bounds(
     cheaper one with ``sqrt(lambda_minus)``; the report's upper is their
     minimum and ``details`` carries both chain members.
     """
+    _check_t(t)
     _require_gaussian(model)
     v = _vec(v)
     if v.shape[0] != model.d:
@@ -370,6 +383,7 @@ def sliced_gauss_bounds(
     the final root (the convention of the empirical sliced estimator).
     Both modes coincide at ``r = 1``.
     """
+    _check_t(t)
     _require_gaussian(model)
     if model.d < 2:
         raise ValueError("sliced bounds need dimension at least 2")
@@ -422,6 +436,7 @@ def _coupling(
     ``majorant``, route (b) takes the n-free majorant
     ``||Sigma||_F (E|xi|^p)^{1/p}`` in place of the model's moment.
     """
+    _check_t(t)
     x = _vec(x)
     if not model.noise.has_moment(p):
         raise MomentUnavailable(f"order {p} moment unavailable for this noise")
@@ -506,6 +521,7 @@ def diagonalizable_bounds(
     ``||U||_F ||U^{-1}||_F``.  ``U`` is the model's eigenvector matrix,
     inverted once per model (``StateSpaceModel.sandwich``).
     """
+    _check_t(t)
     sw = model.sandwich
     rep, mp_root = _coupling(
         model, x, star, "generic_diag", p, t, mc_seed, sandwich=sw,

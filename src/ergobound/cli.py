@@ -57,16 +57,12 @@ class _ModelError(Exception):
     """Unusable model file or construction arguments (exit code 3)."""
 
 
-def _fmt(x) -> str:
-    """Round-trip float formatting (17 significant digits)."""
-    if x is None:
-        return "nan"
-    return format(float(x), ".17g")
-
-
 def _row(*fields) -> str:
-    """One CSV line: strings as given, numbers (and ``None``) through :func:`_fmt`."""
-    return ",".join(f if isinstance(f, str) else _fmt(f) for f in fields)
+    """One CSV line: strings as given, ``None`` as nan, numbers with 17 significant digits."""
+    return ",".join(
+        f if isinstance(f, str) else "nan" if f is None else format(float(f), ".17g")
+        for f in fields
+    )
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -244,6 +240,7 @@ def _cmd_validate(args) -> int:
             )
     else:
         stationary = bnd.stationary_law(model)
+        sums = bnd._neumann_sums(model)  # one O(t_max) sweep for the exact column
     rows = [_VALIDATE_COLUMNS]
     violations = 0
     first_violation = None
@@ -251,7 +248,7 @@ def _cmd_validate(args) -> int:
         rep = bnd.report(model, args.flavor, x, args.r, t, star=star, mode=args.mode,
                          mc_seed=args.seed)
         if exact_gaussian:
-            dist = gaussian_w2(bnd.law_at(model, x, t), stationary)
+            dist = gaussian_w2(bnd._law(model, x, t, next(sums)), stationary)
             se = 0.0
         else:
             dist, se = estimates[t].value, estimates[t].stderr
@@ -289,10 +286,9 @@ def _cmd_simulate(args) -> int:
     ens = simulate_paths(model, x, config)
     header = "path,t," + ",".join(f"x{i + 1}" for i in range(model.d))
     rows = [header]
+    template = "%d,%d" + ",%.17g" * model.d  # one call per row, digits as _row
     for i in range(ens.n_paths):
-        for k, t in enumerate(ens.times):
-            vals = ",".join(_fmt(v) for v in ens.samples[i, k, :])
-            rows.append(f"{i},{t},{vals}")
+        rows.extend(template % (i, t, *v) for t, v in zip(ens.times, ens.samples[i].tolist()))
     manifest = _manifest("simulate", model, args, ("paths", "horizon", "seed", "x"))
     _write_lines(args.out, rows, manifest)
     return EXIT_OK
@@ -377,6 +373,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "t_max", 0) < 0:
+            raise _ParseError(f"--t-max must be nonnegative, got {args.t_max}")
         return args.func(args)
     except _ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -1,4 +1,5 @@
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -11,7 +12,14 @@ from ergobound.errors import (
     NotSchurStable,
 )
 from ergobound.linalg import build_star_norm, eigen, psd_sqrt
-from ergobound.model import NoiseSpec, ar_state_space, raw_model, validate_model
+from ergobound.model import (
+    NoiseSpec,
+    StateSpaceModel,
+    ar_state_space,
+    arma_state_space,
+    raw_model,
+    validate_model,
+)
 from ergobound.wasserstein import GaussianLaw, gaussian_w2
 
 
@@ -604,3 +612,108 @@ class TestReportShape:
     def test_t_zero_flagged(self):
         rep = bnd.generic_bounds(ar1(0.5), [2.0], 2.0, 0)
         assert not rep.details["t_in_stated_range"]
+
+
+def neumann_oracle(model, x, t, B=None):
+    """The time-t law by the per-t Neumann loop, restarted from ``j = 0``: the reference."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    B = np.eye(model.d) if B is None else np.asarray(B, dtype=float)
+    m = model.Sigma @ model.noise.mean_vector()
+    V = model.noise_cov
+    mean = np.linalg.matrix_power(model.Q, t) @ x
+    cov = np.zeros((model.d, model.d))
+    P = np.eye(model.d)
+    for _ in range(t):  # powers j = 0 .. t-1
+        mean = mean + P @ m
+        cov = cov + P @ V @ P.T
+        P = model.Q @ P
+    return GaussianLaw(mean=B @ mean, cov=B @ cov @ B.T)
+
+
+def neumann_models(centered):
+    mean = 0.0 if centered else 0.7
+    nonnormal = np.array([[0.9, 5.0, 0.0], [0.0, 0.8, 5.0], [0.0, 0.0, -0.7]])
+    return {
+        "ar2": ar_state_space([1.2, -0.5], None, NoiseSpec.gaussian(mean, 1.0)),
+        "arma": arma_state_space([0.5, 0.2], [0.4], NoiseSpec.gaussian(mean, 2.0)),
+        "raw_nonnormal": raw_model(
+            nonnormal, np.eye(3),
+            NoiseSpec.gaussian_d([mean, -mean, 0.5 * mean], [[1.0, 0.3, 0.0],
+                                                              [0.3, 2.0, 0.1],
+                                                              [0.0, 0.1, 0.5]]),
+        ),
+    }
+
+
+class TestNeumannSweep:
+    @pytest.mark.parametrize("centered", [True, False], ids=["centered", "non_centered"])
+    @pytest.mark.parametrize("name", ["ar2", "arma", "raw_nonnormal"])
+    def test_sweep_and_law_at_match_per_t_loop(self, name, centered):
+        m = neumann_models(centered)[name]
+        rng = np.random.default_rng(5)
+        x, B = rng.normal(size=m.d), rng.normal(size=(1, m.d))
+        sweep = bnd._neumann_sums(m)
+        for t in range(61):
+            want, want_b = neumann_oracle(m, x, t), neumann_oracle(m, x, t, B)
+            for got, ref in ((bnd._law(m, x, t, next(sweep)), want), (bnd.law_at(m, x, t), want),
+                             (bnd.law_at(m, x, t, B), want_b)):
+                assert got.cov.tobytes() == ref.cov.tobytes(), t
+                if centered:
+                    assert got.mean.tobytes() == ref.mean.tobytes(), t
+                else:
+                    err = np.linalg.norm(got.mean - ref.mean)
+                    assert err <= 1e-15 * np.linalg.norm(ref.mean), t
+
+    @pytest.mark.parametrize("centered", [True, False], ids=["centered", "non_centered"])
+    def test_t_zero_adds_nothing_to_start(self, centered):
+        for m in neumann_models(centered).values():
+            x = np.zeros(m.d)
+            x[::2] = -0.0
+            for B in (None, -np.eye(m.d)):
+                got, want = bnd.law_at(m, x, 0, B), neumann_oracle(m, x, 0, B)
+                assert got.mean.tobytes() == want.mean.tobytes()
+                assert got.cov.tobytes() == want.cov.tobytes()
+
+
+X_NEG, V_NEG = [1.0, -0.5], [0.6, 0.8]
+
+
+class TestNegativeT:
+    """Every per-t entry point rejects ``t < 0`` before it solves anything."""
+
+    CACHED = sorted(k for k, v in vars(StateSpaceModel).items() if isinstance(v, cached_property))
+    CALLS = {
+        "law_at": lambda m, t: bnd.law_at(m, X_NEG, t),
+        "gaussian_affine_bounds": lambda m, t: bnd.gaussian_affine_bounds(m, None, X_NEG, 2.0, t),
+        "projected_bounds": lambda m, t: bnd.projected_bounds(m, V_NEG, X_NEG, 2.0, t),
+        "sliced_gauss_bounds": lambda m, t: bnd.sliced_gauss_bounds(m, X_NEG, 2.0, t),
+        "generic_bounds": lambda m, t: bnd.generic_bounds(m, X_NEG, 2.0, t),
+        "diagonalizable_bounds": lambda m, t: bnd.diagonalizable_bounds(m, X_NEG, 2.0, t),
+        "sliced_generic_bounds": lambda m, t: bnd.sliced_generic_bounds(m, X_NEG, 2.0, t),
+        "empirical_mean_bounds": lambda m, t: bnd.empirical_mean_bounds(m, 3, X_NEG, 2.0, t),
+        **{
+            f"report_{flavor}": lambda m, t, f=flavor: bnd.report(
+                m, f, X_NEG, 2.0, t, v=V_NEG, n_copies=3)
+            for flavor in bnd.FLAVORS if flavor != "exact_ar1"
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_rejected_before_any_work(self, name):
+        m = ar_state_space([1.2, -0.5], None, NoiseSpec.gaussian(0.0, 1.0))
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            self.CALLS[name](m, -1)
+        assert [k for k in self.CACHED if k in vars(m)] == []
+        self.CALLS[name](m, 0)  # the same call at t = 0 solves a model-level problem
+        assert [k for k in self.CACHED if k in vars(m)] != []
+
+    def test_scalar_exact_forms(self):
+        m = ar1(0.5)
+        for call in (
+            lambda: bnd.exact_w2_ar1(0.5, 1.0, 2.0, -1),
+            lambda: bnd.exact_ar1_report(0.5, 1.0, 2.0, -1),
+            lambda: bnd.report(m, "exact_ar1", [2.0], 2.0, -1),
+        ):
+            with pytest.raises(ValueError, match="t must be nonnegative"):
+                call()
+        assert [k for k in self.CACHED if k in vars(m)] == []

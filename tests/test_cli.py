@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -96,6 +97,15 @@ class TestModelArgs:
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, command, "--model", str(path))
         assert code == 3, err
+
+
+@pytest.mark.parametrize("command", ["bounds", "validate"])
+def test_negative_t_max_exit_2(capsys, tmp_path, command):
+    out = tmp_path / "rows.csv"
+    code, _, err = run(capsys, command, "--phi", "0.5", "--t-max", "-3", "--out", str(out))
+    assert code == 2
+    assert "--t-max must be nonnegative" in err
+    assert not out.exists()
 
 
 class TestBounds:
@@ -367,6 +377,27 @@ class TestValidate:
         assert summary["violations"] > 0
 
 
+    def test_exact_column_is_one_neumann_sweep(self, capsys, count_calls, monkeypatch):
+        # the exact Gaussian column advances one Neumann sweep through t = 0..t_max
+        # instead of restarting the sum on every row
+        from ergobound import bounds as bnd
+
+        law_at_calls, advances, sweep = count_calls("law_at"), [], bnd._neumann_sums
+
+        def counted(model):
+            for sums in sweep(model):
+                advances.append(1)
+                yield sums
+
+        monkeypatch.setattr(bnd, "_neumann_sums", counted)
+        code, out, err = run(capsys, "validate", "--flavor", "gauss_affine", "--phi", "1.2,-0.5",
+                             "--x", "2,0", "--t-max", "200")
+        assert code in (0, 5), err
+        assert len(out.strip().splitlines()) == 202
+        assert law_at_calls == []
+        assert len(advances) == 201
+
+
 class TestSimulate:
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -402,3 +433,80 @@ class TestSimulate:
             "--out", str(tmp_path / "nope" / "deep" / "x.csv"),
         )
         assert code == 6
+
+
+# SHA-256 of the data file and of its manifest for three fixed runs.  Any change
+# to a number or to the serialization shows up here; the digests hold for the
+# float64 results of numpy's default BLAS/LAPACK on x86-64.
+PINNED_RUNS = {
+    "simulate_ar2": (
+        ["simulate", "--phi", "1.2,-0.5", "--x", "2,0", "--paths", "5", "--horizon", "200",
+         "--seed", "3"],
+        "d417791e186202acab1bc51ca5c707a5aa4d3cc66db912cbf62dfd9e527d9fc9",
+        "983912514e553b371d1f67b4ca8aa63ef1b7bdc23f8fdad7b918a0af3c2e9674",
+    ),
+    "simulate_ar3": (
+        ["simulate", "--phi", "0.5,-0.2,0.1", "--x", "1,0,-1", "--paths", "5", "--horizon", "200",
+         "--seed", "3"],
+        "59a99bc0e4bcae1939afe673a75299b7416c3d9bdfc9dfcfbff53a5e8e274cee",
+        "613fa4f20d409160648960de26da5edfd500421f8fa3a290602b79835048ef26",
+    ),
+    "validate_gauss_affine": (
+        ["validate", "--flavor", "gauss_affine", "--phi", "1.2,-0.5", "--x", "2,0",
+         "--t-max", "120"],
+        "df5cc5b8c7f5a98f28bab33bfc223f7783f0d5d48da24dadfe73af8979a9e454",
+        "f8ecc096cb3246373b42c72c52b3f2e850d618b35aa50ede90e1c8e0e1774300",
+    ),
+}
+
+
+class TestPinnedOutputs:
+    @staticmethod
+    def write(capsys, tmp_path, name):
+        argv, _, _ = PINNED_RUNS[name]
+        out = tmp_path / f"{name}.csv"
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert code in (0, 5), err
+        return out.read_bytes(), (tmp_path / f"{name}.csv.manifest.json").read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+    def test_sha256_of_csv_and_manifest(self, capsys, tmp_path, name):
+        data, manifest = self.write(capsys, tmp_path, name)
+        _, data_sha, manifest_sha = PINNED_RUNS[name]
+        assert hashlib.sha256(data).hexdigest() == data_sha
+        assert hashlib.sha256(manifest).hexdigest() == manifest_sha
+
+    @staticmethod
+    def float_fields(data, skip):
+        rows = [line.split(",") for line in data.decode().splitlines()[1:]]
+        for row in rows:
+            for field in row[skip:]:
+                assert format(float(field), ".17g") == field  # one spelling per float
+        return rows
+
+    def test_simulate_floats_parse_back_to_the_ensemble(self, capsys, tmp_path):
+        from ergobound.sim import SimConfig, simulate_paths
+
+        data, _ = self.write(capsys, tmp_path, "simulate_ar2")
+        rows = self.float_fields(data, 2)
+        ens = simulate_paths(ar_state_space([1.2, -0.5]), [2.0, 0.0], SimConfig(5, 200, 3))
+        assert [(int(r[0]), int(r[1])) for r in rows] == [
+            (i, t) for i in range(5) for t in ens.times
+        ]
+        parsed = np.array([[float(v) for v in r[2:]] for r in rows])
+        assert parsed.tobytes() == ens.samples.reshape(-1, 2).tobytes()
+
+    def test_validate_floats_parse_back_to_the_library_values(self, capsys, tmp_path):
+        from ergobound import bounds as bnd
+        from ergobound.linalg import build_star_norm
+        from ergobound.wasserstein import gaussian_w2
+
+        data, _ = self.write(capsys, tmp_path, "validate_gauss_affine")
+        rows = self.float_fields(data, 1)
+        m, x = ar_state_space([1.2, -0.5]), np.array([2.0, 0.0])
+        star, stationary = build_star_norm(m.Q, {"auto_margin": 2.0}), bnd.stationary_law(m)
+        assert len(rows) == 121
+        for t, row in enumerate(rows):
+            rep = bnd.report(m, "gauss_affine", x, 2.0, t, star=star)
+            exact = gaussian_w2(bnd.law_at(m, x, t), stationary)
+            assert [float(v) for v in row[1:5]] == [rep.lower, exact, 0.0, rep.upper]
