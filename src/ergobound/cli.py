@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, bounds as bnd
 from .errors import ErgoboundError
-from .linalg import build_star_norm
+from .linalg import build_star_norm, check_kappa_policy
 from .model import (
     NoiseSpec,
     StateSpaceModel,
@@ -115,19 +115,20 @@ def _start_state(args, model: StateSpaceModel) -> np.ndarray:
 
 
 def _kappa_policy(text: str | None) -> dict:
-    if not text:
-        return {"auto_margin": 2.0}
+    kind, _, val = (text or "auto").partition(":")
     try:
-        kind, _, val = text.partition(":")
         if kind == "auto":
-            return {"auto_margin": float(val) if val else 2.0}
-        if kind == "fixed":
-            return {"fixed": float(val)}
-        if kind == "optimize":
-            return {"optimize_at": int(val) if val else 10}
+            policy = {"auto_margin": float(val) if val else 2.0}
+        elif kind == "fixed":
+            policy = {"fixed": float(val)}
+        elif kind == "optimize":
+            policy = {"optimize_at": int(val) if val else 10}
+        else:
+            raise _ParseError(f"unknown kappa policy {text!r}")
+        check_kappa_policy(policy)
     except ValueError as exc:
-        raise _ParseError(f"bad kappa policy {text!r}") from exc
-    raise _ParseError(f"unknown kappa policy {text!r}")
+        raise _ParseError(f"bad kappa policy {text!r}: {exc}") from exc
+    return policy
 
 
 def _manifest(command: str, model: StateSpaceModel | None, args, keys) -> dict:
@@ -375,6 +376,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "t_max", 0) < 0:
             raise _ParseError(f"--t-max must be nonnegative, got {args.t_max}")
+        if getattr(args, "n_directions", 1) < 1:
+            raise _ParseError(f"--n-directions must be positive, got {args.n_directions}")
         return args.func(args)
     except _ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -30,6 +30,7 @@ __all__ = [
     "eigen",
     "schur_triangularize",
     "build_star_norm",
+    "check_kappa_policy",
     "stationary_covariance",
     "psd_sqrt",
     "smallest_eigenvalue_sym",
@@ -227,6 +228,21 @@ def _star_constants(U: np.ndarray, kappa: float) -> tuple[float, float]:
     return K_d, C_star
 
 
+def _kappa_objective(Delta: np.ndarray, U: np.ndarray, t: int):
+    """The objective of :func:`_optimize_kappa`; ``U``'s norms and the exponents are taken once."""
+    d, a, b = U.shape[0], one_norm(U), one_norm(U.conj().T)
+    p = np.arange(1, d + 1, dtype=float)
+    exponents = p[:, None] - p[None, :]
+
+    def objective(kappa: float) -> float:
+        s = one_norm(Delta * kappa ** exponents)
+        if s >= 1.0:
+            return np.inf
+        return d * kappa ** (d - 1) * a * b * s ** (t + 1) / (1.0 - s)
+
+    return objective
+
+
 def _optimize_kappa(
     Delta: np.ndarray, U: np.ndarray, threshold: float, t: int
 ) -> float:
@@ -238,14 +254,7 @@ def _optimize_kappa(
     scanned on a log grid above the admissibility threshold and refined by
     golden-section search in the best bracket.
     """
-
-    def objective(kappa: float) -> float:
-        s = _scaled_triangular_norm(Delta, kappa)
-        if s >= 1.0:
-            return np.inf
-        K_d, _ = _star_constants(U, kappa)
-        return K_d * s ** (t + 1) / (1.0 - s)
-
+    objective = _kappa_objective(Delta, U, t)
     lo = math.log(threshold * (1.0 + 1e-9))
     hi = math.log(threshold * 1e4)
     grid = np.linspace(lo, hi, 80)
@@ -267,6 +276,15 @@ def _optimize_kappa(
             x2 = a + phi * (b - a)
             f2 = objective(math.exp(x2))
     return math.exp(0.5 * (a + b))
+
+
+def check_kappa_policy(policy: dict) -> None:
+    """Raise ``ValueError`` unless a fixed kappa is finite, a margin is finite
+    and above one, and an optimization step ``t`` is nonnegative."""
+    fixed, margin = float(policy.get("fixed", 0.0)), float(policy.get("auto_margin", 2.0))
+    t = int(policy.get("optimize_at", 0))
+    if not math.isfinite(fixed) or not 1.0 < margin < math.inf or t < 0:
+        raise ValueError(f"invalid kappa policy {policy!r}")
 
 
 def build_star_norm(
@@ -293,9 +311,12 @@ def build_star_norm(
         If ``rho(Q) >= 1 - stability_tol``.
     KappaBelowThreshold
         If a fixed kappa does not exceed ``max(1, ||Delta||_1 / (1 - rho))``.
+    ValueError
+        If the policy fails :func:`check_kappa_policy`.
     """
+    policy = dict(kappa_policy) if kappa_policy else {"auto_margin": 2.0}
+    check_kappa_policy(policy)
     Q = as_matrix(Q, name="Q")
-    d = Q.shape[0]
     info = eigen(Q)
     rho = info.spectral_radius
     if rho >= 1.0 - stability_tol:
@@ -303,7 +324,6 @@ def build_star_norm(
     U, Delta = schur_triangularize(Q, tol=schur_tol)
     threshold = max(1.0, one_norm(Delta) / (1.0 - rho))
 
-    policy = dict(kappa_policy) if kappa_policy else {"auto_margin": 2.0}
     if "fixed" in policy:
         kappa = float(policy["fixed"])
         if kappa <= threshold:
@@ -313,10 +333,7 @@ def build_star_norm(
     elif "optimize_at" in policy:
         kappa = _optimize_kappa(Delta, U, threshold, int(policy["optimize_at"]))
     elif "auto_margin" in policy:
-        margin = float(policy["auto_margin"])
-        if margin <= 1.0:
-            raise ValueError("auto_margin must exceed 1")
-        kappa = margin * threshold
+        kappa = float(policy["auto_margin"]) * threshold
     else:
         raise ValueError(f"unknown kappa policy {policy!r}")
 

@@ -16,7 +16,6 @@ from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln, hyp1f1
 
 from .asymptotics import EigenSandwich
@@ -43,8 +42,16 @@ _FAMILIES = ("gaussian", "laplace", "student_t", "uniform", "point_mass")
 # O(chunk * dim) whatever the number of draws.
 _MC_CHUNK_ROWS = 2**16
 
-# Relative error-estimate cap of the Gaussian moment quadrature.
+# Relative error-estimate cap of the moment quadratures.
 _QUAD_RTOL = 1e-10
+
+# Gauss-Legendre rules per panel: 16 nodes for the value, 8 for the error estimate.
+_GAUSS_LEGENDRE = tuple(np.polynomial.legendre.leggauss(n) for n in (16, 8))
+# The Gaussian moment's panels in ``x = ln u``: 19 on ``[ln u0, 0]``, unit ones on ``[0, 90]``.
+_HEAD_U0 = 1e-8
+_GAUSS_PANELS = np.concatenate((np.linspace(math.log(_HEAD_U0), 0.0, 20), np.arange(1.0, 91.0)))
+# The Laplace moment's panels in ``x = ln z``: width 2 below 0, width 1/2 up to 4.5.
+_LAPLACE_PANELS = np.concatenate((np.arange(-40.0, 0.0, 2.0), np.arange(0.0, 4.6, 0.5)))
 
 
 def _gauss_abs_moment_1d(p: float) -> float:
@@ -54,7 +61,7 @@ def _gauss_abs_moment_1d(p: float) -> float:
 
 def _gauss_shifted_abs_moment(mean: float, std: float, p: float) -> float:
     """E|mean + std*Z|**p for standard normal Z, via Kummer's function."""
-    if std == 0.0:
+    if std <= 1e-9 * abs(mean):  # |mean|**p to rounding; scipy's Kummer form NaNs past it
         return abs(mean) ** p
     kummer = float(hyp1f1(-p / 2.0, 0.5, -((mean / std) ** 2) / 2.0))
     return std**p * _gauss_abs_moment_1d(p) * kummer
@@ -71,25 +78,39 @@ def _student_abs_moment(df: float, p: float) -> float:
     )
 
 
+def _panel_quad(f, edges: np.ndarray, offset: float = 0.0) -> float:
+    """``offset`` plus the integral of a vectorized ``f`` over the panels between
+    ``edges``; raises ``NonConvergence`` past ``_QUAD_RTOL`` relative error."""
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    fine, coarse = (offset + float(half @ (f(mid[:, None] + half[:, None] * x) @ w))
+                    for x, w in _GAUSS_LEGENDRE)
+    if not abs(fine - coarse) <= _QUAD_RTOL * abs(fine):  # a NaN misses too
+        raise NonConvergence(f"moment quadrature error {abs(fine - coarse):.2e} exceeds "
+                             f"{_QUAD_RTOL:.0e} relative")
+    return fine
+
+
 def _laplace_abs_moment(loc: float, scale: float, p: float) -> float:
-    """E|loc + L|**p for centered Laplace L with the given scale."""
+    """E|loc + L|**p for centered Laplace L with the given scale.
+
+    With ``A = |loc| / scale`` it is ``scale**p / 2`` times ``int_0^inf (A + z)**p
+    e^-z dz`` (the far side of the density, by quadrature in ``x = ln z`` over
+    ``[-40, 4.5]``), plus ``int_0^A w**p e^(w - A) dw = A**(p+1) M(1, p+2, -A) /
+    (p+1)`` (Kummer's function) and ``e^-A Gamma(p+1)`` (past zero).
+    """
     if loc == 0.0:
         return scale**p * math.gamma(p + 1.0)
     if scale == 0.0:
         return abs(loc) ** p
+    A = abs(loc) / scale
 
-    def integrand(x):
-        return abs(loc + x) ** p * math.exp(-abs(x) / scale) / (2.0 * scale)
+    def far(x):
+        z = np.exp(x)
+        return (A + z) ** p * np.exp(x - z)
 
-    left, _ = quad(integrand, -np.inf, -loc, limit=200)
-    right, _ = quad(integrand, -loc, np.inf, limit=200)
-    return float(left + right)
-
-
-def _quad(f, a, b, **kw) -> tuple[float, float]:
-    """``(integral, error estimate)``; a miss is judged by the caller, not warned."""
-    val, err, *_ = quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200, full_output=1, **kw)
-    return val, err
+    near = A ** (p + 1.0) / (p + 1.0) * float(hyp1f1(1.0, p + 2.0, -A))
+    past = math.exp(-A) * math.gamma(p + 1.0)
+    return 0.5 * scale**p * _panel_quad(far, _LAPLACE_PANELS, near + past)
 
 
 def _gauss_norm_moment(mu: np.ndarray, S: np.ndarray, p: float) -> float:
@@ -99,10 +120,10 @@ def _gauss_norm_moment(mu: np.ndarray, S: np.ndarray, p: float) -> float:
     ``L(u) = prod_i (1 + 2 u lam_i)**-1/2 exp(-u sum_i nu_i**2 / (1 + 2 u lam_i))``
     (``S = V diag(lam) V^T``, ``nu = V^T mu``; Mathai & Provost 1992), and
     ``E X**s = s / Gamma(1 - s) * int_0^inf (1 - L(u)) u**(-s-1) du`` for
-    ``s = p/2`` in ``(0, 1)``.  ``u`` is scaled by ``c = E|Y|**2`` so the
-    split at ``u = 1`` sits where ``L`` turns; the head carries the
-    ``u**-s`` singularity as an algebraic weight and the tail integrates
-    ``L`` against ``u**(-s-1)``, whose integral over ``[1, inf)`` is ``1/s``.
+    ``s = p/2`` in ``(0, 1)``.  With ``u`` scaled by ``c = E|Y|**2``, ``1 - L(u)
+    = u - m2 u**2 / 2 + O(u**3)``, ``m2 = E|Y|**4 / c**2``.  In ``x = ln u``
+    the head ``(1 - L) u**-s`` is integrated over ``[ln u0, 0]`` (that series
+    below ``u0 = 1e-8``) and the tail is ``1/s`` less ``L u**-s`` over ``[0, 90]``.
     """
     lam, V = np.linalg.eigh(0.5 * (S + S.T))
     lam = np.clip(lam, 0.0, None)
@@ -112,24 +133,16 @@ def _gauss_norm_moment(mu: np.ndarray, S: np.ndarray, p: float) -> float:
         return 0.0
     lam, nu2, s = lam / c, nu2 / c, p / 2.0
 
-    def log_laplace(u):
-        w = 1.0 + 2.0 * u * lam
-        return -0.5 * float(np.log(w).sum()) - u * float((nu2 / w).sum())
+    def integrand(x):
+        u = np.exp(x)[..., None]
+        w = 2.0 * u * lam
+        # log1p keeps 1 - L(u) accurate to the last digits at small u
+        log_laplace = -0.5 * np.log1p(w).sum(-1) - (u * nu2 / (1.0 + w)).sum(-1)
+        return np.where(x < 0.0, -np.expm1(log_laplace), -np.exp(log_laplace)) * np.exp(-s * x)
 
-    def head(u):  # (1 - L(u)) / u, which tends to E|Y|**2 / c = 1 at u = 0
-        return -math.expm1(log_laplace(u)) / u if u > 0.0 else 1.0
-
-    def tail(u):
-        return math.exp(log_laplace(u)) * u ** (-s - 1.0)
-
-    h, h_err = _quad(head, 0.0, 1.0, weight="alg", wvar=(-s, 0.0))
-    t, t_err = _quad(tail, 1.0, np.inf)
-    integral = h + 1.0 / s - t
-    if h_err + t_err > _QUAD_RTOL * integral:
-        raise NonConvergence(
-            f"Gaussian moment quadrature error {h_err + t_err:.2e} exceeds "
-            f"{_QUAD_RTOL:.0e} relative"
-        )
+    m2 = 1.0 + 2.0 * float(lam @ lam) + 4.0 * float(lam @ nu2)
+    below = _HEAD_U0 ** (1.0 - s) / (1.0 - s) - m2 * _HEAD_U0 ** (2.0 - s) / (2.0 * (2.0 - s))
+    integral = _panel_quad(integrand, _GAUSS_PANELS, 1.0 / s + below)
     return c**s * s / math.gamma(1.0 - s) * integral
 
 

@@ -161,7 +161,9 @@ def _check_sample_pair(xs, ys) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sliced_directions(d: int, n_directions: int, seed, mode: str):
-    n_distinct = max(1, (n_directions + 1) // 2)
+    if n_directions < 1:
+        raise ValueError(f"n_directions must be positive, got {n_directions}")
+    n_distinct = (n_directions + 1) // 2
     if mode == "equispaced":
         if d != 2:
             raise ValueError("equispaced directions are available only in d = 2")
@@ -172,28 +174,29 @@ def _sliced_directions(d: int, n_directions: int, seed, mode: str):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _shift_noise_scale(xs: np.ndarray, ys: np.ndarray, r: float) -> float:
+def _shift_noise_scale(xs: np.ndarray, var_y: float, r: float) -> float:
     """One-sigma proxy for the sampling noise of the sliced estimate.
 
     The estimator is 1-Lipschitz under a common shift of either sample, so
     the fluctuation of the two ensemble means propagates with direction
     weight at most ``c(d, r)^{1/r}``; the mean noise itself has magnitude
-    ``sqrt((tr cov_x + tr cov_y) / n)``.
+    ``sqrt((tr cov_x + var_y) / n)`` with ``var_y = tr cov_y``.
     """
     n, d = xs.shape
-    tr = float(np.var(xs, axis=0, ddof=1).sum() + np.var(ys, axis=0, ddof=1).sum())
+    tr = float(np.var(xs, axis=0, ddof=1).sum() + var_y)
     return math.exp(_log_sphere_moment_ratio(d, r) / r) * math.sqrt(tr / n)
 
 
-def _sorted_projections(xs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Projections as contiguous ``(directions, n)`` rows, each sorted."""
-    proj = dirs @ xs.T
+def _sorted_projections(xs: np.ndarray, dirs: np.ndarray, out=None) -> np.ndarray:
+    """Projections as contiguous ``(directions, n)`` rows, each sorted (into ``out`` if given)."""
+    proj = np.matmul(dirs, xs.T, out=out)
     proj.sort(axis=1)
     return proj
 
 
 def _sliced_from_sorted(px, py, r, n, n_directions, seed, deterministic, shift_se):
-    gaps = px - py
+    """The estimate from sorted projections; ``px`` is overwritten by the gaps."""
+    gaps = np.subtract(px, py, out=px)
     np.abs(gaps, out=gaps)
     if r != 1:
         gaps **= r
@@ -248,8 +251,9 @@ def sliced_empirical_sweep(
     """:func:`sliced_empirical` of each entry of ``xs_list`` against one ``ys``.
 
     Identical estimates to the one-shot function with the same seed, but
-    the direction set and the sorted projections of ``ys`` are computed
-    once, which is what bound-validation sweeps over time steps need.
+    the directions, the sorted projections of ``ys`` and its variance are
+    computed once and each step is projected into one buffer, which is what
+    bound-validation sweeps over time steps need.
     """
     ys = np.asarray(ys, dtype=float)
     estimates = []
@@ -259,8 +263,10 @@ def sliced_empirical_sweep(
         if py is None:
             dirs, deterministic = _sliced_directions(ys.shape[1], n_directions, seed, mode)
             py = _sorted_projections(ys, dirs)
-        px = _sorted_projections(xs, dirs)
-        shift_se = 0.0 if deterministic else _shift_noise_scale(xs, ys, r)
+            px = np.empty_like(py)
+            var_y = 0.0 if deterministic else np.var(ys, axis=0, ddof=1).sum()
+        _sorted_projections(xs, dirs, out=px)
+        shift_se = 0.0 if deterministic else _shift_noise_scale(xs, var_y, r)
         estimates.append(
             _sliced_from_sorted(
                 px, py, r, xs.shape[0], n_directions, seed, deterministic, shift_se

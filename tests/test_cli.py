@@ -108,6 +108,32 @@ def test_negative_t_max_exit_2(capsys, tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["bounds", "validate"])
+@pytest.mark.parametrize(
+    "policy", ["fixed:nan", "fixed:inf", "auto:nan", "auto:inf", "auto:1", "optimize:-3"]
+)
+def test_invalid_kappa_policy_exit_2(capsys, tmp_path, command, policy):
+    out = tmp_path / "rows.csv"
+    code, _, err = run(capsys, command, "--phi", "0.5", "--t-max", "2",
+                       "--kappa-policy", policy, "--out", str(out))
+    assert code == 2
+    assert "bad kappa policy" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_directions", ["0", "-3"])
+def test_nonpositive_n_directions_exit_2(capsys, tmp_path, n_directions):
+    out = tmp_path / "rows.csv"
+    code, _, err = run(
+        capsys, "validate", "--phi", "0.5,0.2", "--noise", "laplace", "--flavor",
+        "sliced_generic", "--t-max", "2", "--n-samples", "100", "--n-directions",
+        n_directions, "--out", str(out),
+    )
+    assert code == 2
+    assert "--n-directions must be positive" in err
+    assert not out.exists()
+
+
 class TestBounds:
     def test_gauss_affine_row_values(self, capsys):
         code, out, _ = run(

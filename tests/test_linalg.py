@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from ergobound import linalg
 from ergobound.errors import KappaBelowThreshold, NotPSD, NotSchurStable, NotSymmetric
 from ergobound.linalg import (
+    _kappa_objective,
+    _scaled_triangular_norm,
+    _star_constants,
     build_star_norm,
     eigen,
     one_norm,
@@ -13,7 +17,7 @@ from ergobound.linalg import (
     smallest_eigenvalue_sym,
     stationary_covariance,
 )
-from ergobound.model import companion
+from ergobound.model import ar_state_space, arma_state_space, companion
 
 
 def random_stable(rng, d, target=None):
@@ -179,6 +183,55 @@ class TestStarNorm:
         Q = random_stable(rng, 4)
         star = build_star_norm(Q)
         assert star.of(Q) == pytest.approx(star.value, rel=1e-12)
+
+    @pytest.mark.parametrize("policy", [
+        {"fixed": math.nan}, {"fixed": math.inf}, {"fixed": -math.inf},
+        {"auto_margin": math.nan}, {"auto_margin": math.inf}, {"auto_margin": 1.0},
+        {"optimize_at": -3},
+    ])
+    def test_invalid_kappa_policy_raises(self, policy):
+        with pytest.raises(ValueError):
+            build_star_norm(0.5 * np.eye(2), policy)
+
+
+def reference_kappa_objective(Delta, U, t):
+    """The kappa objective as first written: a full star norm per call."""
+
+    def objective(kappa):
+        s = _scaled_triangular_norm(Delta, kappa)
+        if s >= 1.0:
+            return np.inf
+        K_d, _ = _star_constants(U, kappa)
+        return K_d * s ** (t + 1) / (1.0 - s)
+
+    return objective
+
+
+class TestKappaSearch:
+    MODELS = [
+        companion([0.5]),
+        companion([1.2, -0.5]),
+        companion([0.3, -0.2, 0.4, 0.1]),
+        arma_state_space([0.6, 0.2], [0.5, -0.3]).Q,
+        random_stable(np.random.default_rng(31), 5, target=0.95),
+        ar_state_space(np.full(10, 0.08)).Q,
+    ]
+
+    @pytest.mark.parametrize("Q", MODELS)
+    @pytest.mark.parametrize("t", [0, 10, 300])
+    def test_objective_bit_identical_to_reference(self, Q, t):
+        U, Delta = linalg.schur_triangularize(Q)
+        fast, slow = _kappa_objective(Delta, U, t), reference_kappa_objective(Delta, U, t)
+        for kappa in np.geomspace(0.5, 1e6, 97):
+            assert fast(kappa) == slow(kappa)
+
+    @pytest.mark.parametrize("Q", MODELS)
+    def test_optimized_kappa_matches_reference_search(self, Q, monkeypatch):
+        got = build_star_norm(Q, {"optimize_at": 20})
+        monkeypatch.setattr(linalg, "_kappa_objective", reference_kappa_objective)
+        want = build_star_norm(Q, {"optimize_at": 20})
+        assert (got.kappa, got.value, got.K_d, got.C_star) == (
+            want.kappa, want.value, want.K_d, want.C_star)
 
 
 class TestStationaryCovariance:

@@ -11,6 +11,8 @@ from ergobound.wasserstein import (
     empirical_w1d,
     gaussian_w2,
     gaussian_wr_1d,
+    _log_sphere_moment_ratio,
+    _sliced_directions,
     sliced_empirical,
     sliced_empirical_sweep,
 )
@@ -183,6 +185,12 @@ class TestGaussianWr1d:
         assert gaussian_wr_1d(0.0, 1.0, mu, 2.0, 1.0) == pytest.approx(want, rel=1e-14)
 
 
+def test_gaussian_wr_1d_mean_gap_far_above_sd_gap():
+    # a standard-deviation gap at rounding level leaves the mean gap
+    for r in (1.0, 3.0, 4.0):
+        assert gaussian_wr_1d(0.0, 1.0, 2.0, 1.0 + 2e-16, r) == pytest.approx(2.0, rel=1e-15)
+
+
 class TestSlicedEmpirical:
     def test_identical_samples(self):
         rng = np.random.default_rng(13)
@@ -224,6 +232,33 @@ class TestSlicedEmpirical:
         for xs, got in zip(xs_list, swept):
             want = sliced_empirical(xs, ys, 1.5, n_directions=64, seed=5)
             assert got == want
+
+    def test_sweep_matches_per_step_reference(self):
+        # the sweep as first written: fresh projections, variances and gaps per step
+        rng = np.random.default_rng(19)
+        ys = rng.standard_normal((300, 3))
+        xs_list = [rng.standard_normal((300, 3)) + 0.1 * t for t in range(4)]
+        r, n_dirs, seed = 1.5, 64, 11
+        dirs, _ = _sliced_directions(3, n_dirs, seed, "random")
+        py = np.sort(dirs @ ys.T, axis=1)
+        swept = sliced_empirical_sweep(xs_list, ys, r, n_directions=n_dirs, seed=seed)
+        for xs, got in zip(xs_list, swept):
+            powers = (np.abs(np.sort(dirs @ xs.T, axis=1) - py) ** r).mean(axis=1)
+            tr = float(np.var(xs, axis=0, ddof=1).sum() + np.var(ys, axis=0, ddof=1).sum())
+            shift_se = math.exp(_log_sphere_moment_ratio(3, r) / r) * math.sqrt(tr / 300)
+            mean_pow = float(powers.mean())
+            value = mean_pow ** (1.0 / r)
+            se_dir = float(powers.std(ddof=1) / math.sqrt(len(powers))) * value / (r * mean_pow)
+            assert got.value == value
+            assert got.stderr == math.hypot(se_dir, shift_se)
+
+    @pytest.mark.parametrize("n_directions", [0, -3])
+    def test_nonpositive_n_directions_raise(self, n_directions):
+        xs = np.zeros((10, 2))
+        with pytest.raises(ValueError, match="n_directions"):
+            sliced_empirical(xs, xs + 1.0, n_directions=n_directions)
+        with pytest.raises(ValueError, match="n_directions"):
+            sliced_empirical_sweep([xs], xs, n_directions=n_directions, mode="equispaced")
 
     def test_self_distance_shrinks_with_n(self):
         rng = np.random.default_rng(18)
