@@ -102,7 +102,8 @@ def _load_model(args) -> StateSpaceModel:
             return ar_state_space(phi, a, noise)
     except _ParseError:
         raise
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, ErgoboundError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError,
+            ErgoboundError) as exc:
         raise _ModelError(f"{type(exc).__name__}: {exc}") from exc
     raise _ModelError("provide a model via --model FILE or --phi LIST")
 
@@ -304,8 +305,7 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--phi", help="comma-separated AR coefficients")
     p.add_argument("--theta", help="comma-separated MA coefficients (ARMA)")
     p.add_argument("--a", help="comma-separated nonnegative diagonal weights")
-    p.add_argument("--noise", default="gaussian",
-                   choices=["gaussian", "laplace", "student_t", "uniform", "point_mass"])
+    p.add_argument("--noise", default="gaussian", choices=list(_NOISE_DEFAULTS))
     p.add_argument("--noise-params", dest="noise_params",
                    help="comma-separated family parameters")
 

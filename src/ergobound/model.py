@@ -14,13 +14,14 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import gammaln, hyp1f1
 
 from .asymptotics import EigenSandwich
 from .errors import EmptyCoefficients, MomentUnavailable, NonConvergence, OrderViolation
-from .linalg import (SpectralInfo, StarNorm, as_matrix, build_star_norm, eigen,
+from .linalg import (SpectralInfo, StarNorm, as_matrix, build_star_norm, eigen, psd_sqrt,
                      smallest_eigenvalue_sym, stationary_covariance)
 
 __all__ = [
@@ -36,8 +37,6 @@ __all__ = [
     "model_digest",
 ]
 
-_FAMILIES = ("gaussian", "laplace", "student_t", "uniform", "point_mass")
-
 # Rows drawn per chunk by the Monte Carlo moment route; memory stays
 # O(chunk * dim) whatever the number of draws.
 _MC_CHUNK_ROWS = 2**16
@@ -52,6 +51,7 @@ _HEAD_U0 = 1e-8
 _GAUSS_PANELS = np.concatenate((np.linspace(math.log(_HEAD_U0), 0.0, 20), np.arange(1.0, 91.0)))
 # The Laplace moment's panels in ``x = ln z``: width 2 below 0, width 1/2 up to 4.5.
 _LAPLACE_PANELS = np.concatenate((np.arange(-40.0, 0.0, 2.0), np.arange(0.0, 4.6, 0.5)))
+_LAPLACE_REACH = math.exp(_LAPLACE_PANELS[-1])
 
 
 def _gauss_abs_moment_1d(p: float) -> float:
@@ -96,19 +96,31 @@ def _laplace_abs_moment(loc: float, scale: float, p: float) -> float:
     With ``A = |loc| / scale`` it is ``scale**p / 2`` times ``int_0^inf (A + z)**p
     e^-z dz`` (the far side of the density, by quadrature in ``x = ln z`` over
     ``[-40, 4.5]``), plus ``int_0^A w**p e^(w - A) dw = A**(p+1) M(1, p+2, -A) /
-    (p+1)`` (Kummer's function) and ``e^-A Gamma(p+1)`` (past zero).
+    (p+1)`` (Kummer's function) and ``e^-A Gamma(p+1)`` (past zero).  Once
+    ``A`` passes the panels' reach the near side ``(1 - z/A)**p e^-z`` joins
+    the far one in units of ``|loc|**p``, so nothing overflows before the moment.
     """
     if loc == 0.0:
         return scale**p * math.gamma(p + 1.0)
-    if scale == 0.0:
+    # |loc|**p to rounding: the correction p (p-1) (scale/loc)**2 is below 1e-10 up to p = 1e4
+    if scale <= 1e-9 * abs(loc):
         return abs(loc) ** p
     A = abs(loc) / scale
+    if A > _LAPLACE_REACH:
+        def both(x):
+            z = np.exp(x)
+            return ((1.0 + z / A) ** p + (1.0 - z / A) ** p) * np.exp(x - z)
+
+        past = math.exp(math.lgamma(p + 1.0) - A - p * math.log(A))
+        return abs(loc) ** p * (0.5 * _panel_quad(both, _LAPLACE_PANELS, past))
 
     def far(x):
         z = np.exp(x)
         return (A + z) ** p * np.exp(x - z)
 
-    near = A ** (p + 1.0) / (p + 1.0) * float(hyp1f1(1.0, p + 2.0, -A))
+    # scipy's Kummer function is NaN near A = 1e-300; below 1e-8 two series terms are exact
+    kummer = float(hyp1f1(1.0, p + 2.0, -A)) if A > 1e-8 else 1.0 - A / (p + 2.0)
+    near = A ** (p + 1.0) / (p + 1.0) * kummer
     past = math.exp(-A) * math.gamma(p + 1.0)
     return 0.5 * scale**p * _panel_quad(far, _LAPLACE_PANELS, near + past)
 
@@ -172,6 +184,45 @@ def _mc_abs_moment(draw, Sigma, p, n, seed) -> tuple[float, float]:
     return mean, math.sqrt(m2 / (n - 1) / n)
 
 
+def _coords(x) -> np.ndarray:
+    """Per-coordinate parameters as a float array of at least one dimension."""
+    return np.atleast_1d(np.asarray(x, dtype=float))
+
+
+class _Law(NamedTuple):
+    """A noise family's parameter names, mean, variance, draw ``(rng, p, size)``
+    and scalar absolute moment ``(p, r) -> E|eps|**r``."""
+
+    names: tuple[str, ...]
+    mean: Callable
+    var: Callable
+    draw: Callable
+    abs_moment: Callable
+
+
+# Each family once: numpy expressions in the parameters ``p``, valid for a scalar
+# parameter and a per-coordinate array alike (the absolute moment for scalars
+# only).  Vector Gaussian noise, with a full ``cov`` for ``var``, is the one special case.
+_LAWS = {
+    "gaussian": _Law(("mean", "var"), lambda p: p["mean"], lambda p: p["var"],
+                     lambda rng, p, size: p["mean"] + np.sqrt(p["var"]) * rng.standard_normal(size),
+                     lambda p, r: _gauss_shifted_abs_moment(p["mean"], math.sqrt(p["var"]), r)),
+    "laplace": _Law(("loc", "scale"), lambda p: p["loc"], lambda p: 2.0 * p["scale"] ** 2,
+                    lambda rng, p, size: p["loc"] + p["scale"] * rng.laplace(0.0, 1.0, size),
+                    lambda p, r: _laplace_abs_moment(p["loc"], p["scale"], r)),
+    "student_t": _Law(("df", "scale"), lambda p: 0.0,
+                      lambda p: p["scale"] ** 2 * p["df"] / (p["df"] - 2.0),
+                      lambda rng, p, size: p["scale"] * rng.standard_t(p["df"], size),
+                      lambda p, r: p["scale"] ** r * _student_abs_moment(p["df"], r)),
+    "uniform": _Law(("half_width",), lambda p: 0.0, lambda p: p["half_width"] ** 2 / 3.0,
+                    lambda rng, p, size: rng.uniform(-1.0, 1.0, size) * p["half_width"],
+                    lambda p, r: p["half_width"] ** r / (r + 1.0)),
+    "point_mass": _Law(("value",), lambda p: p["value"], lambda p: 0.0,
+                       lambda rng, p, size: np.full(size, p["value"]),
+                       lambda p, r: abs(p["value"]) ** r),
+}
+
+
 def _read_only(*arrays) -> np.ndarray:
     """Mark the arrays read-only; returns the first."""
     for a in arrays:
@@ -187,7 +238,8 @@ class NoiseSpec:
     (full mean/covariance for Gaussian, independent coordinates otherwise).
     Scalar-driven specs carry scalar family parameters plus a ``direction``
     vector ``u``, representing ``xi = eps * u`` for a scalar variable
-    ``eps``; AR/ARMA constructors lift their scalar noise this way.
+    ``eps``; AR/ARMA constructors lift their scalar noise this way.  Both
+    layouts share one parameter check, run on construction (see ``_check``).
 
     ``r_max`` is the supremum of orders with a finite absolute moment:
     infinite for every family except Student-t, where it equals the degrees
@@ -201,63 +253,79 @@ class NoiseSpec:
     params: MappingProxyType = field(repr=False)
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        law = _LAWS.get(self.family)
+        if law is None:
             raise ValueError(f"unknown noise family {self.family!r}")
         params = {k: _read_only(np.array(v)) if isinstance(v, np.ndarray) else v
                   for k, v in self.params.items()}
         object.__setattr__(self, "params", MappingProxyType(params))
         object.__setattr__(self, "_moment_cache", {})
         object.__setattr__(self, "_averaged", {})
+        object.__setattr__(self, "_law", law)
+        self._check(law.names)
+
+    def _check(self, names: tuple[str, ...]) -> None:
+        """The family's parameter names, scalars (plus a ``direction`` of length
+        ``dim``) or per-coordinate arrays of length ``dim`` (a scalar ``df``, a
+        ``dim x dim`` ``cov``), all finite; nonnegative spreads, positive ``df``
+        and a ``cov`` that is symmetric and PSD by ``psd_sqrt``'s rules."""
+        prm, d, scalar = self.params, self.dim, self.is_scalar_driven
+        if not scalar and self.family == "gaussian":
+            names = ("mean", "cov")
+        if set(prm) - {"direction"} != set(names):
+            raise ValueError(f"{self.family} noise takes parameters {', '.join(names)}")
+        if d < 1 or scalar and self.direction.shape != (d,):
+            raise ValueError(f"noise dimension {d} must be positive and match the direction")
+        for k, v in prm.items():
+            shape = (() if scalar and k != "direction" or k == "df"
+                     else (d, d) if k == "cov" else (d,))
+            if np.shape(v) != shape or not np.all(np.isfinite(v)):
+                raise ValueError(f"noise parameter {k} must be finite with shape {shape}")
+        if "df" in prm and not prm["df"] > 0:
+            raise ValueError("df must be positive")
+        for k in ("var", "scale", "half_width"):
+            if k in prm and not np.all(prm[k] >= 0):
+                raise ValueError(f"{k} must be nonnegative")
+        if "cov" in prm:
+            psd_sqrt(prm["cov"])  # raises NotSymmetric or NotPSD
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def gaussian(cls, mean: float, var: float) -> "NoiseSpec":
-        if var < 0:
-            raise ValueError("var must be nonnegative")
         return cls("gaussian", 1, {"mean": float(mean), "var": float(var)})
 
     @classmethod
     def gaussian_d(cls, mean, cov) -> "NoiseSpec":
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        cov = as_matrix(cov, name="cov").astype(float)
-        if cov.shape[0] != mean.shape[0]:
-            raise ValueError("mean and cov dimensions disagree")
-        return cls("gaussian", mean.shape[0], {"mean": mean, "cov": cov})
+        mean = _coords(mean)
+        return cls("gaussian", len(mean), {"mean": mean, "cov": np.asarray(cov, dtype=float)})
 
     @classmethod
     def laplace(cls, loc: float, scale: float) -> "NoiseSpec":
-        if scale < 0:
-            raise ValueError("scale must be nonnegative")
         return cls("laplace", 1, {"loc": float(loc), "scale": float(scale)})
 
     @classmethod
     def laplace_d(cls, loc, scale) -> "NoiseSpec":
-        loc = np.atleast_1d(np.asarray(loc, dtype=float))
-        scale = np.atleast_1d(np.asarray(scale, dtype=float))
-        return cls("laplace", loc.shape[0], {"loc": loc, "scale": scale})
+        loc = _coords(loc)
+        return cls("laplace", len(loc), {"loc": loc, "scale": _coords(scale)})
 
     @classmethod
     def student_t(cls, df: float, scale: float) -> "NoiseSpec":
-        if df <= 0 or scale < 0:
-            raise ValueError("df must be positive and scale nonnegative")
         return cls("student_t", 1, {"df": float(df), "scale": float(scale)})
 
     @classmethod
     def student_t_d(cls, df: float, scale) -> "NoiseSpec":
-        scale = np.atleast_1d(np.asarray(scale, dtype=float))
-        return cls("student_t", scale.shape[0], {"df": float(df), "scale": scale})
+        scale = _coords(scale)
+        return cls("student_t", len(scale), {"df": float(df), "scale": scale})
 
     @classmethod
     def uniform(cls, half_width: float) -> "NoiseSpec":
-        if half_width < 0:
-            raise ValueError("half_width must be nonnegative")
         return cls("uniform", 1, {"half_width": float(half_width)})
 
     @classmethod
     def uniform_d(cls, half_width) -> "NoiseSpec":
-        hw = np.atleast_1d(np.asarray(half_width, dtype=float))
-        return cls("uniform", hw.shape[0], {"half_width": hw})
+        hw = _coords(half_width)
+        return cls("uniform", len(hw), {"half_width": hw})
 
     @classmethod
     def point_mass(cls, value: float) -> "NoiseSpec":
@@ -265,31 +333,24 @@ class NoiseSpec:
 
     @classmethod
     def point_mass_d(cls, value) -> "NoiseSpec":
-        v = np.atleast_1d(np.asarray(value, dtype=float))
-        return cls("point_mass", v.shape[0], {"value": v})
+        v = _coords(value)
+        return cls("point_mass", len(v), {"value": v})
 
     def lift(self, direction) -> "NoiseSpec":
         """Embed a scalar spec as ``xi = eps * direction`` in ``len(direction)`` dims."""
         if not self.is_scalar_driven or self.dim != 1:
             raise ValueError("only 1-D scalar specs can be lifted")
-        u = np.atleast_1d(np.asarray(direction, dtype=float))
-        params = dict(self.params)
-        params["direction"] = u
-        return NoiseSpec(self.family, u.shape[0], params)
+        u = _coords(direction)
+        return NoiseSpec(self.family, len(u), {**self.params, "direction": u})
 
     def averaged(self, n: int) -> "NoiseSpec":
         """Gaussian noise of the mean of ``n`` i.i.d. copies; one spec (and moment cache) per n."""
         if self.family != "gaussian":
             raise ValueError("only Gaussian noise averages to a noise spec")
         if n not in self._averaged:
-            prm, factor = self.params, 1.0 / n
-            if self.is_scalar_driven:
-                avg = NoiseSpec.gaussian(prm["mean"], prm["var"] * factor)
-                if "direction" in prm:
-                    avg = avg.lift(prm["direction"])
-            else:
-                avg = NoiseSpec.gaussian_d(prm["mean"], prm["cov"] * factor)
-            self._averaged[n] = avg
+            key = "var" if self.is_scalar_driven else "cov"
+            self._averaged[n] = NoiseSpec(self.family, self.dim,
+                                          {**self.params, key: self.params[key] * (1.0 / n)})
         return self._averaged[n]
 
     # -- structure ---------------------------------------------------------
@@ -312,136 +373,50 @@ class NoiseSpec:
 
     def has_moment(self, r: float) -> bool:
         """Whether ``E|xi|**r`` is finite (strict at the Student-t boundary)."""
-        if self.family == "student_t":
-            return r < self.params["df"]
-        return True
+        return r < self.r_max
 
-    # -- scalar building blocks ---------------------------------------------
-
-    def _scalar_mean(self) -> float:
-        f, p = self.family, self.params
-        if f == "gaussian":
-            return p["mean"]
-        if f == "laplace":
-            return p["loc"]
-        if f == "point_mass":
-            return p["value"]
-        if f == "student_t":
-            if p["df"] <= 1:
-                raise MomentUnavailable("Student-t mean needs df > 1")
-            return 0.0
-        return 0.0
-
-    def _scalar_var(self) -> float:
-        f, p = self.family, self.params
-        if f == "gaussian":
-            return p["var"]
-        if f == "laplace":
-            return 2.0 * p["scale"] ** 2
-        if f == "student_t":
-            if p["df"] <= 2:
-                raise MomentUnavailable("Student-t variance needs df > 2")
-            return p["scale"] ** 2 * p["df"] / (p["df"] - 2.0)
-        if f == "uniform":
-            return p["half_width"] ** 2 / 3.0
-        return 0.0
+    def _require_moment(self, r: float) -> None:
+        if not self.has_moment(r):
+            raise MomentUnavailable(f"order {r} moment unavailable for {self.family} noise")
 
     def scalar_abs_moment(self, p: float) -> float:
         """``E|eps|**p`` of the scalar driver, in closed/deterministic form."""
         if not self.is_scalar_driven:
             raise ValueError("scalar moment of a vector noise spec")
-        if not self.has_moment(p):
-            raise MomentUnavailable(
-                f"order {p} moment unavailable for {self.family} noise"
-            )
-        f, prm = self.family, self.params
-        if f == "gaussian":
-            std = math.sqrt(prm["var"])
-            return _gauss_shifted_abs_moment(prm["mean"], std, p)
-        if f == "laplace":
-            return _laplace_abs_moment(prm["loc"], prm["scale"], p)
-        if f == "student_t":
-            return prm["scale"] ** p * _student_abs_moment(prm["df"], p)
-        if f == "uniform":
-            return prm["half_width"] ** p / (p + 1.0)
-        return abs(prm["value"]) ** p
+        self._require_moment(p)
+        return self._law.abs_moment(self.params, p)
 
     # -- vector-level quantities ---------------------------------------------
+    # One formula per family (``_LAWS``); the layouts differ in one step only.
 
     def mean_vector(self) -> np.ndarray:
+        self._require_moment(1)
+        m = self._law.mean(self.params)
         if self.is_scalar_driven:
-            return self._scalar_mean() * self.direction
-        f, p = self.family, self.params
-        if f == "gaussian":
-            return p["mean"].copy()
-        if f == "laplace":
-            return p["loc"].copy()
-        if f == "point_mass":
-            return p["value"].copy()
-        if f == "student_t" and p["df"] <= 1:
-            raise MomentUnavailable("Student-t mean needs df > 1")
-        return np.zeros(self.dim)
+            return m * self.direction
+        return np.broadcast_to(m, self.dim).copy()
 
     def covariance(self) -> np.ndarray:
+        self._require_moment(2)
         if self.is_scalar_driven:
             u = self.direction
-            return self._scalar_var() * np.outer(u, u)
-        f, p = self.family, self.params
-        if f == "gaussian":
-            return p["cov"].copy()
-        if f == "laplace":
-            return np.diag(2.0 * p["scale"] ** 2)
-        if f == "student_t":
-            if p["df"] <= 2:
-                raise MomentUnavailable("Student-t covariance needs df > 2")
-            return np.diag(p["scale"] ** 2 * p["df"] / (p["df"] - 2.0))
-        if f == "uniform":
-            return np.diag(p["half_width"] ** 2 / 3.0)
-        return np.zeros((self.dim, self.dim))
+            return self._law.var(self.params) * np.outer(u, u)
+        if self.family == "gaussian":
+            return self.params["cov"].copy()
+        return np.diag(np.broadcast_to(self._law.var(self.params), self.dim))
 
     def sampler(self):
         """Return ``draw(rng, n) -> (n, dim)`` with any factorization precomputed."""
-        f, prm, d = self.family, self.params, self.dim
+        prm, d, draw = self.params, self.dim, self._law.draw
         if self.is_scalar_driven:
             u = self.direction
-
-            def scalar_draw(rng, n):
-                if f == "gaussian":
-                    eps = prm["mean"] + math.sqrt(prm["var"]) * rng.standard_normal(n)
-                elif f == "laplace":
-                    eps = prm["loc"] + prm["scale"] * rng.laplace(0.0, 1.0, size=n)
-                elif f == "student_t":
-                    eps = prm["scale"] * rng.standard_t(prm["df"], size=n)
-                elif f == "uniform":
-                    eps = rng.uniform(-prm["half_width"], prm["half_width"], size=n)
-                else:
-                    eps = np.full(n, prm["value"])
-                return np.atleast_1d(eps)[:, None] * u[None, :]
-
-            return scalar_draw
-
-        if f == "gaussian":
-            w, V = np.linalg.eigh(0.5 * (prm["cov"] + prm["cov"].T))
-            factor = V * np.sqrt(np.clip(w, 0.0, None))
-            mean = prm["mean"]
-
-            def gauss_draw(rng, n):
-                return mean + rng.standard_normal((n, d)) @ factor.T
-
-            return gauss_draw
-
-        def coord_draw(rng, n):
-            if f == "laplace":
-                out = prm["loc"] + prm["scale"] * rng.laplace(0.0, 1.0, size=(n, d))
-            elif f == "student_t":
-                out = prm["scale"] * rng.standard_t(prm["df"], size=(n, d))
-            elif f == "uniform":
-                out = rng.uniform(-1.0, 1.0, size=(n, d)) * prm["half_width"]
-            else:
-                out = np.tile(prm["value"], (n, 1))
-            return out
-
-        return coord_draw
+            return lambda rng, n: draw(rng, prm, n)[:, None] * u
+        if self.family != "gaussian":
+            return lambda rng, n: draw(rng, prm, (n, d))
+        w, V = np.linalg.eigh(0.5 * (prm["cov"] + prm["cov"].T))
+        factor = V * np.sqrt(np.clip(w, 0.0, None))
+        mean = prm["mean"]
+        return lambda rng, n: mean + rng.standard_normal((n, d)) @ factor.T
 
     def abs_moment_sigma(
         self, Sigma, p: float, mc_draws: int = 10**6, seed: int = 0
@@ -463,10 +438,7 @@ class NoiseSpec:
             If the Gaussian quadrature misses its relative error cap.
         """
         Sigma = as_matrix(Sigma, name="Sigma").astype(float)
-        if not self.has_moment(p):
-            raise MomentUnavailable(
-                f"order {p} moment unavailable for {self.family} noise"
-            )
+        self._require_moment(p)
         key = (Sigma.tobytes(), Sigma.shape, p, mc_draws, seed)
         cached = self._moment_cache.get(key)
         if cached is not None:
@@ -498,30 +470,24 @@ class NoiseSpec:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
-        params = {}
-        for k, v in self.params.items():
-            params[k] = v.tolist() if isinstance(v, np.ndarray) else v
-        if "cov" in params:
-            params["cov"] = [x for row in params["cov"] for x in row]
+        params = {k: v.ravel().tolist() if isinstance(v, np.ndarray) else v  # cov row-major
+                  for k, v in self.params.items()}
         return {"family": self.family, "params": params}
 
     @classmethod
     def from_json(cls, obj: dict) -> "NoiseSpec":
-        family = obj["family"]
         raw = dict(obj["params"])
-        if "direction" in raw or not any(isinstance(v, list) for v in raw.values()):
-            direction = raw.pop("direction", None)
-            spec = cls(family, 1, {k: float(v) for k, v in raw.items()})
+        direction = raw.pop("direction", None)
+        params = {k: np.asarray(v, dtype=float) if isinstance(v, list) else float(v)
+                  for k, v in raw.items()}
+        if direction is not None or not any(isinstance(v, np.ndarray) for v in params.values()):
+            spec = cls(obj["family"], 1, params)
             return spec.lift(direction) if direction is not None else spec
-        params = {}
-        for k, v in raw.items():
-            params[k] = np.asarray(v, dtype=float) if isinstance(v, list) else float(v)
-        dim = next(
-            len(v) for k, v in raw.items() if isinstance(v, list) and k != "cov"
-        )
-        if "cov" in params:
-            params["cov"] = params["cov"].reshape(dim, dim)
-        return cls(family, dim, params)
+        if "cov" in params:  # stored row-major; a ValueError unless square
+            n = math.isqrt(np.size(params["cov"]))
+            params["cov"] = np.reshape(params["cov"], (n, n))
+        dim = next(len(v) for v in params.values() if isinstance(v, np.ndarray))
+        return cls(obj["family"], dim, params)
 
 
 def stationary_cov_positive(lam: float, cov) -> bool:
@@ -638,8 +604,6 @@ def ar_state_space(phi, a=None, noise1d: NoiseSpec | None = None) -> StateSpaceM
     if np.any(a < 0):
         raise ValueError("diagonal weights a must be nonnegative")
     noise1d = noise1d if noise1d is not None else NoiseSpec.gaussian(0.0, 1.0)
-    if noise1d.dim != 1:
-        raise ValueError("AR construction takes a scalar noise spec")
     Sigma = np.diag(np.concatenate(([1.0], a)))
     e1 = np.zeros(p)
     e1[0] = 1.0
@@ -670,34 +634,14 @@ def arma_state_space(phi, theta, noise1d: NoiseSpec | None = None) -> StateSpace
         raise OrderViolation(f"need 1 <= q <= p, got p={p}, q={q}")
     d = p + q
     Q = np.zeros((d, d))
-    Q[0, :p] = phi
+    Q[:p, :p] = companion(phi)
     Q[0, p:] = theta
-    for i in range(1, p):
-        Q[i, i - 1] = 1.0
-    for i in range(p + 1, d):
-        Q[i, i - 1] = 1.0
-    Sigma = np.zeros((d, d))
-    Sigma[0, 0] = 1.0
-    Sigma[p, p] = 1.0
-    noise1d = noise1d if noise1d is not None else NoiseSpec.gaussian(0.0, 1.0)
-    if noise1d.dim != 1:
-        raise ValueError("ARMA construction takes a scalar noise spec")
+    Q[p + 1:, p:-1] = np.eye(q - 1)
     u = np.zeros(d)
-    u[0] = 1.0
-    u[p] = 1.0
-    return StateSpaceModel(
-        d,
-        Q,
-        Sigma,
-        noise1d.lift(u),
-        {
-            "kind": "arma",
-            "p": p,
-            "q": q,
-            "phi": phi.tolist(),
-            "theta": theta.tolist(),
-        },
-    )
+    u[[0, p]] = 1.0
+    noise1d = noise1d if noise1d is not None else NoiseSpec.gaussian(0.0, 1.0)
+    return StateSpaceModel(d, Q, np.diag(u), noise1d.lift(u), {
+        "kind": "arma", "p": p, "q": q, "phi": phi.tolist(), "theta": theta.tolist()})
 
 
 @dataclass(frozen=True)

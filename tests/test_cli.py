@@ -98,6 +98,30 @@ class TestModelArgs:
         code, _, err = run(capsys, command, "--model", str(path))
         assert code == 3, err
 
+    @pytest.mark.parametrize("command", ["stability", "bounds", "simulate"])
+    @pytest.mark.parametrize("noise", [
+        {"family": "gaussian", "params": {"mean": None, "var": 1.0, "direction": [1.0, 0.0]}},
+        {"family": "gaussian", "params": [1, 2]},
+        "gaussian",
+        {"family": "laplace", "params": {"loc": [0.0, 0.0], "scale": [-1.0, 1.0]}},
+        {"family": "laplace", "params": {"loc": [0.0, 0.0], "scale": [1.0, 1.0, 1.0]}},
+        {"family": "student_t", "params": {"df": 0.0, "scale": [1.0, 1.0]}},
+        {"family": "uniform", "params": {"half_width": [-1.0, 1.0]}},
+        {"family": "gaussian", "params": {"mean": [0.0, 0.0], "cov": [1.0, 0.0, 0.0, -1.0]}},
+        {"family": "gaussian", "params": {"mean": [0.0, 0.0], "cov": [1.0, 0.5, 0.0, 1.0]}},
+        {"family": "gaussian", "params": {"mean": 0.0, "var": 10**400, "direction": [1.0, 0.0]}},
+    ], ids=["mean_null", "params_list", "noise_string", "laplace_scale", "laplace_length",
+            "student_t_df", "uniform_half_width", "cov_not_psd", "cov_not_symmetric",
+            "var_past_float"])
+    def test_malformed_noise_in_model_file_exit_3(self, capsys, tmp_path, command, noise):
+        doc = model_to_json(ar_state_space([0.3, 0.5]))
+        doc["noise"] = noise
+        path = tmp_path / "noise.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, command, "--model", str(path))
+        assert code == 3, err
+        assert err.startswith("invalid model: ")
+
 
 @pytest.mark.parametrize("command", ["bounds", "validate"])
 def test_negative_t_max_exit_2(capsys, tmp_path, command):
@@ -461,7 +485,16 @@ class TestSimulate:
         assert code == 6
 
 
-# SHA-256 of the data file and of its manifest for three fixed runs.  Any change
+# Model files read by pinned runs, written next to their outputs under these names.
+PINNED_MODELS = {
+    "vector_laplace.json": {
+        "d": 2, "Q": [0.5, 0.2, -0.1, 0.3], "Sigma": [1.0, 0.0, 0.4, 1.0],
+        "noise": {"family": "laplace", "params": {"loc": [0.5, -0.25], "scale": [1.0, 0.5]}},
+        "provenance": {"kind": "raw"},
+    },
+}
+
+# SHA-256 of the data file and of its manifest for fixed runs.  Any change
 # to a number or to the serialization shows up here; the digests hold for the
 # float64 results of numpy's default BLAS/LAPACK on x86-64.
 PINNED_RUNS = {
@@ -483,6 +516,24 @@ PINNED_RUNS = {
         "df5cc5b8c7f5a98f28bab33bfc223f7783f0d5d48da24dadfe73af8979a9e454",
         "f8ecc096cb3246373b42c72c52b3f2e850d618b35aa50ede90e1c8e0e1774300",
     ),
+    "simulate_ar2_laplace": (
+        ["simulate", "--phi", "1.2,-0.5", "--x", "2,0", "--noise", "laplace",
+         "--noise-params", "0.3,0.8", "--paths", "5", "--horizon", "50", "--seed", "3"],
+        "40d736c1bcb1e13f774a74f5843c051973c753ca718c725da2a1da251891095d",
+        "21edf840118232fc0b947f5dd46b82bf01241f0dc0dd9c2f13c01aff5f063500",
+    ),
+    "simulate_ar2_student_t": (
+        ["simulate", "--phi", "1.2,-0.5", "--x", "2,0", "--noise", "student_t",
+         "--noise-params", "4.5,0.7", "--paths", "5", "--horizon", "50", "--seed", "3"],
+        "c19d84fce9b32c3c323f1f027f1dcc5189e7b4e3b168915b20fa10395c95d5d8",
+        "feb209872cc46683369b1f27881c207a6d3a909a57e13b0d0d183185bea6e431",
+    ),
+    "simulate_vector_laplace": (
+        ["simulate", "--model", "vector_laplace.json", "--x", "1,-1", "--paths", "5",
+         "--horizon", "50", "--seed", "3"],
+        "ebb71f795bf67f67fda79658a87a310dc5dee52b5a890ced4d42dfd4f5a278fd",
+        "cb8306571a4dfbd3a43a81ce5009c6aa736a95c213c1fabb215faaa329db4074",
+    ),
 }
 
 
@@ -490,6 +541,9 @@ class TestPinnedOutputs:
     @staticmethod
     def write(capsys, tmp_path, name):
         argv, _, _ = PINNED_RUNS[name]
+        for fname, doc in PINNED_MODELS.items():
+            (tmp_path / fname).write_text(json.dumps(doc))
+        argv = [str(tmp_path / a) if a in PINNED_MODELS else a for a in argv]
         out = tmp_path / f"{name}.csv"
         code, _, err = run(capsys, *argv, "--out", str(out))
         assert code in (0, 5), err

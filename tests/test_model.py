@@ -12,7 +12,8 @@ from scipy.integrate import quad
 from scipy.special import gammaln, hyp1f1
 
 import ergobound
-from ergobound.errors import EmptyCoefficients, MomentUnavailable, OrderViolation
+from ergobound.errors import (EmptyCoefficients, MomentUnavailable, NotPSD, NotSymmetric,
+                              OrderViolation)
 from ergobound.linalg import eigen
 from ergobound.model import (
     NoiseSpec,
@@ -283,6 +284,72 @@ class TestNoiseSpec:
         with pytest.raises(MomentUnavailable):
             NoiseSpec.student_t(1.5, 1.0).scalar_abs_moment(2.0)
 
+    @pytest.mark.parametrize("make, error", [
+        (lambda: NoiseSpec.laplace_d([0, 0], [-1, 1]), ValueError),
+        (lambda: NoiseSpec.laplace_d([0, 0], [1, 1, 1]), ValueError),
+        (lambda: NoiseSpec.laplace(0.0, -1.0), ValueError),
+        (lambda: NoiseSpec.student_t_d(0.0, [1, 1]), ValueError),
+        (lambda: NoiseSpec.student_t_d(3.0, [1, -1]), ValueError),
+        (lambda: NoiseSpec.student_t(-1.0, 1.0), ValueError),
+        (lambda: NoiseSpec.uniform_d([-1, 1]), ValueError),
+        (lambda: NoiseSpec.uniform(-1.0), ValueError),
+        (lambda: NoiseSpec.gaussian(0.0, -1.0), ValueError),
+        (lambda: NoiseSpec.gaussian_d([0, 0, 0], np.eye(2)), ValueError),
+        (lambda: NoiseSpec.gaussian_d([0, 0], [[1, 0], [0, -1]]), NotPSD),
+        (lambda: NoiseSpec.gaussian_d([0, 0], [[1, 0.5], [0, 1]]), NotSymmetric),
+        (lambda: NoiseSpec.point_mass_d([0, math.nan]), ValueError),
+        (lambda: NoiseSpec.gaussian(0.0, 1.0).lift([1.0, math.inf]), ValueError),
+        (lambda: NoiseSpec.from_json({"family": "laplace", "params": {"loc": 0.0}}), ValueError),
+        (lambda: NoiseSpec.from_json({"family": "gaussian", "params": {"mean": 0.0, "cov": [1.0]}}),
+         ValueError),
+        (lambda: NoiseSpec.from_json({"family": "cauchy", "params": {"scale": 1.0}}), ValueError),
+    ], ids=["laplace_d_scale", "laplace_d_length", "laplace_scale", "student_t_d_df",
+            "student_t_d_scale", "student_t_df", "uniform_d", "uniform", "gaussian_var",
+            "gaussian_d_shape", "gaussian_d_not_psd", "gaussian_d_not_symmetric",
+            "point_mass_d_nan", "lift_inf", "json_missing_scale", "json_scalar_mean",
+            "json_family"])
+    def test_bad_parameters_raise(self, make, error):
+        # one check for both layouts and every way in
+        with pytest.raises(error):
+            make()
+
+    @pytest.mark.parametrize("scalar, vector", [
+        (NoiseSpec.laplace(0.4, 1.3), NoiseSpec.laplace_d([0.4], [1.3])),
+        (NoiseSpec.student_t(4.5, 0.7), NoiseSpec.student_t_d(4.5, [0.7])),
+        (NoiseSpec.uniform(1.7), NoiseSpec.uniform_d([1.7])),
+        (NoiseSpec.point_mass(-0.3), NoiseSpec.point_mass_d([-0.3])),
+    ], ids=["laplace", "student_t", "uniform", "point_mass"])
+    def test_one_formula_for_both_layouts(self, scalar, vector):
+        lifted = scalar.lift([1.0])
+        assert lifted.is_scalar_driven and not vector.is_scalar_driven
+        assert lifted.mean_vector().tobytes() == vector.mean_vector().tobytes()
+        assert lifted.covariance().tobytes() == vector.covariance().tobytes()
+        draws = [s.sampler()(np.random.default_rng(8), 1000) for s in (lifted, vector)]
+        assert draws[0].shape == draws[1].shape == (1000, 1)
+        assert draws[0].tobytes() == draws[1].tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        NoiseSpec.gaussian(0.5, 2.0).lift([1.0, -0.5]),
+        NoiseSpec.laplace(0.4, 1.3).lift([1.0, -0.5]),
+        NoiseSpec.student_t(6.0, 1.5).lift([1.0, -0.5]),
+        NoiseSpec.uniform(2.0).lift([1.0, -0.5]),
+        NoiseSpec.point_mass(0.7).lift([1.0, -0.5]),
+        NoiseSpec.gaussian_d([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]]),
+        NoiseSpec.laplace_d([0.4, -0.2], [1.3, 0.5]),
+        NoiseSpec.student_t_d(6.0, [1.5, 0.5]),
+        NoiseSpec.uniform_d([2.0, 0.5]),
+        NoiseSpec.point_mass_d([0.7, -0.3]),
+    ], ids=lambda s: f"{s.family}-{'scalar' if s.is_scalar_driven else 'vector'}")
+    def test_draws_match_stated_mean_and_covariance(self, spec):
+        n = 200_000
+        x = spec.sampler()(np.random.default_rng(31), n)
+        assert x.shape == (n, 2)
+        mean = x.mean(axis=0)
+        prods = (x - mean)[:, :, None] * (x - mean)[:, None, :]
+        for got, want in ((x, spec.mean_vector()), (prods, spec.covariance())):
+            five_se = 5 * got.std(axis=0, ddof=1) / math.sqrt(n) + 1e-10  # + summation rounding
+            assert np.all(np.abs(got.mean(axis=0) - want) <= five_se), (got.mean(axis=0), want)
+
     def test_mean_and_covariance_of_lifted(self):
         spec = NoiseSpec.gaussian(0.5, 2.0).lift([1.0, 0.0, 1.0])
         np.testing.assert_allclose(spec.mean_vector(), [0.5, 0.0, 0.5])
@@ -440,14 +507,20 @@ class TestMomentQuadrature:
             want = quad_laplace_abs_moment(loc, scale, p)
             assert _laplace_abs_moment(loc, scale, p) == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("loc", [1e-6, -0.7, 3.0, 50.0, -200.0, 1e4])
+    # (scale, even orders) at the locations where Kummer's function is NaN or
+    # inexact, or where A**(p+1) overflows although the moment is finite; odd
+    # orders expand the same way while loc + L stays positive
+    EXTREME_LAPLACE = {1e12: (1.0, (12,)), 1e-300: (1.0, (12,)), 3e10: (1.0, (12,)),
+                       -1e6: (0.01, (38,)), 1e6: (1.0, (51,))}
+
+    @pytest.mark.parametrize("loc", [1e-6, -0.7, 3.0, 50.0, -200.0, 1e4, *EXTREME_LAPLACE])
     def test_laplace_integer_orders_closed_form(self, loc):
         # E|loc + L| = |loc| + scale e^(-|loc|/scale); even orders expand
         # (loc + L)**p with E L**k = k! scale**k for even k
-        scale = 1.3
+        scale, orders = self.EXTREME_LAPLACE.get(loc, (1.3, (2, 4, 8)))
         want = abs(loc) + scale * math.exp(-abs(loc) / scale)
         assert _laplace_abs_moment(loc, scale, 1.0) == pytest.approx(want, rel=1e-13)
-        for p in (2, 4, 8):
+        for p in orders:
             want = sum(math.comb(p, k) * loc ** (p - k) * math.factorial(k) * scale**k
                        for k in range(0, p + 1, 2))
             assert _laplace_abs_moment(loc, scale, float(p)) == pytest.approx(want, rel=1e-13)
