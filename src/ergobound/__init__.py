@@ -26,6 +26,7 @@ from .bounds import (
     sphere_moment_ratio,
     stationary_law,
     stationary_mean,
+    sweep,
 )
 from .asymptotics import (
     JordanEstimate,

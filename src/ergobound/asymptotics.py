@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NotDiagonalizable, OutOfRegime, ZeroEigenvalue
-from .linalg import SpectralInfo
+from .linalg import SpectralInfo, row_norms
 
 __all__ = [
     "JordanQuery",
@@ -39,13 +40,18 @@ def _log_comb(t: int, k: int) -> float:
     return math.lgamma(t + 1) - math.lgamma(k + 1) - math.lgamma(t - k + 1)
 
 
-def _comb_ratio(t: int, j: int, k: int) -> float:
-    """C(t, j) / C(t, k), exact integers for moderate t, logs beyond."""
-    if j < 0 or j > t:
-        return 0.0
+def _comb_ratios(t: int, n: int, k: int) -> np.ndarray:
+    """``C(t, j) / C(t, k)`` for ``j < n``: exact integers for moderate t, logs beyond."""
     if t <= _EXACT_BINOM_MAX_T:
-        return math.comb(t, j) / math.comb(t, k)
-    return math.exp(_log_comb(t, j) - _log_comb(t, k))
+        ratios = [math.comb(t, j) / math.comb(t, k) for j in range(min(n, t + 1))]
+    else:
+        ratios = [math.exp(_log_comb(t, j) - _log_comb(t, k)) for j in range(min(n, t + 1))]
+    return np.array(ratios + [0.0] * (n - len(ratios)))
+
+
+def _hankel_sums(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``out[i] = sum_j coef[j] x[i + j]`` for ``i < len(x)``, terms past ``x`` dropped."""
+    return np.convolve(coef, x[::-1])[len(x) - 1::-1]
 
 
 @dataclass(frozen=True)
@@ -67,7 +73,7 @@ class JordanQuery:
             raise ValueError("x must be nonzero")
         object.__setattr__(self, "x", x)
 
-    @property
+    @cached_property
     def j_star(self) -> int:
         return int(np.max(np.nonzero(self.x)[0])) + 1
 
@@ -174,25 +180,20 @@ def jordan_power(q: complex, d: int, t: int) -> np.ndarray:
     return out
 
 
-def _scaled_power_vector(q: complex, d: int, x: np.ndarray, t: int, j_ref: int) -> np.ndarray:
-    """``J^t x`` divided by ``|q|^{t-(j_ref-1)} C(t, j_ref-1)``, stably.
+def _scaled_power_vector(q: complex, d: int, x: np.ndarray, t: int, j_ref: int,
+                         j_top: int) -> np.ndarray:
+    """``J^t x`` divided by ``|q|^{t-(j_ref-1)} C(t, j_ref-1)``, stably; ``j_top`` is
+    the top nonzero index of ``x``.
 
-    Each retained term carries the ratio ``C(t, j)/C(t, j_ref - 1)`` and the
-    modulus ``|q|^{(j_ref - 1) - j}``, both of moderate size, so the value
-    is computed without forming the huge/small numerator and denominator.
+    Each term carries the ratio ``C(t, j)/C(t, j_ref - 1)`` and the modulus
+    ``|q|^{(j_ref - 1) - j}``, both of moderate size, so the value is
+    computed without forming the huge/small numerator and denominator.
     """
     r, theta = abs(q), np.angle(complex(q))
+    j = np.arange(j_top)
+    coef = _comb_ratios(t, j_top, j_ref - 1) * r ** ((j_ref - 1) - j) * np.exp(1j * theta * (t - j))
     out = np.zeros(d, dtype=complex)
-    j_star = int(np.max(np.nonzero(x)[0])) + 1
-    for i in range(1, j_star + 1):
-        acc = 0.0 + 0.0j
-        for j in range(0, j_star - i + 1):
-            ratio = _comb_ratio(t, j, j_ref - 1)
-            if ratio == 0.0:
-                continue
-            mod = ratio * r ** ((j_ref - 1) - j)
-            acc += mod * np.exp(1j * theta * (t - j)) * x[j + i - 1]
-        out[i - 1] = acc
+    out[:j_top] = _hankel_sums(coef, x[:j_top])
     return out
 
 
@@ -201,16 +202,18 @@ def _abs_sum_bound(r: float, x: np.ndarray, j_ref: int) -> float:
 
     Entries of ``x`` enter in absolute value: the binomial-ratio argument
     bounds termwise moduli, so signed inner sums would undershoot the true
-    error for sign-alternating vectors.
+    error for sign-alternating vectors.  The first component leaves out
+    the top term.
     """
-    comps = []
-    first = sum(r ** ((j_ref - 1) - j) * abs(x[j]) for j in range(0, j_ref - 1))
-    comps.append(first)
-    for k in range(2, j_ref + 1):
-        comps.append(
-            sum(r ** ((j_ref - 1) - j) * abs(x[j + k - 1]) for j in range(0, j_ref - k + 1))
-        )
-    return math.sqrt(sum(c * c for c in comps))
+    return _root_sum_square(r ** ((j_ref - 1) - np.arange(j_ref)), np.abs(x[:j_ref]), True)
+
+
+def _root_sum_square(w: np.ndarray, a: np.ndarray, skip_top: bool) -> float:
+    """``|(sum_j w[j] a[i + j])_i|``, the first sum without its top term with ``skip_top``."""
+    comps = _hankel_sums(w, a)
+    if skip_top:
+        comps[0] = w[:-1] @ a[:-1]
+    return math.sqrt(comps @ comps)
 
 
 def jordan_estimate(query: JordanQuery, t: int) -> JordanEstimate:
@@ -230,7 +233,7 @@ def jordan_estimate(query: JordanQuery, t: int) -> JordanEstimate:
     if t < threshold:
         raise OutOfRegime(f"t = {t} below validity threshold {threshold}")
     r, theta = abs(query.q), np.angle(complex(query.q))
-    scaled = _scaled_power_vector(query.q, d, x, t, j_star)
+    scaled = _scaled_power_vector(query.q, d, x, t, j_star, j_star)
     phase = np.exp(1j * theta * (t - (j_star - 1)))
     prefactor = (j_star - 1) / (t - j_star + 2)
     bound = prefactor * _abs_sum_bound(r, x, j_star)
@@ -301,8 +304,8 @@ def jordan_pair_estimate(query: JordanPairQuery, t: int) -> JordanEstimate:
     r, theta = abs(query.q), np.angle(complex(query.q))
     q_minus = complex(r * np.exp(-1j * theta))
     scaled = np.zeros(d, dtype=complex)
-    scaled[:N] = _scaled_power_vector(complex(query.q), N, query.x_plus, t, j_plus)
-    scaled[N:] = _scaled_power_vector(q_minus, N, query.x_minus, t, j_plus)
+    scaled[:N] = _scaled_power_vector(complex(query.q), N, query.x_plus, t, j_plus, j_plus)
+    scaled[N:] = _scaled_power_vector(q_minus, N, query.x_minus, t, j_plus, j_minus)
 
     phase = np.exp(1j * theta * (t - (j_star - 1)))
     target_mirror = np.zeros(d, dtype=complex)
@@ -353,9 +356,8 @@ def jordan_pair_estimate(query: JordanPairQuery, t: int) -> JordanEstimate:
     )
 
 
-def _abs_block_majorant(
-    r: float, x: np.ndarray, t: int, j_ref: int, j_blk: int, skip_top: bool
-) -> float:
+def _abs_block_majorant(r: float, x: np.ndarray, t: int, j_ref: int, j_blk: int,
+                        skip_top: bool) -> float:
     """Majorant for one block's rescaled remainder at scale ``j_ref``.
 
     Sums the ratio-and-modulus majorant of every term at the given time
@@ -363,15 +365,8 @@ def _abs_block_majorant(
     """
     if j_blk == 0:
         return 0.0
-    comps = []
-    for i in range(1, j_blk + 1):
-        acc = 0.0
-        for j in range(0, j_blk - i + 1):
-            if skip_top and i == 1 and j == j_blk - 1 == j_ref - 1:
-                continue
-            acc += _comb_ratio(t, j, j_ref - 1) * r ** ((j_ref - 1) - j) * abs(x[j + i - 1])
-        comps.append(acc)
-    return math.sqrt(sum(c * c for c in comps))
+    w = _comb_ratios(t, j_blk, j_ref - 1) * r ** ((j_ref - 1) - np.arange(j_blk))
+    return _root_sum_square(w, np.abs(x[:j_blk]), skip_top and j_blk == j_ref)
 
 
 class EigenSandwich:
@@ -392,11 +387,14 @@ class EigenSandwich:
         self.u_fro = float(np.linalg.norm(U, ord="fro"))
         self.uinv_fro = float(np.linalg.norm(self.U_inv, ord="fro"))
 
-    def __call__(self, z, t: int) -> tuple[float, float]:
-        core = float(np.linalg.norm(self.moduli**t * (self.U_inv @ z)))
-        return core / self.uinv_fro, self.u_fro * core
+    def cores(self, ts, *zs) -> list[np.ndarray]:
+        """``S(z, t) = |diag(|q_j|^t) U^{-1} z|`` per step of ``ts``, one array per ``z``."""
+        M = np.array([self.moduli**t for t in ts]).reshape(len(ts), self.moduli.size)
+        return [row_norms(M * (self.U_inv @ z)) for z in zs]
 
 
 def lyapunov_sandwich(spec: SpectralInfo, z, t: int) -> tuple[float, float]:
     """Two-sided eigen-coordinate estimate of ``|Q^t z|`` (see :class:`EigenSandwich`)."""
-    return EigenSandwich(spec)(np.atleast_1d(np.asarray(z, dtype=float)), t)
+    sw = EigenSandwich(spec)
+    core = float(sw.cores((t,), np.atleast_1d(np.asarray(z, dtype=float)))[0][0])
+    return core / sw.uinv_fro, sw.u_fro * core

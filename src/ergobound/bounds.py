@@ -12,18 +12,21 @@ forms, all of them are evaluated; reports carry the minimum together
 with the chain members in ``details``.  The estimates are derived for
 positive time steps; reports at ``t = 0`` evaluate the same expressions
 and set ``details["t_in_stated_range"]`` accordingly.
+
+:func:`sweep` evaluates a flavor over an array of steps in one pass;
+:func:`report` and the per-flavor functions are its single-step views.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
 
-from .asymptotics import EigenSandwich
 from .errors import (
     DimensionMismatch,
     MomentUnavailable,
@@ -32,7 +35,7 @@ from .errors import (
     NotSymmetric,
     SingularStationaryCovariance,
 )
-from .linalg import StarNorm, as_matrix, fro, smallest_eigenvalue_sym
+from .linalg import StarNorm, as_matrix, fro, row_norms, smallest_eigenvalue_sym
 from .model import StateSpaceModel, stationary_cov_positive
 from .wasserstein import GaussianLaw, sphere_moment_ratio
 
@@ -40,6 +43,7 @@ __all__ = [
     "FLAVORS",
     "BoundReport",
     "report",
+    "sweep",
     "gaussian_abs_moment",
     "sphere_moment_ratio",
     "exact_w2_ar1",
@@ -96,21 +100,6 @@ def gaussian_abs_moment(d: int, r: float) -> float:
 # exact 1-D formula
 
 
-def _ar1_gaps_sq(q: float, sigma: float, x: float, t: int) -> tuple[float, float]:
-    """Squared mean gap and squared standard-deviation gap of a scalar Gaussian AR(1)."""
-    _check_t(t)
-    if abs(q) >= 1.0:
-        raise NotSchurStable(f"|q| = {abs(q)} must be below 1")
-    if sigma == 0.0:
-        raise ValueError("sigma must be nonzero")
-    q2t = q ** (2 * t)
-    mean_sq = q2t * x * x
-    noise_sq = (sigma * sigma / (1.0 - q * q)) * q ** (4 * t) / (
-        math.sqrt(1.0 - q2t) + 1.0
-    ) ** 2
-    return mean_sq, noise_sq
-
-
 def exact_w2_ar1(q: float, sigma: float, x: float, t: int) -> float:
     """Exact W2 between the time-t and stationary laws of a scalar Gaussian AR(1).
 
@@ -123,14 +112,26 @@ def exact_w2_ar1(q: float, sigma: float, x: float, t: int) -> float:
 
 def exact_ar1_report(q: float, sigma: float, x: float, t: int) -> BoundReport:
     """Wrap the exact scalar value as a degenerate report (lower = upper)."""
-    mean_sq, noise_sq = _ar1_gaps_sq(q, sigma, x, t)
-    value = math.sqrt(mean_sq + noise_sq)
-    return BoundReport(
-        t=t, flavor="exact_ar1", order=2.0, lower=value, upper=value,
-        mean_part=math.sqrt(mean_sq), noise_part=math.sqrt(noise_sq),
-        constants_used={"q": q, "sigma": sigma},
-        details={"exact": True, "t_in_stated_range": t >= 1},
-    )
+    _check_t(t)
+    return _exact_ar1(q, sigma, x, (t,))[0]
+
+
+def _exact_ar1(q: float, sigma: float, x: float, ts) -> list[BoundReport]:
+    """The exact reports per step: the mean gap and the standard-deviation gap as parts."""
+    if abs(q) >= 1.0:
+        raise NotSchurStable(f"|q| = {abs(q)} must be below 1")
+    if sigma == 0.0:
+        raise ValueError("sigma must be nonzero")
+    reports, var_inf = [], sigma * sigma / (1.0 - q * q)
+    for t in ts:
+        q2t = q ** (2 * t)
+        mean_sq = q2t * x * x
+        noise_sq = var_inf * q ** (4 * t) / (math.sqrt(1.0 - q2t) + 1.0) ** 2
+        value = math.sqrt(mean_sq + noise_sq)
+        reports.append(BoundReport(t, "exact_ar1", 2.0, value, value, math.sqrt(mean_sq),
+                                   math.sqrt(noise_sq), {"q": q, "sigma": sigma},
+                                   {"exact": True, "t_in_stated_range": t >= 1}))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +183,13 @@ def _require_gaussian(model: StateSpaceModel) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the bound engine
+# the bound engine: t-invariant constants once per call, the rest per step
 
 FLAVORS = ("exact_ar1", "gauss_affine", "projected", "sliced_gauss", "generic",
            "generic_diag", "sliced_generic", "parallel", "empirical_mean")
+
+# Floats per block of stacked powers ``Q^t``: about 1 MB whatever ``d``.
+_BLOCK_FLOATS = 2**17
 
 
 def _star(model: StateSpaceModel, star: StarNorm | None) -> StarNorm:
@@ -198,7 +202,47 @@ def _star(model: StateSpaceModel, star: StarNorm | None) -> StarNorm:
 
 
 def _vec(x) -> np.ndarray:
-    return np.atleast_1d(np.asarray(x, dtype=float))
+    return np.array(x, dtype=float, ndmin=1)
+
+
+def _powers(model: StateSpaceModel, ts: list) -> np.ndarray:
+    """``np.linalg.matrix_power(Q, t)`` for each step of ``ts``, stacked, by its own products.
+
+    Past ``t = 3`` it squares ``Z_k = Q^(2^k)`` (kept on the model) up the bits of
+    ``t`` and multiplies its running product by ``Z_k`` on the right at every set
+    bit; each row repeats exactly those products, level by level for all rows.
+    """
+    Q, ts = model.Q, [operator.index(t) for t in ts]  # an integer step, as matrix_power takes
+    ladder = _once(model, ("power_ladder",), lambda: [Q])
+    while len(ladder) < max(ts, default=0).bit_length():
+        ladder.append(ladder[-1] @ ladder[-1])
+    P = np.empty((len(ts), *Q.shape))
+    first, more = {}, {}  # bit level -> rows that start there / multiply there
+    for i, t in enumerate(ts):
+        if t <= 3:
+            P[i] = np.linalg.matrix_power(Q, t)
+            continue
+        low = (t & -t).bit_length() - 1
+        first.setdefault(low, []).append(i)
+        for k in range(low + 1, t.bit_length()):
+            if t >> k & 1:
+                more.setdefault(k, []).append(i)
+    for k in sorted(first.keys() | more.keys()):
+        for rows, mul in ((first.get(k), False), (more.get(k), True)):
+            if rows:
+                rows = rows[0] if len(rows) == 1 else rows  # a lone row as a plain 2-D product
+                P[rows] = P[rows] @ ladder[k] if mul else ladder[k]
+    return P
+
+
+def _power_rows(model: StateSpaceModel, ts: list, zs, vs=()) -> list[np.ndarray]:
+    """Rows ``Q^t z`` for each ``z`` in ``zs``, then rows ``(Q^t)^T v`` for each ``v`` in ``vs``,
+    from powers stacked per block of steps (about ``_BLOCK_FLOATS`` floats each)."""
+    step, blocks = max(1, _BLOCK_FLOATS // model.Q.size), []
+    for lo in range(0, max(len(ts), 1), step):
+        P = _powers(model, ts[lo:lo + step])
+        blocks.append([P @ z for z in zs] + [np.swapaxes(P, 1, 2) @ v for v in vs])
+    return [rows[0] if len(rows) == 1 else np.concatenate(rows) for rows in zip(*blocks)]
 
 
 def ar1_params(model: StateSpaceModel) -> tuple[float, float]:
@@ -209,102 +253,241 @@ def ar1_params(model: StateSpaceModel) -> tuple[float, float]:
         raise ValueError("exact_ar1 needs scalar-driven noise")
     if model.noise.params["mean"] != 0.0:
         raise ValueError("exact_ar1 needs centered noise")
-    sigma = abs(model.Sigma[0, 0] * model.noise.direction[0]) * math.sqrt(
-        model.noise.params["var"]
-    )
+    sigma = abs(model.Sigma[0, 0] * model.noise.direction[0]) * math.sqrt(model.noise.params["var"])
     return float(model.Q[0, 0]), float(sigma)
 
 
+def _once(model: StateSpaceModel, key, compute):
+    """``compute()``, kept on the model under ``key``: a bound constant of the model
+    alone, such as a moment root, solved once whatever ``t`` and ``x``."""
+    kept = model._bound_constants
+    if key not in kept:
+        kept[key] = compute()
+    return kept[key]
+
+
 def lambda_minus(model: StateSpaceModel, B=None) -> float:
-    """Smallest eigenvalue of ``B Sigma_inf B^T`` (``B = I`` by default).
+    """Smallest eigenvalue of ``B Sigma_inf B^T`` (``B = I`` by default), solved once per
+    model and ``B`` (keyed on its bytes); raises ``SingularStationaryCovariance`` unless
+    it is safely positive."""
+    def solve():
+        cov = model.stationary_cov if B is None else B @ model.stationary_cov @ B.T
+        lam = model.lambda_min if B is None else smallest_eigenvalue_sym(cov)
+        if not stationary_cov_positive(lam, cov):
+            raise SingularStationaryCovariance(
+                f"smallest stationary eigenvalue {lam:.3e} is not safely positive")
+        return lam
 
-    Raises ``SingularStationaryCovariance`` unless it is safely positive.
+    return _once(model, ("lambda_minus", None if B is None else (B.tobytes(), B.shape)), solve)
+
+
+def sweep(model: StateSpaceModel, flavor: str, x, r: float, ts, *, star: StarNorm | None = None,
+          v=None, mode: str = "jensen_consistent", mc_seed: int = 0, n_copies: int = 1,
+          per_copy_flavor: str = "generic", B=None) -> list[BoundReport]:
+    """The ``flavor`` reports at start ``x`` and order ``r``, one per step of ``ts``.
+
+    The one flavor dispatch.  Constants free of ``t`` are solved once (and
+    kept on the model); ``Q^t z`` comes from stacked powers, each row
+    ``matrix_power(Q, t) @ z`` to the bit, so row ``t`` equals ``report(t)``.
+    ``r`` is the ``p`` of the coupling flavors; ``star`` defaults to the
+    model's own.  ``B`` maps ``gauss_affine`` (the identity when omitted), ``v``
+    is the unit direction of ``projected`` and ``mode`` the mean constant of
+    ``sliced_gauss``.  ``parallel`` scales the ``per_copy_flavor`` reports to
+    ``n_copies`` copies; ``empirical_mean`` averages ``n_copies`` paths.
     """
-    cov = model.stationary_cov
-    if B is None:
-        lam = model.lambda_min
-    else:
-        cov = B @ cov @ B.T
-        lam = smallest_eigenvalue_sym(cov)
-    if not stationary_cov_positive(lam, cov):
-        raise SingularStationaryCovariance(
-            f"smallest stationary eigenvalue {lam:.3e} is not safely positive"
-        )
-    return lam
-
-
-def report(
-    model: StateSpaceModel, flavor: str, x, r: float, t: int, *, star: StarNorm | None = None,
-    v=None, mode: str = "jensen_consistent", mc_seed: int = 0, n_copies: int = 1,
-    per_copy_flavor: str = "generic",
-) -> BoundReport:
-    """The ``flavor`` report at start ``x``, step ``t`` and order ``r``: the one flavor dispatch.
-
-    ``r`` is the ``p`` of the coupling flavors, and ``star`` defaults to the
-    model's own.  ``gauss_affine`` takes ``B = I``; ``v`` is the unit direction of
-    ``projected`` and ``mode`` the mean constant of ``sliced_gauss``.
-    ``parallel`` scales the ``per_copy_flavor`` report to ``n_copies``
-    copies; ``empirical_mean`` averages ``n_copies`` paths.
-    """
-    _check_t(t)
+    ts = list(ts)
+    for t in ts:
+        _check_t(t)
     if flavor == "exact_ar1":
-        q, sigma = ar1_params(model)
-        return exact_ar1_report(q, sigma, float(_vec(x)[0]), t)
-    if flavor == "gauss_affine":
-        return gaussian_affine_bounds(model, None, x, r, t, star)
-    if flavor == "projected":
-        return projected_bounds(model, v, x, r, t, star)
-    if flavor == "sliced_gauss":
-        return sliced_gauss_bounds(model, x, r, t, star, mode)
-    if flavor == "generic":
-        return generic_bounds(model, x, r, t, star, mc_seed)
-    if flavor == "generic_diag":
-        return diagonalizable_bounds(model, x, r, t, star, mc_seed)
-    if flavor == "sliced_generic":
-        return sliced_generic_bounds(model, x, r, t, star, mc_seed)
+        q, sigma = _once(model, ("ar1_params",), lambda: ar1_params(model))
+        return _exact_ar1(q, sigma, float(_vec(x)[0]), ts)
     if flavor == "parallel":
         if per_copy_flavor == "parallel":
             raise ValueError("the per-copy flavor of parallel cannot be parallel")
-        per_copy = report(
-            model, per_copy_flavor, x, r, t, star=star, v=v, mode=mode, mc_seed=mc_seed,
-            n_copies=n_copies,
-        )
-        return parallel_bounds(per_copy, n_copies, r)
-    if flavor == "empirical_mean":
-        return empirical_mean_bounds(model, n_copies, x, r, t, star, mc_seed)
+        per_copy = sweep(model, per_copy_flavor, x, r, ts, star=star, v=v, mode=mode,
+                         mc_seed=mc_seed, n_copies=n_copies, B=B)
+        return [parallel_bounds(rep, n_copies, r) for rep in per_copy]
+    if flavor in ("gauss_affine", "projected", "sliced_gauss"):
+        return _gaussian(model, flavor, x, r, ts, star, B, v, mode)
+    if flavor in ("generic", "generic_diag", "sliced_generic", "empirical_mean"):
+        return _coupling(model, flavor, x, r, ts, star, mc_seed, n_copies)
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
-def _report(
-    model, star, flavor, order, t, lower, upper, mean_part, noise_part,
-    constants=None, details=None,
-) -> BoundReport:
+def report(model: StateSpaceModel, flavor: str, x, r: float, t: int, **options) -> BoundReport:
+    """The ``flavor`` report at step ``t``: ``sweep(model, flavor, x, r, (t,), **options)[0]``."""
+    return sweep(model, flavor, x, r, (t,), **options)[0]
+
+
+def _report(star, flavor, order, t, lower, upper, mean_part, noise_part, constants, details):
     """A report with the star constants and ``t_in_stated_range`` filled in."""
-    star = _star(model, star)
     constants = {"star_norm": star.value, "K_d": star.K_d, "C_star": star.C_star,
-                 "kappa": star.kappa, **(constants or {})}
-    details = {**(details or {}), "t_in_stated_range": t >= 1}
-    return BoundReport(t, flavor, order, lower, upper, mean_part, noise_part, constants, details)
+                 "kappa": star.kappa, **constants}
+    return BoundReport(t, flavor, order, lower, upper, mean_part, noise_part, constants,
+                       {**details, "t_in_stated_range": t >= 1})
 
 
 # ---------------------------------------------------------------------------
 # Gaussian flavors
 
 
-def _gauss_tail(model, star, r: float, k: int, t: int, denom: float) -> float:
-    """Gaussian noise tail ``C*^2 ||Sigma||_F^2 ||cov||_F s^(2t) / ((1 - s^2) denom)``.
+def _gaussian(model, flavor, x, r, ts, star, B, v, mode) -> list[BoundReport]:
+    """The Gaussian flavors: the mean gap ``|Q^t (x - mean_inf)|`` plus the noise tail.
 
-    ``cov`` is the noise covariance; the tail is scaled by ``(E|N_k|^r)^(1/r)``.
+    The tail is ``C*^2 ||Sigma||_F^2 ||cov||_F s^(2t) / ((1 - s^2) denom)``,
+    ``cov`` the noise covariance, scaled by ``(E|N_k|^r)^(1/r)``.
     """
+    _require_gaussian(model)
+    k, details = 1, {}
+    if flavor == "gauss_affine" and B is not None:
+        B = as_matrix(B, square=False, name="B")
+        if B.shape[1] != model.d:
+            raise DimensionMismatch("B must have d columns")
+    if flavor == "projected":
+        v = _vec(v)
+        if v.shape[0] != model.d:
+            raise DimensionMismatch("v must have length d")
+        if abs(np.linalg.norm(v) - 1.0) > 1e-8:
+            raise ValueError("v must be a unit vector")
+    if flavor == "sliced_gauss" and model.d < 2:
+        raise ValueError("sliced bounds need dimension at least 2")
+    lam = lambda_minus(model, B if flavor == "gauss_affine" else None)
+    if flavor == "gauss_affine":
+        B = np.eye(model.d) if B is None else B
+        k, scale = B.shape[0], fro(B) ** 2
+        details = {"hemmen_ando_constant": "1/sqrt(lambda_minus)"}
+    if flavor == "sliced_gauss":
+        c_tilde = sphere_moment_ratio(model.d, r)
+        if mode not in ("as_printed", "jensen_consistent"):
+            raise ValueError(f"unknown mode {mode!r}")
+        mean_const = c_tilde if mode == "as_printed" else c_tilde ** (1.0 / r)
+        details = {"mode": mode, "moment_ratio": c_tilde}
     star = _star(model, star)
     s = star.value
-    tail = star.C_star**2 * fro(model.Sigma) ** 2 * fro(model.noise.covariance())
-    return tail * s ** (2 * t) / ((1.0 - s * s) * denom) * gaussian_abs_moment(k, r)
+    tail, moment = _once(model, ("gauss_tail", star.C_star, k, r), lambda: (
+        star.C_star**2 * fro(model.Sigma) ** 2 * fro(model.noise.covariance()),
+        gaussian_abs_moment(k, r)))
+    gap, *w = _power_rows(model, ts, (_vec(x) - model.stationary_mean,),
+                          (v,) if flavor == "projected" else ())
+    if flavor == "gauss_affine":
+        gap = np.matmul(B, gap[:, :, None])[:, :, 0]
+    if flavor == "projected":
+        # Sigma_t = Sigma_inf - Q^t Sigma_inf Q^tT, so with w = Q^tT v:
+        # <v, (Sigma_t + Sigma_inf) v> = 2 <v, Sigma_inf v> - <w, Sigma_inf w>
+        cov = model.stationary_cov
+        gaps = np.abs(np.matmul(v, gap[:, :, None])[:, 0]).tolist()
+        wcw = np.matmul(np.matmul(w[0][:, None, :], cov), w[0][:, :, None])[:, 0, 0].tolist()
+        vcv = float(v @ cov @ v)
+    else:
+        gaps, wcw = row_norms(gap).tolist(), itertools.repeat(None)
+    reports = []
+    for t, lower, w_sq in zip(ts, gaps, wcw):
+        decay = tail * s ** (2 * t)
+        fin = decay / ((1.0 - s * s) * math.sqrt(lam)) * moment
+        if flavor == "gauss_affine":
+            noise = scale * fin
+        elif flavor == "sliced_gauss":
+            lower, noise = mean_const * lower, fin
+        else:
+            mid = decay / ((1.0 - s * s) * math.sqrt(2.0 * vcv - w_sq)) * moment
+            noise = min(mid, fin)
+            details = {"upper_middle": lower + mid, "upper_final": lower + fin}
+        reports.append(_report(star, flavor, r, t, lower, lower + noise, lower, noise,
+                               {"lambda_minus": lam}, details))
+    return reports
 
 
-def gaussian_affine_bounds(
-    model: StateSpaceModel, B, x, r: float, t: int, star: StarNorm | None = None
-) -> BoundReport:
+# ---------------------------------------------------------------------------
+# generic (coupling) flavors
+
+
+def _coupling_constants(model, p: float, mc_seed: int, majorant: bool) -> tuple:
+    """The t-invariant part of the coupling routes: the first and order-``p``
+    moment roots with their stderrs (with ``majorant``, the order-``p`` root is
+    the n-free majorant ``||Sigma||_F (E|xi|^p)^{1/p}``), and whether the routes
+    are reliable upper bounds as evaluated at ``t >= 1``.
+
+    Two mechanisms can make the stated routes undershoot the true distance:
+    the moment split of the noise tail is only valid up to ``p = 2`` for
+    centered noise (von Bahr-Esseen; coherent nonzero means break it), and
+    the tail starts one step past ``t``, so the missing leading term bites
+    at ``t = 0`` and, for noise dominated by its mean, at every ``t``.
+    Centered noise with ``1 <= p <= 2`` at ``t >= 1`` avoids both.
+    """
+    m1_root, se1 = model.noise.moment_root(model.Sigma, 1.0, mc_seed)
+    if majorant:
+        raw_root, sep = model.noise.moment_root(np.eye(model.d), p, mc_seed)
+        mp_root = fro(model.Sigma) * raw_root
+    else:
+        mp_root, sep = model.noise.moment_root(model.Sigma, p, mc_seed)
+    return m1_root, se1, mp_root, sep, p <= 2.0 and bool(np.all(model.noise.mean_vector() == 0.0))
+
+
+def _coupling(model, flavor, x, p, ts, star, mc_seed, n) -> list[BoundReport]:
+    """Routes (a)/(b) of the coupling flavors.  ``sliced_generic`` scales the mean terms
+    by the r = 1 sphere ratio; ``generic_diag`` takes ``|Q^t z|`` and route (a)'s
+    ``K_d s^t`` from the eigen sandwich, as ``||U||_F ||U^{-1}||_F rho^t``;
+    ``empirical_mean``'s route (b) takes the n-free majorant (``_coupling_constants``).
+    """
+    weight, constants, sw = 1.0, {}, None
+    if flavor == "sliced_generic":
+        if model.d < 2:
+            raise ValueError("sliced bounds need dimension at least 2")
+        weight = sphere_moment_ratio(model.d, 1.0)
+        constants = {"moment_ratio_r1": weight}
+    elif flavor == "generic_diag":
+        sw = model.sandwich
+        constants = {"U_fro": sw.u_fro, "U_inv_fro": sw.uinv_fro, "rho": sw.rho}
+    elif flavor == "empirical_mean" and n < 1:
+        raise ValueError("n must be at least 1")
+    x = _vec(x)
+    if not model.noise.has_moment(p):
+        raise MomentUnavailable(f"order {p} moment unavailable for this noise")
+    star = _star(model, star)
+    s = star.value
+    m1_root, se1, mp_root, sep, sound = _once(
+        model, ("coupling", p, mc_seed, flavor == "empirical_mean"),
+        lambda: _coupling_constants(model, p, mc_seed, flavor == "empirical_mean"))
+    start = float(np.linalg.norm(x)) + star.K_d * m1_root * s / (1.0 - s)
+    root_p = (1.0 - s**p) ** (1.0 / p)
+    if sw is None:
+        lows, highs = (row_norms(z).tolist() for z in _power_rows(
+            model, ts, (x - model.stationary_mean, x)))
+        const, rate = star.K_d, s
+    else:
+        core_gap, core_x = sw.cores(ts, x - model.stationary_mean, x)
+        lows, highs = (core_gap / sw.uinv_fro).tolist(), (sw.u_fro * core_x).tolist()
+        const, rate = sw.u_fro * sw.uinv_fro, sw.rho
+    if flavor == "empirical_mean" and model.noise.family == "gaussian":
+        avg_val, _ = _once(model, ("averaged", n, p, mc_seed), lambda: model.noise.averaged(
+            n).abs_moment_sigma(model.Sigma, p, seed=mc_seed))
+        exact_n = star.K_d * avg_val ** (1.0 / p)
+    reports = []
+    for t, low, high in zip(ts, lows, highs):
+        lower, mean_b = weight * low, weight * high
+        upper_a = weight * const * rate**t * start
+        noise_b = star.K_d * mp_root * s ** (t + 1) / root_p
+        details = {"upper_a": upper_a, "upper_b": mean_b + noise_b, "moment_stderr": sep,
+                   "first_moment_stderr": se1,
+                   "coupling_regime_sound": bool(sound and t >= 1)}
+        if sw is not None:
+            details["upper_b_eigenrate"] = mean_b + (const * mp_root * rate ** (t + 1) / (
+                1.0 - rate**p) ** (1.0 / p) if rate > 0.0 else 0.0)
+        if flavor == "empirical_mean":
+            details["n_copies"] = n
+            if model.noise.family == "gaussian":
+                details["upper_b_exact_n"] = mean_b + exact_n * s ** (t + 1) / root_p
+        reports.append(_report(star, flavor, p, t, lower, min(upper_a, mean_b + noise_b),
+                               mean_b, noise_b, constants, details))
+    return reports
+
+
+# ---------------------------------------------------------------------------
+# the per-flavor views: one step of the sweep each
+
+
+def gaussian_affine_bounds(model: StateSpaceModel, B, x, r: float, t: int,
+                           star: StarNorm | None = None) -> BoundReport:
     """Affine-interpolation sandwich for ``W_r(B X_t(x), B X_inf)``, Gaussian noise.
 
     ``B = None`` is the identity.  Lower bound is the mean gap ``|B Q^t (x -
@@ -315,27 +498,11 @@ def gaussian_affine_bounds(
     sandwich whenever ``lambda_minus`` exceeds one
     (``details["hemmen_ando_constant"]`` records the choice).
     """
-    _check_t(t)
-    _require_gaussian(model)
-    if B is not None:
-        B = as_matrix(B, square=False, name="B")
-        if B.shape[1] != model.d:
-            raise DimensionMismatch("B must have d columns")
-    lam = lambda_minus(model, B)
-    if B is None:
-        B = np.eye(model.d)
-    gap = np.linalg.matrix_power(model.Q, t) @ (_vec(x) - model.stationary_mean)
-    lower = float(np.linalg.norm(B @ gap))
-    noise = fro(B) ** 2 * _gauss_tail(model, star, r, B.shape[0], t, math.sqrt(lam))
-    return _report(
-        model, star, "gauss_affine", r, t, lower, lower + noise, lower, noise,
-        {"lambda_minus": lam}, {"hemmen_ando_constant": "1/sqrt(lambda_minus)"},
-    )
+    return sweep(model, "gauss_affine", x, r, (t,), star=star, B=B)[0]
 
 
-def projected_bounds(
-    model: StateSpaceModel, v, x, r: float, t: int, star: StarNorm | None = None
-) -> BoundReport:
+def projected_bounds(model: StateSpaceModel, v, x, r: float, t: int,
+                     star: StarNorm | None = None) -> BoundReport:
     """Sandwich for the projection ``<v, X_t(x)>`` vs ``<v, X_inf>``.
 
     Two upper forms are computed: the sharper one with
@@ -343,37 +510,11 @@ def projected_bounds(
     cheaper one with ``sqrt(lambda_minus)``; the report's upper is their
     minimum and ``details`` carries both chain members.
     """
-    _check_t(t)
-    _require_gaussian(model)
-    v = _vec(v)
-    if v.shape[0] != model.d:
-        raise DimensionMismatch("v must have length d")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-        raise ValueError("v must be a unit vector")
-    lam = lambda_minus(model)
-    P = np.linalg.matrix_power(model.Q, t)
-    lower = float(abs(v @ (P @ (_vec(x) - model.stationary_mean))))
-    # Sigma_t = Sigma_inf - Q^t Sigma_inf Q^tT, so with w = Q^tT v:
-    # <v, (Sigma_t + Sigma_inf) v> = 2 <v, Sigma_inf v> - <w, Sigma_inf w>
-    w, cov = P.T @ v, model.stationary_cov
-    denom_sq = 2.0 * float(v @ cov @ v) - float(w @ cov @ w)
-    mid = _gauss_tail(model, star, r, 1, t, math.sqrt(denom_sq))
-    fin = _gauss_tail(model, star, r, 1, t, math.sqrt(lam))
-    noise = min(mid, fin)
-    return _report(
-        model, star, "projected", r, t, lower, lower + noise, lower, noise,
-        {"lambda_minus": lam}, {"upper_middle": lower + mid, "upper_final": lower + fin},
-    )
+    return sweep(model, "projected", x, r, (t,), star=star, v=v)[0]
 
 
-def sliced_gauss_bounds(
-    model: StateSpaceModel,
-    x,
-    r: float,
-    t: int,
-    star: StarNorm | None = None,
-    mode: str = "jensen_consistent",
-) -> BoundReport:
+def sliced_gauss_bounds(model: StateSpaceModel, x, r: float, t: int, star: StarNorm | None = None,
+                        mode: str = "jensen_consistent") -> BoundReport:
     """Sliced order-r sandwich for Gaussian noise.
 
     The mean gap enters scaled by a sphere constant: ``mode="as_printed"``
@@ -383,106 +524,11 @@ def sliced_gauss_bounds(
     the final root (the convention of the empirical sliced estimator).
     Both modes coincide at ``r = 1``.
     """
-    _check_t(t)
-    _require_gaussian(model)
-    if model.d < 2:
-        raise ValueError("sliced bounds need dimension at least 2")
-    lam = lambda_minus(model)
-    c_tilde = sphere_moment_ratio(model.d, r)
-    if mode == "as_printed":
-        mean_const = c_tilde
-    elif mode == "jensen_consistent":
-        mean_const = c_tilde ** (1.0 / r)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    gap = np.linalg.matrix_power(model.Q, t) @ (_vec(x) - model.stationary_mean)
-    lower = mean_const * float(np.linalg.norm(gap))
-    noise = _gauss_tail(model, star, r, 1, t, math.sqrt(lam))
-    return _report(
-        model, star, "sliced_gauss", r, t, lower, lower + noise, lower, noise,
-        {"lambda_minus": lam}, {"mode": mode, "moment_ratio": c_tilde},
-    )
+    return sweep(model, "sliced_gauss", x, r, (t,), star=star, mode=mode)[0]
 
 
-# ---------------------------------------------------------------------------
-# generic (coupling) flavors
-
-
-def _coupling_regime_sound(model: StateSpaceModel, p: float, t: int) -> bool:
-    """Whether the coupling routes are reliable upper bounds as evaluated.
-
-    Two mechanisms can make the stated routes undershoot the true distance:
-    the moment split of the noise tail is only valid up to ``p = 2`` for
-    centered noise (von Bahr-Esseen; coherent nonzero means break it), and
-    the tail starts one step past ``t``, so the missing leading term bites
-    at ``t = 0`` and, for noise dominated by its mean, at every ``t``.
-    Centered noise with ``1 <= p <= 2`` at ``t >= 1`` avoids both.
-    """
-    if t < 1 or p > 2.0:
-        return False
-    return bool(np.all(model.noise.mean_vector() == 0.0))
-
-
-def _coupling(
-    model: StateSpaceModel, x, star: StarNorm | None, flavor: str, p: float, t: int,
-    mc_seed: int, *, weight: float = 1.0, sandwich: EigenSandwich | None = None,
-    majorant: bool = False, constants=None,
-) -> tuple[BoundReport, float]:
-    """Routes (a)/(b) of the coupling flavors; returns the report and the route (b) moment root.
-
-    ``weight`` scales the mean terms (the sliced flavor's sphere ratio).
-    With ``sandwich``, ``|Q^t z|`` and the route (a) factor ``K_d s^t``
-    become the eigen sandwich and ``||U||_F ||U^{-1}||_F rho^t``.  With
-    ``majorant``, route (b) takes the n-free majorant
-    ``||Sigma||_F (E|xi|^p)^{1/p}`` in place of the model's moment.
-    """
-    _check_t(t)
-    x = _vec(x)
-    if not model.noise.has_moment(p):
-        raise MomentUnavailable(f"order {p} moment unavailable for this noise")
-    star = _star(model, star)
-    s = star.value
-    if sandwich is None:
-        P = np.linalg.matrix_power(model.Q, t)
-        lower = weight * float(np.linalg.norm(P @ (x - model.stationary_mean)))
-        mean_b = weight * float(np.linalg.norm(P @ x))
-        const, rate = star.K_d, s
-    else:
-        lower = weight * sandwich(x - model.stationary_mean, t)[0]
-        mean_b = weight * sandwich(x, t)[1]
-        const, rate = sandwich.u_fro * sandwich.uinv_fro, sandwich.rho
-    m1_root, se1 = model.noise.moment_root(model.Sigma, 1.0, mc_seed)
-    if majorant:
-        raw_root, sep = model.noise.moment_root(np.eye(model.d), p, mc_seed)
-        mp_root = fro(model.Sigma) * raw_root
-    else:
-        mp_root, sep = model.noise.moment_root(model.Sigma, p, mc_seed)
-    upper_a = weight * const * rate**t * (
-        float(np.linalg.norm(x)) + star.K_d * m1_root * s / (1.0 - s)
-    )
-    noise_b = star.K_d * mp_root * s ** (t + 1) / (1.0 - s**p) ** (1.0 / p)
-    rep = _report(
-        model, star, flavor, p, t, lower, min(upper_a, mean_b + noise_b), mean_b, noise_b,
-        constants,
-        {
-            "upper_a": upper_a,
-            "upper_b": mean_b + noise_b,
-            "moment_stderr": sep,
-            "first_moment_stderr": se1,
-            "coupling_regime_sound": _coupling_regime_sound(model, p, t),
-        },
-    )
-    return rep, mp_root
-
-
-def generic_bounds(
-    model: StateSpaceModel,
-    x,
-    p: float,
-    t: int,
-    star: StarNorm | None = None,
-    mc_seed: int = 0,
-) -> BoundReport:
+def generic_bounds(model: StateSpaceModel, x, p: float, t: int, star: StarNorm | None = None,
+                   mc_seed: int = 0) -> BoundReport:
     """Coupling sandwich for ``W_p(X_t(x), X_inf)``, any noise with p moments.
 
     The upper bound is the minimum of two routes: (a) the
@@ -495,21 +541,15 @@ def generic_bounds(
     they are reliable upper bounds only for centered noise with
     ``1 <= p <= 2`` at ``t >= 1``: noise dominated by a nonzero mean, or
     orders past 2, can push the true distance above the evaluated tail
-    (see ``_coupling_regime_sound``).
+    (see ``_coupling_constants``).
     ``details["coupling_regime_sound"]`` records whether the inputs are in
     the reliable regime.
     """
-    return _coupling(model, x, star, "generic", p, t, mc_seed)[0]
+    return sweep(model, "generic", x, p, (t,), star=star, mc_seed=mc_seed)[0]
 
 
-def diagonalizable_bounds(
-    model: StateSpaceModel,
-    x,
-    p: float,
-    t: int,
-    star: StarNorm | None = None,
-    mc_seed: int = 0,
-) -> BoundReport:
+def diagonalizable_bounds(model: StateSpaceModel, x, p: float, t: int, star: StarNorm | None = None,
+                          mc_seed: int = 0) -> BoundReport:
     """Generic sandwich refined through the eigen-coordinate split.
 
     Matrix-power terms ``|Q^t z|`` are replaced by the two-sided estimate
@@ -521,42 +561,18 @@ def diagonalizable_bounds(
     ``||U||_F ||U^{-1}||_F``.  ``U`` is the model's eigenvector matrix,
     inverted once per model (``StateSpaceModel.sandwich``).
     """
-    _check_t(t)
-    sw = model.sandwich
-    rep, mp_root = _coupling(
-        model, x, star, "generic_diag", p, t, mc_seed, sandwich=sw,
-        constants={"U_fro": sw.u_fro, "U_inv_fro": sw.uinv_fro, "rho": sw.rho},
-    )
-    rho = sw.rho
-    rep.details["upper_b_eigenrate"] = rep.mean_part + (
-        sw.u_fro * sw.uinv_fro * mp_root * rho ** (t + 1) / (1.0 - rho**p) ** (1.0 / p)
-        if rho > 0.0
-        else 0.0
-    )
-    return rep
+    return sweep(model, "generic_diag", x, p, (t,), star=star, mc_seed=mc_seed)[0]
 
 
-def sliced_generic_bounds(
-    model: StateSpaceModel,
-    x,
-    p: float,
-    t: int,
-    star: StarNorm | None = None,
-    mc_seed: int = 0,
-) -> BoundReport:
+def sliced_generic_bounds(model: StateSpaceModel, x, p: float, t: int, star: StarNorm | None = None,
+                          mc_seed: int = 0) -> BoundReport:
     """Sliced order-p coupling sandwich; mean terms carry the r = 1 sphere ratio.
 
     The order-1 sphere ratio multiplies the mean terms of both the lower
     bound and the upper routes, while the noise tail keeps its full
     (unprojected) constant.
     """
-    if model.d < 2:
-        raise ValueError("sliced bounds need dimension at least 2")
-    c1 = sphere_moment_ratio(model.d, 1.0)
-    return _coupling(
-        model, x, star, "sliced_generic", p, t, mc_seed, weight=c1,
-        constants={"moment_ratio_r1": c1},
-    )[0]
+    return sweep(model, "sliced_generic", x, p, (t,), star=star, mc_seed=mc_seed)[0]
 
 
 def parallel_bounds(per_copy: BoundReport, n: int, p: float) -> BoundReport:
@@ -573,28 +589,13 @@ def parallel_bounds(per_copy: BoundReport, n: int, p: float) -> BoundReport:
     details = {"n_copies": n, "per_copy_flavor": per_copy.flavor}
     if p == 2 and per_copy.details.get("exact"):
         details["tensorized_w2"] = root * per_copy.upper
-    return BoundReport(
-        t=per_copy.t,
-        flavor="parallel",
-        order=p,
-        lower=root * per_copy.lower,
-        upper=root * per_copy.upper,
-        mean_part=root * per_copy.mean_part,
-        noise_part=root * per_copy.noise_part,
-        constants_used=dict(per_copy.constants_used),
-        details=details,
-    )
+    return BoundReport(per_copy.t, "parallel", p, root * per_copy.lower, root * per_copy.upper,
+                       root * per_copy.mean_part, root * per_copy.noise_part,
+                       dict(per_copy.constants_used), details)
 
 
-def empirical_mean_bounds(
-    model: StateSpaceModel,
-    n: int,
-    x,
-    p: float,
-    t: int,
-    star: StarNorm | None = None,
-    mc_seed: int = 0,
-) -> BoundReport:
+def empirical_mean_bounds(model: StateSpaceModel, n: int, x, p: float, t: int,
+                          star: StarNorm | None = None, mc_seed: int = 0) -> BoundReport:
     """Coupling sandwich for the empirical mean of n i.i.d. paths.
 
     The averaged process satisfies the same recursion with averaged noise,
@@ -604,18 +605,7 @@ def empirical_mean_bounds(
     Gaussian with covariance ``Xi / n`` and the exact per-n route (b) is
     reported in ``details["upper_b_exact_n"]``.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    rep, _ = _coupling(model, x, star, "empirical_mean", p, t, mc_seed, majorant=True)
-    rep.details["n_copies"] = n
-    if model.noise.family == "gaussian":
-        avg_val, _ = model.noise.averaged(n).abs_moment_sigma(model.Sigma, p, seed=mc_seed)
-        star = _star(model, star)
-        s = star.value
-        rep.details["upper_b_exact_n"] = rep.mean_part + star.K_d * avg_val ** (
-            1.0 / p
-        ) * s ** (t + 1) / (1.0 - s**p) ** (1.0 / p)
-    return rep
+    return sweep(model, "empirical_mean", x, p, (t,), star=star, mc_seed=mc_seed, n_copies=n)[0]
 
 
 def chafai_w2_affine(X_law: GaussianLaw, R, v) -> float:
@@ -626,7 +616,7 @@ def chafai_w2_affine(X_law: GaussianLaw, R, v) -> float:
     makes the usual lower bound an identity.
     """
     R = as_matrix(R, name="R").astype(float)
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+    v = _vec(v)
     if R.shape[0] != X_law.dim or v.shape[0] != X_law.dim:
         raise DimensionMismatch("R and v must match the law's dimension")
     if fro(R - R.T) > 1e-10 * max(1.0, fro(R)):

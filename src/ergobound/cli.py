@@ -189,15 +189,14 @@ def _cmd_bounds(args) -> int:
     v = _parse_floats(args.v) if args.v else None
     star = build_star_norm(model.Q, _kappa_policy(args.kappa_policy))
     x = _start_state(args, model)
-    rows = [_BOUNDS_COLUMNS]
-    for t in range(args.t_max + 1):
-        rep = bnd.report(
-            model, args.flavor, x, args.r, t, star=star, v=v, mode=args.mode,
-            mc_seed=args.seed, n_copies=args.n_copies, per_copy_flavor=args.per_copy_flavor,
-        )
-        lam = rep.constants_used.get("lambda_minus", model.lambda_min)
-        rows.append(_row(str(t), rep.lower, rep.upper, rep.mean_part, rep.noise_part,
-                         rep.flavor, rep.order, star.value, star.K_d, star.C_star, lam))
+    reps = bnd.sweep(
+        model, args.flavor, x, args.r, range(args.t_max + 1), star=star, v=v, mode=args.mode,
+        mc_seed=args.seed, n_copies=args.n_copies, per_copy_flavor=args.per_copy_flavor,
+    )
+    rows = [_BOUNDS_COLUMNS] + [
+        _row(str(rep.t), rep.lower, rep.upper, rep.mean_part, rep.noise_part, rep.flavor,
+             rep.order, star.value, star.K_d, star.C_star,
+             rep.constants_used.get("lambda_minus", model.lambda_min)) for rep in reps]
     manifest = _manifest(
         "bounds", model, args,
         ("flavor", "r", "t_max", "x", "kappa_policy", "mode", "seed", "n_copies"),
@@ -243,12 +242,10 @@ def _cmd_validate(args) -> int:
     else:
         stationary = bnd.stationary_law(model)
         sums = bnd._neumann_sums(model)  # one O(t_max) sweep for the exact column
-    rows = [_VALIDATE_COLUMNS]
-    violations = 0
-    first_violation = None
-    for t in range(args.t_max + 1):
-        rep = bnd.report(model, args.flavor, x, args.r, t, star=star, mode=args.mode,
-                         mc_seed=args.seed)
+    reps = bnd.sweep(model, args.flavor, x, args.r, range(args.t_max + 1), star=star,
+                     mode=args.mode, mc_seed=args.seed)
+    rows, bad = [_VALIDATE_COLUMNS], []
+    for t, rep in enumerate(reps):
         if exact_gaussian:
             dist = gaussian_w2(bnd._law(model, x, t, next(sums)), stationary)
             se = 0.0
@@ -256,9 +253,7 @@ def _cmd_validate(args) -> int:
             dist, se = estimates[t].value, estimates[t].stderr
         ok = (rep.lower - 3.0 * se) <= dist <= (rep.upper + 3.0 * se)
         if not ok:
-            violations += 1
-            if first_violation is None:
-                first_violation = t
+            bad.append(t)
         rows.append(_row(str(t), rep.lower, dist, se, rep.upper, "1" if ok else "0"))
     manifest = _manifest(
         "validate", model, args,
@@ -268,13 +263,13 @@ def _cmd_validate(args) -> int:
     summary_stream = sys.stdout if args.out else sys.stderr
     summary = {
         "rows": args.t_max + 1,
-        "violations": violations,
-        "first_violation_t": first_violation,
+        "violations": len(bad),
+        "first_violation_t": bad[0] if bad else None,
         "manifest": manifest,
     }
     json.dump(summary, summary_stream, sort_keys=True)
     summary_stream.write("\n")
-    return EXIT_VALIDATION if violations else EXIT_OK
+    return EXIT_VALIDATION if bad else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +283,13 @@ def _cmd_simulate(args) -> int:
     ens = simulate_paths(model, x, config)
     header = "path,t," + ",".join(f"x{i + 1}" for i in range(model.d))
     rows = [header]
-    template = "%d,%d" + ",%.17g" * model.d  # one call per row, digits as _row
+    # one call per path: every row of the path in one template, digits as _row
+    block = "\n".join(["%d,%d" + ",%.17g" * model.d] * len(ens.times))
+    flat = np.empty((len(ens.times), 2 + model.d))
+    flat[:, 1] = ens.times
     for i in range(ens.n_paths):
-        rows.extend(template % (i, t, *v) for t, v in zip(ens.times, ens.samples[i].tolist()))
+        flat[:, 0], flat[:, 2:] = i, ens.samples[i]
+        rows.append(block % tuple(flat.ravel().tolist()))
     manifest = _manifest("simulate", model, args, ("paths", "horizon", "seed", "x"))
     _write_lines(args.out, rows, manifest)
     return EXIT_OK

@@ -49,9 +49,6 @@ _GAUSS_LEGENDRE = tuple(np.polynomial.legendre.leggauss(n) for n in (16, 8))
 # The Gaussian moment's panels in ``x = ln u``: 19 on ``[ln u0, 0]``, unit ones on ``[0, 90]``.
 _HEAD_U0 = 1e-8
 _GAUSS_PANELS = np.concatenate((np.linspace(math.log(_HEAD_U0), 0.0, 20), np.arange(1.0, 91.0)))
-# The Laplace moment's panels in ``x = ln z``: width 2 below 0, width 1/2 up to 4.5.
-_LAPLACE_PANELS = np.concatenate((np.arange(-40.0, 0.0, 2.0), np.arange(0.0, 4.6, 0.5)))
-_LAPLACE_REACH = math.exp(_LAPLACE_PANELS[-1])
 
 
 def _gauss_abs_moment_1d(p: float) -> float:
@@ -94,8 +91,8 @@ def _laplace_abs_moment(loc: float, scale: float, p: float) -> float:
     """E|loc + L|**p for centered Laplace L with the given scale.
 
     With ``A = |loc| / scale`` it is ``scale**p / 2`` times ``int_0^inf (A + z)**p
-    e^-z dz`` (the far side of the density, by quadrature in ``x = ln z`` over
-    ``[-40, 4.5]``), plus ``int_0^A w**p e^(w - A) dw = A**(p+1) M(1, p+2, -A) /
+    e^-z dz`` (the far side of the density, by quadrature in ``x = ln z`` up to
+    past its mass), plus ``int_0^A w**p e^(w - A) dw = A**(p+1) M(1, p+2, -A) /
     (p+1)`` (Kummer's function) and ``e^-A Gamma(p+1)`` (past zero).  Once
     ``A`` passes the panels' reach the near side ``(1 - z/A)**p e^-z`` joins
     the far one in units of ``|loc|**p``, so nothing overflows before the moment.
@@ -106,13 +103,18 @@ def _laplace_abs_moment(loc: float, scale: float, p: float) -> float:
     if scale <= 1e-9 * abs(loc):
         return abs(loc) ** p
     A = abs(loc) / scale
-    if A > _LAPLACE_REACH:
+    # panels in x = ln z: width 2 on [-40, 0], then no wider than 1/2 and 1/sqrt(p) up to
+    # past the mass of (A + z)**p e^-z: its peak max(p - A, 0) plus 45 and 12 widths sqrt(p)
+    top = max(4.5, math.log(max(p - A, 0.0) + 45.0 + 12.0 * math.sqrt(p)))
+    panels = np.concatenate((np.arange(-40.0, 0.0, 2.0),
+                             np.linspace(0.0, top, math.ceil(top * max(2.0, math.sqrt(p))) + 1)))
+    if A > math.exp(top):
         def both(x):
             z = np.exp(x)
             return ((1.0 + z / A) ** p + (1.0 - z / A) ** p) * np.exp(x - z)
 
         past = math.exp(math.lgamma(p + 1.0) - A - p * math.log(A))
-        return abs(loc) ** p * (0.5 * _panel_quad(both, _LAPLACE_PANELS, past))
+        return abs(loc) ** p * (0.5 * _panel_quad(both, panels, past))
 
     def far(x):
         z = np.exp(x)
@@ -122,7 +124,7 @@ def _laplace_abs_moment(loc: float, scale: float, p: float) -> float:
     kummer = float(hyp1f1(1.0, p + 2.0, -A)) if A > 1e-8 else 1.0 - A / (p + 2.0)
     near = A ** (p + 1.0) / (p + 1.0) * kummer
     past = math.exp(-A) * math.gamma(p + 1.0)
-    return 0.5 * scale**p * _panel_quad(far, _LAPLACE_PANELS, near + past)
+    return 0.5 * scale**p * _panel_quad(far, panels, near + past)
 
 
 def _gauss_norm_moment(mu: np.ndarray, S: np.ndarray, p: float) -> float:
@@ -520,6 +522,7 @@ class StateSpaceModel:
             raise ValueError("Q and Sigma must be d x d")
         if self.noise.dim != self.d:
             raise ValueError("noise dimension must match the state dimension")
+        object.__setattr__(self, "_bound_constants", {})  # kept by ``bounds._once``
 
     @cached_property
     def noise_cov(self) -> np.ndarray:

@@ -10,6 +10,7 @@ from ergobound.errors import (
     NotDiagonalizable,
     NotPSD,
     NotSchurStable,
+    SingularStationaryCovariance,
 )
 from ergobound.linalg import build_star_norm, eigen, psd_sqrt
 from ergobound.model import (
@@ -717,3 +718,109 @@ class TestNegativeT:
             with pytest.raises(ValueError, match="t must be nonnegative"):
                 call()
         assert [k for k in self.CACHED if k in vars(m)] == []
+
+
+# Noise specs shared by every build of the battery: a spec keeps its moments,
+# so the Monte Carlo ones of the Student-t model are drawn once per session.
+SWEEP_NOISE = {"gauss": NoiseSpec.gaussian(0.0, 1.0), "laplace": NoiseSpec.laplace(0.0, 1.0),
+               "student": NoiseSpec.student_t_d(4.5, [1.0, 0.5, 2.0])}
+
+
+def sweep_models():
+    """The sweep-equivalence battery: ``(model, x, v)`` by name, each model built afresh."""
+    nonnormal = np.array([[0.9, 5.0, 0.0], [0.0, 0.8, 5.0], [0.0, 0.0, -0.7]])
+    return {
+        "ar1_gauss": (ar1(0.7, 1.3), [2.0], [1.0]),
+        "ar2_gauss": (ar_state_space([1.2, -0.5], None, SWEEP_NOISE["gauss"]), [2.0, 0.0],
+                      [0.6, 0.8]),
+        "arma21_laplace": (arma_state_space([0.5, 0.2], [0.4], SWEEP_NOISE["laplace"]),
+                           [1.0, 0.5, -0.3], [0.0, 0.6, 0.8]),
+        "raw3_student": (raw_model(nonnormal, np.eye(3), SWEEP_NOISE["student"]),
+                         [1.0, -1.0, 0.5], [0.0, 0.6, 0.8]),
+    }
+
+
+def outcome(call):
+    """A call's reports, or the type and message of the error it raised."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+
+
+class TestSweep:
+    """``sweep`` row ``t`` is ``report`` at ``t``, field by field."""
+
+    T = 41
+    OPTIONS = {"v": None, "n_copies": 3, "mc_seed": 2}
+
+    @pytest.mark.parametrize("r", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("flavor", bnd.FLAVORS)
+    @pytest.mark.parametrize("name", sorted(sweep_models()))
+    def test_rows_equal_per_step_reports(self, name, flavor, r):
+        # separate models, so no constant kept on one serves the other
+        m, x, v = sweep_models()[name]
+        m_each = sweep_models()[name][0]
+        options = {**self.OPTIONS, "v": v}
+        swept = outcome(lambda: bnd.sweep(m, flavor, x, r, range(self.T), **options))
+        each = outcome(lambda: [bnd.report(m_each, flavor, x, r, t, **options)
+                                for t in range(self.T)])
+        assert swept == each
+        if isinstance(swept, list):
+            assert [repr(rep) for rep in swept] == [repr(rep) for rep in each]
+            assert [rep.t for rep in swept] == list(range(self.T))
+
+    @pytest.mark.parametrize("flavor", ["gauss_affine", "projected", "generic", "generic_diag"])
+    def test_blocks_of_stacked_powers_join_seamlessly(self, monkeypatch, flavor):
+        m, x, v = sweep_models()["ar2_gauss"]
+        want = [bnd.report(m, flavor, x, 1.5, t, v=v) for t in range(70)]
+        monkeypatch.setattr(bnd, "_BLOCK_FLOATS", 12)  # three 2 x 2 powers per block
+        assert bnd.sweep(sweep_models()["ar2_gauss"][0], flavor, x, 1.5, range(70), v=v) == want
+
+    def test_any_order_of_steps(self):
+        m, x, _ = sweep_models()["raw3_student"]
+        ts = np.array([17, 0, 5, 300, 5, 1, 64])  # numpy integers, as matrix_power takes them
+        assert bnd.sweep(m, "generic", x, 1.5, ts) == [
+            bnd.generic_bounds(m, x, 1.5, t) for t in ts]
+
+    def test_empty_sweep(self):
+        m, x, v = sweep_models()["ar2_gauss"]
+        for flavor in bnd.FLAVORS[1:]:  # the inputs are still checked: exact_ar1 needs d = 1
+            assert bnd.sweep(m, flavor, x, 1.5, [], v=v) == []
+
+    @pytest.mark.parametrize("error, model, flavor, r", [
+        (SingularStationaryCovariance,
+         raw_model(np.diag([0.5, 0.3]), np.diag([1.0, 0.0]), NoiseSpec.gaussian_d([0.0, 0.0],
+                                                                                   np.eye(2))),
+         "gauss_affine", 2.0),
+        (MomentUnavailable, sweep_models()["raw3_student"][0], "generic", 5.0),
+        (MomentUnavailable, sweep_models()["raw3_student"][0], "sliced_generic", 4.5),
+        (NotDiagonalizable, raw_model(np.array([[0.5, 1.0], [0.0, 0.5]]), np.eye(2),
+                                      NoiseSpec.gaussian_d([0.0, 0.0], np.eye(2))),
+         "generic_diag", 1.5),
+    ])
+    def test_typed_errors_raised_alike(self, error, model, flavor, r):
+        x = [1.0] * model.d
+        with pytest.raises(error) as swept:
+            bnd.sweep(model, flavor, x, r, range(5), v=[1.0] + [0.0] * (model.d - 1))
+        with pytest.raises(error) as each:
+            bnd.report(model, flavor, x, r, 3, v=[1.0] + [0.0] * (model.d - 1))
+        assert str(swept.value) == str(each.value)
+
+    def test_negative_step_anywhere_rejected(self):
+        m, x, _ = sweep_models()["ar2_gauss"]
+        with pytest.raises(ValueError, match="t must be nonnegative, got -2"):
+            bnd.sweep(m, "generic", x, 1.5, [3, 0, -2, 4])
+
+    def test_explicit_b_eigensolve_once(self, count_calls):
+        # B Sigma_inf B^T is solved once per model and B, per-t calls included
+        solves = count_calls("smallest_eigenvalue_sym")
+        m, x = ar_state_space([0.3, 0.5], None, NoiseSpec.gaussian(0.0, 1.0)), [1.0, -0.5]
+        for t in range(11):
+            bnd.gaussian_affine_bounds(m, np.eye(2), x, 1.5, t)
+        assert len(solves) == 1
+        m = ar_state_space([0.3, 0.5], None, NoiseSpec.gaussian(0.0, 1.0))
+        rows = bnd.sweep(m, "gauss_affine", x, 1.5, range(11), B=np.eye(2))
+        assert len(solves) == 2
+        assert rows == [bnd.gaussian_affine_bounds(m, np.eye(2), x, 1.5, t) for t in range(11)]
+        assert len(solves) == 2

@@ -359,6 +359,70 @@ class TestBounds:
         assert "--x must have length d" in err
 
 
+def sweep_battery():
+    """``(model, x, v)`` by name: AR(1) and AR(2) Gaussian, ARMA(2,1) Laplace, and a
+    non-normal d = 3 raw model with Student-t(4.5) noise."""
+    from ergobound.model import arma_state_space, raw_model
+
+    nonnormal = np.array([[0.9, 5.0, 0.0], [0.0, 0.8, 5.0], [0.0, 0.0, -0.7]])
+    return {
+        "ar1_gauss": (ar_state_space([0.7], None, NoiseSpec.gaussian(0.0, 1.3)), [2.0], [1.0]),
+        "ar2_gauss": (ar_state_space([1.2, -0.5]), [2.0, 0.0], [0.6, 0.8]),
+        "arma21_laplace": (arma_state_space([0.5, 0.2], [0.4], NoiseSpec.laplace(0.0, 1.0)),
+                           [1.0, 0.5, -0.3], [0.0, 0.6, 0.8]),
+        "raw3_student": (raw_model(nonnormal, np.eye(3), STUDENT_3D), [1.0, -1.0, 0.5],
+                         [0.0, 0.6, 0.8]),
+    }
+
+
+# Kept across builds, so the reference side draws its Monte Carlo moments once.
+STUDENT_3D = NoiseSpec.student_t_d(4.5, [1.0, 0.5, 2.0])
+
+
+class TestSweepRows:
+    """``bounds`` makes one sweep per command; its rows are the per-step reports."""
+
+    @pytest.mark.parametrize("flavor", ["exact_ar1", "gauss_affine", "projected", "sliced_gauss",
+                                        "generic", "generic_diag", "sliced_generic", "parallel",
+                                        "empirical_mean"])
+    @pytest.mark.parametrize("name", sorted(sweep_battery()))
+    def test_rows_are_per_step_reports(self, capsys, tmp_path, name, flavor):
+        from ergobound import bounds as bnd
+        from ergobound.linalg import build_star_norm
+
+        m, x, v = sweep_battery()[name]
+        code, out, err = run(capsys, "bounds", "--model", write_model(tmp_path, m),
+                             "--flavor", flavor, "--r", "1.5", "--t-max", "30", "--seed", "2",
+                             "--n-copies", "3", "--x=" + ",".join(map(repr, x)),
+                             "--v=" + ",".join(map(repr, v)))
+        star = build_star_norm(m.Q, {"auto_margin": 2.0})
+        try:
+            reps = [bnd.report(m, flavor, x, 1.5, t, star=star, v=v, n_copies=3, mc_seed=2)
+                    for t in range(31)]
+        except Exception as exc:  # noqa: BLE001 - the CLI names the same error
+            assert code == 4 and out == ""
+            assert err.startswith(f"{type(exc).__name__}: {exc}")
+            return
+        assert code == 0, err
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        for t, (row, rep) in enumerate(zip(rows, reps, strict=True)):
+            lam = rep.constants_used.get("lambda_minus", m.lambda_min)
+            fields = (rep.lower, rep.upper, rep.mean_part, rep.noise_part, rep.order,
+                      star.value, star.K_d, star.C_star, math.nan if lam is None else lam)
+            assert row == [str(t), *(format(f, ".17g") for f in fields[:4]), rep.flavor,
+                           *(format(f, ".17g") for f in fields[4:])]
+
+    def test_overflow_writes_no_csv(self, capsys, tmp_path):
+        # C_star**2 overflows on this AR(100) before any row: exit 4, no partial file
+        w = np.random.default_rng(100).uniform(-1.0, 1.0, 100)
+        out = tmp_path / "b.csv"
+        code, _, err = run(capsys, "bounds", "--phi=" + ",".join(repr(float(v)) for v in
+                                                             0.9 * w / np.abs(w).sum()),
+                           "--flavor", "gauss_affine", "--t-max", "50", "--out", str(out))
+        assert code == 4 and err.startswith("OverflowError")
+        assert not out.exists() and not (tmp_path / "b.csv.manifest.json").exists()
+
+
 class TestValidate:
     def test_gaussian_exact_between_bounds(self, capsys):
         code, out, err = run(

@@ -526,6 +526,28 @@ class TestMomentQuadrature:
             assert _laplace_abs_moment(loc, scale, float(p)) == pytest.approx(want, rel=1e-13)
 
 
+def mpmath_laplace_abs_moment(loc, scale, p):
+    """Test-only 50-digit oracle for ``E|loc + L|**p``: mpmath on the density, split
+    at ``0`` and ``-loc``."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        loc, scale, p = mpmath.mpf(loc), mpmath.mpf(scale), mpmath.mpf(p)
+        cuts = sorted([mpmath.mpf(0), -loc])
+        return mpmath.quad(lambda y: abs(loc + y) ** p * mpmath.exp(-abs(y) / scale) / (2 * scale),
+                           [-mpmath.inf, *cuts, mpmath.inf])
+
+
+class TestLaplaceHighOrders:
+    # the far side's mass sits near z = p - |loc|/scale, past the old fixed reach
+    # z = e^4.5 at order 30 (NonConvergence) and narrower than its panels at 51
+    @pytest.mark.parametrize("loc, scale, p", [(0.4, 1.0, 30.0), (0.4, 1.0, 38.0),
+                                               (30.0, 1.0, 51.0)])
+    def test_against_mpmath(self, loc, scale, p):
+        want = float(mpmath_laplace_abs_moment(loc, scale, p))
+        assert _laplace_abs_moment(loc, scale, p) == pytest.approx(want, rel=1e-13)
+
+
 class TestSerialization:
     @pytest.mark.parametrize(
         "model",
