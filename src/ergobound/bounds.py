@@ -147,7 +147,7 @@ def law_at(model: StateSpaceModel, x, t: int, B=None) -> GaussianLaw:
     """Gaussian law of ``B X_t(x)`` (finite Neumann sums for mean and covariance)."""
     _check_t(t)
     _require_gaussian(model)
-    return _law(model, x, t, next(itertools.islice(_neumann_sums(model), t, None)), B)
+    return _laws(model, x, [t], B)[0]
 
 
 def _neumann_sums(model: StateSpaceModel):
@@ -162,12 +162,17 @@ def _neumann_sums(model: StateSpaceModel):
         drift, cov, P = drift + P @ m, cov + P @ V @ P.T, model.Q @ P
 
 
-def _law(model: StateSpaceModel, x, t: int, sums, B=None) -> GaussianLaw:
-    """:func:`law_at` from item ``t`` of :func:`_neumann_sums`; nothing is added to ``Q^0 x``."""
-    drift, cov = sums
+def _laws(model: StateSpaceModel, x, ts: list, B=None) -> list[GaussianLaw]:
+    """:func:`law_at` for each of the increasing steps ``ts``: ``Q^t x`` from
+    :func:`_power_rows`, the noise parts from one pass of :func:`_neumann_sums`;
+    nothing is added to ``Q^0 x``."""
     B = np.eye(model.d) if B is None else as_matrix(B, square=False, name="B")
-    mean = np.linalg.matrix_power(model.Q, t) @ _vec(x)
-    return GaussianLaw(mean=B @ (mean + drift if t else mean), cov=B @ cov @ B.T)
+    sums, laws, at = _neumann_sums(model), [], 0
+    for t, mean in zip(ts, _power_rows(model, ts, (_vec(x),))[0]):
+        drift, cov = next(itertools.islice(sums, t - at, None))
+        at = t + 1
+        laws.append(GaussianLaw(mean=B @ (mean + drift if t else mean), cov=B @ cov @ B.T))
+    return laws
 
 
 def stationary_law(model: StateSpaceModel, B=None) -> GaussianLaw:

@@ -241,13 +241,13 @@ def _cmd_validate(args) -> int:
             )
     else:
         stationary = bnd.stationary_law(model)
-        sums = bnd._neumann_sums(model)  # one O(t_max) sweep for the exact column
+        laws = bnd._laws(model, x, list(range(args.t_max + 1)))
     reps = bnd.sweep(model, args.flavor, x, args.r, range(args.t_max + 1), star=star,
                      mode=args.mode, mc_seed=args.seed)
     rows, bad = [_VALIDATE_COLUMNS], []
     for t, rep in enumerate(reps):
         if exact_gaussian:
-            dist = gaussian_w2(bnd._law(model, x, t, next(sums)), stationary)
+            dist = gaussian_w2(laws[t], stationary)
             se = 0.0
         else:
             dist, se = estimates[t].value, estimates[t].stderr

@@ -116,15 +116,30 @@ def _laplace_abs_moment(loc: float, scale: float, p: float) -> float:
         past = math.exp(math.lgamma(p + 1.0) - A - p * math.log(A))
         return abs(loc) ** p * (0.5 * _panel_quad(both, panels, past))
 
-    def far(x):
+    def far(x, unit=1.0):
         z = np.exp(x)
-        return (A + z) ** p * np.exp(x - z)
+        return ((A + z) / unit) ** p * np.exp(x - z)
 
     # scipy's Kummer function is NaN near A = 1e-300; below 1e-8 two series terms are exact
     kummer = float(hyp1f1(1.0, p + 2.0, -A)) if A > 1e-8 else 1.0 - A / (p + 2.0)
     near = A ** (p + 1.0) / (p + 1.0) * kummer
     past = math.exp(-A) * math.gamma(p + 1.0)
-    return 0.5 * scale**p * _panel_quad(far, panels, near + past)
+    try:
+        with np.errstate(over="raise"):
+            return 0.5 * scale**p * _panel_quad(far, panels, near + past)
+    except FloatingPointError:
+        pass
+    # (A + z)**p overflows before e^-z scales it down: integrate in units of
+    # unit**p, with unit the power of two at which the log of the integrand at
+    # its peak z = max(p - A, 0) is about p ln 2 (dividing by it is exact)
+    peak = max(p - A, 0.0)
+    unit = 2.0 ** math.floor((p * math.log(A + peak) - peak) / (p * math.log(2.0)))
+    units = unit**p  # OverflowError when the moment is past the float range
+    moment = 0.5 * scale**p * units * _panel_quad(
+        lambda x: far(x, unit), panels, (near + past) / units)
+    if math.isinf(moment):
+        raise OverflowError(f"E|loc + L|**{p} exceeds the float range")
+    return moment
 
 
 def _gauss_norm_moment(mu: np.ndarray, S: np.ndarray, p: float) -> float:

@@ -5,20 +5,19 @@ an explicit tail-bias budget, and the empirical-mean process.  Paths are
 split into fixed blocks of ``_BLOCK`` and every block draws from its own
 counter-based Philox stream keyed by ``(seed, block index)``, so ensembles
 are bit-reproducible regardless of how blocks are scheduled across workers.
-``ERGOBOUND_THREADS`` caps the worker count.  Noise is drawn step-major in
-bounded chunks as the recursion advances, so memory is O(n d) per kept
-time step rather than O(n d horizon).
+``ERGOBOUND_THREADS`` caps the worker count (``_pool.worker_count``).  Noise
+is drawn step-major in bounded chunks as the recursion advances, so memory
+is O(n d) per kept time step rather than O(n d horizon).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._pool import run_jobs
 from .errors import MomentUnavailable
 from .linalg import StarNorm
 from .model import StateSpaceModel, model_digest
@@ -36,16 +35,6 @@ _BLOCK = 4096
 # Noise values drawn per chunk.  Split draws from one stream equal a single
 # concatenated draw, so this bounds memory without changing any number.
 _CHUNK_VALUES = 1 << 16
-
-
-def _worker_count() -> int:
-    env = os.environ.get("ERGOBOUND_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def _stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -67,15 +56,10 @@ def _run_blocks(n: int, seed: int, parity: int, run) -> list:
     Block ``b`` gets stream ``2 b + parity``; blocks may run on parallel
     workers, and the results come back in block order.
     """
-    blocks = [
+    return run_jobs(run, [
         (_stream_rng(seed, 2 * b + parity), lo, min(lo + _BLOCK, n))
         for b, lo in enumerate(range(0, n, _BLOCK))
-    ]
-    workers = min(_worker_count(), len(blocks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda blk: run(*blk), blocks))
-    return [run(*blk) for blk in blocks]
+    ])
 
 
 def _noise_steps(draw, rng: np.random.Generator, m: int, steps: int, d: int):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from ._pool import run_jobs
 from .errors import DimensionMismatch, UnequalSampleSizes
 from .linalg import as_matrix, psd_sqrt
 from .model import _gauss_shifted_abs_moment
@@ -187,26 +188,55 @@ def _shift_noise_scale(xs: np.ndarray, var_y: float, r: float) -> float:
     return math.exp(_log_sphere_moment_ratio(d, r) / r) * math.sqrt(tr / n)
 
 
-def _sorted_projections(xs: np.ndarray, dirs: np.ndarray, out=None) -> np.ndarray:
-    """Projections as contiguous ``(directions, n)`` rows, each sorted (into ``out`` if given)."""
-    proj = np.matmul(dirs, xs.T, out=out)
-    proj.sort(axis=1)
-    return proj
+# The projections run as fixed jobs of about ``_BLOCK_ROWS`` directions, each
+# product in column tiles of about ``_TILE_MADDS`` multiply-adds.  OpenBLAS
+# hands a product of more than 2^18 multiply-adds to its own threads, which
+# spin on the CPUs the sort workers need; a tile of 2^17 stays on its worker.
+# Jobs and tiles depend on the shape alone, never on the worker count.  An
+# entry keeps its bits under such splits only while every piece goes to the
+# same BLAS kernel: with OpenBLAS 0.3.31 (AVX-512) that holds when ``n`` is a
+# multiple of ``_ALIGN`` and ``d < _MAX_SPLIT_DEPTH``, since column tails
+# below 16 and products of depth 32 or more take kernels picked by the
+# product's shape.  Other shapes run as one product in one job.
+_BLOCK_ROWS = 16
+_TILE_MADDS = 1 << 17
+_ALIGN = 16
+_MAX_SPLIT_DEPTH = 32
 
 
-def _sliced_from_sorted(px, py, r, n, n_directions, seed, deterministic, shift_se):
-    """The estimate from sorted projections; ``px`` is overwritten by the gaps."""
-    gaps = np.subtract(px, py, out=px)
-    np.abs(gaps, out=gaps)
-    if r != 1:
-        gaps **= r
-    powers = gaps.mean(axis=1)  # per-direction W_r^r
+def _edges(n: int, step: int) -> list[int]:
+    """``0, step, 2 step, ..., n``: the last piece takes the remainder, so it is never
+    shorter than ``step`` (a lone row or column would be a matrix-vector product)."""
+    return [0, *range(step, n - step + 1, step), n]
+
+
+def _projection_jobs(n_distinct: int, n: int, d: int) -> list[tuple[int, int, int]]:
+    """``(first direction, end direction, tile width)`` of each projection job."""
+    if n % _ALIGN or d >= _MAX_SPLIT_DEPTH:
+        return [(0, n_distinct, n)]
+    rows = _edges(n_distinct, _BLOCK_ROWS)
+    return [(lo, hi, max(_ALIGN, _TILE_MADDS // ((hi - lo) * d) // _ALIGN * _ALIGN))
+            for lo, hi in zip(rows, rows[1:])]
+
+
+def _sorted_projections(xs: np.ndarray, dirs: np.ndarray, out: np.ndarray, width: int):
+    """Projections of ``xs`` on ``dirs`` into the ``(directions, n)`` rows ``out``,
+    column tiles of ``width`` at a time, then each row sorted in place."""
+    cols = _edges(xs.shape[0], width)
+    for lo, hi in zip(cols, cols[1:]):
+        np.matmul(dirs, xs[lo:hi].T, out=out[:, lo:hi])
+    out.sort(axis=1)
+    return out
+
+
+def _sliced_estimate(powers, r, n, n_directions, seed, deterministic, shift_se):
+    """The estimate from the per-direction ``W_r^r`` of one sample pair."""
     mean_pow = float(powers.mean())
     value = mean_pow ** (1.0 / r)
     if deterministic:
         stderr = 0.0
     else:
-        n_distinct = px.shape[0]
+        n_distinct = powers.shape[0]
         se_dir = 0.0
         if n_distinct >= 2 and mean_pow > 0.0:
             se_mean = float(powers.std(ddof=1) / math.sqrt(n_distinct))
@@ -252,24 +282,38 @@ def sliced_empirical_sweep(
 
     Identical estimates to the one-shot function with the same seed, but
     the directions, the sorted projections of ``ys`` and its variance are
-    computed once and each step is projected into one buffer, which is what
-    bound-validation sweeps over time steps need.
+    computed once, which is what bound-validation sweeps over time steps
+    need.  The distinct directions are split into fixed blocks run on the
+    worker pool (``ERGOBOUND_THREADS``); each job projects and sorts ``ys``
+    and every step for its own directions and keeps their per-direction
+    ``W_r^r``, so the estimates are bit-identical for any worker count.
     """
     ys = np.asarray(ys, dtype=float)
-    estimates = []
-    py = None
-    for xs in xs_list:
-        xs, ys = _check_sample_pair(xs, ys)
-        if py is None:
-            dirs, deterministic = _sliced_directions(ys.shape[1], n_directions, seed, mode)
-            py = _sorted_projections(ys, dirs)
-            px = np.empty_like(py)
-            var_y = 0.0 if deterministic else np.var(ys, axis=0, ddof=1).sum()
-        _sorted_projections(xs, dirs, out=px)
-        shift_se = 0.0 if deterministic else _shift_noise_scale(xs, var_y, r)
-        estimates.append(
-            _sliced_from_sorted(
-                px, py, r, xs.shape[0], n_directions, seed, deterministic, shift_se
-            )
+    xs_list = [_check_sample_pair(xs, ys)[0] for xs in xs_list]
+    if not xs_list:
+        return []
+    n = ys.shape[0]
+    dirs, deterministic = _sliced_directions(ys.shape[1], n_directions, seed, mode)
+    py = np.empty((dirs.shape[0], n))
+    px = np.empty_like(py)
+    powers = np.empty((len(xs_list), dirs.shape[0]))  # (steps, directions) of W_r^r
+
+    def run(lo: int, hi: int, width: int) -> None:
+        sorted_y = _sorted_projections(ys, dirs[lo:hi], py[lo:hi], width)
+        for step, xs in enumerate(xs_list):
+            gaps = _sorted_projections(xs, dirs[lo:hi], px[lo:hi], width)
+            np.subtract(gaps, sorted_y, out=gaps)
+            np.abs(gaps, out=gaps)
+            if r != 1:
+                gaps **= r
+            powers[step, lo:hi] = gaps.mean(axis=1)
+
+    run_jobs(run, _projection_jobs(dirs.shape[0], n, ys.shape[1]))
+    var_y = 0.0 if deterministic else np.var(ys, axis=0, ddof=1).sum()
+    return [
+        _sliced_estimate(
+            row, r, n, n_directions, seed, deterministic,
+            0.0 if deterministic else _shift_noise_scale(xs, var_y, r),
         )
-    return estimates
+        for xs, row in zip(xs_list, powers)
+    ]

@@ -541,11 +541,23 @@ def mpmath_laplace_abs_moment(loc, scale, p):
 class TestLaplaceHighOrders:
     # the far side's mass sits near z = p - |loc|/scale, past the old fixed reach
     # z = e^4.5 at order 30 (NonConvergence) and narrower than its panels at 51
+    # near the top of the float range (A + z)**p overflows before e^-z scales it:
+    # NonConvergence at (100, 1, 150), (100, 1, 140), (50, 1, 150), and inf at
+    # (0.0217, 1.003, 124.26) although that moment is 7.6e207
     @pytest.mark.parametrize("loc, scale, p", [(0.4, 1.0, 30.0), (0.4, 1.0, 38.0),
-                                               (30.0, 1.0, 51.0)])
+                                               (30.0, 1.0, 51.0), (100.0, 1.0, 150.0),
+                                               (100.0, 1.0, 140.0), (50.0, 1.0, 150.0),
+                                               (0.021671060913381595, 1.0030438331978435,
+                                                124.25685377645983), (0.4, 1.0, 170.0)])
     def test_against_mpmath(self, loc, scale, p):
         want = float(mpmath_laplace_abs_moment(loc, scale, p))
         assert _laplace_abs_moment(loc, scale, p) == pytest.approx(want, rel=1e-13)
+
+    # Gamma(301) overflows; at (100, 1, 152) the moment itself is past 1.8e308
+    @pytest.mark.parametrize("loc, scale, p", [(10.0, 1.0, 300.0), (100.0, 1.0, 152.0)])
+    def test_past_the_float_range_raises(self, loc, scale, p):
+        with pytest.raises(OverflowError):
+            _laplace_abs_moment(loc, scale, p)
 
 
 class TestSerialization:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from ergobound.wasserstein import (
     gaussian_w2,
     gaussian_wr_1d,
     _log_sphere_moment_ratio,
+    _projection_jobs,
     _sliced_directions,
+    _sorted_projections,
     sliced_empirical,
     sliced_empirical_sweep,
 )
@@ -272,6 +275,54 @@ class TestSlicedEmpirical:
     def test_needs_two_dims(self):
         with pytest.raises(ValueError):
             sliced_empirical(np.zeros((10, 1)), np.ones((10, 1)))
+
+
+# (d, n, r, n_directions, mode).  With n a multiple of 16 and at least 32
+# distinct directions the work splits into several jobs, each with a last
+# column tile wider than the others; n off 16 and fewer directions run as one
+WORKER_CASES = {
+    "d2_ragged_tiles": (2, 3 * 4096 + 48, 1.0, 256, "random"),
+    "d3_r1.5": (3, 2 * 2720 + 16, 1.5, 100, "random"),
+    "d5": (5, 3 * 1632 + 64, 1.0, 70, "random"),
+    "equispaced": (2, 2 * 4096 + 16, 1.5, 96, "equispaced"),
+    "n_off_16": (5, 1025, 1.0, 64, "random"),
+    "one_direction": (2, 4096 + 32, 1.0, 1, "random"),
+    "three_directions": (3, 4096 + 32, 1.5, 3, "random"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WORKER_CASES))
+def test_worker_count_does_not_change_sliced_output(monkeypatch, case):
+    # jobs and tiles are fixed by the shape, so any worker count gives the
+    # same bits, which are those of one untiled product per step; a shortened
+    # switch interval interleaves the workers finely
+    d, n, r, n_dirs, mode = WORKER_CASES[case]
+    rng = np.random.default_rng(23)
+    ens = rng.standard_normal((n, 3, d))
+    ys = rng.standard_normal((n, d))
+    xs_list = [ens[:, t, :] + 0.3 * t for t in range(3)]  # strided, as ``at_time`` gives
+    jobs = _projection_jobs((n_dirs + 1) // 2, n, d)
+    if n % 16 == 0 and n_dirs >= 64:
+        assert len(jobs) > 1 and any(n % width for _, _, width in jobs)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("ERGOBOUND_THREADS", threads)
+            runs.append(sliced_empirical_sweep(xs_list, ys, r, n_dirs, seed=4, mode=mode))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    dirs, _ = _sliced_directions(d, n_dirs, 4, mode)
+    py = np.sort(dirs @ ys.T, axis=1)
+    for lo, hi, width in jobs:  # each job's tiled projections, bit for bit
+        for xs, ref in ((ys, py), (xs_list[1], np.sort(dirs @ xs_list[1].T, axis=1))):
+            got = _sorted_projections(xs, dirs[lo:hi], np.empty((hi - lo, n)), width)
+            assert got.tobytes() == ref[lo:hi].tobytes()
+    for xs, got in zip(xs_list, runs[0]):
+        powers = (np.abs(np.sort(dirs @ xs.T, axis=1) - py) ** r).mean(axis=1)
+        assert got.value == float(powers.mean()) ** (1.0 / r)
 
 
 def test_empirical_estimate_defaults():
