@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, bounds as bnd
 from .errors import ErgoboundError
-from .linalg import build_star_norm, check_kappa_policy
+from .linalg import check_kappa_policy, star_norm
 from .model import (
     NoiseSpec,
     StateSpaceModel,
@@ -187,7 +187,7 @@ def _cmd_bounds(args) -> int:
     if "projected" in flavors and not args.v:
         raise _ParseError("the projected flavor needs --v")
     v = _parse_floats(args.v) if args.v else None
-    star = build_star_norm(model.Q, _kappa_policy(args.kappa_policy))
+    star = star_norm(model.schur, _kappa_policy(args.kappa_policy))
     x = _start_state(args, model)
     reps = bnd.sweep(
         model, args.flavor, x, args.r, range(args.t_max + 1), star=star, v=v, mode=args.mode,
@@ -212,7 +212,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_validate(args) -> int:
     model = _load_model(args)
     x = _start_state(args, model)
-    star = build_star_norm(model.Q, _kappa_policy(args.kappa_policy))
+    star = star_norm(model.schur, _kappa_policy(args.kappa_policy))
     exact_gaussian = (
         args.flavor in ("gauss_affine", "exact_ar1") and model.noise.family == "gaussian"
     )

@@ -21,8 +21,8 @@ from scipy.special import gammaln, hyp1f1
 
 from .asymptotics import EigenSandwich
 from .errors import EmptyCoefficients, MomentUnavailable, NonConvergence, OrderViolation
-from .linalg import (SpectralInfo, StarNorm, as_matrix, build_star_norm, eigen, psd_sqrt,
-                     smallest_eigenvalue_sym, stationary_covariance)
+from .linalg import (SchurForm, SpectralInfo, StarNorm, as_matrix, eigen, psd_sqrt,
+                     schur_triangularize, smallest_eigenvalue_sym, solve_stein, star_norm)
 
 __all__ = [
     "NoiseSpec",
@@ -517,10 +517,10 @@ class StateSpaceModel:
     """The recursion data ``(d, Q, Sigma, noise)`` plus construction provenance.
 
     ``Q`` and ``Sigma`` are finite, read-only copies the model owns.  The
-    per-model quantities every bound reads (the noise covariance,
-    ``eigen(Q)`` and its eigen sandwich, the default star norm and the
-    stationary law) are computed on first use and kept, so all calls on one
-    model solve each problem once.
+    per-model quantities every bound reads are computed on first use and
+    kept, so all calls on one model solve each problem once: one complex
+    Schur form of ``Q`` (``schur``) gives ``rho(Q)``, the default star norm and
+    the stationary covariance; ``eigen(Q)`` (``spectrum``) serves the eigen sandwich only.
     """
 
     d: int
@@ -545,8 +545,15 @@ class StateSpaceModel:
         return _read_only(self.Sigma @ self.noise.covariance() @ self.Sigma.T)
 
     @cached_property
+    def schur(self) -> SchurForm:
+        """``schur_triangularize(Q)``, behind ``star``, ``stationary_cov`` and ``rho(Q)``."""
+        form = schur_triangularize(self.Q)
+        _read_only(form.U, form.Delta)
+        return form
+
+    @cached_property
     def spectrum(self) -> SpectralInfo:
-        """``eigen(Q)``."""
+        """``eigen(Q)``, for the eigen sandwich only."""
         info = eigen(self.Q)
         _read_only(info.eigenvalues, info.eigenvector_matrix)
         return info
@@ -560,10 +567,8 @@ class StateSpaceModel:
 
     @cached_property
     def star(self) -> StarNorm:
-        """The default contraction norm ``build_star_norm(Q)``."""
-        star = build_star_norm(self.Q)
-        _read_only(star.U, star.Delta)
-        return star
+        """The default contraction norm ``star_norm(schur)``."""
+        return star_norm(self.schur)
 
     @cached_property
     def stationary_mean(self) -> np.ndarray:
@@ -574,7 +579,7 @@ class StateSpaceModel:
     @cached_property
     def stationary_cov(self) -> np.ndarray:
         """Stationary covariance ``Sigma_inf``, solving ``S = Q S Q^T + noise_cov``."""
-        return _read_only(stationary_covariance(self.Q, self.noise_cov))
+        return _read_only(solve_stein(self.schur, self.noise_cov))
 
     @cached_property
     def lambda_min(self) -> float | None:
@@ -681,7 +686,7 @@ def validate_model(
     """Stability, moment and Gaussian-flavor applicability diagnostics."""
     if r < 1:
         raise ValueError("order r must be at least 1")
-    rho = model.spectrum.spectral_radius
+    rho = model.schur.spectral_radius
     stable = rho < 1.0 - boundary_tol
     boundary = abs(rho - 1.0) <= boundary_tol
     moment_ok = model.noise.has_moment(r)

@@ -530,7 +530,7 @@ class TestReport:
         "flavor", ["generic", "generic_diag", "sliced_generic", "empirical_mean"]
     )
     def test_coupling_call_solves_no_stationary_covariance(self, count_calls, flavor):
-        solves = count_calls("stationary_covariance")
+        solves = count_calls("solve_stein")
         m = ar_state_space([0.3, 0.5], [0.0], NoiseSpec.gaussian(0.0, 1.0))
         rep = bnd.report(m, flavor, [1.0, 0.0], 1.5, 4, n_copies=3)
         assert rep.lower <= rep.upper
@@ -538,11 +538,13 @@ class TestReport:
         assert solves == []
 
     def test_model_level_problems_solved_once_per_model(self, count_calls):
-        # the per-t public calls read the model's stationary law, spectrum
-        # and default star norm, so a longer sweep solves nothing more
-        names = ("stationary_covariance", "build_star_norm", "eigen")
+        # the per-t public calls read the model's stationary law, Schur form
+        # and default star norm, so a longer sweep solves nothing more; Q is
+        # decomposed once, and eigen(Q) runs only for the eigen sandwich
+        names = ("schur_triangularize", "star_norm", "build_star_norm", "solve_stein",
+                 "stationary_covariance", "eigen")
 
-        def sweep_counts(t_max):
+        def sweep_counts(t_max, sandwich=True):
             counts = {name: count_calls(name) for name in names}
             m = ar_state_space([0.3, 0.5], [0.0], NoiseSpec.gaussian(0.0, 1.0))
             x, v = [1.0, -0.5], [0.6, 0.8]
@@ -551,7 +553,8 @@ class TestReport:
                 bnd.projected_bounds(m, v, x, 1.5, t)
                 bnd.sliced_gauss_bounds(m, x, 1.5, t)
                 bnd.generic_bounds(m, x, 1.5, t)
-                bnd.diagonalizable_bounds(m, x, 1.5, t)
+                if sandwich:
+                    bnd.diagonalizable_bounds(m, x, 1.5, t)
                 bnd.sliced_generic_bounds(m, x, 1.5, t)
                 bnd.empirical_mean_bounds(m, 3, x, 1.5, t)
                 bnd.stationary_law(m)
@@ -559,8 +562,9 @@ class TestReport:
             return {name: len(calls) for name, calls in counts.items()}
 
         one, eleven = sweep_counts(0), sweep_counts(10)
-        assert one == eleven
-        assert one["stationary_covariance"] == 1 and one["build_star_norm"] == 1
+        assert one == eleven == {"schur_triangularize": 1, "star_norm": 1, "build_star_norm": 0,
+                                 "solve_stein": 1, "stationary_covariance": 0, "eigen": 1}
+        assert sweep_counts(10, sandwich=False)["eigen"] == 0
 
     def test_rejects_parallel_per_copy_flavor(self):
         with pytest.raises(ValueError):

@@ -160,10 +160,11 @@ class TestOwnedArrays:
     def test_cached_arrays_are_read_only(self):
         m = ar_state_space([0.3, 0.5], [0.0], NoiseSpec.gaussian(1.0, 1.0))
         for a in (m.noise_cov, m.stationary_mean, m.stationary_cov,
-                  m.spectrum.eigenvector_matrix, m.star.U):
+                  m.spectrum.eigenvector_matrix, m.star.U, m.schur.Delta):
             with pytest.raises(ValueError):
                 a[0] = 0.0
         assert m.stationary_cov is m.stationary_cov
+        assert m.star.U is m.schur.U  # the star norm is built on the model's one Schur form
 
     def test_noise_arrays_are_read_only_copies(self):
         mean = np.array([1.0, 0.0])
