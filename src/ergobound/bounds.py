@@ -417,7 +417,8 @@ def _coupling_constants(model, p: float, mc_seed: int, majorant: bool) -> tuple:
     centered noise (von Bahr-Esseen; coherent nonzero means break it), and
     the tail starts one step past ``t``, so the missing leading term bites
     at ``t = 0`` and, for noise dominated by its mean, at every ``t``.
-    Centered noise with ``1 <= p <= 2`` at ``t >= 1`` avoids both.
+    Centered noise with ``1 <= p <= 2`` at ``t >= 1`` avoids both.  A Monte Carlo
+    moment of order ``q`` with infinite variance (``df <= 2q``) has an infinite stderr.
     """
     m1_root, se1 = model.noise.moment_root(model.Sigma, 1.0, mc_seed)
     if majorant:
@@ -425,7 +426,10 @@ def _coupling_constants(model, p: float, mc_seed: int, majorant: bool) -> tuple:
         mp_root = fro(model.Sigma) * raw_root
     else:
         mp_root, sep = model.noise.moment_root(model.Sigma, p, mc_seed)
-    return m1_root, se1, mp_root, sep, p <= 2.0 and bool(np.all(model.noise.mean_vector() == 0.0))
+    se1, sep = (math.inf if se > 0.0 and not model.noise.has_moment(2.0 * q) else se
+                for q, se in ((1.0, se1), (p, sep)))
+    return m1_root, se1, mp_root, sep, (p <= 2.0 and se1 + sep < math.inf
+                                        and bool(np.all(model.noise.mean_vector() == 0.0)))
 
 
 def _coupling(model, flavor, x, p, ts, star, mc_seed, n) -> list[BoundReport]:

@@ -377,10 +377,11 @@ def _kitagawa(U: np.ndarray, Delta: np.ndarray, R: np.ndarray) -> np.ndarray:
     C = U.conj().T @ R @ U
     X = np.zeros_like(C)
     eye = np.eye(len(C))
+    # LAPACK trtrs called as solve_triangular calls it on a C-ordered upper triangle
+    trtrs, = scipy.linalg.get_lapack_funcs(("trtrs",), (Delta, C))
     for j in range(len(C) - 1, -1, -1):
         rhs = C[:, j] + Delta @ (X[:, j + 1:] @ Delta[j, j + 1:].conj())
-        X[:, j] = scipy.linalg.solve_triangular(
-            eye - Delta[j, j].conj() * Delta, rhs, check_finite=False)
+        X[:, j] = trtrs((eye - Delta[j, j].conj() * Delta).T, rhs, lower=1, trans=1)[0]
     return _sym((U @ X @ U.conj().T).real)
 
 

@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, hyp1f1
+from scipy.special import erf, erfcx, gammaln, hyp1f1
 
 from .asymptotics import EigenSandwich
 from .errors import EmptyCoefficients, MomentUnavailable, NonConvergence, OrderViolation
@@ -142,17 +142,28 @@ def _laplace_abs_moment(loc: float, scale: float, p: float) -> float:
     return moment
 
 
-def _gauss_norm_moment(mu: np.ndarray, S: np.ndarray, p: float) -> float:
-    """E|Y|**p for Y ~ N(mu, S), 0 < p < 2, by one-dimensional quadrature.
+def _quad_form_moment(logs, c, s, panels, offset, control=False) -> float:
+    """``E X**s``, ``0 < s < 1``, of ``X = c sum_k lam_k xi_k**2`` by its Laplace transform ``L``
+    (Mathai & Provost 1992): ``c**s s / Gamma(1 - s)`` times ``offset`` plus the integral over
+    ``panels`` in ``x = ln u`` of ``(1 - L) u**-s`` below 0 and ``-L u**-s`` above, ``log L``
+    the sum of ``logs(u[..., None])`` over its last axis.  ``control`` subtracts each term's
+    own ``1 - l_k`` (above 0, ``-l_k``), whose integral is its 1-D moment, from both."""
+    def integrand(x):
+        terms = logs(np.exp(x)[..., None])
+        log_laplace = terms.sum(-1)
+        head, tail = -np.expm1(log_laplace), -np.exp(log_laplace)
+        if control:
+            head, tail = head + np.expm1(terms).sum(-1), tail + np.exp(terms).sum(-1)
+        return np.where(x < 0.0, head, tail) * np.exp(-s * x)
 
-    ``|Y|**2`` is a Gaussian quadratic form with Laplace transform
-    ``L(u) = prod_i (1 + 2 u lam_i)**-1/2 exp(-u sum_i nu_i**2 / (1 + 2 u lam_i))``
-    (``S = V diag(lam) V^T``, ``nu = V^T mu``; Mathai & Provost 1992), and
-    ``E X**s = s / Gamma(1 - s) * int_0^inf (1 - L(u)) u**(-s-1) du`` for
-    ``s = p/2`` in ``(0, 1)``.  With ``u`` scaled by ``c = E|Y|**2``, ``1 - L(u)
-    = u - m2 u**2 / 2 + O(u**3)``, ``m2 = E|Y|**4 / c**2``.  In ``x = ln u``
-    the head ``(1 - L) u**-s`` is integrated over ``[ln u0, 0]`` (that series
-    below ``u0 = 1e-8``) and the tail is ``1/s`` less ``L u**-s`` over ``[0, 90]``.
+    return c**s * s / math.gamma(1.0 - s) * _panel_quad(integrand, panels, offset)
+
+
+def _gauss_norm_moment(mu: np.ndarray, S: np.ndarray, p: float) -> float:
+    """E|Y|**p for Y ~ N(mu, S), 0 < p < 2, by ``_quad_form_moment`` in the eigen-coordinates
+    of ``S = V diag(lam) V^T`` (``nu = V^T mu``): ``L(u) = prod_i (1 + 2 u lam_i)**-1/2
+    exp(-u nu_i**2 / (1 + 2 u lam_i))``.  With ``u`` scaled by ``c = E|Y|**2``, ``1 - L(u) =
+    u - m2 u**2 / 2 + O(u**3)``, ``m2 = E|Y|**4 / c**2``, the series taken below ``u0 = 1e-8``.
     """
     lam, V = np.linalg.eigh(0.5 * (S + S.T))
     lam = np.clip(lam, 0.0, None)
@@ -162,17 +173,25 @@ def _gauss_norm_moment(mu: np.ndarray, S: np.ndarray, p: float) -> float:
         return 0.0
     lam, nu2, s = lam / c, nu2 / c, p / 2.0
 
-    def integrand(x):
-        u = np.exp(x)[..., None]
+    def logs(u):
         w = 2.0 * u * lam
         # log1p keeps 1 - L(u) accurate to the last digits at small u
-        log_laplace = -0.5 * np.log1p(w).sum(-1) - (u * nu2 / (1.0 + w)).sum(-1)
-        return np.where(x < 0.0, -np.expm1(log_laplace), -np.exp(log_laplace)) * np.exp(-s * x)
+        return (-0.5 * np.log1p(w).sum(-1) - (u * nu2 / (1.0 + w)).sum(-1))[..., None]
 
     m2 = 1.0 + 2.0 * float(lam @ lam) + 4.0 * float(lam @ nu2)
     below = _HEAD_U0 ** (1.0 - s) / (1.0 - s) - m2 * _HEAD_U0 ** (2.0 - s) / (2.0 * (2.0 - s))
-    integral = _panel_quad(integrand, _GAUSS_PANELS, 1.0 / s + below)
-    return c**s * s / math.gamma(1.0 - s) * integral
+    return _quad_form_moment(logs, c, s, _GAUSS_PANELS, 1.0 / s + below)
+
+
+def _student_log_laplace(df: float, z: np.ndarray) -> np.ndarray:
+    """``log E exp(-z T**2)`` for Student-t ``T = Z / sqrt(V)``, ``V ~ Gamma(df/2, rate df/2)``:
+    ``E (1 + 2z/V)**-1/2`` by the trapezoid rule in ``ln V`` over the density down to
+    ``e^-40`` of its peak, geometric for this analytic integrand (Trefethen & Weideman 2014)."""
+    a = df / 2.0
+    y = np.arange(-40.0 / a - 1.0, math.log1p(40.0 / a) + 2.0, min(0.2, 0.7 / math.sqrt(df)))
+    y = y[a * (y - np.exp(y) + 1.0) > -40.0]
+    w = np.exp(a * (y - np.exp(y)))
+    return np.log(sum(wj / np.sqrt(1.0 + z * cj) for wj, cj in zip(w / w.sum(), 2.0 * np.exp(-y))))
 
 
 def _mc_abs_moment(draw, Sigma, p, n, seed) -> tuple[float, float]:
@@ -207,14 +226,15 @@ def _coords(x) -> np.ndarray:
 
 
 class _Law(NamedTuple):
-    """A noise family's parameter names, mean, variance, draw ``(rng, p, size)``
-    and scalar absolute moment ``(p, r) -> E|eps|**r``."""
+    """A noise family's parameter names (the spread last), mean, variance, draw ``(rng, p, size)``,
+    ``(p, r) -> E|eps|**r`` and ``(p, z) -> log E exp(-z eta**2)`` of ``eta`` at unit spread."""
 
     names: tuple[str, ...]
     mean: Callable
     var: Callable
     draw: Callable
     abs_moment: Callable
+    log_laplace: Callable | None = None
 
 
 # Each family once: numpy expressions in the parameters ``p``, valid for a scalar
@@ -226,14 +246,17 @@ _LAWS = {
                      lambda p, r: _gauss_shifted_abs_moment(p["mean"], math.sqrt(p["var"]), r)),
     "laplace": _Law(("loc", "scale"), lambda p: p["loc"], lambda p: 2.0 * p["scale"] ** 2,
                     lambda rng, p, size: p["loc"] + p["scale"] * rng.laplace(0.0, 1.0, size),
-                    lambda p, r: _laplace_abs_moment(p["loc"], p["scale"], r)),
+                    lambda p, r: _laplace_abs_moment(p["loc"], p["scale"], r),
+                    lambda p, z: np.log(np.sqrt(np.pi / z) / 2.0 * erfcx(0.5 / np.sqrt(z)))),
     "student_t": _Law(("df", "scale"), lambda p: 0.0,
                       lambda p: p["scale"] ** 2 * p["df"] / (p["df"] - 2.0),
                       lambda rng, p, size: p["scale"] * rng.standard_t(p["df"], size),
-                      lambda p, r: p["scale"] ** r * _student_abs_moment(p["df"], r)),
+                      lambda p, r: p["scale"] ** r * _student_abs_moment(p["df"], r),
+                      lambda p, z: _student_log_laplace(p["df"], z)),
     "uniform": _Law(("half_width",), lambda p: 0.0, lambda p: p["half_width"] ** 2 / 3.0,
                     lambda rng, p, size: rng.uniform(-1.0, 1.0, size) * p["half_width"],
-                    lambda p, r: p["half_width"] ** r / (r + 1.0)),
+                    lambda p, r: p["half_width"] ** r / (r + 1.0),
+                    lambda p, z: np.log(np.sqrt(np.pi / z) / 2.0 * erf(np.sqrt(z)))),
     "point_mass": _Law(("value",), lambda p: p["value"], lambda p: 0.0,
                        lambda rng, p, size: np.full(size, p["value"]),
                        lambda p, r: abs(p["value"]) ** r),
@@ -440,29 +463,32 @@ class NoiseSpec:
     ) -> tuple[float, float]:
         """``(E|Sigma xi|**p, stderr)``; stderr is zero for deterministic routes.
 
-        Deterministic routes: closed forms for scalar-driven specs, point
-        masses and ``p = 2``, and a one-dimensional quadrature for vector
-        Gaussian noise at ``0 < p < 2`` (the coupling regime).  The rest
-        (vector Laplace, Student-t and uniform noise, and vector Gaussian
-        noise at ``p > 2``) is a seeded ``mc_draws``-sample Monte Carlo with
-        a positive stderr.
+        Deterministic routes, cached without ``mc_draws`` and ``seed``: closed forms
+        for scalar-driven specs, point masses and ``p = 2``, and at ``0 < p < 2``
+        ``_quad_form_moment`` for vector Gaussian noise and for centered Laplace,
+        Student-t and uniform noise whose ``Sigma^T Sigma`` has exactly zero
+        off-diagonal entries.  The rest (such noise with a location or another
+        ``Sigma``, vector noise at ``p > 2``) is a seeded ``mc_draws``-sample
+        Monte Carlo with a positive stderr.
 
         Raises
         ------
         MomentUnavailable
             If the order-``p`` moment is infinite.
         NonConvergence
-            If the Gaussian quadrature misses its relative error cap.
+            If a quadrature misses its relative error cap.
         """
         Sigma = as_matrix(Sigma, name="Sigma").astype(float)
         self._require_moment(p)
-        key = (Sigma.tobytes(), Sigma.shape, p, mc_draws, seed)
-        cached = self._moment_cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._abs_moment_sigma(Sigma, p, mc_draws, seed)
-        self._moment_cache[key] = result
-        return result
+        gram = Sigma.T @ Sigma
+        mc = not (self.is_scalar_driven or self.family == "point_mass" or p == 2 or 0 < p < 2 and (
+            self.family == "gaussian" or np.array_equal(gram, np.diag(np.diag(gram)))
+            and np.all(self._law.mean(self.params) == 0.0)))
+        key = (Sigma.tobytes(), Sigma.shape, p) + ((mc_draws, seed) if mc else ())
+        if key not in self._moment_cache:
+            self._moment_cache[key] = (_mc_abs_moment(self.sampler(), Sigma, p, mc_draws, seed)
+                                       if mc else (self._exact_abs_moment(Sigma, p), 0.0))
+        return self._moment_cache[key]
 
     def moment_root(self, Sigma, p: float, seed: int = 0) -> tuple[float, float]:
         """``(E|Sigma xi|**p + 3 stderr)**(1/p)`` and the stderr: Monte Carlo
@@ -470,19 +496,28 @@ class NoiseSpec:
         val, se = self.abs_moment_sigma(Sigma, p, seed=seed)
         return (val + 3.0 * se) ** (1.0 / p), se
 
-    def _abs_moment_sigma(self, Sigma, p, mc_draws, seed):
+    def _exact_abs_moment(self, Sigma, p) -> float:
         if self.is_scalar_driven:
             amp = float(np.linalg.norm(Sigma @ self.direction))
-            return self.scalar_abs_moment(p) * amp**p, 0.0
+            return self.scalar_abs_moment(p) * amp**p
         if self.family == "point_mass":
-            return float(np.linalg.norm(Sigma @ self.params["value"])) ** p, 0.0
-        if p == 2 or (self.family == "gaussian" and 0 < p < 2):
+            return float(np.linalg.norm(Sigma @ self.params["value"])) ** p
+        if p == 2 or self.family == "gaussian":
             m = Sigma @ self.mean_vector()
             c = Sigma @ self.covariance() @ Sigma.T
-            if p == 2:
-                return float(m @ m + np.trace(c)), 0.0
-            return _gauss_norm_moment(m, c, p), 0.0
-        return _mc_abs_moment(self.sampler(), Sigma, p, mc_draws, seed)
+            return float(m @ m + np.trace(c)) if p == 2 else _gauss_norm_moment(m, c, p)
+        # orthogonal columns: |Sigma xi|**2 = sum_k w_k eta_k**2 over unit-spread eta_k
+        law, prm, s = self._law, self.params, p / 2.0
+        w = np.sum(Sigma * Sigma, axis=0) * prm[law.names[-1]] ** 2
+        lam = w[w > 0.0] / w.sum()
+        if lam.size == 0:
+            return 0.0
+        unit = law.abs_moment({"loc": 0.0, "df": prm.get("df"), law.names[-1]: 1.0}, p)
+        offset = math.gamma(1.0 - s) / s * unit * float(np.sum(lam**s)) - (lam.size - 1) / s
+        # what the control terms leave is O(u**(min(2, df) - s)): e^-36 below the first edge
+        x0 = math.ceil(36.0 / (min(2.0, self.r_max) - s))
+        return _quad_form_moment(lambda u: law.log_laplace(prm, u * lam), float(w.sum()), s,
+                                 np.arange(-x0, 71.0 - math.log(lam.min())), offset, control=True)
 
     # -- serialization ---------------------------------------------------------
 

@@ -370,6 +370,17 @@ class TestGeneric:
         # the noise tail starts one step past t, so t = 0 is not covered
         assert not bnd.generic_bounds(centered, [1.0], 2.0, 0).details["coupling_regime_sound"]
 
+    @pytest.mark.parametrize("df, sound", [(3.2, True), (3.0, False), (2.9, False)])
+    def test_infinite_variance_monte_carlo_flagged(self, df, sound):
+        # a non-orthogonal Sigma leaves E|Sigma xi|**1.5 to Monte Carlo, whose
+        # variance E|Sigma xi|**3 is infinite from df <= 3 = 2p down
+        m = raw_model(np.diag([0.5, 0.3]), np.array([[1.0, 0.4], [0.0, 0.7]]),
+                      NoiseSpec.student_t_d(df, [1.0, 0.5]))
+        for rep in bnd.sweep(m, "generic", [1.0, -1.0], 1.5, range(1, 4)):
+            assert rep.details["coupling_regime_sound"] is sound
+            assert math.isfinite(rep.details["moment_stderr"]) is sound
+            assert 0.0 < rep.details["first_moment_stderr"] < math.inf  # E|Sigma xi|**2 < inf
+
     def test_mean_dominated_noise_breaks_coupling_upper(self):
         # regression pin for the known limitation that the flag reports: with
         # noise dominated by its mean, the evaluated tail (which starts one

@@ -330,6 +330,26 @@ class TestBounds:
         assert code == 0, err
         assert (len(schur_forms), len(eigens)) == (1, 0)
 
+    @pytest.mark.parametrize("noise", [NoiseSpec.laplace_d([0.0, 0.0], [1.0, 0.5]),
+                                       NoiseSpec.student_t_d(4.5, [1.0, 0.5]),
+                                       NoiseSpec.uniform_d([1.0, 2.0])])
+    def test_exact_moments_seed_free(self, capsys, tmp_path, noise):
+        # Sigma = I: the coupling flavors' moments are exact, so --seed changes nothing
+        from ergobound.model import raw_model
+
+        path = write_model(tmp_path, raw_model([[0.5, 1.0], [0.0, -0.4]], np.eye(2), noise))
+        for flavor in ("generic", "sliced_generic", "empirical_mean"):
+            for r in ("1", "1.5"):
+                files = []
+                for seed in ("1", "2"):
+                    out = str(tmp_path / f"{flavor}-{r}-{seed}.csv")
+                    code, _, err = run(capsys, "bounds", "--model", path, "--flavor", flavor,
+                                       "--r", r, "--t-max", "20", "--x", "1,-2",
+                                       "--seed", seed, "--out", out)
+                    assert code == 0, err
+                    files.append(open(out, "rb").read())
+                assert files[0] == files[1]
+
     def test_empirical_mean_averaged_moment_once(self, capsys, monkeypatch, tmp_path):
         # d = 3 vector Gaussian noise: the averaged noise's order-p moment is a
         # quadrature, which a sweep should run once, not once per row

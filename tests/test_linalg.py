@@ -354,6 +354,50 @@ class TestStationaryCovariance:
         assert np.linalg.norm(S - want, "fro") <= 1e-8 * np.linalg.norm(want, "fro")
 
 
+def kitagawa_reference(U, Delta, R):
+    """``linalg._kitagawa`` with ``scipy.linalg.solve_triangular`` for each column."""
+    import scipy.linalg
+
+    C = U.conj().T @ R @ U
+    X = np.zeros_like(C)
+    eye = np.eye(len(C))
+    for j in range(len(C) - 1, -1, -1):
+        rhs = C[:, j] + Delta @ (X[:, j + 1:] @ Delta[j, j + 1:].conj())
+        X[:, j] = scipy.linalg.solve_triangular(
+            eye - Delta[j, j].conj() * Delta, rhs, check_finite=False)
+    return linalg._sym((U @ X @ U.conj().T).real)
+
+
+class TestKitagawaLapack:
+    @staticmethod
+    def models():
+        rng = np.random.default_rng(40)
+        out = []
+        for d in (2, 40, 100):
+            phi = rng.uniform(-1.0, 1.0, d)
+            Q = companion(0.9 * phi / np.abs(phi).sum())
+            V = np.zeros((d, d))
+            V[0, 0] = 1.0
+            out.append((Q, V))
+        for d in (2, 3, 4):  # strongly non-normal, spectral radius near one
+            lam = rng.uniform(0.95, 0.995, d) * rng.choice([-1.0, 1.0], d)
+            O, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            M = rng.standard_normal((d, d))
+            out.append((O @ (np.diag(lam) + np.triu(rng.uniform(1.0, 3.0, (d, d)), 1)) @ O.T,
+                        M @ M.T))
+        return out
+
+    def test_byte_equal_to_solve_triangular(self, monkeypatch):
+        models = self.models()
+        got = [(stationary_covariance(Q, V), linalg.solve_stein(schur_triangularize(Q), V))
+               for Q, V in models]
+        monkeypatch.setattr(linalg, "_kitagawa", kitagawa_reference)
+        want = [(stationary_covariance(Q, V), linalg.solve_stein(schur_triangularize(Q), V))
+                for Q, V in models]
+        for pair, ref in zip(got, want):
+            assert [a.tobytes() for a in pair] == [b.tobytes() for b in ref]
+
+
 class TestPsdSqrt:
     def test_diagonal(self):
         np.testing.assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)

@@ -19,6 +19,7 @@ from ergobound.model import (
     NoiseSpec,
     _gauss_norm_moment,
     _laplace_abs_moment,
+    _student_abs_moment,
     ar_state_space,
     arma_state_space,
     companion,
@@ -525,6 +526,129 @@ class TestMomentQuadrature:
             want = sum(math.comb(p, k) * loc ** (p - k) * math.factorial(k) * scale**k
                        for k in range(0, p + 1, 2))
             assert _laplace_abs_moment(loc, scale, float(p)) == pytest.approx(want, rel=1e-13)
+
+
+class TestIndependentCoordinateMoments:
+    """``E|Sigma xi|**p`` of centered Laplace, Student-t and uniform noise, ``0 < p < 2``,
+    for ``Sigma`` with orthogonal columns: one quadrature, no draws."""
+
+    VECTOR = {
+        "laplace": lambda scale: NoiseSpec.laplace_d(np.zeros(len(scale)), scale),
+        "uniform": lambda scale: NoiseSpec.uniform_d(scale),
+        "student_t": lambda scale, df=4.5: NoiseSpec.student_t_d(df, scale),
+    }
+
+    @pytest.mark.parametrize("p", [0.3, 1.0, 1.5, 1.9])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_one_dimensional_closed_forms(self, p, scale):
+        cases = [(NoiseSpec.laplace_d([0.0], [scale]), scale**p * math.gamma(p + 1.0)),
+                 (NoiseSpec.uniform_d([scale]), scale**p / (p + 1.0))]
+        cases += [(NoiseSpec.student_t_d(df, [scale]), scale**p * _student_abs_moment(df, p))
+                  for df in (1.5, 2.05, 2.5, 4.5, 30.0) if p < df]
+        for spec, want in cases:
+            val, se = spec.abs_moment_sigma(np.eye(1), p, seed=3)
+            assert se == 0.0
+            assert val == pytest.approx(want, rel=1e-12)
+
+    # E (a**2 xi_1**2 + b**2 xi_2**2)**(p/2) at unit spread, by mpmath.  Laplace and
+    # uniform: the double integral over the density in polar coordinates, radial part in
+    # closed form (25 digits).  Student-t: the 1-D moments less s / Gamma(1 - s) times
+    # int g_1 g_2 u**(-s-1) du, g_k = 1 - E exp(-u a_k**2 T**2) by mpmath.hyperu (30
+    # digits); the polar double integral agrees to 1e-15 except at df 2.2, p 1.9, where
+    # its angular quadrature lands 1.5e-6 off
+    TWO_D = [
+        ("laplace", (1.0, 0.3), 0.3, 0.96256364478484947029, 1e-12),
+        ("laplace", (2.0, 1e-3), 0.3, 1.1049500512781670121, 1e-12),
+        ("laplace", (1.0, 0.3), 1.0, 1.1173445510773961917, 1e-12),
+        ("laplace", (2.0, 1e-3), 1.0, 2.0000036475234210005, 1e-12),
+        ("laplace", (1.0, 0.3), 1.5, 1.4724441878596785832, 1e-12),
+        ("laplace", (2.0, 1e-3), 1.5, 3.7599442541680007638, 1e-12),
+        ("laplace", (1.0, 0.3), 1.9, 1.9985076181413167436, 1e-12),
+        ("laplace", (2.0, 1e-3), 1.9, 6.8199322037587294856, 1e-12),
+        ("uniform", (1.0, 0.3), 0.3, 0.80538400924869237311, 1e-12),
+        ("uniform", (2.0, 1e-3), 0.3, 0.94704695229431023691, 1e-12),
+        ("uniform", (1.0, 0.3), 1.0, 0.54105646824706432274, 1e-12),
+        ("uniform", (2.0, 1e-3), 1.0, 1.0000007606152493488, 1e-12),
+        ("uniform", (1.0, 0.3), 1.5, 0.43497514000139229637, 1e-12),
+        ("uniform", (2.0, 1e-3), 1.5, 1.1313712002042813294, 1e-12),
+        ("uniform", (1.0, 0.3), 1.9, 0.37569261854401125077, 1e-12),
+        ("uniform", (2.0, 1e-3), 1.9, 1.2869423855541382079, 1e-12),
+        (("student_t", 2.2), (1.0, 0.5), 0.3, 1.0681469295196679946, 1e-10),
+        (("student_t", 2.2), (1.0, 0.5), 1.0, 1.6584069203137533725, 1e-10),
+        (("student_t", 2.2), (1.0, 0.5), 1.9, 8.7221771720495309264, 1e-10),
+        (("student_t", 4.5), (1.0, 0.5), 0.3, 1.0008543771614455039, 1e-10),
+        (("student_t", 4.5), (1.0, 0.5), 1.0, 1.1938439356872206055, 1e-10),
+        (("student_t", 4.5), (1.0, 0.5), 1.9, 2.0696318830806194677, 1e-10),
+    ]
+
+    @pytest.mark.parametrize("family, ab, p, want, rel", TWO_D)
+    def test_two_dimensional_against_mpmath(self, family, ab, p, want, rel):
+        family, *df = family if isinstance(family, tuple) else (family,)
+        # the scales as the noise's spread and as Sigma's columns give one moment
+        for spec, Sigma in ((self.VECTOR[family](np.array(ab), *df), np.eye(2)),
+                            (self.VECTOR[family](np.ones(2), *df), np.diag(ab))):
+            val, se = spec.abs_moment_sigma(Sigma, p)
+            assert se == 0.0
+            assert val == pytest.approx(want, rel=rel)
+
+    @pytest.mark.parametrize("family", sorted(VECTOR))
+    def test_diagonal_sigma_is_scaled_noise(self, family):
+        a, b = np.array([0.3, 2.0, 1e-2, 5.0]), np.array([1.5, 0.2, 40.0, 1.0])
+        for p in (0.5, 1.0, 1.7):
+            got, _ = self.VECTOR[family](b).abs_moment_sigma(np.diag(a), p)
+            want, _ = self.VECTOR[family](a * b).abs_moment_sigma(np.eye(4), p)
+            assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("family", sorted(VECTOR))
+    def test_zero_column(self, family):
+        # only the first coordinate reaches Y = Sigma xi: its 1-D moment times 2**p
+        spec = self.VECTOR[family](np.array([0.7, 1.3, 0.4]))
+        Sigma = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        one = self.VECTOR[family](np.array([0.7]))
+        for p in (0.5, 1.0, 1.5):
+            val, se = spec.abs_moment_sigma(Sigma, p)
+            assert se == 0.0
+            assert val == pytest.approx(2.0**p * one.abs_moment_sigma(np.eye(1), p)[0], rel=1e-13)
+        assert spec.abs_moment_sigma(np.zeros((3, 3)), 1.0) == (0.0, 0.0)
+
+    def test_monte_carlo_only_off_the_exact_regime(self, count_calls):
+        draws = count_calls("_mc_abs_moment")
+        spec = NoiseSpec.student_t_d(3.0, [1.0, 2.0])
+        rotation, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((2, 2)))
+        # orthogonal only to rounding: the exact route takes no tolerance
+        assert not np.array_equal(rotation.T @ rotation, np.diag(np.diag(rotation.T @ rotation)))
+        for Sigma, p in ((np.eye(2), 2.5), (rotation, 1.0)):
+            assert spec.abs_moment_sigma(Sigma, p, mc_draws=1000)[1] > 0.0
+        NoiseSpec.laplace_d([0.5, 0.0], [1.0, 1.0]).abs_moment_sigma(np.eye(2), 1.0, mc_draws=1000)
+        assert len(draws) == 3
+
+    def test_exact_moments_ignore_draws_and_seed(self):
+        spec = NoiseSpec.uniform_d([1.0, 2.0])
+        first = spec.abs_moment_sigma(np.eye(2), 1.0, mc_draws=10, seed=1)
+        assert spec.abs_moment_sigma(np.eye(2), 1.0, mc_draws=99, seed=2) is first
+
+    def test_coupling_sweeps_draw_nothing(self, count_calls):
+        from ergobound import bounds as bnd
+
+        draws = count_calls("_mc_abs_moment")
+        rng = np.random.default_rng(7)
+        for k, family in enumerate(("laplace", "student_t", "uniform") * 2):
+            # model_scan's raw models: non-normal Q, spectral radius in [0.95, 0.995]
+            d = 2 + k % 3
+            lam = rng.uniform(0.95, 0.995, d) * rng.choice([-1.0, 1.0], d)
+            O, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            Q = O @ (np.diag(lam) + np.triu(rng.uniform(1.0, 3.0, (d, d)), 1)) @ O.T
+            scale = rng.uniform(0.5, 1.5, d)
+            noise = {"laplace": lambda: NoiseSpec.laplace_d(np.zeros(d), scale),
+                     "student_t": lambda: NoiseSpec.student_t_d(2.0 + rng.uniform(0.05, 0.5), scale),
+                     "uniform": lambda: NoiseSpec.uniform_d(scale)}[family]()
+            m = raw_model(Q, np.eye(d), noise)
+            for flavor in ("generic", "generic_diag", "sliced_generic", "parallel",
+                           "empirical_mean"):
+                for r in (1.0, 1.5, 2.0):
+                    rows = bnd.sweep(m, flavor, rng.normal(size=d), r, range(11), n_copies=4)
+                    assert all(rep.details.get("moment_stderr", 0.0) == 0.0 for rep in rows)
+        assert draws == []
 
 
 def mpmath_laplace_abs_moment(loc, scale, p):
