@@ -226,8 +226,8 @@ def _coords(x) -> np.ndarray:
 
 
 class _Law(NamedTuple):
-    """A noise family's parameter names (the spread last), mean, variance, draw ``(rng, p, size)``,
-    ``(p, r) -> E|eps|**r`` and ``(p, z) -> log E exp(-z eta**2)`` of ``eta`` at unit spread."""
+    """A noise family's parameter names, mean, variance, draw ``(rng, p, size)``, ``(p, r) ->
+    E|eps|**r`` and ``(p, z) -> log E exp(-z eta**2)`` at unit spread (the last name)."""
 
     names: tuple[str, ...]
     mean: Callable
