@@ -190,7 +190,7 @@ def _student_log_laplace(df: float, z: np.ndarray) -> np.ndarray:
     a = df / 2.0
     y = np.arange(-40.0 / a - 1.0, math.log1p(40.0 / a) + 2.0, min(0.2, 0.7 / math.sqrt(df)))
     y = y[a * (y - np.exp(y) + 1.0) > -40.0]
-    w = np.exp(a * (y - np.exp(y)))
+    w = np.exp(a * (y - np.exp(y) + 1.0))
     return np.log(sum(wj / np.sqrt(1.0 + z * cj) for wj, cj in zip(w / w.sum(), 2.0 * np.exp(-y))))
 
 
@@ -463,13 +463,10 @@ class NoiseSpec:
     ) -> tuple[float, float]:
         """``(E|Sigma xi|**p, stderr)``; stderr is zero for deterministic routes.
 
-        Deterministic routes, cached without ``mc_draws`` and ``seed``: closed forms
-        for scalar-driven specs, point masses and ``p = 2``, and at ``0 < p < 2``
-        ``_quad_form_moment`` for vector Gaussian noise and for centered Laplace,
-        Student-t and uniform noise whose ``Sigma^T Sigma`` has exactly zero
-        off-diagonal entries.  The rest (such noise with a location or another
-        ``Sigma``, vector noise at ``p > 2``) is a seeded ``mc_draws``-sample
-        Monte Carlo with a positive stderr.
+        Deterministic routes (``_exact_abs_moment``), cached without ``mc_draws`` and ``seed``:
+        closed forms for scalar-driven specs, point masses and ``p = 2``, and at ``0 < p < 2``
+        ``_quad_form_moment`` for vector Gaussian noise and centered Laplace, Student-t and
+        uniform noise with exactly diagonal ``Sigma^T Sigma``; else a seeded Monte Carlo.
 
         Raises
         ------
@@ -480,15 +477,14 @@ class NoiseSpec:
         """
         Sigma = as_matrix(Sigma, name="Sigma").astype(float)
         self._require_moment(p)
-        gram = Sigma.T @ Sigma
-        mc = not (self.is_scalar_driven or self.family == "point_mass" or p == 2 or 0 < p < 2 and (
-            self.family == "gaussian" or np.array_equal(gram, np.diag(np.diag(gram)))
-            and np.all(self._law.mean(self.params) == 0.0)))
-        key = (Sigma.tobytes(), Sigma.shape, p) + ((mc_draws, seed) if mc else ())
-        if key not in self._moment_cache:
-            self._moment_cache[key] = (_mc_abs_moment(self.sampler(), Sigma, p, mc_draws, seed)
-                                       if mc else (self._exact_abs_moment(Sigma, p), 0.0))
-        return self._moment_cache[key]
+        cache, key = self._moment_cache, (Sigma.tobytes(), Sigma.shape, p)
+        if key not in cache:
+            exact = self._exact_abs_moment(Sigma, p)
+            cache[key] = None if exact is None else (exact, 0.0)
+        mc_key = key + (mc_draws, seed)
+        if cache[key] is None and mc_key not in cache:
+            cache[mc_key] = _mc_abs_moment(self.sampler(), Sigma, p, mc_draws, seed)
+        return cache[key] or cache[mc_key]
 
     def moment_root(self, Sigma, p: float, seed: int = 0) -> tuple[float, float]:
         """``(E|Sigma xi|**p + 3 stderr)**(1/p)`` and the stderr: Monte Carlo
@@ -496,23 +492,27 @@ class NoiseSpec:
         val, se = self.abs_moment_sigma(Sigma, p, seed=seed)
         return (val + 3.0 * se) ** (1.0 / p), se
 
-    def _exact_abs_moment(self, Sigma, p) -> float:
+    def _exact_abs_moment(self, Sigma, p) -> float | None:
+        """The deterministic ``E|Sigma xi|**p`` of ``abs_moment_sigma``, None where none applies."""
         if self.is_scalar_driven:
             amp = float(np.linalg.norm(Sigma @ self.direction))
             return self.scalar_abs_moment(p) * amp**p
         if self.family == "point_mass":
             return float(np.linalg.norm(Sigma @ self.params["value"])) ** p
-        if p == 2 or self.family == "gaussian":
+        if p == 2 or self.family == "gaussian" and 0 < p < 2:
             m = Sigma @ self.mean_vector()
             c = Sigma @ self.covariance() @ Sigma.T
             return float(m @ m + np.trace(c)) if p == 2 else _gauss_norm_moment(m, c, p)
+        law, prm, s, gram = self._law, self.params, p / 2.0, Sigma.T @ Sigma
+        if not 0 < p < 2 or np.any(gram - np.diag(np.diag(gram))) or np.any(law.mean(prm)):
+            return None
         # orthogonal columns: |Sigma xi|**2 = sum_k w_k eta_k**2 over unit-spread eta_k
-        law, prm, s = self._law, self.params, p / 2.0
         w = np.sum(Sigma * Sigma, axis=0) * prm[law.names[-1]] ** 2
         lam = w[w > 0.0] / w.sum()
         if lam.size == 0:
             return 0.0
-        unit = law.abs_moment({"loc": 0.0, "df": prm.get("df"), law.names[-1]: 1.0}, p)
+        # centered coordinates share one law at unit spread: the first one's
+        unit = law.abs_moment({k: _coords(v)[0] for k, v in prm.items()} | {law.names[-1]: 1.0}, p)
         offset = math.gamma(1.0 - s) / s * unit * float(np.sum(lam**s)) - (lam.size - 1) / s
         # what the control terms leave is O(u**(min(2, df) - s)): e^-36 below the first edge
         x0 = math.ceil(36.0 / (min(2.0, self.r_max) - s))

@@ -544,7 +544,7 @@ class TestIndependentCoordinateMoments:
         cases = [(NoiseSpec.laplace_d([0.0], [scale]), scale**p * math.gamma(p + 1.0)),
                  (NoiseSpec.uniform_d([scale]), scale**p / (p + 1.0))]
         cases += [(NoiseSpec.student_t_d(df, [scale]), scale**p * _student_abs_moment(df, p))
-                  for df in (1.5, 2.05, 2.5, 4.5, 30.0) if p < df]
+                  for df in (1.5, 2.05, 2.5, 4.5, 30.0, 1e4, 1e6) if p < df]
         for spec, want in cases:
             val, se = spec.abs_moment_sigma(np.eye(1), p, seed=3)
             assert se == 0.0
@@ -555,7 +555,10 @@ class TestIndependentCoordinateMoments:
     # closed form (25 digits).  Student-t: the 1-D moments less s / Gamma(1 - s) times
     # int g_1 g_2 u**(-s-1) du, g_k = 1 - E exp(-u a_k**2 T**2) by mpmath.hyperu (30
     # digits); the polar double integral agrees to 1e-15 except at df 2.2, p 1.9, where
-    # its angular quadrature lands 1.5e-6 off
+    # its angular quadrature lands 1.5e-6 off.  At df 1e4 (where mpmath.hyperu fails): the
+    # trapezoid rule in ln V_1, ln V_2 over T_k = Z_k / sqrt(V_k), the Gaussian form given V in
+    # closed form, (2 beta)**s Gamma(1 + s) 2F1(-s, 1/2; 1; 1 - alpha/beta), beta >= alpha
+    # (13 digits; the same rule gives the df 30 moment to 1e-14)
     TWO_D = [
         ("laplace", (1.0, 0.3), 0.3, 0.96256364478484947029, 1e-12),
         ("laplace", (2.0, 1e-3), 0.3, 1.1049500512781670121, 1e-12),
@@ -579,6 +582,9 @@ class TestIndependentCoordinateMoments:
         (("student_t", 4.5), (1.0, 0.5), 0.3, 1.0008543771614455039, 1e-10),
         (("student_t", 4.5), (1.0, 0.5), 1.0, 1.1938439356872206055, 1e-10),
         (("student_t", 4.5), (1.0, 0.5), 1.9, 2.0696318830806194677, 1e-10),
+        (("student_t", 1e4), (1.0, 0.5), 0.3, 0.95211488202381, 1e-10),
+        (("student_t", 1e4), (1.0, 0.5), 1.0, 0.96636023639310, 1e-10),
+        (("student_t", 1e4), (1.0, 0.5), 1.9, 1.20601869412599, 1e-10),
     ]
 
     @pytest.mark.parametrize("family, ab, p, want, rel", TWO_D)
