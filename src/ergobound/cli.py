@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 
@@ -143,13 +144,14 @@ def _manifest(command: str, model: StateSpaceModel | None, args, keys) -> dict:
     }
 
 
-def _write_lines(path: str | None, lines: list[str], manifest: dict) -> None:
-    payload = "\n".join(lines) + "\n"
+def _write_lines(path: str | None, chunks, manifest: dict) -> None:
+    """Each text chunk of the iterable ``chunks`` and a newline, to ``path`` (stdout
+    when None) as it comes; a file gets the manifest beside it."""
     if path is None:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(chunk + "\n" for chunk in chunks)
         return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload)
+        fh.writelines(chunk + "\n" for chunk in chunks)
     with open(path + ".manifest.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -282,16 +284,13 @@ def _cmd_simulate(args) -> int:
     config = SimConfig(n_paths=args.paths, horizon=args.horizon, seed=args.seed)
     ens = simulate_paths(model, x, config)
     header = "path,t," + ",".join(f"x{i + 1}" for i in range(model.d))
-    rows = [header]
-    # one call per path: every row of the path in one template, digits as _row
-    block = "\n".join(["%d,%d" + ",%.17g" * model.d] * len(ens.times))
-    flat = np.empty((len(ens.times), 2 + model.d))
-    flat[:, 1] = ens.times
-    for i in range(ens.n_paths):
-        flat[:, 0], flat[:, 2:] = i, ens.samples[i]
-        rows.append(block % tuple(flat.ravel().tolist()))
+    # one chunk per path: its rows in one template with the path and step numbers
+    # written in, so only the floats are formatted, with the digits of _row
+    tails = [f",{t}" + ",%.17g" * model.d for t in ens.times]
+    paths = ((str(i) + f"\n{i}".join(tails)) % tuple(ens.samples[i].ravel().tolist())
+             for i in range(ens.n_paths))
     manifest = _manifest("simulate", model, args, ("paths", "horizon", "seed", "x"))
-    _write_lines(args.out, rows, manifest)
+    _write_lines(args.out, itertools.chain([header], paths), manifest)
     return EXIT_OK
 
 

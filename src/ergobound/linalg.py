@@ -371,6 +371,15 @@ def _sym(S: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
+def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``A @ v`` in even row blocks below 4096 multiply-adds, which OpenBLAS keeps on the
+    calling thread (waking its threads after an idle spell can cost a scheduler tick a
+    product).  Every entry keeps its bits, as no block is a lone row (numpy's dot case)."""
+    m, k = A.shape
+    blocks = max(1, min(m // 2, -(-m // max(1, 4095 // max(k, 1)))))
+    return np.concatenate([A[m * b // blocks:m * (b + 1) // blocks] @ v for b in range(blocks)])
+
+
 def _kitagawa(U: np.ndarray, Delta: np.ndarray, R: np.ndarray) -> np.ndarray:
     """``S = Q S Q^T + R`` for ``Q = U Delta U*``: in the Schur basis, column ``j`` solves
     ``(I - conj(Delta_jj) Delta) x_j = c_j + Delta X[:, j+1:] conj(Delta[j, j+1:])``."""
@@ -380,7 +389,7 @@ def _kitagawa(U: np.ndarray, Delta: np.ndarray, R: np.ndarray) -> np.ndarray:
     # LAPACK trtrs called as solve_triangular calls it on a C-ordered upper triangle
     trtrs, = scipy.linalg.get_lapack_funcs(("trtrs",), (Delta, C))
     for j in range(len(C) - 1, -1, -1):
-        rhs = C[:, j] + Delta @ (X[:, j + 1:] @ Delta[j, j + 1:].conj())
+        rhs = C[:, j] + _matvec(Delta, _matvec(X[:, j + 1:], Delta[j, j + 1:].conj()))
         X[:, j] = trtrs((eye - Delta[j, j].conj() * Delta).T, rhs, lower=1, trans=1)[0]
     return _sym((U @ X @ U.conj().T).real)
 

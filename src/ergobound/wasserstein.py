@@ -194,10 +194,10 @@ def _shift_noise_scale(xs: np.ndarray, var_y: float, r: float) -> float:
 # spin on the CPUs the sort workers need; a tile of 2^17 stays on its worker.
 # Jobs and tiles depend on the shape alone, never on the worker count.  An
 # entry keeps its bits under such splits only while every piece goes to the
-# same BLAS kernel: with OpenBLAS 0.3.31 (AVX-512) that holds when ``n`` is a
-# multiple of ``_ALIGN`` and ``d < _MAX_SPLIT_DEPTH``, since column tails
-# below 16 and products of depth 32 or more take kernels picked by the
-# product's shape.  Other shapes run as one product in one job.
+# same BLAS kernel: with OpenBLAS 0.3.31 (AVX-512) that holds for tile widths
+# that are multiples of ``_ALIGN`` (a job's last tile is zero-padded to one) and
+# ``d < _MAX_SPLIT_DEPTH``; column tails below 16 and depth 32 or more take
+# kernels picked by the product's shape, so that depth runs as one product.
 _BLOCK_ROWS = 16
 _TILE_MADDS = 1 << 17
 _ALIGN = 16
@@ -210,23 +210,27 @@ def _edges(n: int, step: int) -> list[int]:
     return [0, *range(step, n - step + 1, step), n]
 
 
-def _projection_jobs(n_distinct: int, n: int, d: int) -> list[tuple[int, int, int]]:
-    """``(first direction, end direction, tile width)`` of each projection job."""
-    if n % _ALIGN or d >= _MAX_SPLIT_DEPTH:
-        return [(0, n_distinct, n)]
+def _projection_jobs(n_distinct: int, n: int, d: int) -> list[tuple[int, int, list[int]]]:
+    """``(first direction, end direction, column tile edges)`` of each projection job; the
+    edges run to ``n`` rounded up to a multiple of ``_ALIGN``."""
+    if d >= _MAX_SPLIT_DEPTH:
+        return [(0, n_distinct, [0, n])]
     rows = _edges(n_distinct, _BLOCK_ROWS)
-    return [(lo, hi, max(_ALIGN, _TILE_MADDS // ((hi - lo) * d) // _ALIGN * _ALIGN))
+    return [(lo, hi, _edges(-(-n // _ALIGN) * _ALIGN,
+                            max(_ALIGN, _TILE_MADDS // ((hi - lo) * d) // _ALIGN * _ALIGN)))
             for lo, hi in zip(rows, rows[1:])]
 
 
-def _sorted_projections(xs: np.ndarray, dirs: np.ndarray, out: np.ndarray, width: int):
-    """Projections of ``xs`` on ``dirs`` into the ``(directions, n)`` rows ``out``,
-    column tiles of ``width`` at a time, then each row sorted in place."""
-    cols = _edges(xs.shape[0], width)
+def _sorted_projections(xs: np.ndarray, dirs: np.ndarray, out: np.ndarray, cols: list[int]):
+    """Projections of ``xs`` on ``dirs`` into the ``(directions, cols[-1])`` scratch ``out``,
+    tile ``cols[k]:cols[k + 1]`` at a time, zero rows padding ``xs`` past ``n``; returns the
+    first ``n`` columns, each row sorted in place."""
+    n = xs.shape[0]
     for lo, hi in zip(cols, cols[1:]):
-        np.matmul(dirs, xs[lo:hi].T, out=out[:, lo:hi])
-    out.sort(axis=1)
-    return out
+        tile = xs[lo:hi] if hi <= n else np.vstack((xs[lo:], np.zeros((hi - n, xs.shape[1]))))
+        np.matmul(dirs, tile.T, out=out[:, lo:hi])
+    out[:, :n].sort(axis=1)
+    return out[:, :n]
 
 
 def _sliced_estimate(powers, r, n, n_directions, seed, deterministic, shift_se):
@@ -287,6 +291,10 @@ def sliced_empirical_sweep(
     worker pool (``ERGOBOUND_THREADS``); each job projects and sorts ``ys``
     and every step for its own directions and keeps their per-direction
     ``W_r^r``, so the estimates are bit-identical for any worker count.
+
+    Memory: each running job holds two blocks of 16 to 31 directions by ``n``
+    (padded to 16), so below ``d = 32`` the scratch is at most ``workers * 2 *
+    31 * (n + 15) * 8`` bytes plus the ``(steps, directions)`` powers.
     """
     ys = np.asarray(ys, dtype=float)
     xs_list = [_check_sample_pair(xs, ys)[0] for xs in xs_list]
@@ -294,14 +302,13 @@ def sliced_empirical_sweep(
         return []
     n = ys.shape[0]
     dirs, deterministic = _sliced_directions(ys.shape[1], n_directions, seed, mode)
-    py = np.empty((dirs.shape[0], n))
-    px = np.empty_like(py)
     powers = np.empty((len(xs_list), dirs.shape[0]))  # (steps, directions) of W_r^r
 
-    def run(lo: int, hi: int, width: int) -> None:
-        sorted_y = _sorted_projections(ys, dirs[lo:hi], py[lo:hi], width)
+    def run(lo: int, hi: int, cols: list[int]) -> None:
+        sorted_y = _sorted_projections(ys, dirs[lo:hi], np.empty((hi - lo, cols[-1])), cols)
+        scratch = np.empty((hi - lo, cols[-1]))
         for step, xs in enumerate(xs_list):
-            gaps = _sorted_projections(xs, dirs[lo:hi], px[lo:hi], width)
+            gaps = _sorted_projections(xs, dirs[lo:hi], scratch, cols)
             np.subtract(gaps, sorted_y, out=gaps)
             np.abs(gaps, out=gaps)
             if r != 1:

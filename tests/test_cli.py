@@ -582,6 +582,31 @@ class TestSimulate:
         )
         assert code == 6
 
+    def test_out_file_is_written_path_by_path(self, tmp_path, monkeypatch):
+        # numpy reports its buffers to tracemalloc: the run holds the ensemble and
+        # what the simulation itself needs, plus a few paths' text, never the whole CSV
+        import tracemalloc
+
+        from ergobound.sim import SimConfig, simulate_paths
+
+        monkeypatch.setenv("ERGOBOUND_THREADS", "2")
+        model, paths, horizon = ar_state_space([1.2, -0.5]), 300, 400
+        out = tmp_path / "s.csv"
+        argv = ["simulate", "--phi", "1.2,-0.5", "--paths", str(paths), "--horizon",
+                str(horizon), "--seed", "1", "--out", str(out)]
+        peaks = []
+        for job in (lambda: simulate_paths(model, [0.0, 0.0], SimConfig(paths, horizon, 1)),
+                    lambda: main(argv)):
+            job()  # warm: imports and cached model properties
+            tracemalloc.start()
+            try:
+                job()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        path_text = out.stat().st_size / paths
+        assert peaks[1] <= peaks[0] + 4 * path_text, (peaks, path_text)
+
 
 # Model files read by pinned runs, written next to their outputs under these names.
 PINNED_MODELS = {

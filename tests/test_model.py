@@ -691,6 +691,30 @@ class TestLaplaceHighOrders:
             _laplace_abs_moment(loc, scale, p)
 
 
+class TestStudentLargeDf:
+    # gammaln((df - p)/2) - gammaln(df/2) cancels: 4e-12 relative off at df 1e4, 9e-10 at
+    # 1e6 and 4e-4 at 1e12; Stirling's series takes over from df - p = 1e3 on
+    @pytest.mark.parametrize("df", [1e3 + 12.0, 1e4, 1e5, 1e6, 1e8, 1e10, 1e12])
+    @pytest.mark.parametrize("p", [0.3, 1.0, 1.9, 4.0, 12.0])
+    def test_against_mpmath(self, df, p):
+        import mpmath
+
+        with mpmath.workdps(40):
+            h, z = mpmath.mpf(p) / 2, mpmath.mpf(df) / 2
+            want = float(mpmath.exp(h * mpmath.log(df) + mpmath.loggamma(h + 0.5)
+                                    + mpmath.loggamma(z - h) - mpmath.loggamma(z))
+                         / mpmath.sqrt(mpmath.pi))
+        assert _student_abs_moment(df, p) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("df, p", [(2.05, 2.0), (2.5, 1.0), (3.0, 1.0), (30.0, 1.5),
+                                       (999.0, 1.0), (1001.0, 1.5)])
+    def test_gammaln_route_below_the_series(self, df, p):
+        want = math.exp((p / 2.0) * math.log(df) + gammaln((p + 1.0) / 2.0)
+                        + gammaln((df - p) / 2.0) - 0.5 * math.log(math.pi)
+                        - gammaln(df / 2.0))
+        assert _student_abs_moment(df, p) == want
+
+
 class TestSerialization:
     @pytest.mark.parametrize(
         "model",

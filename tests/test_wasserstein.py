@@ -277,9 +277,10 @@ class TestSlicedEmpirical:
             sliced_empirical(np.zeros((10, 1)), np.ones((10, 1)))
 
 
-# (d, n, r, n_directions, mode).  With n a multiple of 16 and at least 32
-# distinct directions the work splits into several jobs, each with a last
-# column tile wider than the others; n off 16 and fewer directions run as one
+# (d, n, r, n_directions, mode).  With at least 32 distinct directions the
+# work splits into several jobs, each with a last column tile wider than the
+# others or, for n off 16, zero-padded to a multiple of 16 columns; fewer
+# directions run as one job.
 WORKER_CASES = {
     "d2_ragged_tiles": (2, 3 * 4096 + 48, 1.0, 256, "random"),
     "d3_r1.5": (3, 2 * 2720 + 16, 1.5, 100, "random"),
@@ -291,19 +292,32 @@ WORKER_CASES = {
 }
 
 
+def padded_projections(dirs, xs):
+    """One untiled product of ``xs`` zero-padded to a multiple of 16 rows, cut back to ``n``."""
+    n = xs.shape[0]
+    pad = np.zeros((-(-n // 16) * 16, xs.shape[1]))
+    pad[:n] = xs
+    return (dirs @ pad.T)[:, :n]
+
+
 @pytest.mark.parametrize("case", sorted(WORKER_CASES))
 def test_worker_count_does_not_change_sliced_output(monkeypatch, case):
     # jobs and tiles are fixed by the shape, so any worker count gives the
-    # same bits, which are those of one untiled product per step; a shortened
-    # switch interval interleaves the workers finely
+    # same bits, which are those of one untiled product per step of the
+    # zero-padded sample; a shortened switch interval interleaves the workers
+    # finely
     d, n, r, n_dirs, mode = WORKER_CASES[case]
     rng = np.random.default_rng(23)
     ens = rng.standard_normal((n, 3, d))
     ys = rng.standard_normal((n, d))
     xs_list = [ens[:, t, :] + 0.3 * t for t in range(3)]  # strided, as ``at_time`` gives
     jobs = _projection_jobs((n_dirs + 1) // 2, n, d)
-    if n % 16 == 0 and n_dirs >= 64:
-        assert len(jobs) > 1 and any(n % width for _, _, width in jobs)
+    if n_dirs >= 64:
+        assert len(jobs) > 1
+        widths = [np.diff(cols) for _, _, cols in jobs]
+        assert all(w[-1] % 16 == 0 for w in widths)
+        assert any(cols[-1] > n for _, _, cols in jobs) if n % 16 else any(
+            len(set(w)) > 1 for w in widths)
     runs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -315,14 +329,38 @@ def test_worker_count_does_not_change_sliced_output(monkeypatch, case):
         sys.setswitchinterval(interval)
     assert runs[1] == runs[0] and runs[2] == runs[0]
     dirs, _ = _sliced_directions(d, n_dirs, 4, mode)
-    py = np.sort(dirs @ ys.T, axis=1)
-    for lo, hi, width in jobs:  # each job's tiled projections, bit for bit
-        for xs, ref in ((ys, py), (xs_list[1], np.sort(dirs @ xs_list[1].T, axis=1))):
-            got = _sorted_projections(xs, dirs[lo:hi], np.empty((hi - lo, n)), width)
+    py = np.sort(padded_projections(dirs, ys), axis=1)
+    px = np.sort(padded_projections(dirs, xs_list[1]), axis=1)
+    for lo, hi, cols in jobs:  # each job's tiled projections, bit for bit
+        for xs, ref in ((ys, py), (xs_list[1], px)):
+            got = _sorted_projections(xs, dirs[lo:hi], np.empty((hi - lo, cols[-1])), cols)
             assert got.tobytes() == ref[lo:hi].tobytes()
     for xs, got in zip(xs_list, runs[0]):
-        powers = (np.abs(np.sort(dirs @ xs.T, axis=1) - py) ** r).mean(axis=1)
+        powers = (np.abs(np.sort(padded_projections(dirs, xs), axis=1) - py) ** r).mean(axis=1)
         assert got.value == float(powers.mean()) ** (1.0 / r)
+
+
+def test_sweep_scratch_is_per_job(monkeypatch):
+    # numpy reports its buffers to tracemalloc: each of the two workers holds two
+    # (at most 31, n rounded up to 16) blocks at a time, so the peak does not grow with
+    # the 512 distinct directions; the rest is the (steps, directions) powers and
+    # (n, d) variance temporaries
+    import tracemalloc
+
+    monkeypatch.setenv("ERGOBOUND_THREADS", "2")
+    n, d, steps, n_dirs = 4001, 2, 5, 1024
+    rng = np.random.default_rng(31)
+    ys = rng.standard_normal((n, d))
+    xs_list = [rng.standard_normal((n, d)) for _ in range(steps)]
+    sliced_empirical_sweep(xs_list, ys, 1.0, 16, seed=1)  # warm
+    tracemalloc.start()
+    try:
+        sliced_empirical_sweep(xs_list, ys, 1.0, n_dirs, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 2 * 2 * 31 * (n + 15) * 8 + 4 * steps * n_dirs * 8 + 4 * n * d * 8
+    assert peak <= bound < n_dirs // 2 * n * 8, (peak, bound)
 
 
 def test_empirical_estimate_defaults():
