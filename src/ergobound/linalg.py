@@ -376,7 +376,9 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     calling thread (waking its threads after an idle spell can cost a scheduler tick a
     product).  Every entry keeps its bits, as no block is a lone row (numpy's dot case)."""
     m, k = A.shape
-    blocks = max(1, min(m // 2, -(-m // max(1, 4095 // max(k, 1)))))
+    if m * k < 4096:
+        return A @ v
+    blocks = max(1, min(m // 2, -(-m // max(1, 4095 // k))))
     return np.concatenate([A[m * b // blocks:m * (b + 1) // blocks] @ v for b in range(blocks)])
 
 
