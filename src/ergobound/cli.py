@@ -111,6 +111,8 @@ def _load_model(args) -> StateSpaceModel:
 
 def _start_state(args, model: StateSpaceModel) -> np.ndarray:
     x = np.asarray(_parse_floats(args.x), dtype=float) if args.x else np.zeros(model.d)
+    if not np.all(np.isfinite(x)):
+        raise _ParseError(f"--x must be finite, got {args.x!r}")
     if x.shape != (model.d,):
         raise ValueError("--x must have length d")
     return x
@@ -376,6 +378,8 @@ def main(argv=None) -> int:
             raise _ParseError(f"--t-max must be nonnegative, got {args.t_max}")
         if getattr(args, "n_directions", 1) < 1:
             raise _ParseError(f"--n-directions must be positive, got {args.n_directions}")
+        if not 0.0 < getattr(args, "eps", 1.0) < np.inf:
+            raise _ParseError(f"--eps must be positive and finite, got {args.eps}")
         return args.func(args)
     except _ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

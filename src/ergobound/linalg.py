@@ -2,8 +2,9 @@
 
 Eigendecompositions, symmetric PSD square roots and complex Schur forms; on
 one Schur form, the scaled-triangular contraction norm that certifies Schur
-stability and the stationary-covariance solve.  Everything here is a pure
-function on plain numpy arrays; nothing mutates its inputs.
+stability and the stationary-covariance solve.  Everything here is a function of
+plain numpy arrays that mutates no input; ``eigen`` and ``schur_triangularize``
+remember their last matrix, so each matrix is decomposed once.
 """
 
 from __future__ import annotations
@@ -109,8 +110,32 @@ def _check_conjugate_pairs(w: np.ndarray) -> None:
         raise NonConvergence("non-real eigenvalues of real input failed to pair")
 
 
+_LAST: dict = {}  # per remembered function, the (key, result) of its last call
+
+
+def _read_only(*arrays) -> np.ndarray:
+    """Mark the arrays read-only; returns the first."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays[0]
+
+
+def _remembered(compute, A, *args):
+    """``compute(A, *args)`` on a private read-only copy of the validated ``A``, or its last
+    result again while the key (dtype, shape and bytes of ``A``, ``args``) is unchanged.
+    A call that raises keeps nothing."""
+    A = as_matrix(A, name="A")
+    key = (A.dtype.str, A.shape, A.tobytes(), args)
+    last = _LAST.get(compute, (None, None))
+    if last[0] != key:
+        _LAST[compute] = last = (key, compute(_read_only(A.copy()), *args))
+    return last[1]
+
+
 def eigen(A, tol: float = 1e-8) -> SpectralInfo:
     """Eigenvalues and eigenvectors of a square matrix.
+
+    The result is remembered for the last matrix and ``tol``; its arrays are read-only.
 
     Parameters
     ----------
@@ -124,7 +149,10 @@ def eigen(A, tol: float = 1e-8) -> SpectralInfo:
     NonConvergence
         If the underlying iteration fails or the residual contract is not met.
     """
-    A = as_matrix(A, name="A")
+    return _remembered(_eigen, A, float(tol))
+
+
+def _eigen(A: np.ndarray, tol: float) -> SpectralInfo:
     real_input = np.isrealobj(A)
     try:
         w, V = np.linalg.eig(A)
@@ -147,9 +175,9 @@ def eigen(A, tol: float = 1e-8) -> SpectralInfo:
         cond = np.inf
     diagonalizable = bool(np.isfinite(cond) and cond <= DIAGONALIZABLE_COND_CAP)
     return SpectralInfo(
-        eigenvalues=w,
+        eigenvalues=_read_only(w),
         spectral_radius=float(np.abs(w).max()),
-        eigenvector_matrix=V,
+        eigenvector_matrix=_read_only(V),
         diagonalizable=diagonalizable,
         residual=residual,
     )
@@ -178,9 +206,14 @@ def schur_triangularize(A) -> SchurForm:
     """The complex Schur form of a square matrix.
 
     The contract is purely residual-based: ``||A - U Delta U*||_F <=
-    1e-10 ||A||_F`` and ``||U* U - I||_F <= 1e-10 (sqrt(d) + 1)``.
+    1e-10 ||A||_F`` and ``||U* U - I||_F <= 1e-10 (sqrt(d) + 1)``.  The form is
+    remembered for the last matrix, and ``A``, ``U`` and ``Delta`` are read-only, ``A`` a
+    private copy; so every caller on one matrix shares one decomposition.
     """
-    A = as_matrix(A, name="A")
+    return _remembered(_schur, A)
+
+
+def _schur(A: np.ndarray) -> SchurForm:
     d = A.shape[0]
     try:
         Delta, U = scipy.linalg.schur(A.astype(complex), output="complex")
@@ -189,14 +222,14 @@ def schur_triangularize(A) -> SchurForm:
     scale = max(fro(A), np.finfo(float).tiny)
     if fro(np.tril(Delta, k=-1)) > _SCHUR_TOL * scale:
         raise NonConvergence("Schur factor is not triangular within tolerance")
-    Delta = np.triu(Delta)
+    Delta = _read_only(np.triu(Delta))
     resid = fro(A - U @ Delta @ U.conj().T)
     unit = fro(U.conj().T @ U - np.eye(d))
     if resid > _SCHUR_TOL * scale or unit > _SCHUR_TOL * (math.sqrt(d) + 1.0):
         raise NonConvergence(f"Schur residual {resid:.3e} / unitarity defect {unit:.3e} "
                              f"exceed tolerance {_SCHUR_TOL:.1e}")
     rho = float(np.abs(np.diag(Delta)).max(initial=0.0))
-    return SchurForm(A=A, U=U, Delta=Delta, residual=resid, spectral_radius=rho)
+    return SchurForm(A=A, U=_read_only(U), Delta=Delta, residual=resid, spectral_radius=rho)
 
 
 def _scaled_triangular_norm(M: np.ndarray, kappa: float) -> float:
@@ -256,36 +289,48 @@ def _star_constants(U: np.ndarray, kappa: float) -> tuple[float, float]:
 
 
 def _kappa_objective(Delta: np.ndarray, U: np.ndarray, t: int):
-    """The objective of :func:`_optimize_kappa`; ``U``'s norms and the exponents are taken once."""
+    """The objective of :func:`_optimize_kappa` at one kappa or at each of a sequence, which
+    is taken a few kappas at a time (temporaries below 2^14 entries).  Per kappa, the ``2d - 1``
+    powers ``kappa ** k`` are gathered into the weights ``kappa ** (i - j)``.  A non-finite
+    norm or an overflowing objective scores ``inf``."""
     d, a, b = U.shape[0], one_norm(U), one_norm(U.conj().T)
-    p = np.arange(1, d + 1, dtype=float)
-    exponents = p[:, None] - p[None, :]
+    powers = np.arange(1 - d, d, dtype=float)
+    gather = np.subtract.outer(np.arange(d), np.arange(d)) + (d - 1)
+    step = max(1, 2 ** 14 // (d * d))
 
-    def objective(kappa: float) -> float:
-        s = one_norm(Delta * kappa ** exponents)
-        if s >= 1.0:
+    def value(kappa: float, s: float) -> float:
+        try:
+            f = d * kappa ** (d - 1) * a * b * s ** (t + 1) / (1.0 - s)
+        except ArithmeticError:  # kappa ** (d - 1) overflows, or s is 1
             return np.inf
-        return d * kappa ** (d - 1) * a * b * s ** (t + 1) / (1.0 - s)
+        return f if s < 1.0 and f < np.inf else np.inf
+
+    def objective(kappa):
+        if not np.ndim(kappa):
+            return value(kappa, one_norm(Delta * (kappa ** powers)[gather]))
+        kappas = np.asarray(kappa, dtype=float)
+        s = np.concatenate([np.abs(Delta * (kappas[i:i + step, None] ** powers)[:, gather])
+                            .sum(axis=1).max(axis=1) for i in range(0, len(kappas), step)])
+        return [value(k, x) for k, x in zip(kappas.tolist(), s.tolist())]
 
     return objective
 
 
-def _optimize_kappa(
-    Delta: np.ndarray, U: np.ndarray, threshold: float, t: int
-) -> float:
+@np.errstate(over="ignore", invalid="ignore")  # such kappas score inf
+def _optimize_kappa(Delta: np.ndarray, U: np.ndarray, threshold: float, t: int) -> float:
     """Pick kappa minimizing the geometric-tail factor of the generic bound.
 
     Objective is ``K_d(kappa) * s(kappa)**(t+1) / (1 - s(kappa))`` with
     ``s`` the norm value at that kappa, the kappa-dependent factor of the
     order-1 coupling bound with unit moment weights.  The objective is
-    scanned on a log grid above the admissibility threshold and refined by
-    golden-section search in the best bracket.
+    scanned on a log grid above the admissibility threshold in one batched
+    pass and refined by golden-section search in the best bracket.
     """
     objective = _kappa_objective(Delta, U, t)
     lo = math.log(threshold * (1.0 + 1e-9))
     hi = math.log(threshold * 1e4)
     grid = np.linspace(lo, hi, 80)
-    vals = [objective(math.exp(g)) for g in grid]
+    vals = objective([math.exp(g) for g in grid])
     k = int(np.argmin(vals))
     a = grid[max(k - 1, 0)]
     b = grid[min(k + 1, len(grid) - 1)]

@@ -21,7 +21,7 @@ from scipy.special import erf, erfcx, gammaln, hyp1f1
 
 from .asymptotics import EigenSandwich
 from .errors import EmptyCoefficients, MomentUnavailable, NonConvergence, OrderViolation
-from .linalg import (SchurForm, SpectralInfo, StarNorm, as_matrix, eigen, psd_sqrt,
+from .linalg import (SchurForm, SpectralInfo, StarNorm, _read_only, as_matrix, eigen, psd_sqrt,
                      schur_triangularize, smallest_eigenvalue_sym, solve_stein, star_norm)
 
 __all__ = [
@@ -274,13 +274,6 @@ _LAWS = {
                        lambda rng, p, size: np.full(size, p["value"]),
                        lambda p, r: abs(p["value"]) ** r),
 }
-
-
-def _read_only(*arrays) -> np.ndarray:
-    """Mark the arrays read-only; returns the first."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -595,16 +588,12 @@ class StateSpaceModel:
     @cached_property
     def schur(self) -> SchurForm:
         """``schur_triangularize(Q)``, behind ``star``, ``stationary_cov`` and ``rho(Q)``."""
-        form = schur_triangularize(self.Q)
-        _read_only(form.U, form.Delta)
-        return form
+        return schur_triangularize(self.Q)
 
     @cached_property
     def spectrum(self) -> SpectralInfo:
         """``eigen(Q)``, for the eigen sandwich only."""
-        info = eigen(self.Q)
-        _read_only(info.eigenvalues, info.eigenvector_matrix)
-        return info
+        return eigen(self.Q)
 
     @cached_property
     def sandwich(self) -> EigenSandwich:

@@ -190,6 +190,8 @@ def sample_stationary(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if not 0.0 < eps_stat < math.inf:
+        raise ValueError(f"eps_stat must be positive and finite, got {eps_stat}")
     star = star if star is not None else model.star
     T = truncation if truncation is not None else truncation_horizon(model, eps_stat, star)
     # stack of (Q^j Sigma)^T for j = 0..T

@@ -158,6 +158,29 @@ def test_nonpositive_n_directions_exit_2(capsys, tmp_path, n_directions):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eps", ["0", "-1e-3", "nan", "inf"])
+def test_bad_eps_exit_2(capsys, tmp_path, eps):
+    out = tmp_path / "rows.csv"
+    code, _, err = run(
+        capsys, "validate", "--phi", "0.5,0.2", "--noise", "laplace", "--flavor",
+        "sliced_generic", "--t-max", "2", "--n-samples", "100", f"--eps={eps}", "--out", str(out),
+    )
+    assert code == 2
+    assert "--eps must be positive and finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["bounds", "validate", "simulate"])
+def test_non_finite_start_state_exit_2(capsys, tmp_path, command, x):
+    out = tmp_path / "rows.csv"
+    sizes = ["--horizon", "1", "--paths", "2"] if command == "simulate" else ["--t-max", "1"]
+    code, stdout, err = run(capsys, command, "--phi=0.5", f"--x={x}", *sizes, "--out", str(out))
+    assert code == 2
+    assert "--x must be finite" in err
+    assert stdout == "" and not out.exists()
+
+
 class TestBounds:
     def test_gauss_affine_row_values(self, capsys):
         code, out, _ = run(
@@ -224,6 +247,20 @@ class TestBounds:
         assert code == 4
         assert err.startswith("OverflowError")
         assert "Traceback" not in err
+
+    def test_optimized_kappa_at_ar100_is_finite(self, capsys):
+        # the kappa scan meets kappas whose norm or K_d overflows; they score inf
+        w = np.random.default_rng(0).uniform(-1.0, 1.0, 100)
+        phi = "--phi=" + ",".join(repr(float(v)) for v in 0.9 * w / np.abs(w).sum())
+        rows = {}
+        for policy in ("optimize:10", "auto"):
+            code, out, err = run(capsys, "bounds", phi, "--flavor", "generic", "--x=1" + ",0" * 99,
+                                 "--kappa-policy", policy, "--t-max", "10")
+            assert code == 0, err
+            rows[policy] = [[float(f) for f in line.split(",")[1:3]]
+                            for line in out.strip().splitlines()[1:]]
+        assert np.all(np.isfinite(rows["optimize:10"]))
+        assert all(opt[1] <= auto[1] for opt, auto in zip(rows["optimize:10"], rows["auto"]))
 
     def test_roundtrip_float_precision(self, capsys, tmp_path):
         out_file = tmp_path / "bounds.csv"

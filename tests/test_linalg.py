@@ -1,10 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ergobound import linalg
-from ergobound.errors import KappaBelowThreshold, NotPSD, NotSchurStable, NotSymmetric
+from ergobound.errors import (
+    KappaBelowThreshold,
+    NonConvergence,
+    NotPSD,
+    NotSchurStable,
+    NotSymmetric,
+)
 from ergobound.linalg import (
     _kappa_objective,
     _scaled_triangular_norm,
@@ -15,9 +23,12 @@ from ergobound.linalg import (
     psd_sqrt,
     schur_triangularize,
     smallest_eigenvalue_sym,
+    solve_stein,
+    star_norm,
     stationary_covariance,
 )
 from ergobound.model import ar_state_space, arma_state_space, companion
+from ergobound.stability import is_schur_stable
 
 
 def random_stable(rng, d, target=None):
@@ -211,6 +222,12 @@ def reference_kappa_objective(Delta, U, t):
     return objective
 
 
+def reference_kappa_search_objective(Delta, U, t):
+    """The reference objective called once per kappa, also on the scan's grid."""
+    one = reference_kappa_objective(Delta, U, t)
+    return lambda kappa: [one(k) for k in kappa] if np.ndim(kappa) else one(kappa)
+
+
 class TestKappaSearch:
     MODELS = [
         companion([0.5]),
@@ -227,16 +244,122 @@ class TestKappaSearch:
         form = linalg.schur_triangularize(Q)
         U, Delta = form.U, form.Delta
         fast, slow = _kappa_objective(Delta, U, t), reference_kappa_objective(Delta, U, t)
-        for kappa in np.geomspace(0.5, 1e6, 97):
+        kappas = np.geomspace(0.5, 1e6, 97)
+        for kappa in kappas:
             assert fast(kappa) == slow(kappa)
+        assert fast(kappas) == [slow(kappa) for kappa in kappas]  # the batched scan
 
     @pytest.mark.parametrize("Q", MODELS)
     def test_optimized_kappa_matches_reference_search(self, Q, monkeypatch):
         got = build_star_norm(Q, {"optimize_at": 20})
-        monkeypatch.setattr(linalg, "_kappa_objective", reference_kappa_objective)
+        monkeypatch.setattr(linalg, "_kappa_objective", reference_kappa_search_objective)
         want = build_star_norm(Q, {"optimize_at": 20})
         assert (got.kappa, got.value, got.K_d, got.C_star) == (
             want.kappa, want.value, want.K_d, want.C_star)
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """The number of ``scipy.linalg.schur`` and ``np.linalg.eig`` calls made in the test."""
+    counts = {"schur": 0, "eig": 0}
+    for module, name in ((scipy.linalg, "schur"), (np.linalg, "eig")):
+
+        def counted(*args, _name=name, _call=getattr(module, name), **kwargs):
+            counts[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def bits(result):
+    """A dataclass's fields, or an array, with every array as its bytes."""
+    fields = dataclasses.astuple(result) if dataclasses.is_dataclass(result) else (result,)
+    return [f.tobytes() if isinstance(f, np.ndarray) else f for f in fields]
+
+
+def fresh_schur(Q):
+    """The Schur form of ``Q`` computed afresh, past the remembered one."""
+    return linalg._schur(linalg._read_only(np.array(Q, dtype=float)))
+
+
+def memo_models():
+    """The kinds of matrix the benchmark's model scan decomposes, seeded apart from every
+    other test: AR(d) up to d = 40, ARMA, and strongly non-normal raw matrices."""
+    rng = np.random.default_rng(1601)
+    out = []
+    for d in (1, 2, 3, 7, 12, 25, 40):
+        w = rng.uniform(-1.0, 1.0, d)
+        out.append(ar_state_space(0.93 * w / np.abs(w).sum()).Q)
+    out.append(arma_state_space([0.41, -0.27, 0.13], [0.52, -0.31]).Q)
+    for d in (2, 3, 4):
+        lam = rng.uniform(0.95, 0.995, d) * rng.choice([-1.0, 1.0], d)
+        O, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        out.append(O @ (np.diag(lam) + np.triu(rng.uniform(1.0, 3.0, (d, d)), 1)) @ O.T)
+    return out
+
+
+class TestDecompositionMemo:
+    """``schur_triangularize`` and ``eigen`` decompose each matrix once."""
+
+    def test_one_schur_and_one_eig_per_matrix(self, lapack_calls):
+        m = arma_state_space([0.37, 0.21], [0.44])
+        Q, V = np.array(m.Q), np.array(m.noise_cov)  # equal, writable copies
+        build_star_norm(Q)
+        build_star_norm(Q, {"optimize_at": 7})
+        stationary_covariance(Q, V)
+        eigen(Q)
+        is_schur_stable(Q)
+        m.schur, m.spectrum
+        assert lapack_calls == {"schur": 1, "eig": 1}
+
+    @pytest.mark.parametrize("Q", memo_models())
+    def test_remembered_results_equal_fresh_ones(self, Q):
+        V = np.eye(len(Q))
+        form = fresh_schur(Q)
+        info = linalg._eigen(linalg._read_only(np.array(Q)), 1e-8)
+        for _ in range(2):  # the first call decomposes, the second is remembered
+            assert bits(schur_triangularize(Q)) == bits(form)
+            assert bits(eigen(Q)) == bits(info)
+            for policy in (None, {"optimize_at": 10}):
+                assert bits(build_star_norm(Q, policy)) == bits(star_norm(form, policy))
+            assert bits(stationary_covariance(Q, V)) == bits(solve_stein(form, V))
+
+    def test_callers_array_is_copied_and_results_are_read_only(self):
+        Q0 = np.array([[0.61, 0.37], [-0.23, 0.18]])
+        Q = Q0.copy()
+        form, info = schur_triangularize(Q), eigen(Q)
+        Q *= 0.5
+        assert form.A.tobytes() == Q0.tobytes()
+        assert schur_triangularize(Q0.copy()) is form
+        assert eigen(Q0.copy()) is info
+        assert schur_triangularize(Q).A.tobytes() == Q.tobytes()
+        for a in (form.A, form.U, form.Delta, info.eigenvalues, info.eigenvector_matrix):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_non_convergence_is_not_remembered(self, lapack_calls, monkeypatch):
+        Q = np.array([[0.52, 0.29], [-0.17, 0.33]])
+        counted = scipy.linalg.schur
+
+        def failing(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(scipy.linalg, "schur", failing)
+        with pytest.raises(NonConvergence):
+            schur_triangularize(Q)
+        monkeypatch.setattr(scipy.linalg, "schur", counted)
+        form = schur_triangularize(Q)
+        assert lapack_calls["schur"] == 1
+        assert bits(form) == bits(fresh_schur(Q))
+
+    def test_stricter_eigen_tol_is_honored(self, lapack_calls):
+        Q = np.array([[0.47, 1.9], [-0.21, -0.36]])
+        info = eigen(Q)
+        with pytest.raises(NonConvergence, match="residual"):
+            eigen(Q, tol=1e-300)
+        assert eigen(Q) is info
+        assert lapack_calls["eig"] == 2
 
 
 class TestStationaryCovariance:

@@ -203,6 +203,11 @@ class TestSampleStationary:
         with pytest.raises(NotSchurStable):
             sample_stationary(m, 10, seed=1)
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, math.inf])
+    def test_truncation_budget_checked(self, eps):
+        with pytest.raises(ValueError, match="eps_stat must be positive and finite"):
+            sample_stationary(ar1(0.5), 10, seed=1, eps_stat=eps)
+
 
 class TestEmpiricalMeanProcess:
     def test_input_checks_match_simulate_paths(self):
