@@ -352,7 +352,7 @@ def _gaussian(model, flavor, x, r, ts, star, B, v, mode) -> list[BoundReport]:
         v = _vec(v)
         if v.shape[0] != model.d:
             raise DimensionMismatch("v must have length d")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-8:
+        if not abs(np.linalg.norm(v) - 1.0) <= 1e-8:  # a NaN entry fails too
             raise ValueError("v must be a unit vector")
     if flavor == "sliced_gauss" and model.d < 2:
         raise ValueError("sliced bounds need dimension at least 2")

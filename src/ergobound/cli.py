@@ -35,7 +35,7 @@ from .model import (
 )
 from .sim import SimConfig, sample_stationary, simulate_paths
 from .stability import ar2_region, is_schur_stable, sufficient_tests
-from .wasserstein import empirical_w1d, gaussian_w2, sliced_empirical_sweep
+from .wasserstein import EmpiricalEstimate, empirical_w1d, gaussian_w2_rows, sliced_empirical_sweep
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -114,7 +114,7 @@ def _start_state(args, model: StateSpaceModel) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise _ParseError(f"--x must be finite, got {args.x!r}")
     if x.shape != (model.d,):
-        raise ValueError("--x must have length d")
+        raise _ParseError(f"--x must have length d = {model.d}, got {x.shape[0]}")
     return x
 
 
@@ -191,16 +191,20 @@ def _cmd_bounds(args) -> int:
     if "projected" in flavors and not args.v:
         raise _ParseError("the projected flavor needs --v")
     v = _parse_floats(args.v) if args.v else None
-    star = star_norm(model.schur, _kappa_policy(args.kappa_policy))
+    if v is not None and not np.all(np.isfinite(v)):
+        raise _ParseError(f"--v must be finite, got {args.v!r}")
     x = _start_state(args, model)
+    star = star_norm(model.schur, _kappa_policy(args.kappa_policy))
     reps = bnd.sweep(
         model, args.flavor, x, args.r, range(args.t_max + 1), star=star, v=v, mode=args.mode,
         mc_seed=args.seed, n_copies=args.n_copies, per_copy_flavor=args.per_copy_flavor,
     )
+    # one flavor, order and lambda_minus per sweep: the columns free of t are formatted once
+    template = "%d" + ",%.17g" * 4 + "," + _row(
+        reps[0].flavor, reps[0].order, star.value, star.K_d, star.C_star,
+        reps[0].constants_used.get("lambda_minus", model.lambda_min))
     rows = [_BOUNDS_COLUMNS] + [
-        _row(str(rep.t), rep.lower, rep.upper, rep.mean_part, rep.noise_part, rep.flavor,
-             rep.order, star.value, star.K_d, star.C_star,
-             rep.constants_used.get("lambda_minus", model.lambda_min)) for rep in reps]
+        template % (rep.t, rep.lower, rep.upper, rep.mean_part, rep.noise_part) for rep in reps]
     manifest = _manifest(
         "bounds", model, args,
         ("flavor", "r", "t_max", "x", "kappa_policy", "mode", "seed", "n_copies"),
@@ -248,17 +252,16 @@ def _cmd_validate(args) -> int:
         laws = bnd._laws(model, x, list(range(args.t_max + 1)))
     reps = bnd.sweep(model, args.flavor, x, args.r, range(args.t_max + 1), star=star,
                      mode=args.mode, mc_seed=args.seed)
+    if exact_gaussian:
+        estimates = [EmpiricalEstimate(v) for v in gaussian_w2_rows(
+            [law.mean for law in laws], [law.cov for law in laws], stationary).tolist()]
     rows, bad = [_VALIDATE_COLUMNS], []
-    for t, rep in enumerate(reps):
-        if exact_gaussian:
-            dist = gaussian_w2(laws[t], stationary)
-            se = 0.0
-        else:
-            dist, se = estimates[t].value, estimates[t].stderr
+    for rep, est in zip(reps, estimates):
+        dist, se = est.value, est.stderr
         ok = (rep.lower - 3.0 * se) <= dist <= (rep.upper + 3.0 * se)
         if not ok:
-            bad.append(t)
-        rows.append(_row(str(t), rep.lower, dist, se, rep.upper, "1" if ok else "0"))
+            bad.append(rep.t)
+        rows.append("%d,%.17g,%.17g,%.17g,%.17g,%d" % (rep.t, rep.lower, dist, se, rep.upper, ok))
     manifest = _manifest(
         "validate", model, args,
         ("flavor", "r", "t_max", "x", "n_samples", "n_directions", "seed", "eps", "kappa_policy"),
@@ -280,6 +283,23 @@ def _cmd_validate(args) -> int:
 # simulate
 
 
+def _path_cells(x: np.ndarray) -> tuple:
+    """The ``(steps, d)`` path ``x`` as ``%.17g`` strings in row order, formatted column by
+    column; a column equal bit for bit to its left neighbour one step earlier (the lag
+    coordinates of an AR or ARMA state) takes that column's strings shifted by one step."""
+    n, d = x.shape
+    bits = x.view(np.uint64)
+    shifted = np.all(bits[1:, 1:] == bits[:-1, :-1], axis=0).tolist()
+    cells, fmt, col = [None] * (n * d), "%.17g," * n, None
+    for j in range(d):
+        if j and shifted[j - 1]:
+            col = ["%.17g" % x[0, j], *col[:-1]]
+        else:
+            col = (fmt % tuple(x[:, j].tolist())).split(",")[:-1]
+        cells[j::d] = col
+    return tuple(cells)
+
+
 def _cmd_simulate(args) -> int:
     model = _load_model(args)
     x = _start_state(args, model)
@@ -287,9 +307,9 @@ def _cmd_simulate(args) -> int:
     ens = simulate_paths(model, x, config)
     header = "path,t," + ",".join(f"x{i + 1}" for i in range(model.d))
     # one chunk per path: its rows in one template with the path and step numbers
-    # written in, so only the floats are formatted, with the digits of _row
-    tails = [f",{t}" + ",%.17g" * model.d for t in ens.times]
-    paths = ((str(i) + f"\n{i}".join(tails)) % tuple(ens.samples[i].ravel().tolist())
+    # written in, filled with the strings of _path_cells
+    tails = [f",{t}" + ",%s" * model.d for t in ens.times]
+    paths = ((str(i) + f"\n{i}".join(tails)) % _path_cells(ens.samples[i])
              for i in range(ens.n_paths))
     manifest = _manifest("simulate", model, args, ("paths", "horizon", "seed", "x"))
     _write_lines(args.out, itertools.chain([header], paths), manifest)
@@ -374,10 +394,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "t_max", 0) < 0:
-            raise _ParseError(f"--t-max must be nonnegative, got {args.t_max}")
-        if getattr(args, "n_directions", 1) < 1:
-            raise _ParseError(f"--n-directions must be positive, got {args.n_directions}")
+        for name, low in (("t_max", 0), ("n_directions", 1), ("n_copies", 1), ("n_samples", 1),
+                          ("paths", 1), ("horizon", 1)):
+            if getattr(args, name, low) < low:
+                word, flag = "positive" if low else "nonnegative", name.replace("_", "-")
+                raise _ParseError(f"--{flag} must be {word}, got {getattr(args, name)}")
         if not 0.0 < getattr(args, "eps", 1.0) < np.inf:
             raise _ParseError(f"--eps must be positive and finite, got {args.eps}")
         return args.func(args)

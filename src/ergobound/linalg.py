@@ -48,16 +48,16 @@ DIAGONALIZABLE_COND_CAP = 1e8
 PAIR_TOL = 1e-8
 
 
-def as_matrix(a, square: bool = True, name: str = "matrix") -> np.ndarray:
-    """Validate ``a`` as a finite 2-D array and return it as float/complex."""
+def as_matrix(a, square: bool = True, name: str = "matrix", stacked: bool = False) -> np.ndarray:
+    """``a`` as a finite float/complex 2-D array (a 3-D stack with ``stacked``), or ValueError."""
     arr = np.asarray(a)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
-    if square and arr.shape[0] != arr.shape[1]:
+    if arr.ndim != 2 + stacked:
+        raise ValueError(f"{name} must be {2 + stacked}-D, got shape {arr.shape}")
+    if square and arr.shape[-2] != arr.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.inexact):
+    if arr.dtype.kind not in "fc":
         arr = arr.astype(float)
-    if not np.all(np.isfinite(arr)):
+    if np.count_nonzero(np.isfinite(arr)) < arr.size:
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -413,7 +413,7 @@ def build_star_norm(Q, kappa_policy: dict | None = None) -> StarNorm:
 
 
 def _sym(S: np.ndarray) -> np.ndarray:
-    return 0.5 * (S + S.T)
+    return 0.5 * (S + S.swapaxes(-1, -2))
 
 
 def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -483,29 +483,35 @@ def stationary_covariance(Q, V) -> np.ndarray:
 
 
 def _check_symmetric(S: np.ndarray, sym_tol: float, name: str) -> np.ndarray:
+    """``S`` (each matrix of a stack) symmetrized; ``NotSymmetric`` if one is off by more than
+    ``sym_tol`` relative to its Frobenius norm (at least 1), compared squared."""
+    rows = S.shape[:-2] + (-1,)
+    flat = S.reshape(rows)
+    tol2 = sym_tol**2 * np.maximum(1.0, np.vecdot(flat, flat).real)
     if np.iscomplexobj(S):
-        if np.abs(S.imag).max() > sym_tol * max(1.0, fro(S)):
+        if np.count_nonzero(np.abs(S.imag).max(axis=(-2, -1)) ** 2 > tol2):
             raise NotSymmetric(f"{name} has a non-negligible imaginary part")
         S = S.real
-    if fro(S - S.T) > sym_tol * max(1.0, fro(S)):
+    skew = (S - S.swapaxes(-1, -2)).reshape(rows)
+    if np.count_nonzero(np.vecdot(skew, skew) > tol2):
         raise NotSymmetric(f"{name} is not symmetric within {sym_tol:.1e}")
     return _sym(S)
 
 
 def psd_sqrt(S, sym_tol: float = 1e-10, eig_tol: float = 1e-12) -> np.ndarray:
-    """Symmetric PSD square root ``R`` with ``R @ R = S``.
+    """Symmetric PSD square root ``R`` with ``R @ R = S``, or the roots of a stack ``(k, d, d)``.
 
-    Eigenvalues in ``[-eig_tol * max(1, lambda_max), 0)`` are clamped to
-    zero; anything more negative raises ``NotPSD``.
+    Each matrix is checked alone: finite entries, symmetry within ``sym_tol``, and eigenvalues
+    in ``[-eig_tol * max(1, lambda_max), 0)`` clamped to zero; anything more negative raises
+    ``NotPSD``.  Each root of a stack is bit for bit the root of its matrix alone.
     """
-    S = as_matrix(S, name="S")
-    S = _check_symmetric(S, sym_tol, "S")
+    S = _check_symmetric(as_matrix(S, name="S", stacked=np.ndim(S) == 3), sym_tol, "S")
     w, V = np.linalg.eigh(S)
-    floor = -eig_tol * max(1.0, float(w[-1]) if w.size else 1.0)
-    if w[0] < floor:
-        raise NotPSD(f"smallest eigenvalue {w[0]:.3e} below clamp {floor:.3e}")
-    w = np.clip(w, 0.0, None)
-    return _sym((V * np.sqrt(w)) @ V.T)
+    low, floor = np.ravel(w[..., 0]), np.ravel(-eig_tol * np.maximum(1.0, w[..., -1]))
+    if np.count_nonzero(low < floor):
+        k = np.argmax(low < floor)  # the first matrix below its floor
+        raise NotPSD(f"smallest eigenvalue {low[k]:.3e} below clamp {floor[k]:.3e}")
+    return _sym(np.matmul(V * np.sqrt(np.maximum(w, 0.0))[..., None, :], V.swapaxes(-1, -2)))
 
 
 def smallest_eigenvalue_sym(S, sym_tol: float = 1e-10) -> float:

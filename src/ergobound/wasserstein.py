@@ -24,6 +24,7 @@ __all__ = [
     "GaussianLaw",
     "EmpiricalEstimate",
     "gaussian_w2",
+    "gaussian_w2_rows",
     "empirical_w1d",
     "gaussian_wr_1d",
     "sphere_moment_ratio",
@@ -64,22 +65,30 @@ class EmpiricalEstimate:
 
 
 def gaussian_w2(a: GaussianLaw, b: GaussianLaw) -> float:
-    """Exact W2 between Gaussian laws: mean gap plus Bures covariance term.
+    """Exact W2 between Gaussian laws: the one-row view of :func:`gaussian_w2_rows`."""
+    return float(gaussian_w2_rows(a.mean[None], a.cov[None], b)[0])
 
-    In one dimension the Bures term reduces to the squared standard
-    deviation gap, computed directly to dodge the cancellation of the
-    trace form.
+
+def gaussian_w2_rows(means, covs, b: GaussianLaw) -> np.ndarray:
+    """Exact W2 of each Gaussian law ``(means[k], covs[k])`` against ``b`` in one stacked pass:
+    mean gap plus Bures covariance term, each row bit for bit the one-law call.  In one
+    dimension the Bures term is the squared standard-deviation gap, taken directly to dodge
+    the cancellation of the trace form.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions {a.dim} and {b.dim} disagree")
-    dm = a.mean - b.mean
-    if a.dim == 1:
-        ds = math.sqrt(max(float(a.cov[0, 0]), 0.0)) - math.sqrt(max(float(b.cov[0, 0]), 0.0))
-        return math.hypot(float(dm[0]), ds)
-    ra = psd_sqrt(a.cov)
+    means, covs = np.asarray(means, dtype=float), np.asarray(covs, dtype=float)
+    if means.ndim != 2 or means.shape[1] != b.dim or covs.shape != (*means.shape, b.dim):
+        raise DimensionMismatch(f"laws {means.shape}, {covs.shape} against dimension {b.dim}")
+    if b.dim == 1:  # the roots below check the finite entries of larger laws
+        if np.count_nonzero(np.isfinite(covs)) < covs.size:
+            raise ValueError("covs contains non-finite entries")
+        mb, sb = float(b.mean[0]), math.sqrt(max(float(b.cov[0, 0]), 0.0))
+        return np.array([math.hypot(m - mb, math.sqrt(max(c, 0.0)) - sb)
+                         for m, c in zip(means[:, 0].tolist(), covs[:, 0, 0].tolist())])
+    dm = means - b.mean
+    ra = psd_sqrt(covs)
     cross = psd_sqrt(ra @ b.cov @ ra)
-    bures = float(np.trace(a.cov) + np.trace(b.cov) - 2.0 * np.trace(cross))
-    return math.sqrt(float(dm @ dm) + max(bures, 0.0))
+    bures = covs.trace(axis1=1, axis2=2) + b.cov.trace() - 2.0 * cross.trace(axis1=1, axis2=2)
+    return np.sqrt(np.vecdot(dm, dm) + np.maximum(bures, 0.0))
 
 
 def empirical_w1d(xs, ys, r: float = 1.0) -> EmpiricalEstimate:

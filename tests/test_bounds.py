@@ -246,6 +246,12 @@ class TestProjected:
             bnd.projected_bounds(ar_state_space([0.3, 0.5], [0.0], NoiseSpec.gaussian(0, 1)),
                                  [1.0, 1.0], [0.0, 0.0], 2.0, 1)
 
+    @pytest.mark.parametrize("v", [[math.nan, 1.0], [0.6, math.inf], [math.nan, math.nan]])
+    def test_non_finite_direction_is_not_a_unit_vector(self, v):
+        m = ar_state_space([0.5, 0.1])
+        with pytest.raises(ValueError, match="unit vector"):
+            bnd.sweep(m, "projected", [0.0, 0.0], 2.0, range(3), v=v)
+
 
 class TestSlicedGauss:
     def model(self):

@@ -181,6 +181,33 @@ def test_non_finite_start_state_exit_2(capsys, tmp_path, command, x):
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("v", ["nan,1", "0.6,inf", "-inf,0.8"])
+def test_non_finite_direction_exit_2(capsys, tmp_path, v):
+    out = tmp_path / "rows.csv"
+    code, stdout, err = run(capsys, "bounds", "--phi=0.5,0.1", "--flavor", "projected",
+                            f"--v={v}", "--t-max", "2", "--out", str(out))
+    assert code == 2
+    assert "--v must be finite" in err
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "--flavor", "parallel", "--n-copies", "0"], "--n-copies must be positive"),
+    (["bounds", "--flavor", "empirical_mean", "--n-copies", "-2"], "--n-copies must be positive"),
+    (["simulate", "--paths", "0"], "--paths must be positive"),
+    (["simulate", "--horizon", "0"], "--horizon must be positive"),
+    (["validate", "--noise", "laplace", "--flavor", "sliced_generic", "--n-samples", "0"],
+     "--n-samples must be positive"),
+    (["validate", "--x", "1,2,3"], "--x must have length d"),
+])
+def test_malformed_count_exit_2(capsys, tmp_path, argv, message):
+    out = tmp_path / "rows.csv"
+    code, stdout, err = run(capsys, *argv, "--phi=0.5,0.1", "--out", str(out))
+    assert code == 2
+    assert message in err
+    assert stdout == "" and not out.exists()
+
+
 class TestBounds:
     def test_gauss_affine_row_values(self, capsys):
         code, out, _ = run(
@@ -426,7 +453,7 @@ class TestBounds:
     @pytest.mark.parametrize("command", ["bounds", "validate", "simulate"])
     def test_start_state_length_checked(self, capsys, command):
         code, _, err = run(capsys, command, "--phi", "0.3,0.5", "--x", "1,2,3")
-        assert code == 4
+        assert code == 2
         assert "--x must have length d" in err
 
 
@@ -482,6 +509,48 @@ class TestSweepRows:
                       star.value, star.K_d, star.C_star, math.nan if lam is None else lam)
             assert row == [str(t), *(format(f, ".17g") for f in fields[:4]), rep.flavor,
                            *(format(f, ".17g") for f in fields[4:])]
+
+    @pytest.mark.parametrize("flavor", ["exact_ar1", "gauss_affine", "generic", "sliced_generic",
+                                        "sliced_gauss"])
+    @pytest.mark.parametrize("name", sorted(sweep_battery()))
+    def test_validate_rows_are_per_step_reports(self, capsys, tmp_path, name, flavor):
+        from ergobound import bounds as bnd
+        from ergobound.cli import _row
+        from ergobound.linalg import build_star_norm
+        from ergobound.sim import SimConfig, sample_stationary, simulate_paths
+        from ergobound.wasserstein import empirical_w1d, gaussian_w2, sliced_empirical_sweep
+
+        m, x, _ = sweep_battery()[name]
+        code, out, err = run(capsys, "validate", "--model", write_model(tmp_path, m),
+                             "--flavor", flavor, "--t-max", "30", "--seed", "2", "--n-samples",
+                             "64", "--n-directions", "8", "--x=" + ",".join(map(repr, x)))
+        star = build_star_norm(m.Q, {"auto_margin": 2.0})
+        try:
+            reps = [bnd.report(m, flavor, x, 2.0, t, star=star, mc_seed=2) for t in range(31)]
+            if flavor in ("exact_ar1", "gauss_affine") and m.noise.family == "gaussian":
+                refs = [(gaussian_w2(bnd.law_at(m, x, t), bnd.stationary_law(m)), 0.0)
+                        for t in range(31)]
+            else:
+                ens = simulate_paths(m, x, SimConfig(64, 30, 2))
+                stat = sample_stationary(m, 64, 2, eps_stat=1e-3, star=star).samples[:, 0, :]
+                steps = [ens.at_time(t) for t in range(31)]
+                if m.d == 1:
+                    ests = [empirical_w1d(xs.ravel(), stat.ravel(), 2.0) for xs in steps]
+                elif flavor == "generic":
+                    raise ValueError("empirical validation of the unsliced generic flavor "
+                                     "needs d = 1")
+                else:
+                    ests = sliced_empirical_sweep(steps, stat, 2.0, n_directions=8, seed=2)
+                refs = [(e.value, e.stderr) for e in ests]
+        except Exception as exc:  # noqa: BLE001 - the CLI names the same error
+            assert code == 4 and out == ""
+            assert err.startswith(f"{type(exc).__name__}: {str(exc)[:40]}")
+            return
+        assert code in (0, 5), err
+        want = [_row(str(t), rep.lower, dist, se, rep.upper,
+                     "1" if rep.lower - 3 * se <= dist <= rep.upper + 3 * se else "0")
+                for t, (rep, (dist, se)) in enumerate(zip(reps, refs))]
+        assert out.splitlines()[1:] == want
 
     def test_overflow_writes_no_csv(self, capsys, tmp_path):
         # C_star**2 overflows on this AR(100) before any row: exit 4, no partial file
@@ -618,6 +687,31 @@ class TestSimulate:
             "--out", str(tmp_path / "nope" / "deep" / "x.csv"),
         )
         assert code == 6
+
+    @pytest.mark.parametrize("model_args, x", [
+        (["--phi", "0.7"], "1.5"),
+        (["--phi", "0.5,-0.2,0.1"], "1,0,-1"),
+        (["--phi", "0.5,0.2", "--theta", "0.4"], "1,0.5,-0.3"),
+        (["--model", "vector_laplace.json"], "1,-1"),
+        # the lag coordinate of x2 at t = 1 is 0.0, not the -0.0 of x1 at t = 0
+        (["--phi", "1.2,-0.5"], "-0,0"),
+    ])
+    def test_rows_are_per_value_formats(self, capsys, tmp_path, model_args, x):
+        from ergobound.cli import _load_model, build_parser
+        from ergobound.sim import SimConfig, simulate_paths
+
+        for fname, doc in PINNED_MODELS.items():
+            (tmp_path / fname).write_text(json.dumps(doc))
+        model_args = [str(tmp_path / a) if a in PINNED_MODELS else a for a in model_args]
+        argv = ["simulate", *model_args, f"--x={x}", "--paths", "3", "--horizon", "60",
+                "--seed", "4"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        model = _load_model(build_parser().parse_args(argv))
+        ens = simulate_paths(model, [float(v) for v in x.split(",")], SimConfig(3, 60, 4))
+        want = [",".join([str(i), str(t), *(format(v, ".17g") for v in ens.samples[i, k])])
+                for i in range(3) for k, t in enumerate(ens.times)]
+        assert out.splitlines()[1:] == want
 
     def test_out_file_is_written_path_by_path(self, tmp_path, monkeypatch):
         # numpy reports its buffers to tracemalloc: the run holds the ensemble and

@@ -557,6 +557,50 @@ class TestPsdSqrt:
         R = psd_sqrt(np.diag([1.0, -1e-14]))
         assert R[1, 1] == 0.0
 
+    @staticmethod
+    def reference_root(S):
+        """The matrix-at-a-time root: symmetrize, ``eigh``, clamp and rebuild."""
+        S = 0.5 * (S + S.T)
+        w, V = np.linalg.eigh(S)
+        R = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+        return 0.5 * (R + R.T)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 10, 40])
+    def test_stack_is_per_matrix_bit_for_bit(self, d):
+        # random covariances, a rank-deficient one, a zero one, and one with the
+        # last-bit asymmetry of a computed product A B A
+        rng = np.random.default_rng(d)
+        mats = [M @ M.T for M in rng.standard_normal((6, d, d))]
+        low = rng.standard_normal((d, max(d - 2, 1)))
+        mats += [low @ low.T, mats[0] @ mats[1] @ mats[0], np.zeros((d, d))]
+        stack = np.array(mats)
+        roots = psd_sqrt(stack)
+        assert roots.shape == stack.shape
+        for S, R in zip(stack, roots):
+            assert R.tobytes() == psd_sqrt(S).tobytes() == self.reference_root(S).tobytes()
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), ValueError),
+        (np.array([[1.0, 2.0], [0.0, 1.0]]), NotSymmetric),
+        (np.diag([1.0, -0.5]), NotPSD),
+        (np.array([[1.0, 1e-3j], [-1e-3j, 1.0]]), NotSymmetric),
+    ])
+    def test_one_bad_matrix_fails_the_stack(self, bad, error):
+        with pytest.raises(error):
+            psd_sqrt(bad)
+        good = np.eye(2, dtype=bad.dtype)
+        for k in range(3):
+            stack = np.array([good, good, good])
+            stack[k] = bad
+            with pytest.raises(error):
+                psd_sqrt(stack)
+
+    def test_stack_shape_checked(self):
+        with pytest.raises(ValueError, match="square"):
+            psd_sqrt(np.zeros((3, 2, 4)))
+        with pytest.raises(ValueError, match="2-D"):
+            psd_sqrt(np.zeros((2, 2, 2, 2)))
+
 
 class TestSmallestEigenvalue:
     def test_ar1_stationary_variance(self):

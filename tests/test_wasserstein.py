@@ -5,12 +5,14 @@ import sys
 import numpy as np
 import pytest
 
-from ergobound.errors import DimensionMismatch, UnequalSampleSizes
+from ergobound.errors import DimensionMismatch, NotPSD, NotSymmetric, UnequalSampleSizes
+from ergobound.linalg import psd_sqrt
 from ergobound.wasserstein import (
     EmpiricalEstimate,
     GaussianLaw,
     empirical_w1d,
     gaussian_w2,
+    gaussian_w2_rows,
     gaussian_wr_1d,
     _log_sphere_moment_ratio,
     _projection_jobs,
@@ -92,6 +94,61 @@ class TestGaussianW2:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             gaussian_w2(GaussianLaw([0.0], [[1.0]]), GaussianLaw([0.0, 0.0], np.eye(2)))
+        with pytest.raises(DimensionMismatch):
+            gaussian_w2_rows(np.zeros((3, 2)), np.zeros((2, 2, 2)),
+                             GaussianLaw([0.0, 0.0], np.eye(2)))
+
+
+def reference_w2(a, b):
+    """The law-at-a-time W2: the standard-deviation gap in one dimension, else two
+    checked roots and the Bures trace form."""
+    dm = a.mean - b.mean
+    if a.dim == 1:
+        ds = math.sqrt(max(float(a.cov[0, 0]), 0.0)) - math.sqrt(max(float(b.cov[0, 0]), 0.0))
+        return math.hypot(float(dm[0]), ds)
+    ra = psd_sqrt(a.cov)
+    cross = psd_sqrt(ra @ b.cov @ ra)
+    bures = float(np.trace(a.cov) + np.trace(b.cov) - 2.0 * np.trace(cross))
+    return math.sqrt(float(dm @ dm) + max(bures, 0.0))
+
+
+class TestGaussianW2Rows:
+    @pytest.mark.parametrize("d", [1, 2, 5, 10, 40])
+    def test_rows_are_per_law_bit_for_bit(self, d):
+        from ergobound import bounds as bnd
+        from ergobound.model import ar_state_space
+
+        rng = np.random.default_rng(d)
+        # the time-t laws of an AR(d) from a far start (rank-deficient while t < d)
+        # against its stationary law, and random laws against a random one
+        phi = rng.uniform(-1.0, 1.0, d)
+        m = ar_state_space(0.9 * phi / np.abs(phi).sum())
+        cases = [(bnd._laws(m, 3.0 * np.ones(d), list(range(2 * d + 3))), bnd.stationary_law(m))]
+        low = rng.standard_normal((d, max(d - 1, 1)))
+        laws = [random_law(rng, d) for _ in range(5)] + [GaussianLaw(np.zeros(d), low @ low.T)]
+        cases.append((laws, random_law(rng, d)))
+        for laws, b in cases:
+            rows = gaussian_w2_rows([a.mean for a in laws], [a.cov for a in laws], b)
+            want = [reference_w2(a, b) for a in laws]
+            assert rows.tobytes() == np.array(want).tobytes()
+            assert [gaussian_w2(a, b) for a in laws] == want
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), ValueError),
+        (np.array([[1.0, 2.0], [0.0, 1.0]]), NotSymmetric),
+        (np.diag([1.0, -0.5]), NotPSD),
+        (np.array([[np.inf]]), ValueError),
+    ])
+    def test_one_bad_law_fails_the_stack(self, bad, error):
+        d = bad.shape[0]
+        b = GaussianLaw(np.zeros(d), np.eye(d))
+        if np.isfinite(bad).all():
+            with pytest.raises(error):
+                gaussian_w2(GaussianLaw(np.zeros(d), bad), b)
+        covs = np.array([np.eye(d)] * 3)
+        covs[1] = bad
+        with pytest.raises(error):
+            gaussian_w2_rows(np.zeros((3, d)), covs, b)
 
 
 def _block_diag(blocks):
