@@ -284,19 +284,15 @@ def _cmd_validate(args) -> int:
 
 
 def _path_cells(x: np.ndarray) -> tuple:
-    """The ``(steps, d)`` path ``x`` as ``%.17g`` strings in row order, formatted column by
-    column; a column equal bit for bit to its left neighbour one step earlier (the lag
-    coordinates of an AR or ARMA state) takes that column's strings shifted by one step."""
+    """The ``(steps, d)`` path ``x`` as ``%.17g`` strings in row order, column by column; a column
+    equal bit for bit to its left neighbour one step earlier (AR/ARMA lags) reuses its strings."""
     n, d = x.shape
     bits = x.view(np.uint64)
-    shifted = np.all(bits[1:, 1:] == bits[:-1, :-1], axis=0).tolist()
+    shifted = [False, *np.all(bits[1:, 1:] == bits[:-1, :-1], axis=0).tolist()]
     cells, fmt, col = [None] * (n * d), "%.17g," * n, None
     for j in range(d):
-        if j and shifted[j - 1]:
-            col = ["%.17g" % x[0, j], *col[:-1]]
-        else:
-            col = (fmt % tuple(x[:, j].tolist())).split(",")[:-1]
-        cells[j::d] = col
+        cells[j::d] = col = (["%.17g" % x[0, j], *col[:-1]] if shifted[j]
+                             else (fmt % tuple(x[:, j].tolist())).split(",")[:-1])
     return tuple(cells)
 
 

@@ -482,35 +482,36 @@ def stationary_covariance(Q, V) -> np.ndarray:
     return solve_stein(schur_triangularize(as_matrix(Q, name="Q")), V)
 
 
+def _sqnorms(x: np.ndarray) -> np.ndarray:
+    """``x @ x`` along the last axis of a real array, bit for bit (one ``dot`` per row)."""
+    return x @ x if x.ndim == 1 else (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+
+
 def _check_symmetric(S: np.ndarray, sym_tol: float, name: str) -> np.ndarray:
-    """``S`` (each matrix of a stack) symmetrized; ``NotSymmetric`` if one is off by more than
-    ``sym_tol`` relative to its Frobenius norm (at least 1), compared squared."""
-    rows = S.shape[:-2] + (-1,)
-    flat = S.reshape(rows)
-    tol2 = sym_tol**2 * np.maximum(1.0, np.vecdot(flat, flat).real)
-    if np.iscomplexobj(S):
-        if np.count_nonzero(np.abs(S.imag).max(axis=(-2, -1)) ** 2 > tol2):
-            raise NotSymmetric(f"{name} has a non-negligible imaginary part")
-        S = S.real
-    skew = (S - S.swapaxes(-1, -2)).reshape(rows)
-    if np.count_nonzero(np.vecdot(skew, skew) > tol2):
+    """Each matrix of ``S`` symmetrized; ``NotSymmetric`` past ``sym_tol * max(1, fro(S_k))``."""
+    flat = S.reshape(S.shape[:-2] + (-1,))
+    sq = _sqnorms(flat.real) + _sqnorms(flat.imag) if S.dtype.kind == "c" else _sqnorms(flat)
+    tol = sym_tol * np.maximum(1.0, np.sqrt(sq))
+    if S.dtype.kind == "c" and np.count_nonzero(np.abs(S.imag).max(axis=(-2, -1)) > tol):
+        raise NotSymmetric(f"{name} has a non-negligible imaginary part")
+    S = S.real
+    ST = S.swapaxes(-1, -2)
+    if np.count_nonzero(np.sqrt(_sqnorms((S - ST).reshape(flat.shape))) > tol):
         raise NotSymmetric(f"{name} is not symmetric within {sym_tol:.1e}")
-    return _sym(S)
+    return 0.5 * (S + ST)
 
 
 def psd_sqrt(S, sym_tol: float = 1e-10, eig_tol: float = 1e-12) -> np.ndarray:
-    """Symmetric PSD square root ``R`` with ``R @ R = S``, or the roots of a stack ``(k, d, d)``.
-
-    Each matrix is checked alone: finite entries, symmetry within ``sym_tol``, and eigenvalues
-    in ``[-eig_tol * max(1, lambda_max), 0)`` clamped to zero; anything more negative raises
-    ``NotPSD``.  Each root of a stack is bit for bit the root of its matrix alone.
-    """
+    """Symmetric PSD square root ``R`` with ``R @ R = S``, or the roots of a stack ``(k, d, d)``,
+    each matrix checked and rooted alone, bit for bit: finite entries, symmetry within
+    ``sym_tol``, and eigenvalues in ``[-eig_tol * max(1, lambda_max), 0)`` clamped to zero;
+    anything more negative raises ``NotPSD``."""
     S = _check_symmetric(as_matrix(S, name="S", stacked=np.ndim(S) == 3), sym_tol, "S")
     w, V = np.linalg.eigh(S)
-    low, floor = np.ravel(w[..., 0]), np.ravel(-eig_tol * np.maximum(1.0, w[..., -1]))
+    low, floor = w[..., :1], -eig_tol * np.maximum(1.0, w[..., -1:])
     if np.count_nonzero(low < floor):
         k = np.argmax(low < floor)  # the first matrix below its floor
-        raise NotPSD(f"smallest eigenvalue {low[k]:.3e} below clamp {floor[k]:.3e}")
+        raise NotPSD(f"smallest eigenvalue {low.flat[k]:.3e} below clamp {floor.flat[k]:.3e}")
     return _sym(np.matmul(V * np.sqrt(np.maximum(w, 0.0))[..., None, :], V.swapaxes(-1, -2)))
 
 

@@ -17,7 +17,7 @@ from scipy.special import gammaln
 
 from ._pool import run_jobs
 from .errors import DimensionMismatch, UnequalSampleSizes
-from .linalg import as_matrix, psd_sqrt
+from .linalg import _sqnorms, as_matrix, psd_sqrt
 from .model import _gauss_shifted_abs_moment
 
 __all__ = [
@@ -65,30 +65,36 @@ class EmpiricalEstimate:
 
 
 def gaussian_w2(a: GaussianLaw, b: GaussianLaw) -> float:
-    """Exact W2 between Gaussian laws: the one-row view of :func:`gaussian_w2_rows`."""
-    return float(gaussian_w2_rows(a.mean[None], a.cov[None], b)[0])
+    """Exact W2 between Gaussian laws: the one-law case of :func:`gaussian_w2_rows`."""
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"dimensions {a.dim} and {b.dim} disagree")
+    if a.dim == 1:
+        return _w2_1d(float(a.mean[0] - b.mean[0]), float(a.cov[0, 0]), b)
+    return float(_w2_bures(a.mean - b.mean, a.cov, b))
 
 
 def gaussian_w2_rows(means, covs, b: GaussianLaw) -> np.ndarray:
-    """Exact W2 of each Gaussian law ``(means[k], covs[k])`` against ``b`` in one stacked pass:
-    mean gap plus Bures covariance term, each row bit for bit the one-law call.  In one
-    dimension the Bures term is the squared standard-deviation gap, taken directly to dodge
-    the cancellation of the trace form.
-    """
+    """Each law ``(means[k], covs[k])``'s exact W2 to ``b``, bit for bit :func:`gaussian_w2`."""
     means, covs = np.asarray(means, dtype=float), np.asarray(covs, dtype=float)
     if means.ndim != 2 or means.shape[1] != b.dim or covs.shape != (*means.shape, b.dim):
         raise DimensionMismatch(f"laws {means.shape}, {covs.shape} against dimension {b.dim}")
-    if b.dim == 1:  # the roots below check the finite entries of larger laws
-        if np.count_nonzero(np.isfinite(covs)) < covs.size:
-            raise ValueError("covs contains non-finite entries")
-        mb, sb = float(b.mean[0]), math.sqrt(max(float(b.cov[0, 0]), 0.0))
-        return np.array([math.hypot(m - mb, math.sqrt(max(c, 0.0)) - sb)
-                         for m, c in zip(means[:, 0].tolist(), covs[:, 0, 0].tolist())])
-    dm = means - b.mean
+    if b.dim > 1:  # the roots check each covariance
+        return _w2_bures(means - b.mean, covs, b)
+    var = as_matrix(covs[:, 0], square=False, name="covs")[:, 0].tolist()
+    return np.array([_w2_1d(m, v, b) for m, v in zip((means[:, 0] - b.mean[0]).tolist(), var)])
+
+
+def _w2_1d(dm: float, var: float, b: GaussianLaw) -> float:
+    """W2 in one dimension: the standard-deviation gap, free of the trace form's cancellation."""
+    return math.hypot(dm, math.sqrt(max(var, 0.0)) - math.sqrt(max(float(b.cov[0, 0]), 0.0)))
+
+
+def _w2_bures(dm: np.ndarray, covs: np.ndarray, b: GaussianLaw) -> np.ndarray:
+    """W2 against ``b`` of the laws with mean gaps ``dm (..., d)`` and covariances ``covs``."""
     ra = psd_sqrt(covs)
     cross = psd_sqrt(ra @ b.cov @ ra)
-    bures = covs.trace(axis1=1, axis2=2) + b.cov.trace() - 2.0 * cross.trace(axis1=1, axis2=2)
-    return np.sqrt(np.vecdot(dm, dm) + np.maximum(bures, 0.0))
+    bures = covs.trace(axis1=-2, axis2=-1) + b.cov.trace() - 2.0 * cross.trace(axis1=-2, axis2=-1)
+    return np.sqrt(_sqnorms(dm) + np.maximum(bures, 0.0))
 
 
 def empirical_w1d(xs, ys, r: float = 1.0) -> EmpiricalEstimate:

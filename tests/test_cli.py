@@ -198,7 +198,6 @@ def test_non_finite_direction_exit_2(capsys, tmp_path, v):
     (["simulate", "--horizon", "0"], "--horizon must be positive"),
     (["validate", "--noise", "laplace", "--flavor", "sliced_generic", "--n-samples", "0"],
      "--n-samples must be positive"),
-    (["validate", "--x", "1,2,3"], "--x must have length d"),
 ])
 def test_malformed_count_exit_2(capsys, tmp_path, argv, message):
     out = tmp_path / "rows.csv"
@@ -451,10 +450,12 @@ class TestBounds:
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["bounds", "validate", "simulate"])
-    def test_start_state_length_checked(self, capsys, command):
-        code, _, err = run(capsys, command, "--phi", "0.3,0.5", "--x", "1,2,3")
+    def test_start_state_length_checked(self, capsys, tmp_path, command):
+        out = tmp_path / "rows.csv"
+        code, _, err = run(capsys, command, "--phi", "0.3,0.5", "--x", "1,2,3", "--out", str(out))
         assert code == 2
         assert "--x must have length d" in err
+        assert not out.exists()
 
 
 def sweep_battery():

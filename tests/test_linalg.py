@@ -595,6 +595,25 @@ class TestPsdSqrt:
             with pytest.raises(error):
                 psd_sqrt(stack)
 
+    @pytest.mark.parametrize("d", [1, 2, 5, 10, 40])
+    def test_symmetry_norms_are_fro_bit_for_bit(self, d):
+        # one dot per matrix, so a 2-D call's threshold is exactly sym_tol * max(1, fro(S))
+        rng = np.random.default_rng(d)
+        stack = rng.standard_normal((4, d, d)) * 10.0 ** rng.uniform(-4, 4, (4, 1, 1))
+        flat = stack.reshape(4, -1)
+        assert np.sqrt(linalg._sqnorms(flat)).tolist() == [linalg.fro(S) for S in stack]
+        assert linalg._sqnorms(flat[0]) == flat[0] @ flat[0]
+
+    def test_each_matrix_has_its_own_symmetry_threshold(self):
+        # a skew part of Frobenius norm 1e-9: over 1e-10 * ||S||_F for S near I,
+        # under it for S near 1e3 I, also when both share a stack
+        skew = np.array([[0.0, 1e-9 / math.sqrt(2)], [0.0, 0.0]])
+        psd_sqrt(1e3 * np.eye(2) + skew)
+        with pytest.raises(NotSymmetric):
+            psd_sqrt(np.eye(2) + skew)
+        with pytest.raises(NotSymmetric):
+            psd_sqrt(np.array([1e3 * np.eye(2) + skew, np.eye(2) + skew]))
+
     def test_stack_shape_checked(self):
         with pytest.raises(ValueError, match="square"):
             psd_sqrt(np.zeros((3, 2, 4)))
