@@ -75,11 +75,17 @@ def fro(A) -> float:
     return float(np.linalg.norm(A, ord="fro"))
 
 
+def _sqnorms(x: np.ndarray) -> np.ndarray:
+    """``x @ x`` along the last axis, bit for bit (one ``dot`` per row); for complex rows
+    the real and imaginary dots summed, as ``np.linalg.norm`` does."""
+    if x.dtype.kind == "c":
+        return _sqnorms(x.real) + _sqnorms(x.imag)
+    return x @ x if x.ndim == 1 else (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+
+
 def row_norms(Z) -> np.ndarray:
-    """``np.linalg.norm`` of each row of ``Z`` to the bit: one BLAS dot per row, and
-    for complex rows the real and imaginary dots summed, as numpy does."""
-    parts = (Z.real, Z.imag) if np.iscomplexobj(Z) else (Z,)
-    return np.sqrt(sum(np.matmul(A[:, None, :], A[:, :, None])[:, 0, 0] for A in parts))
+    """``np.linalg.norm`` of each row of ``Z`` to the bit."""
+    return np.sqrt(_sqnorms(Z))
 
 
 @dataclass(frozen=True)
@@ -482,21 +488,15 @@ def stationary_covariance(Q, V) -> np.ndarray:
     return solve_stein(schur_triangularize(as_matrix(Q, name="Q")), V)
 
 
-def _sqnorms(x: np.ndarray) -> np.ndarray:
-    """``x @ x`` along the last axis of a real array, bit for bit (one ``dot`` per row)."""
-    return x @ x if x.ndim == 1 else (x[..., None, :] @ x[..., :, None])[..., 0, 0]
-
-
 def _check_symmetric(S: np.ndarray, sym_tol: float, name: str) -> np.ndarray:
     """Each matrix of ``S`` symmetrized; ``NotSymmetric`` past ``sym_tol * max(1, fro(S_k))``."""
     flat = S.reshape(S.shape[:-2] + (-1,))
-    sq = _sqnorms(flat.real) + _sqnorms(flat.imag) if S.dtype.kind == "c" else _sqnorms(flat)
-    tol = sym_tol * np.maximum(1.0, np.sqrt(sq))
+    tol = sym_tol * np.maximum(1.0, row_norms(flat))
     if S.dtype.kind == "c" and np.count_nonzero(np.abs(S.imag).max(axis=(-2, -1)) > tol):
         raise NotSymmetric(f"{name} has a non-negligible imaginary part")
     S = S.real
     ST = S.swapaxes(-1, -2)
-    if np.count_nonzero(np.sqrt(_sqnorms((S - ST).reshape(flat.shape))) > tol):
+    if np.count_nonzero(row_norms((S - ST).reshape(flat.shape)) > tol):
         raise NotSymmetric(f"{name} is not symmetric within {sym_tol:.1e}")
     return 0.5 * (S + ST)
 

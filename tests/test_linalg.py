@@ -643,3 +643,15 @@ class TestSmallestEigenvalue:
 def test_one_norm_is_max_column_sum():
     A = np.array([[1.0, -2.0], [3.0, 0.5]])
     assert one_norm(A) == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 10, 40])
+@pytest.mark.parametrize("complex_rows", [False, True])
+def test_row_norms_are_numpy_norms_bit_for_bit(d, complex_rows):
+    # one squared-norm kernel: row_norms and the symmetry check share _sqnorms
+    rng = np.random.default_rng(d)
+    Z = rng.standard_normal((6, d)) * 10.0 ** rng.uniform(-8, 8, (6, 1))
+    if complex_rows:
+        Z = Z + 1j * rng.standard_normal((6, d)) * 10.0 ** rng.uniform(-8, 8, (6, 1))
+    assert linalg.row_norms(Z).tolist() == [np.linalg.norm(z) for z in Z]
+    assert linalg.row_norms(Z).tolist() == np.sqrt(linalg._sqnorms(Z)).tolist()
