@@ -12,9 +12,11 @@ from an arbitrary matrix is ill-posed and out of scope.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +56,63 @@ def _hankel_sums(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.convolve(coef, x[::-1])[len(x) - 1::-1]
 
 
+class _Block(NamedTuple):
+    """One Jordan block's ``t``-free constants: modulus and angle of its eigenvalue,
+    its coordinates, their top nonzero index (1-based, 0 for a zero vector) and the
+    indices ``j`` below it."""
+
+    r: float
+    theta: float
+    x: np.ndarray
+    top: int
+    j: np.ndarray
+
+
+def _block(q, x: np.ndarray) -> _Block:
+    nz = np.nonzero(x)[0]
+    top = int(nz.max()) + 1 if nz.size else 0
+    return _Block(abs(q), np.angle(complex(q)), x, top, np.arange(top))
+
+
+class _BlockStack:
+    """What both queries share: the input check and the per-query constants of
+    :func:`_estimate`, each computed once.  ``_blocks`` (set on construction)
+    holds one block, or the plus and minus blocks of a conjugate pair; the
+    first one sets the scale."""
+
+    def _init(self, length: int, name: str) -> None:
+        x = np.atleast_1d(np.asarray(self.x, dtype=float))
+        if x.shape[0] != length:
+            raise ValueError(f"x must have length {name}")
+        if not (cmath.isfinite(self.q) and np.isfinite(x).all()):
+            raise ValueError("q and x must be finite")
+        if not np.any(x != 0.0):
+            raise ValueError("x must be nonzero")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "_blocks", self._split())
+
+    @property
+    def j_star(self) -> int:
+        return max(b.top for b in self._blocks)
+
+    @cached_property
+    def _scale(self) -> tuple[list[np.ndarray], float]:
+        """Each block's moduli ``r^((j_ref - 1) - j)``, ``j_ref`` the first block's top
+        index, and the ``t``-free factor of ``error_bound``: the root-sum-square of
+        the first block's per-component absolute-value majorant sums, the first
+        sum without its top term.  Needs a nonzero eigenvalue and first block.
+
+        Entries of ``x`` enter in absolute value: the binomial-ratio argument
+        bounds termwise moduli, so signed inner sums would undershoot the true
+        error for sign-alternating vectors.
+        """
+        ref = self._blocks[0]
+        pows = [b.r ** ((ref.top - 1) - b.j) for b in self._blocks]
+        return pows, _root_sum_square(pows[0], np.abs(ref.x[: ref.top]), True)
+
+
 @dataclass(frozen=True)
-class JordanQuery:
+class JordanQuery(_BlockStack):
     """A single Jordan block of size ``dim`` with eigenvalue ``q``, applied to ``x``.
 
     ``j_star`` is the largest index (1-based) with ``|x_j| > 0``.
@@ -66,20 +123,14 @@ class JordanQuery:
     x: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        if x.shape[0] != self.dim:
-            raise ValueError("x must have length dim")
-        if not np.any(x != 0.0):
-            raise ValueError("x must be nonzero")
-        object.__setattr__(self, "x", x)
+        self._init(self.dim, "dim")
 
-    @cached_property
-    def j_star(self) -> int:
-        return int(np.max(np.nonzero(self.x)[0])) + 1
+    def _split(self) -> tuple[_Block, ...]:
+        return (_block(self.q, self.x),)
 
 
 @dataclass(frozen=True)
-class JordanPairQuery:
+class JordanPairQuery(_BlockStack):
     """A conjugate pair of N-blocks with eigenvalues ``r e^(+-i theta)``.
 
     ``x = (x_plus, x_minus)`` splits into the two block coordinates;
@@ -92,12 +143,7 @@ class JordanPairQuery:
     x: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        if x.shape[0] != 2 * self.block_dim:
-            raise ValueError("x must have length 2 * block_dim")
-        if not np.any(x != 0.0):
-            raise ValueError("x must be nonzero")
-        object.__setattr__(self, "x", x)
+        self._init(2 * self.block_dim, "2 * block_dim")
 
     @property
     def x_plus(self) -> np.ndarray:
@@ -107,21 +153,25 @@ class JordanPairQuery:
     def x_minus(self) -> np.ndarray:
         return self.x[self.block_dim :]
 
-    def _top_index(self, v: np.ndarray) -> int:
-        nz = np.nonzero(v)[0]
-        return int(nz.max()) + 1 if nz.size else 0
+    def _split(self) -> tuple[_Block, ...]:
+        plus = _block(self.q, self.x_plus)
+        # rebuilt from modulus and angle: conj(q) can differ from this in the last bit
+        return plus, _block(complex(plus.r * np.exp(-1j * plus.theta)), self.x_minus)
 
     @property
     def j_plus(self) -> int:
-        return self._top_index(self.x_plus)
+        return self._blocks[0].top
 
     @property
     def j_minus(self) -> int:
-        return self._top_index(self.x_minus)
+        return self._blocks[1].top
 
-    @property
-    def j_star(self) -> int:
-        return max(self.j_plus, self.j_minus)
+    @cached_property
+    def _reduced(self) -> JordanQuery:
+        """The single-block query of the one nonzero block (when the other vanishes)."""
+        if self.j_plus:
+            return JordanQuery(self.block_dim, complex(self.q), self.x_plus)
+        return JordanQuery(self.block_dim, np.conj(complex(self.q)), self.x_minus)
 
 
 @dataclass(frozen=True)
@@ -180,40 +230,80 @@ def jordan_power(q: complex, d: int, t: int) -> np.ndarray:
     return out
 
 
-def _scaled_power_vector(q: complex, d: int, x: np.ndarray, t: int, j_ref: int,
-                         j_top: int) -> np.ndarray:
-    """``J^t x`` divided by ``|q|^{t-(j_ref-1)} C(t, j_ref-1)``, stably; ``j_top`` is
-    the top nonzero index of ``x``.
-
-    Each term carries the ratio ``C(t, j)/C(t, j_ref - 1)`` and the modulus
-    ``|q|^{(j_ref - 1) - j}``, both of moderate size, so the value is
-    computed without forming the huge/small numerator and denominator.
-    """
-    r, theta = abs(q), np.angle(complex(q))
-    j = np.arange(j_top)
-    coef = _comb_ratios(t, j_top, j_ref - 1) * r ** ((j_ref - 1) - j) * np.exp(1j * theta * (t - j))
-    out = np.zeros(d, dtype=complex)
-    out[:j_top] = _hankel_sums(coef, x[:j_top])
-    return out
-
-
-def _abs_sum_bound(r: float, x: np.ndarray, j_ref: int) -> float:
-    """Root-sum-square of per-component absolute-value majorant sums.
-
-    Entries of ``x`` enter in absolute value: the binomial-ratio argument
-    bounds termwise moduli, so signed inner sums would undershoot the true
-    error for sign-alternating vectors.  The first component leaves out
-    the top term.
-    """
-    return _root_sum_square(r ** ((j_ref - 1) - np.arange(j_ref)), np.abs(x[:j_ref]), True)
-
-
 def _root_sum_square(w: np.ndarray, a: np.ndarray, skip_top: bool) -> float:
     """``|(sum_j w[j] a[i + j])_i|``, the first sum without its top term with ``skip_top``."""
     comps = _hankel_sums(w, a)
     if skip_top:
         comps[0] = w[:-1] @ a[:-1]
     return math.sqrt(comps @ comps)
+
+
+def _estimate(query: JordanQuery | JordanPairQuery, t: int) -> JordanEstimate:
+    """The estimate for the query's stack of equal-size blocks, none of them zero.
+
+    The first block's top index ``j_ref`` sets the scale
+    ``|q|^{t - (j_ref - 1)} C(t, j_ref - 1)`` and the validity threshold.  Every
+    block whose top index is ``j_star`` gets a target, ``phase`` on the plus
+    block and ``conj(phase)`` on the minus one, at its leading coordinate (the
+    first candidate) or at its mirrored one (the second).  ``error_bound``
+    sees the first block only; pairs add the two-block ``combined_bound``.
+    """
+    if query.q == 0:
+        raise ZeroEigenvalue("estimate requires a nonzero eigenvalue")
+    blocks, j_star = query._blocks, query.j_star
+    pows, rss = query._scale
+    ref = blocks[0]
+    n, j_ref = ref.x.size, ref.top
+    threshold = max(len(blocks) * n - 1, 2 * (j_ref - 2), 0)
+    if t < threshold:
+        raise OutOfRegime(f"t = {t} below validity threshold {threshold}")
+    phase = np.exp(1j * ref.theta * (t - (j_star - 1)))
+    scaled = np.zeros((len(blocks), n), dtype=complex)
+    targets = np.zeros((2, len(blocks), n), dtype=complex)
+    # each term carries the ratio C(t, j)/C(t, j_ref - 1) and the modulus
+    # |q|^{(j_ref - 1) - j}, both of moderate size, so the scaled power is
+    # computed without forming the huge/small numerator and denominator
+    ratios = []
+    for k, b in enumerate(blocks):
+        ratios.append(_comb_ratios(t, b.top, j_ref - 1))
+        coef = ratios[k] * pows[k] * np.exp(1j * b.theta * (t - b.j))
+        scaled[k, : b.top] = _hankel_sums(coef, b.x[: b.top])
+        if b.top == j_star:
+            value = b.x[j_star - 1] * (np.conj(phase) if k else phase)
+            targets[0, k, 0] = targets[1, k, n - j_star] = value
+    scaled = scaled.ravel()
+    targets = targets.reshape(2, -1)
+    err_first, err_mirror = row_norms(scaled - targets).tolist()
+    bound = (j_ref - 1) / (t - j_ref + 2) * rss
+    # leading coordinate of the first block topped at j_star, 1-based
+    first = (0 if j_ref == j_star else n) + 1
+    mirror_index = first + n - j_star
+    chosen = 0 if err_first <= err_mirror else 1
+    error = (err_first, err_mirror)[chosen]
+    combined_bound = combined_holds = None
+    if len(blocks) == 2:
+        # two-block majorant at this t, for the first-coordinate targets: a
+        # block's top term cancels exactly when its scale is the reference one;
+        # otherwise it survives and the target adds |x_j*|
+        majs = []
+        for b, ratio in zip(blocks, ratios):
+            cancel = b.top == j_star == j_ref
+            w = ratio * ref.r ** ((j_ref - 1) - b.j)
+            maj = _root_sum_square(w, np.abs(b.x[: b.top]), cancel)
+            majs.append(maj + abs(b.x[j_star - 1]) if b.top == j_star and not cancel else maj)
+        combined_bound = math.sqrt(majs[0] ** 2 + majs[1] ** 2)
+        combined_holds = error <= combined_bound * (1.0 + 1e-12) + 1e-300
+    return JordanEstimate(
+        scaled=scaled,
+        target=targets[chosen],
+        error=error,
+        error_bound=bound,
+        target_index=(first, mirror_index)[chosen],
+        mirror_index=mirror_index,
+        mirror_matches=err_mirror <= bound * (1.0 + 1e-12) + 1e-300,
+        combined_bound=combined_bound,
+        combined_holds=combined_holds,
+    )
 
 
 def jordan_estimate(query: JordanQuery, t: int) -> JordanEstimate:
@@ -225,41 +315,7 @@ def jordan_estimate(query: JordanQuery, t: int) -> JordanEstimate:
     the leading coordinate, where the dominant term accumulates, and the
     mirrored index ``d - j_star + 1`` are validated against the bound.
     """
-    if query.q == 0:
-        raise ZeroEigenvalue("estimate requires a nonzero eigenvalue")
-    d, x = query.dim, query.x
-    j_star = query.j_star
-    threshold = max(d - 1, 2 * (j_star - 2), 0)
-    if t < threshold:
-        raise OutOfRegime(f"t = {t} below validity threshold {threshold}")
-    r, theta = abs(query.q), np.angle(complex(query.q))
-    scaled = _scaled_power_vector(query.q, d, x, t, j_star, j_star)
-    phase = np.exp(1j * theta * (t - (j_star - 1)))
-    prefactor = (j_star - 1) / (t - j_star + 2)
-    bound = prefactor * _abs_sum_bound(r, x, j_star)
-
-    def candidate(index: int) -> tuple[np.ndarray, float]:
-        tgt = np.zeros(d, dtype=complex)
-        tgt[index - 1] = x[j_star - 1] * phase
-        return tgt, float(np.linalg.norm(scaled - tgt))
-
-    mirror_index = d - j_star + 1
-    tgt_first, err_first = candidate(1)
-    tgt_mirror, err_mirror = candidate(mirror_index)
-    mirror_matches = err_mirror <= bound * (1.0 + 1e-12) + 1e-300
-    if err_first <= err_mirror:
-        target, error, index = tgt_first, err_first, 1
-    else:
-        target, error, index = tgt_mirror, err_mirror, mirror_index
-    return JordanEstimate(
-        scaled=scaled,
-        target=target,
-        error=error,
-        error_bound=bound,
-        target_index=index,
-        mirror_index=mirror_index,
-        mirror_matches=mirror_matches,
-    )
+    return _estimate(query, t)
 
 
 def jordan_pair_estimate(query: JordanPairQuery, t: int) -> JordanEstimate:
@@ -272,101 +328,27 @@ def jordan_pair_estimate(query: JordanPairQuery, t: int) -> JordanEstimate:
     (``mirror_matches``) and a sound two-block majorant evaluated at the
     given time step is reported as ``combined_bound``.
     """
-    if query.q == 0:
-        raise ZeroEigenvalue("estimate requires a nonzero eigenvalue")
+    if query.j_plus and query.j_minus:
+        return _estimate(query, t)
+    # stated reduction: a vanished block reduces to the single-block case
+    sub = jordan_estimate(query._reduced, t)
     N = query.block_dim
-    d = 2 * N
-    j_plus, j_minus, j_star = query.j_plus, query.j_minus, query.j_star
-    if j_plus == 0 or j_minus == 0:
-        # stated reduction: a vanished block reduces to the single-block case
-        block = query.x_plus if j_plus else query.x_minus
-        q = complex(query.q) if j_plus else np.conj(complex(query.q))
-        sub = jordan_estimate(JordanQuery(N, q, block), t)
-        scaled = np.zeros(d, dtype=complex)
-        target = np.zeros(d, dtype=complex)
-        off = 0 if j_plus else N
-        scaled[off : off + N] = sub.scaled
-        target[off : off + N] = sub.target
-        return JordanEstimate(
-            scaled=scaled,
-            target=target,
-            error=sub.error,
-            error_bound=sub.error_bound,
-            target_index=sub.target_index + off,
-            mirror_index=sub.mirror_index + off,
-            mirror_matches=sub.mirror_matches,
-            combined_bound=sub.error_bound,
-            combined_holds=sub.error <= sub.error_bound * (1.0 + 1e-12) + 1e-300,
-        )
-    threshold = max(d - 1, 2 * (j_plus - 2), 0)
-    if t < threshold:
-        raise OutOfRegime(f"t = {t} below validity threshold {threshold}")
-    r, theta = abs(query.q), np.angle(complex(query.q))
-    q_minus = complex(r * np.exp(-1j * theta))
-    scaled = np.zeros(d, dtype=complex)
-    scaled[:N] = _scaled_power_vector(complex(query.q), N, query.x_plus, t, j_plus, j_plus)
-    scaled[N:] = _scaled_power_vector(q_minus, N, query.x_minus, t, j_plus, j_minus)
-
-    phase = np.exp(1j * theta * (t - (j_star - 1)))
-    target_mirror = np.zeros(d, dtype=complex)
-    target_first = np.zeros(d, dtype=complex)
-    if j_star == j_plus:
-        target_mirror[N - j_star] = query.x_plus[j_star - 1] * phase
-        target_first[0] = query.x_plus[j_star - 1] * phase
-    if j_star == j_minus:
-        target_mirror[2 * N - j_star] = query.x_minus[j_star - 1] * np.conj(phase)
-        target_first[N] = query.x_minus[j_star - 1] * np.conj(phase)
-
-    prefactor = (j_plus - 1) / (t - j_plus + 2) if j_plus > 1 else 0.0
-    plus_bound = prefactor * _abs_sum_bound(r, query.x_plus, j_plus)
-
-    # two-block majorant at this t, for the first-coordinate targets: the
-    # plus-block top term cancels exactly; the minus one only when the
-    # scales agree, otherwise it survives and the target adds |x_-,j_-|
-    maj_plus = _abs_block_majorant(
-        r, query.x_plus, t, j_plus, j_plus, skip_top=(j_star == j_plus)
-    )
-    exact_minus_cancel = j_minus == j_star == j_plus
-    maj_minus = _abs_block_majorant(
-        r, query.x_minus, t, j_plus, j_minus, skip_top=exact_minus_cancel
-    )
-    if j_star == j_minus and not exact_minus_cancel:
-        maj_minus += abs(query.x_minus[j_minus - 1])
-    combined_bound = math.sqrt(maj_plus**2 + maj_minus**2)
-
-    err_mirror = float(np.linalg.norm(scaled - target_mirror))
-    err_first = float(np.linalg.norm(scaled - target_first))
-    mirror_matches = err_mirror <= plus_bound * (1.0 + 1e-12) + 1e-300
-    if err_first <= err_mirror:
-        chosen, error = target_first, err_first
-        index = 1 if j_star == j_plus else N + 1
-    else:
-        chosen, error = target_mirror, err_mirror
-        index = (N - j_star + 1) if j_star == j_plus else (2 * N - j_star + 1)
+    off = 0 if query.j_plus else N
+    scaled = np.zeros(2 * N, dtype=complex)
+    target = np.zeros(2 * N, dtype=complex)
+    scaled[off : off + N] = sub.scaled
+    target[off : off + N] = sub.target
     return JordanEstimate(
         scaled=scaled,
-        target=chosen,
-        error=error,
-        error_bound=plus_bound,
-        target_index=index,
-        mirror_index=N - j_star + 1 if j_star == j_plus else 2 * N - j_star + 1,
-        mirror_matches=mirror_matches,
-        combined_bound=combined_bound,
-        combined_holds=error <= combined_bound * (1.0 + 1e-12) + 1e-300,
+        target=target,
+        error=sub.error,
+        error_bound=sub.error_bound,
+        target_index=sub.target_index + off,
+        mirror_index=sub.mirror_index + off,
+        mirror_matches=sub.mirror_matches,
+        combined_bound=sub.error_bound,
+        combined_holds=sub.error <= sub.error_bound * (1.0 + 1e-12) + 1e-300,
     )
-
-
-def _abs_block_majorant(r: float, x: np.ndarray, t: int, j_ref: int, j_blk: int,
-                        skip_top: bool) -> float:
-    """Majorant for one block's rescaled remainder at scale ``j_ref``.
-
-    Sums the ratio-and-modulus majorant of every term at the given time
-    step, dropping the dominant one when the target cancels it exactly.
-    """
-    if j_blk == 0:
-        return 0.0
-    w = _comb_ratios(t, j_blk, j_ref - 1) * r ** ((j_ref - 1) - np.arange(j_blk))
-    return _root_sum_square(w, np.abs(x[:j_blk]), skip_top and j_blk == j_ref)
 
 
 class EigenSandwich:
@@ -395,6 +377,8 @@ class EigenSandwich:
 
 def lyapunov_sandwich(spec: SpectralInfo, z, t: int) -> tuple[float, float]:
     """Two-sided eigen-coordinate estimate of ``|Q^t z|`` (see :class:`EigenSandwich`)."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
     sw = EigenSandwich(spec)
     core = float(sw.cores((t,), np.atleast_1d(np.asarray(z, dtype=float)))[0][0])
     return core / sw.uinv_fro, sw.u_fro * core

@@ -132,6 +132,15 @@ class TestJordanEstimate:
 
 
 class TestJordanPairEstimate:
+    @pytest.mark.parametrize(
+        "x", [[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0]]
+    )
+    def test_zero_eigenvalue(self, x):
+        query = JordanPairQuery(2, 0j, x)
+        assert query.j_star >= 1  # the query's constants need no nonzero eigenvalue
+        with pytest.raises(ZeroEigenvalue):
+            jordan_pair_estimate(query, 10)
+
     def test_minus_block_zero_reduces(self):
         x = np.array([0.3, 1.0, 0.0, 0.0])
         pair = jordan_pair_estimate(JordanPairQuery(2, 0.6, x), 20)
@@ -183,6 +192,69 @@ class TestJordanPairEstimate:
                 ) + 1e-9
 
 
+class TestQueryInput:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: JordanQuery(2, float("nan"), [1.0, 1.0]),
+            lambda: JordanQuery(2, 0.5, [1.0, math.inf]),
+            lambda: JordanQuery(2, complex(0.5, math.inf), [1.0, 1.0]),
+            lambda: JordanPairQuery(1, complex(math.nan, 0.5), [1.0, 1.0]),
+            lambda: JordanPairQuery(2, 0.5 + 0.5j, [1.0, 0.0, -math.inf, 1.0]),
+            lambda: JordanPairQuery(1, 0.5 + 0.5j, [math.nan, 0.0]),
+        ],
+        ids=["nan-q", "inf-x", "inf-imag-q", "pair-nan-q", "pair-inf-x", "pair-nan-x"],
+    )
+    def test_non_finite_rejected(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
+
+class TestTargetIndices:
+    # (x, expected mirror index): the mirrored coordinate of the first block
+    # whose top index is j_star, counted 1-based over the whole vector
+    @pytest.mark.parametrize(
+        "x, mirror",
+        [([1.0, 1.0, 0.0], 2), ([0.5, -1.0, 2.0], 1), ([2.0, 0.0, 0.0], 3)],
+    )
+    def test_single_block(self, x, mirror):
+        q = 0.7 * np.exp(1j * 0.4)
+        for t in (4, 40, 200):
+            est = jordan_estimate(JordanQuery(3, q, x), t)
+            assert est.mirror_index == mirror
+            assert est.target_index in (1, mirror)
+            assert np.count_nonzero(est.target) == 1
+            assert est.target[est.target_index - 1] != 0
+
+    @pytest.mark.parametrize(
+        "x, mirror, both",
+        [
+            ([0.5, -1.0, 2.0, 0.7, 0.0, 0.0], 1, False),  # j_plus > j_minus
+            ([0.5, 0.0, 0.0, 0.7, -1.0, 0.0], 5, False),  # j_plus < j_minus
+            ([0.5, -1.0, 0.0, 0.7, 2.0, 0.0], 2, True),  # j_plus == j_minus
+            ([0.5, -1.0, 0.0, 0.0, 0.0, 0.0], 2, False),  # minus block vanished
+            ([0.0, 0.0, 0.0, 0.7, 2.0, 0.0], 5, False),  # plus block vanished
+        ],
+    )
+    def test_pair(self, x, mirror, both):
+        q = 0.7 * np.exp(1j * 0.4)
+        query = JordanPairQuery(3, q, x)
+        first = mirror - (3 - query.j_star)
+        for t in (6, 40, 200):
+            est = jordan_pair_estimate(query, t)
+            assert est.mirror_index == mirror
+            assert est.target_index in (first, mirror)
+            assert np.count_nonzero(est.target) == 1 + both
+            assert est.target[est.target_index - 1] != 0
+            if both:
+                assert est.target[est.target_index - 1 + 3] != 0
+                # conjugate blocks carry conjugate phases
+                i, j = est.target_index - 1, query.j_star
+                phase_plus = est.target[i] / x[j - 1]
+                phase_minus = est.target[i + 3] / x[3 + j - 1]
+                assert phase_minus == pytest.approx(np.conj(phase_plus), abs=1e-15)
+
+
 class TestLyapunovSandwich:
     def test_diagonal_example(self):
         spec = eigen(np.diag([0.5, 0.9]))
@@ -217,6 +289,11 @@ class TestLyapunovSandwich:
                 assert lower <= val * (1 + 1e-9) + 1e-12
                 assert val <= upper * (1 + 1e-9) + 1e-12
                 P = A @ P
+
+    def test_negative_t_rejected(self):
+        for Q, t in ((np.diag([0.5, 0.0]), -1), (np.diag([0.5, 0.2]), -3)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                lyapunov_sandwich(eigen(Q), [1.0, 1.0], t)
 
     def test_rejects_defective(self):
         spec = eigen(np.array([[0.5, 1.0], [0.0, 0.5]]))
