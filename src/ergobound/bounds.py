@@ -151,14 +151,14 @@ def law_at(model: StateSpaceModel, x, t: int, B=None) -> GaussianLaw:
 
 
 def _neumann_sums(model: StateSpaceModel):
-    """``sum_{j<t} Q^j Sigma E[xi]`` and ``sum_{j<t} Q^j Cov(Sigma xi) Q^jT`` for t = 0, 1, ...
+    """``sum_{j<t} Q^j Sigma E[xi]``, ``sum_{j<t} Q^j Cov(Sigma xi) Q^jT``, ``Q^t``; t = 0, 1, ...
 
     Each step adds one power, so a sweep to ``T`` costs O(T) products.
     """
     m, V = model.Sigma @ model.noise.mean_vector(), model.noise_cov
     drift, cov, P = np.zeros(model.d), np.zeros((model.d, model.d)), np.eye(model.d)
     while True:
-        yield drift, cov
+        yield drift, cov, P
         drift, cov, P = drift + P @ m, cov + P @ V @ P.T, model.Q @ P
 
 
@@ -169,7 +169,7 @@ def _laws(model: StateSpaceModel, x, ts: list, B=None) -> list[GaussianLaw]:
     B = np.eye(model.d) if B is None else as_matrix(B, square=False, name="B")
     sums, laws, at = _neumann_sums(model), [], 0
     for t, mean in zip(ts, _power_rows(model, ts, (_vec(x),))[0]):
-        drift, cov = next(itertools.islice(sums, t - at, None))
+        drift, cov, _ = next(itertools.islice(sums, t - at, None))
         at = t + 1
         laws.append(GaussianLaw(mean=B @ (mean + drift if t else mean), cov=B @ cov @ B.T))
     return laws

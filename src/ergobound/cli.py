@@ -369,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-samples", dest="n_samples", type=int, default=10000)
     p.add_argument("--n-directions", dest="n_directions", type=int, default=256)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=1e-3, help="stationary truncation budget")
+    p.add_argument("--eps", type=float, default=1e-3,
+                   help="stationary truncation budget (non-Gaussian noise; Gaussian is exact)")
     p.add_argument("--kappa-policy", dest="kappa_policy")
     p.add_argument("--out", help="CSV output file; summary JSON then goes to stdout")
     p.set_defaults(func=_cmd_validate)

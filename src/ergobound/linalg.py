@@ -37,6 +37,7 @@ __all__ = [
     "solve_stein",
     "stationary_covariance",
     "psd_sqrt",
+    "psd_factor",
     "smallest_eigenvalue_sym",
 ]
 
@@ -513,6 +514,13 @@ def psd_sqrt(S, sym_tol: float = 1e-10, eig_tol: float = 1e-12) -> np.ndarray:
         k = np.argmax(low < floor)  # the first matrix below its floor
         raise NotPSD(f"smallest eigenvalue {low.flat[k]:.3e} below clamp {floor.flat[k]:.3e}")
     return _sym(np.matmul(V * np.sqrt(np.maximum(w, 0.0))[..., None, :], V.swapaxes(-1, -2)))
+
+
+def psd_factor(S) -> np.ndarray:
+    """``F`` with ``F F^T = S`` for a symmetric PSD ``S``, unchecked: the eigenvectors of
+    ``S``'s symmetric part scaled by the roots of its eigenvalues clipped at zero."""
+    w, V = np.linalg.eigh(0.5 * (S + S.T))
+    return V * np.sqrt(np.clip(w, 0.0, None))
 
 
 def smallest_eigenvalue_sym(S, sym_tol: float = 1e-10) -> float:

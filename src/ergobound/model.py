@@ -21,8 +21,8 @@ from scipy.special import erf, erfcx, gammaln, hyp1f1
 
 from .asymptotics import EigenSandwich
 from .errors import EmptyCoefficients, MomentUnavailable, NonConvergence, OrderViolation
-from .linalg import (SchurForm, SpectralInfo, StarNorm, _read_only, as_matrix, eigen, psd_sqrt,
-                     schur_triangularize, smallest_eigenvalue_sym, solve_stein, star_norm)
+from .linalg import (SchurForm, SpectralInfo, StarNorm, _read_only, as_matrix, eigen, psd_factor,
+                     psd_sqrt, schur_triangularize, smallest_eigenvalue_sym, solve_stein, star_norm)
 
 __all__ = [
     "NoiseSpec",
@@ -459,9 +459,7 @@ class NoiseSpec:
             return lambda rng, n: draw(rng, prm, n)[:, None] * u
         if self.family != "gaussian":
             return lambda rng, n: draw(rng, prm, (n, d))
-        w, V = np.linalg.eigh(0.5 * (prm["cov"] + prm["cov"].T))
-        factor = V * np.sqrt(np.clip(w, 0.0, None))
-        mean = prm["mean"]
+        factor, mean = psd_factor(prm["cov"]), prm["mean"]
         return lambda rng, n: mean + rng.standard_normal((n, d)) @ factor.T
 
     def abs_moment_sigma(

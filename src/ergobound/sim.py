@@ -1,25 +1,28 @@
 """Seeded Monte Carlo for the state-space recursion.
 
-Path simulation, stationary-law sampling through the truncated series with
-an explicit tail-bias budget, and the empirical-mean process.  Paths are
-split into fixed blocks of ``_BLOCK`` and every block draws from its own
-counter-based Philox stream keyed by ``(seed, block index)``, so ensembles
-are bit-reproducible regardless of how blocks are scheduled across workers.
-``ERGOBOUND_THREADS`` caps the worker count (``_pool.worker_count``).  Noise
-is drawn step-major in bounded chunks as the recursion advances, so memory
-is O(n d) per kept time step rather than O(n d horizon).
+Path simulation, stationary-law sampling (exact for Gaussian noise, else a
+truncated series with an explicit tail-bias budget) and the empirical-mean
+process.  Paths are split into fixed blocks of ``_BLOCK`` and every block
+draws from its own counter-based Philox stream keyed by ``(seed, block
+index)``, so ensembles are bit-reproducible regardless of how blocks are
+scheduled across workers.  ``ERGOBOUND_THREADS`` caps the worker count
+(``_pool.worker_count``).  Noise is drawn step-major in bounded chunks as
+the recursion advances, so memory is O(n d) per kept time step rather than
+O(n d horizon).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._pool import run_jobs
+from .bounds import _neumann_sums
 from .errors import MomentUnavailable
-from .linalg import StarNorm
+from .linalg import StarNorm, psd_factor
 from .model import StateSpaceModel, model_digest
 
 __all__ = [
@@ -110,14 +113,42 @@ class SampleEnsemble:
         return self.samples[:, self.times.index(t), :]
 
 
+def _legs(steps: list, exact: bool) -> list:
+    """The moves ``(start, stop, jump)`` from step 0 through the sorted ``steps``: a jump across
+    each gap of two or more steps when ``exact``, else one walk of the recursion per run."""
+    legs, at = [], 0
+    for t in steps:
+        if exact and t - at >= 2:
+            legs.append((at, t, True))
+        elif legs and not legs[-1][2]:
+            legs[-1] = (legs[-1][0], t, False)
+        elif t > at:
+            legs.append((at, t, False))
+        at = t
+    return legs
+
+
+def _transitions(model: StateSpaceModel, gaps) -> dict:
+    """``{k: ((Q^k)^T, b_k, F_k^T)}`` for the increasing ``gaps``: with Gaussian noise,
+    ``X_{s+k}`` given ``X_s`` is ``N(Q^k X_s + b_k, C_k)`` with ``F_k F_k^T = C_k``.  The
+    Neumann sums of :func:`bounds.law_at` give ``b_k`` and ``C_k`` without the cancellation
+    of ``Sigma_inf - Q^k Sigma_inf Q^kT``."""
+    sums, out, at = _neumann_sums(model), {}, 0
+    for k in gaps:
+        drift, cov, P = next(itertools.islice(sums, k - at, None))
+        out[k], at = (P.T, drift, psd_factor(cov).T), k + 1
+    return out
+
+
 def simulate_paths(
     model: StateSpaceModel, x, config: SimConfig, times=None
 ) -> SampleEnsemble:
     """Independent realizations of the recursion from a common start.
 
-    Runs ``X_t = Q X_{t-1} + Sigma xi_t`` for ``t = 1..horizon`` on
-    ``n_paths`` independent paths; ``times`` selects which steps to keep
-    (default: all of ``0..horizon``, each step at most once).
+    Runs ``X_t = Q X_{t-1} + Sigma xi_t`` on ``n_paths`` independent paths up
+    to the last kept step of ``times`` (default: all of ``0..horizon``, each
+    at most once, in any order).  With Gaussian noise a gap of ``k >= 2``
+    steps between kept steps is one exact draw of ``N(Q^k X_s + b_k, C_k)``.
     """
     x = _checked_start(model, x, config.horizon)
     keep = tuple(range(config.horizon + 1)) if times is None else tuple(times)
@@ -127,6 +158,8 @@ def simulate_paths(
         raise ValueError("times must not repeat a step")
     out = np.empty((config.n_paths, len(keep), model.d))
     col = {t: k for k, t in enumerate(keep)}
+    legs = _legs(sorted(keep), model.noise.family == "gaussian")
+    jumps = _transitions(model, sorted({stop - start for start, stop, jump in legs if jump}))
     draw = model.noise.sampler()
     Qt, St = model.Q.T, model.Sigma.T
 
@@ -134,11 +167,17 @@ def simulate_paths(
         state = np.tile(x, (hi - lo, 1))
         if 0 in col:
             out[lo:hi, col[0], :] = state
-        steps = _noise_steps(draw, rng, hi - lo, config.horizon, model.d)
-        for t, xi in enumerate(steps, start=1):
-            state = state @ Qt + xi @ St
-            if t in col:
-                out[lo:hi, col[t], :] = state
+        for start, stop, jump in legs:
+            if jump:
+                Pt, b, Ft = jumps[stop - start]
+                state = state @ Pt + b + rng.standard_normal((hi - lo, model.d)) @ Ft
+                out[lo:hi, col[stop], :] = state
+                continue
+            steps = _noise_steps(draw, rng, hi - lo, stop - start, model.d)
+            for t, xi in enumerate(steps, start=start + 1):
+                state = state @ Qt + xi @ St
+                if t in col:
+                    out[lo:hi, col[t], :] = state
 
     _run_blocks(config.n_paths, config.seed, _PATH_PARITY, run)
     return SampleEnsemble(
@@ -181,32 +220,42 @@ def sample_stationary(
     star: StarNorm | None = None,
     truncation: int | None = None,
 ) -> SampleEnsemble:
-    """Draws of the stationary law via the truncated noise series.
+    """Draws of the stationary law.
 
-    Each sample is ``sum_{j=0..T} Q^j Sigma xi_j`` with ``T`` chosen so the
-    contraction-norm tail majorant is at most ``eps_stat``; the truncation
-    is recorded in provenance.  This gives an explicit, auditable bias
-    bound, unlike a burn-in.
+    With Gaussian noise and no ``truncation`` each sample is exactly
+    ``m_inf + F z``, ``F F^T = Sigma_inf`` (provenance: ``exact``, ``truncation``
+    0).  Otherwise it is ``sum_{j=0..T} Q^j Sigma xi_j``, ``T`` given or chosen
+    so the contraction-norm tail majorant is at most ``eps_stat``: an
+    explicit, auditable bias bound, unlike a burn-in.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0.0 < eps_stat < math.inf:
         raise ValueError(f"eps_stat must be positive and finite, got {eps_stat}")
+    if not (truncation is None or isinstance(truncation, (int, np.integer)) and truncation >= 0):
+        raise ValueError(f"truncation must be a nonnegative integer, got {truncation!r}")
     star = star if star is not None else model.star
-    T = truncation if truncation is not None else truncation_horizon(model, eps_stat, star)
-    # stack of (Q^j Sigma)^T for j = 0..T
-    Pt = np.empty((T + 1, model.d, model.d))
-    Pt[0] = model.Sigma.T
-    for j in range(1, T + 1):
-        Pt[j] = Pt[j - 1] @ model.Q.T
-    draw = model.noise.sampler()
+    exact = truncation is None and model.noise.family == "gaussian"
     out = np.empty((n, 1, model.d))
+    if exact:
+        T, mean, Ft = 0, model.stationary_mean, psd_factor(model.stationary_cov).T
 
-    def run(rng, lo: int, hi: int) -> None:
-        acc = np.zeros((hi - lo, model.d))
-        for j, xi in enumerate(_noise_steps(draw, rng, hi - lo, T + 1, model.d)):
-            acc += xi @ Pt[j]
-        out[lo:hi, 0, :] = acc
+        def run(rng, lo: int, hi: int) -> None:
+            out[lo:hi, 0, :] = mean + rng.standard_normal((hi - lo, model.d)) @ Ft
+    else:
+        T = truncation if truncation is not None else truncation_horizon(model, eps_stat, star)
+        # stack of (Q^j Sigma)^T for j = 0..T
+        Pt = np.empty((T + 1, model.d, model.d))
+        Pt[0] = model.Sigma.T
+        for j in range(1, T + 1):
+            Pt[j] = Pt[j - 1] @ model.Q.T
+        draw = model.noise.sampler()
+
+        def run(rng, lo: int, hi: int) -> None:
+            acc = np.zeros((hi - lo, model.d))
+            for j, xi in enumerate(_noise_steps(draw, rng, hi - lo, T + 1, model.d)):
+                acc += xi @ Pt[j]
+            out[lo:hi, 0, :] = acc
 
     _run_blocks(n, seed, _STATIONARY_PARITY, run)
     return SampleEnsemble(
@@ -219,6 +268,7 @@ def sample_stationary(
             "seed": seed,
             "eps_stat": eps_stat,
             "truncation": T,
+            "exact": exact,
             "star_norm": star.value,
             "kappa": star.kappa,
         },
@@ -236,8 +286,9 @@ def empirical_mean_process(
     """Averaged path of n independent copies, verified against its own recursion.
 
     The copies are the paths :func:`simulate_paths` draws from the same
-    seed.  The empirical mean follows the same recursion driven by the
-    averaged noise; the residual
+    seed with every step kept, drawn step by step for every noise family.
+    The empirical mean follows the same recursion driven by the averaged
+    noise; the residual
     ``max_t |S_{t+1} - Q S_t - Sigma zetabar_{t+1}|`` is checked against
     ``verify_tol`` (scaled by the path magnitude) and recorded in
     provenance.

@@ -7,7 +7,7 @@ import pytest
 from ergobound import bounds as bnd
 from ergobound import sim
 from ergobound.errors import MomentUnavailable, NotSchurStable
-from ergobound.linalg import build_star_norm
+from ergobound.linalg import build_star_norm, psd_factor
 from ergobound.model import NoiseSpec, ar_state_space, raw_model
 from ergobound.sim import (
     SimConfig,
@@ -20,6 +20,52 @@ from ergobound.sim import (
 
 def ar1(q, var=1.0, mean=0.0):
     return ar_state_space([q], noise1d=NoiseSpec.gaussian(mean, var))
+
+
+def assert_same_law(a, b):
+    """Means and covariances of two independent ``(n, d)`` samples agree within 4 stderr."""
+
+    def moments(s):
+        c = s - s.mean(axis=0)
+        i, j = np.triu_indices(s.shape[1])
+        return np.hstack([s, c[:, i] * c[:, j]])
+
+    fa, fb = moments(a), moments(b)
+    se = np.sqrt(fa.var(axis=0, ddof=1) / len(fa) + fb.var(axis=0, ddof=1) / len(fb))
+    np.testing.assert_array_less(np.abs(fa.mean(axis=0) - fb.mean(axis=0)), 4 * se + 1e-12)
+
+
+def rotation(rho, theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return rho * np.array([[c, -s], [s, c]])
+
+
+# Gaussian models for the exact routes, each with a start and the kept steps to jump to: a
+# non-normal raw model with non-centred noise, a scalar-driven AR(3) whose gap 2 < d leaves
+# C_2 rank-deficient, and a slow rotation with rho(Q) = 0.99 at gap 1000
+EXACT_CASES = {
+    "non_normal": (
+        lambda: raw_model(
+            [[0.5, 1.5, 0.0], [0.0, 0.4, 1.2], [0.0, 0.0, -0.3]],
+            [[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.3, 1.0]],
+            NoiseSpec.gaussian_d([0.4, -0.2, 0.1],
+                                 [[1.0, 0.3, 0.0], [0.3, 0.5, 0.1], [0.0, 0.1, 0.8]]),
+        ),
+        [2.0, -1.0, 0.5],
+        (3, 7),
+    ),
+    "ar3_rank_deficient": (
+        lambda: ar_state_space([0.5, -0.3, 0.2], noise1d=NoiseSpec.gaussian(0.3, 1.0)),
+        [1.0, -0.5, 2.0],
+        (2,),
+    ),
+    "slow_rotation": (
+        lambda: raw_model(rotation(0.99, 0.3), np.eye(2),
+                          NoiseSpec.gaussian_d([0.1, 0.0], [[1.0, 0.2], [0.2, 0.5]])),
+        [50.0, 0.0],
+        (1000,),
+    ),
+}
 
 
 class TestSimulatePaths:
@@ -54,11 +100,48 @@ class TestSimulatePaths:
             np.testing.assert_array_less(np.abs(got - want), 4 * se + 1e-12)
 
     def test_time_subset(self):
-        m = ar1(0.5)
+        # without Gaussian jumps a kept subset is a slice of the full run
+        m = ar_state_space([0.5], noise1d=NoiseSpec.laplace(0.0, 1.0))
         full = simulate_paths(m, [1.0], SimConfig(n_paths=5, horizon=9, seed=2))
         part = simulate_paths(m, [1.0], SimConfig(n_paths=5, horizon=9, seed=2), times=(0, 4, 9))
         np.testing.assert_array_equal(part.at_time(4), full.at_time(4))
         np.testing.assert_array_equal(part.at_time(9), full.at_time(9))
+
+    def test_gaussian_consecutive_steps_keep_their_bits(self):
+        # with Gaussian noise, steps kept one after another from 0 equal the full run's,
+        # and each is X Q^T + xi Sigma^T with xi from the noise sampler, bit for bit
+        make, x, _ = EXACT_CASES["non_normal"]
+        m, cfg = make(), SimConfig(n_paths=5, horizon=9, seed=2)
+        full = simulate_paths(m, x, cfg)
+        part = simulate_paths(m, x, cfg, times=(0, 1, 2, 3))
+        np.testing.assert_array_equal(part.samples, full.samples[:, :4])
+        rng, draw = sim._stream_rng(2, sim._PATH_PARITY), m.noise.sampler()
+        state = np.tile(x, (5, 1))
+        for t in range(1, 10):
+            state = state @ m.Q.T + draw(rng, 5) @ m.Sigma.T
+            np.testing.assert_array_equal(full.at_time(t), state)
+
+    @pytest.mark.parametrize("noise", [NoiseSpec.gaussian(0.2, 1.0), NoiseSpec.laplace(0.0, 1.0)])
+    def test_unsorted_times(self, noise):
+        m = ar_state_space([0.3, 0.5], [0.0], noise)
+        cfg = SimConfig(n_paths=6, horizon=9, seed=4)
+        shuffled = simulate_paths(m, [1.0, 0.0], cfg, times=(9, 4))
+        ordered = simulate_paths(m, [1.0, 0.0], cfg, times=(4, 9))
+        assert shuffled.times == (9, 4)
+        np.testing.assert_array_equal(shuffled.samples, ordered.samples[:, ::-1])
+
+    def test_recursion_stops_at_last_kept_step(self, monkeypatch):
+        m = ar_state_space([0.3, 0.5], [0.0], NoiseSpec.laplace(0.0, 1.0))
+        short, long = (
+            simulate_paths(m, [1.0, 0.0], SimConfig(n_paths=7, horizon=h, seed=5), times=(5,))
+            for h in (5, 100)
+        )
+        np.testing.assert_array_equal(short.samples, long.samples)
+        monkeypatch.setattr(sim, "_noise_steps", None)  # no step may draw noise
+        for noise in (NoiseSpec.laplace(0.0, 1.0), NoiseSpec.gaussian(0.0, 1.0)):
+            none = simulate_paths(ar_state_space([0.3, 0.5], [0.0], noise), [1.0, 0.0],
+                                  SimConfig(n_paths=7, horizon=100, seed=5), times=())
+            assert none.samples.shape == (7, 0, 2)
 
     def test_rejects_repeated_times(self):
         # a repeated step would leave one kept column unwritten
@@ -128,6 +211,68 @@ class TestSimulatePaths:
             tracemalloc.stop()
         assert ens.samples.shape == (2000, 1, 3)
         assert peak < 10 * 2**20
+
+
+class TestExactGaussianDraws:
+    @pytest.mark.parametrize("case", sorted(EXACT_CASES))
+    def test_jumps_match_the_recursion(self, case):
+        make, x, times = EXACT_CASES[case]
+        m, n, horizon = make(), 20_000, max(times)
+        jumped = simulate_paths(m, x, SimConfig(n_paths=n, horizon=horizon, seed=51), times=times)
+        walked = simulate_paths(m, x, SimConfig(n_paths=n, horizon=horizon, seed=52))
+        for t in times:
+            assert_same_law(jumped.at_time(t), walked.at_time(t))
+
+    @pytest.mark.parametrize("case", ["non_normal", "ar3_rank_deficient"])
+    def test_stationary_matches_the_series(self, case):
+        m, n = EXACT_CASES[case][0](), 20_000
+        exact = sample_stationary(m, n, seed=53)
+        series = sample_stationary(m, n, seed=54, truncation=truncation_horizon(m, 1e-8))
+        assert exact.provenance["truncation"] == 0 and exact.provenance["exact"]
+        assert not series.provenance["exact"]
+        assert_same_law(exact.samples[:, 0], series.samples[:, 0])
+
+    def test_transitions_are_the_laws_of_law_at(self):
+        m = EXACT_CASES["non_normal"][0]()
+        for k, (Pt, b, Ft) in sim._transitions(m, [2, 5, 40]).items():
+            law = bnd.law_at(m, np.zeros(3), k)
+            np.testing.assert_array_equal(b, law.mean)
+            tol = 1e-13 * np.abs(law.cov).max()
+            np.testing.assert_allclose(Ft.T @ Ft, law.cov, rtol=0, atol=tol)
+            np.testing.assert_allclose(Pt.T, np.linalg.matrix_power(m.Q, k), rtol=1e-13)
+
+    def test_factor_residual_on_a_badly_scaled_model(self):
+        # |Sigma_inf| about 1e10 with eigenvalues down to 1.3
+        Q = [[0.95, 4000.0, 0.0], [0.0, 0.9, 0.0], [0.0, 0.0, 0.5]]
+        m = raw_model(Q, np.eye(3), NoiseSpec.gaussian_d([1.0, 0.0, 0.0], np.eye(3)))
+        S = m.stationary_cov
+        assert 1e10 <= np.abs(S).max() <= 2e10
+        F = psd_factor(S)
+        assert np.abs(F @ F.T - S).max() <= 1e-14 * np.abs(S).max()
+        draws = sample_stationary(m, 1000, seed=55).samples[:, 0]
+        assert np.all(np.isfinite(draws))
+
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    def test_blocks_and_chunks_do_not_change_the_draws(self, monkeypatch, threads):
+        n = 2 * sim._BLOCK + 500  # three blocks, the last one partial
+        make, x, _ = EXACT_CASES["non_normal"]
+        m, times = make(), (0, 1, 2, 6, 7, 15)
+
+        def run_all():
+            return (
+                simulate_paths(m, x, SimConfig(n, 15, 57), times=times).samples,
+                sample_stationary(m, n, seed=57).samples,
+            )
+
+        monkeypatch.setenv("ERGOBOUND_THREADS", "1")
+        ref = run_all()
+        monkeypatch.setenv("ERGOBOUND_THREADS", threads)
+        for values in (1, sim._CHUNK_VALUES, 4 * sim._BLOCK * 3):
+            monkeypatch.setattr(sim, "_CHUNK_VALUES", values)
+            for a, b in zip(ref, run_all()):
+                np.testing.assert_array_equal(a, b)
+        # every block draws from a stream of its own
+        assert not np.allclose(ref[1][:500], ref[1][2 * sim._BLOCK:])
 
 
 class TestSampleStationary:
@@ -202,6 +347,15 @@ class TestSampleStationary:
         m = ar_state_space([1.5, 0.8], [0.0], NoiseSpec.gaussian(0.0, 1.0))
         with pytest.raises(NotSchurStable):
             sample_stationary(m, 10, seed=1)
+
+    @pytest.mark.parametrize("truncation", [-1, 2.5, "3"])
+    def test_truncation_checked(self, truncation):
+        m = ar_state_space([0.5], noise1d=NoiseSpec.laplace(0.0, 1.0))
+        with pytest.raises(ValueError, match="truncation must be a nonnegative integer"):
+            sample_stationary(m, 10, seed=1, truncation=truncation)
+        # integers of any kind pass
+        ens = sample_stationary(m, 10, seed=1, truncation=np.int64(3))
+        assert ens.provenance["truncation"] == 3
 
     @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, math.inf])
     def test_truncation_budget_checked(self, eps):
