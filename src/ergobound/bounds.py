@@ -193,9 +193,6 @@ def _require_gaussian(model: StateSpaceModel) -> None:
 FLAVORS = ("exact_ar1", "gauss_affine", "projected", "sliced_gauss", "generic",
            "generic_diag", "sliced_generic", "parallel", "empirical_mean")
 
-# Floats per block of stacked powers ``Q^t``: about 1 MB whatever ``d``.
-_BLOCK_FLOATS = 2**17
-
 
 def _star(model: StateSpaceModel, star: StarNorm | None) -> StarNorm:
     """The caller's contraction norm, or the model's default one."""
@@ -210,44 +207,29 @@ def _vec(x) -> np.ndarray:
     return np.array(x, dtype=float, ndmin=1)
 
 
-def _powers(model: StateSpaceModel, ts: list) -> np.ndarray:
-    """``np.linalg.matrix_power(Q, t)`` for each step of ``ts``, stacked, by its own products.
-
-    Past ``t = 3`` it squares ``Z_k = Q^(2^k)`` (kept on the model) up the bits of
-    ``t`` and multiplies its running product by ``Z_k`` on the right at every set
-    bit; each row repeats exactly those products, level by level for all rows.
-    """
-    Q, ts = model.Q, [operator.index(t) for t in ts]  # an integer step, as matrix_power takes
-    ladder = _once(model, ("power_ladder",), lambda: [Q])
-    while len(ladder) < max(ts, default=0).bit_length():
-        ladder.append(ladder[-1] @ ladder[-1])
-    P = np.empty((len(ts), *Q.shape))
-    first, more = {}, {}  # bit level -> rows that start there / multiply there
-    for i, t in enumerate(ts):
-        if t <= 3:
-            P[i] = np.linalg.matrix_power(Q, t)
-            continue
-        low = (t & -t).bit_length() - 1
-        first.setdefault(low, []).append(i)
-        for k in range(low + 1, t.bit_length()):
-            if t >> k & 1:
-                more.setdefault(k, []).append(i)
-    for k in sorted(first.keys() | more.keys()):
-        for rows, mul in ((first.get(k), False), (more.get(k), True)):
-            if rows:
-                rows = rows[0] if len(rows) == 1 else rows  # a lone row as a plain 2-D product
-                P[rows] = P[rows] @ ladder[k] if mul else ladder[k]
-    return P
-
-
 def _power_rows(model: StateSpaceModel, ts: list, zs, vs=()) -> list[np.ndarray]:
-    """Rows ``Q^t z`` for each ``z`` in ``zs``, then rows ``(Q^t)^T v`` for each ``v`` in ``vs``,
-    from powers stacked per block of steps (about ``_BLOCK_FLOATS`` floats each)."""
-    step, blocks = max(1, _BLOCK_FLOATS // model.Q.size), []
-    for lo in range(0, max(len(ts), 1), step):
-        P = _powers(model, ts[lo:lo + step])
-        blocks.append([P @ z for z in zs] + [np.swapaxes(P, 1, 2) @ v for v in vs])
-    return [rows[0] if len(rows) == 1 else np.concatenate(rows) for rows in zip(*blocks)]
+    """Rows ``Q^t z`` for each ``z`` in ``zs``, then rows ``(Q^t)^T v`` for each ``v`` in ``vs``.
+
+    Bit ``k`` of ``t`` multiplies a row by ``Q^(2^k)``, the squares kept on the model, so
+    a row costs O(d^2 log t) and no ``Q^t`` is formed.  Each row makes its own stacked
+    product per level, so its bits do not depend on the other steps of ``ts``.
+    """
+    ts = [operator.index(t) for t in ts]  # integer steps, as matrix_power takes
+    levels = max(ts, default=0).bit_length()
+    ladder = _once(model, ("power_ladder",), lambda: [model.Q])
+    while len(ladder) < levels:
+        ladder.append(ladder[-1] @ ladder[-1])
+    stacks = [[np.array(g, dtype=float)[None].repeat(len(ts), axis=0), transpose]
+              for g, transpose in ((zs, True), (vs, False)) if len(g)]
+    for k in range(levels):
+        hit = [i for i, t in enumerate(ts) if t >> k & 1]
+        for stack in stacks if hit else ():
+            M = ladder[k].T if stack[1] else ladder[k]
+            if len(hit) == len(ts):  # every row: the same per-row products, without a gather
+                stack[0] = stack[0] @ M
+            else:
+                stack[0][hit] = stack[0][hit] @ M
+    return [np.ascontiguousarray(rows[:, j]) for rows, _ in stacks for j in range(rows.shape[1])]
 
 
 def ar1_params(model: StateSpaceModel) -> tuple[float, float]:
@@ -292,8 +274,8 @@ def sweep(model: StateSpaceModel, flavor: str, x, r: float, ts, *, star: StarNor
     """The ``flavor`` reports at start ``x`` and order ``r``, one per step of ``ts``.
 
     The one flavor dispatch.  Constants free of ``t`` are solved once (and
-    kept on the model); ``Q^t z`` comes from stacked powers, each row
-    ``matrix_power(Q, t) @ z`` to the bit, so row ``t`` equals ``report(t)``.
+    kept on the model); ``Q^t z`` comes from the model's squares ``Q^(2^k)``
+    row by row (:func:`_power_rows`), so row ``t`` equals ``report(t)``.
     ``r`` is the ``p`` of the coupling flavors; ``star`` defaults to the
     model's own.  ``B`` maps ``gauss_affine`` (the identity when omitted), ``v``
     is the unit direction of ``projected`` and ``mode`` the mean constant of

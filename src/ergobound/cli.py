@@ -175,7 +175,6 @@ def _cmd_stability(args) -> int:
             out["region"] = ar2_region(phi[0], phi[1], boundary_tol=args.boundary_tol)
     else:
         out["sufficient_flags"] = []
-    out.pop("region_label", None)
     json.dump(out, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
     return EXIT_OK

@@ -190,11 +190,14 @@ def _eigen(A: np.ndarray, tol: float) -> SpectralInfo:
     )
 
 
-# Contracts of the Schur step and of the stationary-covariance solve: relative
-# residual caps, and the distance below one that certifies Schur stability.
+# Contracts: the relative residual caps of the Schur step and the stationary-covariance
+# solve, the distance below one that certifies Schur stability, the relative symmetry
+# defect of a symmetric input, and psd_sqrt's eigenvalue clamp below max(1, lambda_max).
 _SCHUR_TOL = 1e-10
 _STEIN_TOL = 1e-12
 _STABILITY_TOL = 1e-9
+_SYM_TOL = 1e-10
+_EIG_CLAMP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -489,27 +492,27 @@ def stationary_covariance(Q, V) -> np.ndarray:
     return solve_stein(schur_triangularize(as_matrix(Q, name="Q")), V)
 
 
-def _check_symmetric(S: np.ndarray, sym_tol: float, name: str) -> np.ndarray:
-    """Each matrix of ``S`` symmetrized; ``NotSymmetric`` past ``sym_tol * max(1, fro(S_k))``."""
+def _check_symmetric(S: np.ndarray) -> np.ndarray:
+    """Each matrix of ``S`` symmetrized; ``NotSymmetric`` past ``_SYM_TOL * max(1, fro(S_k))``."""
     flat = S.reshape(S.shape[:-2] + (-1,))
-    tol = sym_tol * np.maximum(1.0, row_norms(flat))
+    tol = _SYM_TOL * np.maximum(1.0, row_norms(flat))
     if S.dtype.kind == "c" and np.count_nonzero(np.abs(S.imag).max(axis=(-2, -1)) > tol):
-        raise NotSymmetric(f"{name} has a non-negligible imaginary part")
+        raise NotSymmetric("S has a non-negligible imaginary part")
     S = S.real
     ST = S.swapaxes(-1, -2)
     if np.count_nonzero(row_norms((S - ST).reshape(flat.shape)) > tol):
-        raise NotSymmetric(f"{name} is not symmetric within {sym_tol:.1e}")
+        raise NotSymmetric(f"S is not symmetric within {_SYM_TOL:.1e}")
     return 0.5 * (S + ST)
 
 
-def psd_sqrt(S, sym_tol: float = 1e-10, eig_tol: float = 1e-12) -> np.ndarray:
+def psd_sqrt(S) -> np.ndarray:
     """Symmetric PSD square root ``R`` with ``R @ R = S``, or the roots of a stack ``(k, d, d)``,
     each matrix checked and rooted alone, bit for bit: finite entries, symmetry within
-    ``sym_tol``, and eigenvalues in ``[-eig_tol * max(1, lambda_max), 0)`` clamped to zero;
-    anything more negative raises ``NotPSD``."""
-    S = _check_symmetric(as_matrix(S, name="S", stacked=np.ndim(S) == 3), sym_tol, "S")
+    ``_SYM_TOL``, and eigenvalues in ``[-_EIG_CLAMP_TOL * max(1, lambda_max), 0)`` clamped
+    to zero; anything more negative raises ``NotPSD``."""
+    S = _check_symmetric(as_matrix(S, name="S", stacked=np.ndim(S) == 3))
     w, V = np.linalg.eigh(S)
-    low, floor = w[..., :1], -eig_tol * np.maximum(1.0, w[..., -1:])
+    low, floor = w[..., :1], -_EIG_CLAMP_TOL * np.maximum(1.0, w[..., -1:])
     if np.count_nonzero(low < floor):
         k = np.argmax(low < floor)  # the first matrix below its floor
         raise NotPSD(f"smallest eigenvalue {low.flat[k]:.3e} below clamp {floor.flat[k]:.3e}")
@@ -523,8 +526,6 @@ def psd_factor(S) -> np.ndarray:
     return V * np.sqrt(np.clip(w, 0.0, None))
 
 
-def smallest_eigenvalue_sym(S, sym_tol: float = 1e-10) -> float:
+def smallest_eigenvalue_sym(S) -> float:
     """Minimal eigenvalue of a symmetric matrix."""
-    S = as_matrix(S, name="S")
-    S = _check_symmetric(S, sym_tol, "S")
-    return float(np.linalg.eigvalsh(S)[0])
+    return float(np.linalg.eigvalsh(_check_symmetric(as_matrix(S, name="S")))[0])

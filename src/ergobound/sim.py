@@ -52,6 +52,9 @@ def _stream_rng(seed: int, stream: int) -> np.random.Generator:
 _PATH_PARITY = 0
 _STATIONARY_PARITY = 1
 
+# The empirical mean's own recursion must hold to this much of the path magnitude.
+_MEAN_RECURSION_TOL = 1e-12
+
 
 def _run_blocks(n: int, seed: int, parity: int, run) -> list:
     """``run(rng, lo, hi)`` over the fixed path blocks of ``0..n``, in block order.
@@ -275,14 +278,8 @@ def sample_stationary(
     )
 
 
-def empirical_mean_process(
-    model: StateSpaceModel,
-    n: int,
-    x,
-    horizon: int,
-    seed: int,
-    verify_tol: float = 1e-12,
-) -> SampleEnsemble:
+def empirical_mean_process(model: StateSpaceModel, n: int, x, horizon: int,
+                           seed: int) -> SampleEnsemble:
     """Averaged path of n independent copies, verified against its own recursion.
 
     The copies are the paths :func:`simulate_paths` draws from the same
@@ -290,7 +287,7 @@ def empirical_mean_process(
     The empirical mean follows the same recursion driven by the averaged
     noise; the residual
     ``max_t |S_{t+1} - Q S_t - Sigma zetabar_{t+1}|`` is checked against
-    ``verify_tol`` (scaled by the path magnitude) and recorded in
+    ``_MEAN_RECURSION_TOL`` (scaled by the path magnitude) and recorded in
     provenance.
     """
     if n < 1:
@@ -318,7 +315,7 @@ def empirical_mean_process(
         np.abs(S[1:] - S[:-1] @ Qt - zeta_bar @ St).max()
     )
     scale = 1.0 + float(np.abs(S).max())
-    if resid > verify_tol * scale:
+    if resid > _MEAN_RECURSION_TOL * scale:
         raise ValueError(
             f"empirical-mean recursion residual {resid:.3e} exceeds tolerance"
         )

@@ -1,6 +1,6 @@
 """Schur stability verdicts.
 
-The eigenvalue oracle handles arbitrary matrices; for companion matrices of
+The Schur-form oracle handles arbitrary matrices; for companion matrices of
 low order the closed-form region classification (diamond/wing for p = 2)
 and the classical sufficient coefficient tests are available as cheap,
 root-free checks.
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, eigen
+from .linalg import as_matrix, schur_triangularize
 
 __all__ = [
     "StabilityVerdict",
@@ -38,14 +38,13 @@ class StabilityVerdict:
     stable: bool
     spectral_radius: float
     margin: float
-    region_label: str | None = None
     boundary: bool = False
 
 
 def is_schur_stable(Q, boundary_tol: float = 1e-9) -> StabilityVerdict:
-    """Eigenvalue-oracle verdict: stable iff ``rho(Q) < 1 - boundary_tol``."""
-    Q = as_matrix(Q, name="Q")
-    rho = eigen(Q).spectral_radius
+    """Verdict: stable iff ``rho(Q) < 1 - boundary_tol``, ``rho`` read from the Schur form's
+    diagonal, as ``validate_model`` and the star norm read it."""
+    rho = schur_triangularize(as_matrix(Q, name="Q")).spectral_radius
     return StabilityVerdict(
         stable=bool(rho < 1.0 - boundary_tol),
         spectral_radius=float(rho),

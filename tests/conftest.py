@@ -2,7 +2,9 @@
 
 import sys
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 import ergobound  # noqa: F401  (loads every package module before a patch)
 
@@ -35,3 +37,17 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """The number of ``scipy.linalg.schur`` and ``np.linalg.eig`` calls made in the test."""
+    counts = {"schur": 0, "eig": 0}
+    for module, name in ((scipy.linalg, "schur"), (np.linalg, "eig")):
+
+        def counted(*args, _name=name, _call=getattr(module, name), **kwargs):
+            counts[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts

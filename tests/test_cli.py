@@ -768,7 +768,7 @@ PINNED_RUNS = {
     "validate_gauss_affine": (
         ["validate", "--flavor", "gauss_affine", "--phi", "1.2,-0.5", "--x", "2,0",
          "--t-max", "120"],
-        "3491138fe5fe4266da1c9ffe208a37fac3cf4272b871c1e137c4dd8534182f1a",
+        "688301a2d7481abc1ad7e77ff8f13349689d3b98526160f6e9e9baae1fa67d53",
         "f8ecc096cb3246373b42c72c52b3f2e850d618b35aa50ede90e1c8e0e1774300",
     ),
     "simulate_ar2_laplace": (

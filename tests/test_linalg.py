@@ -258,20 +258,6 @@ class TestKappaSearch:
             want.kappa, want.value, want.K_d, want.C_star)
 
 
-@pytest.fixture
-def lapack_calls(monkeypatch):
-    """The number of ``scipy.linalg.schur`` and ``np.linalg.eig`` calls made in the test."""
-    counts = {"schur": 0, "eig": 0}
-    for module, name in ((scipy.linalg, "schur"), (np.linalg, "eig")):
-
-        def counted(*args, _name=name, _call=getattr(module, name), **kwargs):
-            counts[_name] += 1
-            return _call(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-    return counts
-
-
 def bits(result):
     """A dataclass's fields, or an array, with every array as its bytes."""
     fields = dataclasses.astuple(result) if dataclasses.is_dataclass(result) else (result,)
@@ -597,7 +583,7 @@ class TestPsdSqrt:
 
     @pytest.mark.parametrize("d", [1, 2, 5, 10, 40])
     def test_symmetry_norms_are_fro_bit_for_bit(self, d):
-        # one dot per matrix, so a 2-D call's threshold is exactly sym_tol * max(1, fro(S))
+        # one dot per matrix, so a 2-D call's threshold is exactly _SYM_TOL * max(1, fro(S))
         rng = np.random.default_rng(d)
         stack = rng.standard_normal((4, d, d)) * 10.0 ** rng.uniform(-4, 4, (4, 1, 1))
         flat = stack.reshape(4, -1)

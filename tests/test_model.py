@@ -620,8 +620,10 @@ class TestIndependentCoordinateMoments:
     def test_monte_carlo_only_off_the_exact_regime(self, count_calls):
         draws = count_calls("_mc_abs_moment")
         spec = NoiseSpec.student_t_d(3.0, [1.0, 2.0])
-        rotation, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((2, 2)))
-        # orthogonal only to rounding: the exact route takes no tolerance
+        # columns orthogonal to 1e-12: far inside any tolerance, yet far above the rounding
+        # of every BLAS kernel's product, so the exact route, which takes no tolerance, is off
+        rotation = np.array([[math.cos(0.7), -math.sin(0.7 + 1e-12)],
+                             [math.sin(0.7), math.cos(0.7 + 1e-12)]])
         assert not np.array_equal(rotation.T @ rotation, np.diag(np.diag(rotation.T @ rotation)))
         for Sigma, p in ((np.eye(2), 2.5), (rotation, 1.0)):
             assert spec.abs_moment_sigma(Sigma, p, mc_draws=1000)[1] > 0.0

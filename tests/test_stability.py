@@ -1,9 +1,13 @@
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
-from ergobound.model import companion
+from ergobound.cli import main
+from ergobound.model import NoiseSpec, ar_state_space, companion, raw_model
 from ergobound.stability import ar2_region, is_schur_stable, sufficient_tests
 
 
@@ -32,6 +36,25 @@ class TestIsSchurStable:
         v = is_schur_stable(np.zeros((3, 3)))
         assert v.stable
         assert v.spectral_radius == 0.0
+
+    @pytest.mark.parametrize("model", [
+        ar_state_space([1.2, -0.5]), ar_state_space([0.3, 0.5]),
+        ar_state_space([1.2, -0.5, 0.1]),
+        raw_model(np.array([[0.9, 5.0, 0.0], [0.0, 0.8, 5.0], [0.0, 0.0, -0.7]]), np.eye(3),
+                  NoiseSpec.gaussian_d(np.zeros(3), np.eye(3))),
+    ], ids=["ar2_wing", "ar2_diamond", "ar3", "raw_nonnormal"])
+    def test_radius_is_the_schur_radius(self, model):
+        v = is_schur_stable(model.Q)
+        assert v.spectral_radius == model.schur.spectral_radius  # bit for bit
+        assert v.margin == 1.0 - model.schur.spectral_radius
+
+    def test_command_makes_no_eig_call(self, lapack_calls):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["stability", "--phi", "0.61,-0.27,0.08"]) == 0
+        assert lapack_calls["eig"] == 0
+        radius = ar_state_space([0.61, -0.27, 0.08]).schur.spectral_radius
+        assert json.loads(out.getvalue())["spectral_radius"] == radius
 
 
 class TestAr2Region:
