@@ -23,6 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__, bounds as bnd
+from ._format import CELL, format_17g
 from .errors import ErgoboundError
 from .linalg import check_kappa_policy, star_norm
 from .model import (
@@ -265,7 +266,7 @@ def _cmd_validate(args) -> int:
         "validate", model, args,
         ("flavor", "r", "t_max", "x", "n_samples", "n_directions", "seed", "eps", "kappa_policy"),
     )
-    _write_lines(args.out or None, rows, manifest)
+    _write_lines(args.out, rows, manifest)
     summary_stream = sys.stdout if args.out else sys.stderr
     summary = {
         "rows": args.t_max + 1,
@@ -282,17 +283,69 @@ def _cmd_validate(args) -> int:
 # simulate
 
 
-def _path_cells(x: np.ndarray) -> tuple:
-    """The ``(steps, d)`` path ``x`` as ``%.17g`` strings in row order, column by column; a column
-    equal bit for bit to its left neighbour one step earlier (AR/ARMA lags) reuses its strings."""
-    n, d = x.shape
-    bits = x.view(np.uint64)
-    shifted = [False, *np.all(bits[1:, 1:] == bits[:-1, :-1], axis=0).tolist()]
-    cells, fmt, col = [None] * (n * d), "%.17g," * n, None
-    for j in range(d):
-        cells[j::d] = col = (["%.17g" % x[0, j], *col[:-1]] if shifted[j]
-                             else (fmt % tuple(x[:, j].tolist())).split(",")[:-1])
-    return tuple(cells)
+# rows and float cells of simulate text per chunk: the writer holds a few such blocks
+# and the formatter's arrays for one, never the whole CSV
+_SIMULATE_BATCH, _SIMULATE_CELLS = 2**11, 2**14
+
+
+def _text_table(texts, width: int = 0) -> np.ndarray:
+    """The strings ``texts`` as NUL-padded void items of ``width`` bytes (default: the
+    longest)."""
+    table = np.array([t.encode() for t in texts], dtype=f"S{width}" if width else None)
+    return table.view(f"V{table.itemsize}")
+
+
+def _fields(block: np.ndarray, start: int, size: int, count: int = 1) -> np.ndarray:
+    """The ``(rows, count)`` void view of ``count`` adjacent ``size``-byte fields of
+    each row of the uint8 ``block``, the first at byte ``start``."""
+    return np.ndarray((block.shape[0], count), f"V{size}", block, start, (block.shape[1], size))
+
+
+def _simulate_chunks(samples: np.ndarray, times):
+    """The rows ``path,t,x1..xd`` of the ``(paths, steps, d)`` ensemble ``samples`` as text
+    chunks of at most ``_SIMULATE_BATCH`` rows and ``_SIMULATE_CELLS`` floats (but at least
+    one row), each without its final newline.
+
+    A chunk is laid out as one NUL-padded uint8 block and emitted with the NULs removed.
+    Each float cell is the ``%.17g`` text from ``format_17g``, except that a cell equal bit
+    for bit to its left neighbour one row up (the lag coordinates of an AR/ARMA state)
+    copies that neighbour's characters."""
+    n_paths, n_times, d = samples.shape
+    flat = samples.reshape(-1, d)
+    bits = flat.view(np.uint64)
+    # the step numbers are held once; the path numbers "i," only for each chunk's paths
+    steps, path_width = _text_table(map(str, times)), len(f"{n_paths - 1},")
+    lead = path_width + steps.itemsize
+    batch = min(_SIMULATE_BATCH, max(1, _SIMULATE_CELLS // d), flat.shape[0])
+    block = np.empty((batch, lead + d * (1 + CELL) + 1), dtype=np.uint8)
+    path_col = _fields(block, 0, path_width)[:, 0]
+    step_col = _fields(block, path_width, steps.itemsize)[:, 0]
+    cells = block[:, lead:-1].reshape(batch, d, 1 + CELL)  # "," and the value
+    cell_items = _fields(block, lead, 1 + CELL, d)  # the same bytes, one item per cell
+    cells[:, :, 0] = ord(",")
+    block[:, -1] = ord("\n")
+    for r0 in range(0, flat.shape[0], batch):
+        r1 = min(r0 + batch, flat.shape[0])
+        n, rows = r1 - r0, np.arange(r0, r1)
+        first, last = r0 // n_times, (r1 - 1) // n_times
+        paths = _text_table((f"{i}," for i in range(first, last + 1)), path_width)
+        path_col[:n] = paths[rows // n_times - first]
+        step_col[:n] = steps[rows % n_times]
+        fresh = np.ones((n, d), dtype=bool)
+        fresh[1:, 1:] = bits[r0 + 1:r1, 1:] != bits[r0:r1 - 1, :-1]
+        cells[:n, :, 1:][fresh] = format_17g(flat[r0:r1][fresh])
+        copied = np.flatnonzero(~fresh)
+        if copied.size:
+            # a copied cell takes the bytes at the head of its chain of up-left neighbours;
+            # in flat cell order that neighbour is d + 1 cells back, so in rows of d + 1
+            # flat cells each chain is one column, headed by its last fresh cell above
+            # (row 0 and column 0 of a batch are fresh)
+            chains = np.append(fresh, np.ones(-fresh.size % (d + 1), dtype=bool))
+            chains = chains.reshape(-1, d + 1)
+            heads = np.maximum.accumulate(chains * np.arange(len(chains))[:, None], axis=0)
+            source = (heads * (d + 1) + np.arange(d + 1)).ravel()[copied]
+            cell_items[copied // d, copied % d] = cell_items[source // d, source % d]
+        yield block[:n].tobytes().translate(None, b"\0")[:-1].decode("ascii")
 
 
 def _cmd_simulate(args) -> int:
@@ -301,13 +354,9 @@ def _cmd_simulate(args) -> int:
     config = SimConfig(n_paths=args.paths, horizon=args.horizon, seed=args.seed)
     ens = simulate_paths(model, x, config)
     header = "path,t," + ",".join(f"x{i + 1}" for i in range(model.d))
-    # one chunk per path: its rows in one template with the path and step numbers
-    # written in, filled with the strings of _path_cells
-    tails = [f",{t}" + ",%s" * model.d for t in ens.times]
-    paths = ((str(i) + f"\n{i}".join(tails)) % _path_cells(ens.samples[i])
-             for i in range(ens.n_paths))
     manifest = _manifest("simulate", model, args, ("paths", "horizon", "seed", "x"))
-    _write_lines(args.out, itertools.chain([header], paths), manifest)
+    _write_lines(args.out, itertools.chain([header], _simulate_chunks(ens.samples, ens.times)),
+                 manifest)
     return EXIT_OK
 
 
@@ -386,10 +435,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main call and reused: parsing leaves an argparse parser unchanged
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
+        if getattr(args, "out", None) == "":
+            raise _ParseError("--out must name a file, got ''")
         for name, low in (("t_max", 0), ("n_directions", 1), ("n_copies", 1), ("n_samples", 1),
                           ("paths", 1), ("horizon", 1)):
             if getattr(args, name, low) < low:

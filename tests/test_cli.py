@@ -696,6 +696,11 @@ class TestSimulate:
         (["--model", "vector_laplace.json"], "1,-1"),
         # the lag coordinate of x2 at t = 1 is 0.0, not the -0.0 of x1 at t = 0
         (["--phi", "1.2,-0.5"], "-0,0"),
+        # cells outside the array formatter's range, which Python formats
+        (["--phi", "1.2,-0.5"], "0,1e-300"),
+        (["--phi", "1.2,-0.5"], "1e20,0"),
+        (["--phi", "0.5,-0.2,0.1"], "1e-300,0,-1e300"),
+        (["--phi", "0.5", "--noise", "point_mass", "--noise-params", "1"], "0"),
     ])
     def test_rows_are_per_value_formats(self, capsys, tmp_path, model_args, x):
         from ergobound.cli import _load_model, build_parser
@@ -738,6 +743,150 @@ class TestSimulate:
                 tracemalloc.stop()
         path_text = out.stat().st_size / paths
         assert peaks[1] <= peaks[0] + 4 * path_text, (peaks, path_text)
+
+    def test_long_path_is_written_batch_by_batch(self, tmp_path, monkeypatch):
+        # one path longer than a batch: the text held is a few batches, not the path
+        import tracemalloc
+
+        from ergobound.cli import _SIMULATE_BATCH
+        from ergobound.sim import SimConfig, simulate_paths
+
+        monkeypatch.setenv("ERGOBOUND_THREADS", "2")
+        model, paths, horizon = ar_state_space([1.2, -0.5]), 2, 50000
+        out = tmp_path / "s.csv"
+        argv = ["simulate", "--phi", "1.2,-0.5", "--paths", str(paths), "--horizon",
+                str(horizon), "--seed", "1", "--out", str(out)]
+        peaks = []
+        for job in (lambda: simulate_paths(model, [0.0, 0.0], SimConfig(paths, horizon, 1)),
+                    lambda: main(argv)):
+            job()
+            tracemalloc.start()
+            try:
+                job()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        batch_text = _SIMULATE_BATCH * out.stat().st_size / (paths * (horizon + 1))
+        assert peaks[1] <= peaks[0] + 4 * batch_text, (peaks, batch_text)
+
+    @pytest.mark.parametrize("batch", [1, 2, 7])
+    def test_rows_do_not_depend_on_the_batch(self, capsys, monkeypatch, batch):
+        # lag chains longer than a batch restart at each batch's first row
+        from ergobound import cli
+
+        argv = ["simulate", "--phi", "0.4,-0.2,0.1,0.05,-0.1", "--x=1,0,-1,0.5,2", "--paths",
+                "3", "--horizon", "20", "--seed", "4"]
+        code, want, _ = run(capsys, *argv)
+        assert code == 0
+        monkeypatch.setattr(cli, "_SIMULATE_BATCH", batch)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == want
+
+    def test_empty_out_exit_2_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for argv in (["bounds", "--phi", "0.5"], ["validate", "--phi", "0.5"],
+                     ["simulate", "--phi", "0.5"]):
+            code, out, err = run(capsys, *argv, "--out", "")
+            assert code == 2, argv
+            assert out == "" and "--out" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestParser:
+    def test_main_builds_one_parser(self, capsys, monkeypatch):
+        from ergobound import cli
+
+        built = []
+
+        def counted():
+            built.append(1)
+            return build_parser()
+
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        for argv in (["stability", "--phi", "0.5"], ["bounds", "--phi", "0.5", "--t-max", "2"],
+                     ["simulate", "--phi", "0.5", "--horizon", "2"]):
+            assert run(capsys, *argv)[0] == 0
+        assert built == [1]
+        assert build_parser() is not cli._PARSER  # a fresh parser per call, as before
+
+    def test_options_do_not_leak_into_the_next_call(self, capsys, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(capsys, "bounds", "--phi", "0.5", "--seed", "5", "--out", str(a))[0] == 0
+        assert run(capsys, "bounds", "--phi", "0.5", "--out", str(b))[0] == 0
+        seeds = [json.loads((tmp_path / f"{p.name}.manifest.json").read_text())["seed"]
+                 for p in (a, b)]
+        assert seeds == [5, 0]
+
+    def test_next_call_runs_after_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--phi", "0.5", "--flavor", "nope"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run(capsys, "stability", "--phi", "0.5")
+        assert code == 0 and json.loads(out)["stable"] is True
+
+
+def format_texts(values):
+    """The text of each of ``values`` from ``format_17g``, NULs removed."""
+    from ergobound._format import CELL, format_17g
+
+    cells = format_17g(np.asarray(values, dtype=float))
+    assert cells.shape == (np.size(values), CELL) and cells.dtype == np.uint8
+    lines = np.concatenate([cells, np.full((len(cells), 1), ord("\n"), np.uint8)], axis=1)
+    return lines.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+
+
+class TestFormat17g:
+    """``format_17g`` against ``'%.17g' %`` over about 1.1e6 values."""
+
+    @staticmethod
+    def check(values):
+        values = np.asarray(values, dtype=float).ravel()
+        want = ["%.17g" % v for v in values.tolist()]
+        bad = [(v, g, w) for v, g, w in zip(values.tolist(), format_texts(values), want) if g != w]
+        assert bad == [], bad[:10]
+
+    def test_random_bit_patterns(self):
+        # every class of float64: NaN payloads, +-inf, subnormals, +-0 and normals
+        rng = np.random.default_rng(17)
+        bits = rng.integers(0, 2**64, 400_000, dtype=np.uint64, endpoint=False)
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                    2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+        self.check(np.concatenate([bits.view(np.float64), specials]))
+
+    def test_normals_over_all_decades(self):
+        rng = np.random.default_rng(18)
+        self.check(rng.standard_normal(300_000) * 10.0 ** rng.integers(-300, 301, 300_000))
+
+    def test_normals_in_and_around_the_array_range(self):
+        rng = np.random.default_rng(19)
+        self.check(rng.standard_normal(300_000) * 10.0 ** rng.integers(-8, 19, 300_000))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-8, 19)])
+        near = [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]
+        self.check(np.concatenate(near + [-p for p in near]))
+
+    def test_ties_and_carries(self):
+        # 18-digit values ending in 5 round half to even at the 17th digit
+        rng = np.random.default_rng(20)
+        ints = rng.integers(10**15, 2**51, 50_000).astype(float)
+        ties = np.concatenate([ints + 0.25, ints + 0.75, ints + 0.5])
+        self.check(np.concatenate([
+            ties, -ties, [1234567890123456.75, 1234567890123456.25, 99999999999999999.0,
+                          9999999999999999.0, 99999999999999984.0, 0.99999999999999989,
+                          9.9999999999999995e-07, 1.0000000000000001e-06]]))
+
+    def test_fixed_and_exponent_switches(self):
+        # %g switches to exponent form below 1e-4 and from 1e17 on
+        rng = np.random.default_rng(21)
+        mantissas = rng.uniform(1.0, 10.0, 5_000)
+        scales = [1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e15, 1e16, 1e17]
+        values = np.concatenate([mantissas * s for s in scales]
+                                + [np.nextafter(np.array(scales), 0.0), scales])
+        self.check(np.concatenate([values, -values]))
 
 
 # Model files read by pinned runs, written next to their outputs under these names.
