@@ -90,8 +90,8 @@ def gaussian_abs_moment(d: int, r: float) -> float:
     ``|N_d|`` is chi(d)-distributed, giving the closed form
     ``(2^{r/2} Gamma((d+r)/2) / Gamma(d/2))^{1/r}``.
     """
-    if d < 1 or r < 1:
-        raise ValueError("need d >= 1 and r >= 1")
+    if d < 1 or not 1 <= r < math.inf:  # a NaN order fails too
+        raise ValueError("need d >= 1 and a finite r >= 1")
     logm = (r / 2.0) * math.log(2.0) + gammaln((d + r) / 2.0) - gammaln(d / 2.0)
     return float(math.exp(logm / r))
 
@@ -281,7 +281,10 @@ def sweep(model: StateSpaceModel, flavor: str, x, r: float, ts, *, star: StarNor
     is the unit direction of ``projected`` and ``mode`` the mean constant of
     ``sliced_gauss``.  ``parallel`` scales the ``per_copy_flavor`` reports to
     ``n_copies`` copies; ``empirical_mean`` averages ``n_copies`` paths.
+    Every flavor needs a finite order ``r >= 1``.
     """
+    if not 1.0 <= r < math.inf:
+        raise ValueError(f"order r must be finite and at least 1, got {r}")
     ts = list(ts)
     for t in ts:
         _check_t(t)

@@ -36,7 +36,7 @@ from .model import (
 )
 from .sim import SimConfig, sample_stationary, simulate_paths
 from .stability import ar2_region, is_schur_stable, sufficient_tests
-from .wasserstein import EmpiricalEstimate, empirical_w1d, gaussian_w2_rows, sliced_empirical_sweep
+from .wasserstein import empirical_w1d, gaussian_w2_rows, sliced_empirical_sweep
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -217,63 +217,56 @@ def _cmd_bounds(args) -> int:
 # validate
 
 
-def _cmd_validate(args) -> int:
-    model = _load_model(args)
-    x = _start_state(args, model)
-    star = star_norm(model.schur, _kappa_policy(args.kappa_policy))
-    exact_gaussian = (
-        args.flavor in ("gauss_affine", "exact_ar1") and model.noise.family == "gaussian"
-    )
-    if not exact_gaussian and model.d >= 2 and args.flavor == "generic":
+def _references(model: StateSpaceModel, args, x: np.ndarray, star, ts: list) -> tuple:
+    """Each step's distance to the stationary law and its standard error, as two arrays:
+    the exact W2 for ``gauss_affine`` and ``exact_ar1`` on Gaussian noise, else the
+    order-``r`` estimate from one path ensemble against one stationary sample."""
+    if args.flavor in ("gauss_affine", "exact_ar1") and model.noise.family == "gaussian":
+        laws = bnd._laws(model, x, ts)
+        dist = gaussian_w2_rows([law.mean for law in laws], [law.cov for law in laws],
+                                bnd.stationary_law(model))
+        return dist, np.zeros_like(dist)
+    if model.d >= 2 and args.flavor == "generic":
         raise ValueError(
             "empirical validation of the unsliced generic flavor needs d = 1; "
             "use sliced_generic for multivariate models"
         )
-    if not exact_gaussian:
-        config = SimConfig(n_paths=args.n_samples, horizon=max(args.t_max, 1), seed=args.seed)
-        ens = simulate_paths(model, x, config)
-        stat = sample_stationary(model, args.n_samples, args.seed, eps_stat=args.eps, star=star)
-        stat_slice = stat.samples[:, 0, :]
-        if model.d == 1:
-            estimates = [
-                empirical_w1d(ens.at_time(t).ravel(), stat_slice.ravel(), args.r)
-                for t in range(args.t_max + 1)
-            ]
-        else:
-            estimates = sliced_empirical_sweep(
-                [ens.at_time(t) for t in range(args.t_max + 1)],
-                stat_slice,
-                args.r,
-                n_directions=args.n_directions,
-                seed=args.seed,
-            )
+    config = SimConfig(n_paths=args.n_samples, horizon=max(ts[-1], 1), seed=args.seed)
+    ens = simulate_paths(model, x, config)
+    stat = sample_stationary(model, args.n_samples, args.seed, eps_stat=args.eps,
+                             star=star).samples[:, 0, :]
+    if model.d == 1:
+        estimates = [empirical_w1d(ens.at_time(t).ravel(), stat.ravel(), args.r) for t in ts]
     else:
-        stationary = bnd.stationary_law(model)
-        laws = bnd._laws(model, x, list(range(args.t_max + 1)))
-    reps = bnd.sweep(model, args.flavor, x, args.r, range(args.t_max + 1), star=star,
-                     mode=args.mode, mc_seed=args.seed)
-    if exact_gaussian:
-        estimates = [EmpiricalEstimate(v) for v in gaussian_w2_rows(
-            [law.mean for law in laws], [law.cov for law in laws], stationary).tolist()]
-    rows, bad = [_VALIDATE_COLUMNS], []
-    for rep, est in zip(reps, estimates):
-        dist, se = est.value, est.stderr
-        ok = (rep.lower - 3.0 * se) <= dist <= (rep.upper + 3.0 * se)
-        if not ok:
-            bad.append(rep.t)
-        rows.append("%d,%.17g,%.17g,%.17g,%.17g,%d" % (rep.t, rep.lower, dist, se, rep.upper, ok))
+        estimates = sliced_empirical_sweep([ens.at_time(t) for t in ts], stat, args.r,
+                                           n_directions=args.n_directions, seed=args.seed)
+    return (np.array([est.value for est in estimates]),
+            np.array([est.stderr for est in estimates]))
+
+
+def _cmd_validate(args) -> int:
+    model = _load_model(args)
+    x = _start_state(args, model)
+    star = star_norm(model.schur, _kappa_policy(args.kappa_policy))
+    ts = list(range(args.t_max + 1))
+    reps = bnd.sweep(model, args.flavor, x, args.r, ts, star=star, mode=args.mode,
+                     mc_seed=args.seed)
+    dist, se = _references(model, args, x, star, ts)
+    lower, upper = np.array([(rep.lower, rep.upper) for rep in reps]).T
+    ok = (lower - 3.0 * se <= dist) & (dist <= upper + 3.0 * se)
+    rows = [_VALIDATE_COLUMNS] + [
+        "%d,%.17g,%.17g,%.17g,%.17g,%d" % row
+        for row in zip(ts, lower.tolist(), dist.tolist(), se.tolist(), upper.tolist(),
+                       ok.tolist())]
     manifest = _manifest(
         "validate", model, args,
         ("flavor", "r", "t_max", "x", "n_samples", "n_directions", "seed", "eps", "kappa_policy"),
     )
     _write_lines(args.out, rows, manifest)
+    bad = np.flatnonzero(~ok).tolist()
     summary_stream = sys.stdout if args.out else sys.stderr
-    summary = {
-        "rows": args.t_max + 1,
-        "violations": len(bad),
-        "first_violation_t": bad[0] if bad else None,
-        "manifest": manifest,
-    }
+    summary = {"rows": len(ts), "violations": len(bad),
+               "first_violation_t": bad[0] if bad else None, "manifest": manifest}
     json.dump(summary, summary_stream, sort_keys=True)
     summary_stream.write("\n")
     return EXIT_VALIDATION if bad else EXIT_OK
@@ -374,6 +367,18 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
                    help="comma-separated family parameters")
 
 
+def _add_sweep_args(p: argparse.ArgumentParser, flavors) -> None:
+    p.add_argument("--flavor", default="gauss_affine", choices=flavors)
+    p.add_argument("--r", type=float, default=2.0, help="distance order (p for generic flavors)")
+    p.add_argument("--t-max", dest="t_max", type=int, default=20)
+    p.add_argument("--x", help="comma-separated initial state (default zeros)")
+    p.add_argument("--mode", default="jensen_consistent",
+                   choices=["as_printed", "jensen_consistent"])
+    p.add_argument("--kappa-policy", dest="kappa_policy",
+                   help="auto[:margin] | fixed:value | optimize[:t]")
+    p.add_argument("--seed", type=int, default=0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ergobound",
@@ -388,38 +393,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="bound sweep as CSV")
     _add_model_args(p)
-    p.add_argument("--flavor", default="gauss_affine", choices=bnd.FLAVORS)
-    p.add_argument("--r", type=float, default=2.0, help="distance order (p for generic flavors)")
-    p.add_argument("--t-max", dest="t_max", type=int, default=20)
-    p.add_argument("--x", help="comma-separated initial state (default zeros)")
+    _add_sweep_args(p, bnd.FLAVORS)
     p.add_argument("--v", help="unit projection direction (projected flavor)")
-    p.add_argument("--mode", default="jensen_consistent",
-                   choices=["as_printed", "jensen_consistent"])
-    p.add_argument("--kappa-policy", dest="kappa_policy",
-                   help="auto[:margin] | fixed:value | optimize[:t]")
     p.add_argument("--n-copies", dest="n_copies", type=int, default=1)
     p.add_argument("--per-copy-flavor", dest="per_copy_flavor", default="generic",
                    choices=[f for f in bnd.FLAVORS if f != "parallel"])
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV output file (stdout when omitted)")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("validate", help="bounds against exact or Monte Carlo distances")
     _add_model_args(p)
-    p.add_argument("--flavor", default="gauss_affine",
-                   choices=["exact_ar1", "gauss_affine", "generic", "sliced_generic",
-                            "sliced_gauss"])
-    p.add_argument("--r", type=float, default=2.0)
-    p.add_argument("--t-max", dest="t_max", type=int, default=20)
-    p.add_argument("--x", help="comma-separated initial state")
-    p.add_argument("--mode", default="jensen_consistent",
-                   choices=["as_printed", "jensen_consistent"])
+    _add_sweep_args(p, ("exact_ar1", "gauss_affine", "generic", "sliced_generic",
+                        "sliced_gauss"))
     p.add_argument("--n-samples", dest="n_samples", type=int, default=10000)
     p.add_argument("--n-directions", dest="n_directions", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=1e-3,
                    help="stationary truncation budget (non-Gaussian noise; Gaussian is exact)")
-    p.add_argument("--kappa-policy", dest="kappa_policy")
     p.add_argument("--out", help="CSV output file; summary JSON then goes to stdout")
     p.set_defaults(func=_cmd_validate)
 
@@ -435,6 +424,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each numeric option's admissible values, checked before any work: (dest, test, wording)
+_RANGES = (
+    ("t_max", lambda v: v >= 0, "nonnegative"),
+    *((name, lambda v: v >= 1, "positive")
+      for name in ("n_directions", "n_copies", "n_samples", "paths", "horizon")),
+    ("eps", lambda v: 0.0 < v < np.inf, "positive and finite"),
+    ("r", lambda v: 1.0 <= v < np.inf, "finite and at least 1"),
+    ("boundary_tol", lambda v: 0.0 <= v < np.inf, "nonnegative and finite"),
+    ("seed", lambda v: 0 <= v < 2**64, "in [0, 2**64)"),
+)
+
 # built on the first main call and reused: parsing leaves an argparse parser unchanged
 _PARSER: argparse.ArgumentParser | None = None
 
@@ -447,13 +447,10 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "out", None) == "":
             raise _ParseError("--out must name a file, got ''")
-        for name, low in (("t_max", 0), ("n_directions", 1), ("n_copies", 1), ("n_samples", 1),
-                          ("paths", 1), ("horizon", 1)):
-            if getattr(args, name, low) < low:
-                word, flag = "positive" if low else "nonnegative", name.replace("_", "-")
-                raise _ParseError(f"--{flag} must be {word}, got {getattr(args, name)}")
-        if not 0.0 < getattr(args, "eps", 1.0) < np.inf:
-            raise _ParseError(f"--eps must be positive and finite, got {args.eps}")
+        for name, ok, word in _RANGES:
+            if hasattr(args, name) and not ok(getattr(args, name)):
+                raise _ParseError(f"--{name.replace('_', '-')} must be {word}, "
+                                  f"got {getattr(args, name)}")
         return args.func(args)
     except _ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -461,14 +458,11 @@ def main(argv=None) -> int:
     except _ModelError as exc:
         print(f"invalid model: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except ErgoboundError as exc:
+    except (ErgoboundError, OverflowError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except ValueError as exc:
+    except ValueError as exc:  # numpy's LinAlgError too, printed as ValueError
         print(f"ValueError: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except OverflowError as exc:
-        print(f"OverflowError: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

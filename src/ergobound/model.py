@@ -23,6 +23,7 @@ from .asymptotics import EigenSandwich
 from .errors import EmptyCoefficients, MomentUnavailable, NonConvergence, OrderViolation
 from .linalg import (SchurForm, SpectralInfo, StarNorm, _read_only, as_matrix, eigen, psd_factor,
                      psd_sqrt, schur_triangularize, smallest_eigenvalue_sym, solve_stein, star_norm)
+from .stability import _check_boundary_tol
 
 __all__ = [
     "NoiseSpec",
@@ -719,8 +720,9 @@ def validate_model(
     model: StateSpaceModel, r: float, boundary_tol: float = 1e-9
 ) -> ModelDiagnostics:
     """Stability, moment and Gaussian-flavor applicability diagnostics."""
-    if r < 1:
+    if not r >= 1:  # a NaN order fails too
         raise ValueError("order r must be at least 1")
+    _check_boundary_tol(boundary_tol)
     rho = model.schur.spectral_radius
     stable = rho < 1.0 - boundary_tol
     boundary = abs(rho - 1.0) <= boundary_tol

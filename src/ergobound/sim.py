@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +43,13 @@ _CHUNK_VALUES = 1 << 16
 
 def _stream_rng(seed: int, stream: int) -> np.random.Generator:
     # Philox is counter-based: the (seed, stream) key fully determines the
-    # stream, independent of scheduling.
-    key = ((seed & _MASK64) << 64) | (stream & _MASK64)
+    # stream, independent of scheduling.  The seed fills the key's upper 64
+    # bits, so one outside [0, 2**64) would alias another seed's streams, and
+    # so would a numpy integer's fixed-width shift.
+    seed = operator.index(seed)
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    key = (seed << 64) | (stream & _MASK64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

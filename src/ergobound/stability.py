@@ -27,6 +27,13 @@ __all__ = [
 CLAMP_TOL = 1e-12
 
 
+def _check_boundary_tol(boundary_tol: float) -> None:
+    """A boundary tolerance must be nonnegative and finite (a NaN would make every verdict
+    unstable)."""
+    if not 0.0 <= boundary_tol < math.inf:
+        raise ValueError(f"boundary_tol must be nonnegative and finite, got {boundary_tol}")
+
+
 @dataclass(frozen=True)
 class StabilityVerdict:
     """Outcome of a stability check.
@@ -44,6 +51,7 @@ class StabilityVerdict:
 def is_schur_stable(Q, boundary_tol: float = 1e-9) -> StabilityVerdict:
     """Verdict: stable iff ``rho(Q) < 1 - boundary_tol``, ``rho`` read from the Schur form's
     diagonal, as ``validate_model`` and the star norm read it."""
+    _check_boundary_tol(boundary_tol)
     rho = schur_triangularize(as_matrix(Q, name="Q")).spectral_radius
     return StabilityVerdict(
         stable=bool(rho < 1.0 - boundary_tol),
@@ -68,6 +76,7 @@ def ar2_region(phi1: float, phi2: float, boundary_tol: float = 1e-9) -> str:
     The two stable regions are disjoint by construction and together cover
     the stability triangle up to its measure-zero edges.
     """
+    _check_boundary_tol(boundary_tol)
     a1, a2 = abs(phi1), abs(phi2)
     if abs(_ar2_radius(phi1, phi2) - 1.0) <= boundary_tol:
         return "boundary"

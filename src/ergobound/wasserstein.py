@@ -145,8 +145,8 @@ def sphere_moment_ratio(d: int, r: float) -> float:
     Equals ``Gamma((r+1)/2) Gamma(d/2) / (Gamma((r+d)/2) sqrt(pi))``; at
     ``r = 2`` this is exactly ``1/d``.
     """
-    if d < 2 or r < 1:
-        raise ValueError("need d >= 2 and r >= 1")
+    if d < 2 or not 1 <= r < math.inf:  # a NaN order fails too
+        raise ValueError("need d >= 2 and a finite r >= 1")
     return float(math.exp(_log_sphere_moment_ratio(d, r)))
 
 

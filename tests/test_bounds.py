@@ -22,7 +22,7 @@ from ergobound.model import (
     raw_model,
     validate_model,
 )
-from ergobound.wasserstein import GaussianLaw, gaussian_w2
+from ergobound.wasserstein import GaussianLaw, gaussian_w2, sphere_moment_ratio
 
 
 def ar1(q, var=1.0, mean=0.0):
@@ -823,6 +823,30 @@ class TestNegativeT:
             with pytest.raises(ValueError, match="t must be nonnegative"):
                 call()
         assert [k for k in self.CACHED if k in vars(m)] == []
+
+
+class TestOrderRange:
+    """Every flavor needs a finite order ``r >= 1``; a NaN order is refused, not propagated."""
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, 0.5])
+    @pytest.mark.parametrize("flavor", bnd.FLAVORS)
+    def test_sweep_rejects_before_any_work(self, flavor, r):
+        m = ar1(0.5) if flavor == "exact_ar1" else ar_state_space([1.2, -0.5])
+        x = [2.0] if flavor == "exact_ar1" else X_NEG
+        with pytest.raises(ValueError, match="order r must be finite and at least 1"):
+            bnd.sweep(m, flavor, x, r, range(3), v=V_NEG, n_copies=3)
+        assert [k for k in TestNegativeT.CACHED if k in vars(m)] == []
+
+    def test_order_one_accepted(self):
+        rep = bnd.report(ar_state_space([1.2, -0.5]), "generic", X_NEG, 1.0, 2)
+        assert rep.order == 1.0 and rep.lower <= rep.upper
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, 0.5])
+    def test_moment_constants_reject_the_order(self, r):
+        with pytest.raises(ValueError, match="a finite r >= 1"):
+            bnd.gaussian_abs_moment(2, r)
+        with pytest.raises(ValueError, match="a finite r >= 1"):
+            sphere_moment_ratio(2, r)
 
 
 # Noise specs shared by every build of the battery: a spec keeps its moments,

@@ -207,6 +207,41 @@ def test_malformed_count_exit_2(capsys, tmp_path, argv, message):
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("r", ["nan", "inf", "0.5"])
+@pytest.mark.parametrize("flavor", ["gauss_affine", "generic"])
+@pytest.mark.parametrize("command", ["bounds", "validate"])
+def test_bad_order_exit_2(capsys, tmp_path, command, flavor, r):
+    out = tmp_path / "rows.csv"
+    code, stdout, err = run(capsys, command, "--phi=0.5", "--flavor", flavor, f"--r={r}",
+                            "--t-max", "2", "--out", str(out))
+    assert code == 2
+    assert "--r must be finite and at least 1" in err
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+@pytest.mark.parametrize("command", ["bounds", "validate", "simulate"])
+def test_seed_out_of_range_exit_2(capsys, tmp_path, command, seed):
+    # the seed keys the upper 64 bits of each Philox stream: -1 used to alias 2**64 - 1
+    out = tmp_path / "rows.csv"
+    flavor = [] if command == "simulate" else ["--flavor", "generic"]
+    code, stdout, err = run(capsys, command, "--phi=0.5", "--noise", "laplace", *flavor,
+                            f"--seed={seed}", "--out", str(out))
+    assert code == 2
+    assert "--seed must be in [0, 2**64)" in err
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["0", "18446744073709551615"])
+def test_seed_range_ends_accepted(capsys, seed):
+    code, _, err = run(capsys, "simulate", "--phi=0.5", "--noise", "laplace", "--paths", "3",
+                       "--horizon", "2", f"--seed={seed}")
+    assert code == 0, err
+    code, _, err = run(capsys, "validate", "--phi=0.5", "--noise", "laplace", "--flavor",
+                       "generic", "--t-max", "2", "--n-samples", "20", f"--seed={seed}")
+    assert code in (0, 5), err
+
+
 class TestBounds:
     def test_gauss_affine_row_values(self, capsys):
         code, out, _ = run(
@@ -651,6 +686,45 @@ class TestValidate:
         assert len(out.strip().splitlines()) == 202
         assert law_at_calls == []
         assert len(advances) == 201
+
+
+    @pytest.mark.parametrize("argv", [
+        ["--phi", "1.2,-0.5", "--noise", "laplace", "--flavor", "sliced_gauss", "--x", "2,0"],
+        ["--phi", "0.5", "--noise", "laplace", "--flavor", "exact_ar1"],
+        ["--phi", "0.5", "--noise", "student_t", "--noise-params", "1.5", "--flavor", "generic",
+         "--r", "2"],
+    ], ids=["sliced_gauss_laplace", "exact_ar1_laplace", "generic_student_df_1_5"])
+    def test_refusal_costs_no_simulation(self, capsys, monkeypatch, argv):
+        # the sweep runs before the references, so a flavor the model cannot take is
+        # refused with the library's message and no path or stationary draw
+        from ergobound import bounds as bnd
+        from ergobound import cli
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulated before the sweep refused")
+
+        monkeypatch.setattr(cli, "simulate_paths", forbidden)
+        monkeypatch.setattr(cli, "sample_stationary", forbidden)
+        code, out, err = run(capsys, "validate", *argv, "--t-max", "1000", "--n-samples", "20000")
+        args = cli.build_parser().parse_args(["validate", *argv])
+        model = cli._load_model(args)
+        with pytest.raises(Exception) as exc:
+            bnd.sweep(model, args.flavor, cli._start_state(args, model), args.r, range(1001))
+        assert code == 4 and out == ""
+        assert err == f"{type(exc.value).__name__}: {exc.value}\n"
+
+    def test_exact_reference_draws_nothing(self, capsys, monkeypatch):
+        from ergobound import cli
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the exact Gaussian reference drew samples")
+
+        monkeypatch.setattr(cli, "simulate_paths", forbidden)
+        monkeypatch.setattr(cli, "sample_stationary", forbidden)
+        code, out, err = run(capsys, "validate", "--phi", "1.2,-0.5", "--flavor", "gauss_affine",
+                             "--x", "2,0", "--t-max", "50")
+        assert code in (0, 5), err
+        assert len(out.splitlines()) == 52
 
 
 class TestSimulate:

@@ -147,6 +147,10 @@ class TestValidateModel:
         assert diag.spectral_radius == pytest.approx(root, abs=1e-9)
 
 
+    def test_nan_order_rejected(self):
+        with pytest.raises(ValueError, match="order r must be at least 1"):
+            validate_model(ar_state_space([0.5]), math.nan)
+
 class TestOwnedArrays:
     def test_matrices_are_read_only_copies(self):
         Q, Sigma = np.array([[0.5, 0.1], [0.0, 0.3]]), np.eye(2)

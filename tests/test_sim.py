@@ -68,6 +68,34 @@ EXACT_CASES = {
 }
 
 
+class TestSeedRange:
+    """The seed fills the upper 64 bits of each Philox key, so one outside [0, 2**64)
+    would alias another seed's streams; it is refused instead."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_rejected(self, seed):
+        m = ar_state_space([0.5], noise1d=NoiseSpec.laplace(0.0, 1.0))
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            sim._stream_rng(seed, 0)
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            simulate_paths(m, [1.0], SimConfig(n_paths=3, horizon=2, seed=seed))
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            sample_stationary(m, 3, seed, eps_stat=1e-3)
+
+    def test_ends_are_distinct_streams(self):
+        m = ar_state_space([0.5], noise1d=NoiseSpec.laplace(0.0, 1.0))
+        runs = [simulate_paths(m, [1.0], SimConfig(n_paths=3, horizon=2, seed=s)).samples
+                for s in (0, 2**64 - 1, 5)]
+        assert not np.array_equal(runs[0], runs[1]) and not np.array_equal(runs[1], runs[2])
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5), np.uint64(2**64 - 1)])
+    def test_numpy_integer_seed_is_its_value(self, seed):
+        m = ar_state_space([0.5], noise1d=NoiseSpec.laplace(0.0, 1.0))
+        want = simulate_paths(m, [1.0], SimConfig(n_paths=3, horizon=2, seed=int(seed)))
+        got = simulate_paths(m, [1.0], SimConfig(n_paths=3, horizon=2, seed=seed))
+        np.testing.assert_array_equal(got.samples, want.samples)
+
+
 class TestSimulatePaths:
     def test_deterministic_repeat(self):
         m = ar_state_space([0.3, 0.5], [0.0], NoiseSpec.laplace(0.0, 1.0))

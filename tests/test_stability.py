@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ergobound.cli import main
-from ergobound.model import NoiseSpec, ar_state_space, companion, raw_model
+from ergobound.model import NoiseSpec, ar_state_space, companion, raw_model, validate_model
 from ergobound.stability import ar2_region, is_schur_stable, sufficient_tests
 
 
@@ -97,6 +97,32 @@ class TestAr2Region:
                 label,
                 rho[i, j],
             )
+
+
+class TestBoundaryTolerance:
+    """A negative or non-finite tolerance is refused: a NaN one made every verdict unstable."""
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3])
+    def test_rejected(self, tol):
+        with pytest.raises(ValueError, match="boundary_tol must be nonnegative and finite"):
+            is_schur_stable(companion([0.5]), boundary_tol=tol)
+        with pytest.raises(ValueError, match="boundary_tol must be nonnegative and finite"):
+            ar2_region(0.3, 0.5, boundary_tol=tol)
+        with pytest.raises(ValueError, match="boundary_tol must be nonnegative and finite"):
+            validate_model(ar_state_space([0.5]), 2.0, boundary_tol=tol)
+
+    def test_zero_accepted(self):
+        assert is_schur_stable(companion([0.5]), boundary_tol=0.0).stable
+        assert ar2_region(1.0, 0.0, boundary_tol=0.0) == "boundary"
+        assert validate_model(ar_state_space([0.5]), 2.0, boundary_tol=0.0).stable
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
+    def test_cli_exit_2(self, tol):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["stability", "--phi", "0.5", f"--boundary-tol={tol}"])
+        assert code == 2 and out.getvalue() == ""
+        assert "--boundary-tol must be nonnegative and finite" in err.getvalue()
 
 
 class TestSufficientTests:
