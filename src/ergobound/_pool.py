@@ -1,4 +1,5 @@
-"""The worker pool of the Monte Carlo and sliced-estimator kernels.
+"""The worker pool of the Monte Carlo and sliced-estimator kernels, and the keyed Philox
+streams (Salmon et al., SC 2011) that every random draw of the package comes from.
 
 ``ERGOBOUND_THREADS`` caps the worker count (by default the CPUs this process
 may run on).  Every caller splits its work into jobs whose results do not
@@ -14,10 +15,13 @@ inherits, whose threads do not exist there.
 
 from __future__ import annotations
 
+import operator
 import os
 import queue
 import threading
 from concurrent.futures import Future, wait
+
+import numpy as np
 
 _local = threading.local()  # ``in_job`` is true on the pool's own threads
 
@@ -96,3 +100,34 @@ def run_jobs(run, jobs: list) -> list:
         futures = [_pool.submit(run, job) for job in jobs]
     wait(futures)
     return [f.result() for f in futures]
+
+
+_MASK64 = (1 << 64) - 1
+BLOCK = 4096  # rows per block of :func:`run_blocks`
+# Stream classes; block ``b`` of a class draws from ``first + 2 b``, disjoint below b = 2**62:
+#   PATHS       2 b             simulate_paths, empirical_mean_process
+#   STATIONARY  2 b + 1         sample_stationary
+#   MOMENTS     2**63 + 2 b     Monte Carlo moments (NoiseSpec.abs_moment_sigma)
+#   DIRECTIONS  2**63 + 1       sliced-estimator directions, one stream
+PATHS, STATIONARY, MOMENTS, DIRECTIONS = 0, 1, 1 << 63, (1 << 63) + 1
+
+
+def stream_rng(seed: int, stream: int) -> np.random.Generator:
+    # Philox is counter-based: the (seed, stream) key fully determines the
+    # stream, independent of scheduling.  The seed fills the key's upper 64
+    # bits, so one outside [0, 2**64) would alias another seed's streams, and
+    # so would a numpy integer's fixed-width shift.
+    seed = operator.index(seed)
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    key = (seed << 64) | (stream & _MASK64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def run_blocks(n: int, seed: int, first: int, run) -> list:
+    """``run(rng, lo, hi)`` over the fixed ``BLOCK``-row blocks of ``0..n``, block ``b`` on
+    stream ``first + 2 b``, maybe on parallel workers; the results come in block order."""
+    return run_jobs(run, [
+        (stream_rng(seed, first + 2 * b), lo, min(lo + BLOCK, n))
+        for b, lo in enumerate(range(0, n, BLOCK))
+    ])

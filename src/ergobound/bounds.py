@@ -37,7 +37,7 @@ from .errors import (
 )
 from .linalg import StarNorm, as_matrix, fro, row_norms, smallest_eigenvalue_sym
 from .model import StateSpaceModel, stationary_cov_positive
-from .wasserstein import GaussianLaw, sphere_moment_ratio
+from .wasserstein import GaussianLaw, _check_order, sphere_moment_ratio
 
 __all__ = [
     "FLAVORS",
@@ -283,8 +283,7 @@ def sweep(model: StateSpaceModel, flavor: str, x, r: float, ts, *, star: StarNor
     ``n_copies`` copies; ``empirical_mean`` averages ``n_copies`` paths.
     Every flavor needs a finite order ``r >= 1``.
     """
-    if not 1.0 <= r < math.inf:
-        raise ValueError(f"order r must be finite and at least 1, got {r}")
+    _check_order(r)
     ts = list(ts)
     for t in ts:
         _check_t(t)

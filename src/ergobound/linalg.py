@@ -127,39 +127,26 @@ def _read_only(*arrays) -> np.ndarray:
     return arrays[0]
 
 
-def _remembered(compute, A, *args):
-    """``compute(A, *args)`` on a private read-only copy of the validated ``A``, or its last
-    result again while the key (dtype, shape and bytes of ``A``, ``args``) is unchanged.
-    A call that raises keeps nothing."""
+def _remembered(compute, A):
+    """``compute(A)`` on a private read-only copy of the validated ``A``, or its last result
+    again while the key (dtype, shape and bytes of ``A``) is unchanged.  A call that raises
+    keeps nothing."""
     A = as_matrix(A, name="A")
-    key = (A.dtype.str, A.shape, A.tobytes(), args)
+    key = (A.dtype.str, A.shape, A.tobytes())
     last = _LAST.get(compute, (None, None))
     if last[0] != key:
-        _LAST[compute] = last = (key, compute(_read_only(A.copy()), *args))
+        _LAST[compute] = last = (key, compute(_read_only(A.copy())))
     return last[1]
 
 
-def eigen(A, tol: float = 1e-8) -> SpectralInfo:
-    """Eigenvalues and eigenvectors of a square matrix.
-
-    The result is remembered for the last matrix and ``tol``; its arrays are read-only.
-
-    Parameters
-    ----------
-    A : array_like
-        Square matrix with finite entries.
-    tol : float
-        Relative residual cap: ``||A V - V diag(w)||_F <= tol * ||A||_F``.
-
-    Raises
-    ------
-    NonConvergence
-        If the underlying iteration fails or the residual contract is not met.
-    """
-    return _remembered(_eigen, A, float(tol))
+def eigen(A) -> SpectralInfo:
+    """Eigenvalues and eigenvectors of a square matrix with finite entries, remembered for the
+    last matrix, with read-only arrays.  Raises ``NonConvergence`` if the iteration fails or
+    misses ``||A V - V diag(w)||_F <= 1e-8 ||A||_F``."""
+    return _remembered(_eigen, A)
 
 
-def _eigen(A: np.ndarray, tol: float) -> SpectralInfo:
+def _eigen(A: np.ndarray) -> SpectralInfo:
     real_input = np.isrealobj(A)
     try:
         w, V = np.linalg.eig(A)
@@ -170,9 +157,9 @@ def _eigen(A: np.ndarray, tol: float) -> SpectralInfo:
     V = V[:, order]
     residual = fro(A @ V - V * w)
     scale = max(fro(A), np.finfo(float).tiny)
-    if residual > tol * scale:
+    if residual > _EIGEN_TOL * scale:
         raise NonConvergence(
-            f"eigen residual {residual:.3e} exceeds {tol:.1e} * ||A||_F"
+            f"eigen residual {residual:.3e} exceeds {_EIGEN_TOL:.1e} * ||A||_F"
         )
     if real_input:
         _check_conjugate_pairs(w)
@@ -190,9 +177,11 @@ def _eigen(A: np.ndarray, tol: float) -> SpectralInfo:
     )
 
 
-# Contracts: the relative residual caps of the Schur step and the stationary-covariance
-# solve, the distance below one that certifies Schur stability, the relative symmetry
-# defect of a symmetric input, and psd_sqrt's eigenvalue clamp below max(1, lambda_max).
+# Contracts: the relative residual caps of the eigendecomposition, the Schur step and the
+# stationary-covariance solve, the distance below one that certifies Schur stability, the
+# relative symmetry defect of a symmetric input, and psd_sqrt's eigenvalue clamp below
+# max(1, lambda_max).
+_EIGEN_TOL = 1e-8
 _SCHUR_TOL = 1e-10
 _STEIN_TOL = 1e-12
 _STABILITY_TOL = 1e-9

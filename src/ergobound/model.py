@@ -19,11 +19,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import erf, erfcx, gammaln, hyp1f1
 
+from ._pool import MOMENTS, run_blocks
 from .asymptotics import EigenSandwich
 from .errors import EmptyCoefficients, MomentUnavailable, NonConvergence, OrderViolation
 from .linalg import (SchurForm, SpectralInfo, StarNorm, _read_only, as_matrix, eigen, psd_factor,
                      psd_sqrt, schur_triangularize, smallest_eigenvalue_sym, solve_stein, star_norm)
-from .stability import _check_boundary_tol
+from .stability import _verdict
 
 __all__ = [
     "NoiseSpec",
@@ -37,10 +38,6 @@ __all__ = [
     "model_from_json",
     "model_digest",
 ]
-
-# Rows drawn per chunk by the Monte Carlo moment route; memory stays
-# O(chunk * dim) whatever the number of draws.
-_MC_CHUNK_ROWS = 2**16
 
 # Relative error-estimate cap of the moment quadratures.
 _QUAD_RTOL = 1e-10
@@ -209,27 +206,26 @@ def _student_log_laplace(df: float, z: np.ndarray) -> np.ndarray:
 
 
 def _mc_abs_moment(draw, Sigma, p, n, seed) -> tuple[float, float]:
-    """Seeded Monte Carlo ``(E|Sigma xi|**p, stderr)``, drawn in fixed chunks.
-
-    Chunks come from one generator in order, so the draws equal a single
-    ``draw(rng, n)``; per-chunk means and centered sums of squares are
-    merged with the pairwise update of Chan, Golub & LeVeque (1979).
-    """
+    """Seeded Monte Carlo ``(E|Sigma xi|**p, stderr)`` over the ``MOMENTS`` blocks; their
+    counts, means and centered sums of squares merge in block order by the pairwise update of
+    Chan, Golub & LeVeque (1979), so no bit depends on the worker count."""
     if n < 2:
         raise ValueError("Monte Carlo moments need at least two draws")
-    rng = np.random.default_rng([seed, 0x5E1C])
-    count, mean, m2 = 0, 0.0, 0.0
-    for start in range(0, n, _MC_CHUNK_ROWS):
-        k = min(_MC_CHUNK_ROWS, n - start)
-        vals = np.linalg.norm(draw(rng, k) @ Sigma.T, axis=1)
+
+    def run(rng, lo: int, hi: int) -> tuple[int, float, float]:
+        vals = np.linalg.norm(draw(rng, hi - lo) @ Sigma.T, axis=1)
         if p != 1:
             vals **= p
-        chunk_mean = float(vals.mean())
-        vals -= chunk_mean
-        delta = chunk_mean - mean
+        block_mean = float(vals.mean())
+        vals -= block_mean
+        return hi - lo, block_mean, float(vals @ vals)
+
+    count, mean, m2 = 0, 0.0, 0.0
+    for k, block_mean, block_m2 in run_blocks(n, seed, MOMENTS, run):
+        delta = block_mean - mean
         total = count + k
         mean += delta * k / total
-        m2 += float(vals @ vals) + delta * delta * count * k / total
+        m2 += block_m2 + delta * delta * count * k / total
         count = total
     return mean, math.sqrt(m2 / (n - 1) / n)
 
@@ -722,18 +718,15 @@ def validate_model(
     """Stability, moment and Gaussian-flavor applicability diagnostics."""
     if not r >= 1:  # a NaN order fails too
         raise ValueError("order r must be at least 1")
-    _check_boundary_tol(boundary_tol)
-    rho = model.schur.spectral_radius
-    stable = rho < 1.0 - boundary_tol
-    boundary = abs(rho - 1.0) <= boundary_tol
+    verdict = _verdict(model.schur.spectral_radius, boundary_tol)
     moment_ok = model.noise.has_moment(r)
     flags = []
-    if not stable:
+    if not verdict.stable:
         flags.append("NotSchurStable")
     if not moment_ok:
         flags.append("MomentUnavailable")
     gaussian_applicable, lam = False, None
-    if model.noise.family == "gaussian" and stable:
+    if model.noise.family == "gaussian" and verdict.stable:
         lam = model.lambda_min
         gaussian_applicable = stationary_cov_positive(lam, model.stationary_cov)
         if not gaussian_applicable:
@@ -741,9 +734,9 @@ def validate_model(
     elif model.noise.family != "gaussian":
         flags.append("NonGaussianNoise")
     return ModelDiagnostics(
-        spectral_radius=float(rho),
-        stable=bool(stable),
-        boundary=bool(boundary),
+        spectral_radius=verdict.spectral_radius,
+        stable=verdict.stable,
+        boundary=verdict.boundary,
         moment_ok=bool(moment_ok),
         gaussian_applicable=bool(gaussian_applicable),
         lambda_minus=None if lam is None else float(lam),

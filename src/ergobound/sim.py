@@ -2,25 +2,23 @@
 
 Path simulation, stationary-law sampling (exact for Gaussian noise, else a
 truncated series with an explicit tail-bias budget) and the empirical-mean
-process.  Paths are split into fixed blocks of ``_BLOCK`` and every block
-draws from its own counter-based Philox stream keyed by ``(seed, block
-index)``, so ensembles are bit-reproducible regardless of how blocks are
-scheduled across workers.  ``ERGOBOUND_THREADS`` caps the worker count
-(``_pool.worker_count``).  Noise is drawn step-major in bounded chunks as
-the recursion advances, so memory is O(n d) per kept time step rather than
-O(n d horizon).
+process.  Paths and stationary draws run in the fixed, separately keyed
+Philox blocks of ``_pool.run_blocks``, so ensembles are bit-reproducible
+regardless of how blocks are scheduled across workers.  ``ERGOBOUND_THREADS``
+caps the worker count (``_pool.worker_count``).  Noise is drawn step-major in
+bounded chunks as the recursion advances, so memory is O(n d) per kept time
+step rather than O(n d horizon).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._pool import run_jobs
+from ._pool import PATHS, STATIONARY, run_blocks
 from .bounds import _neumann_sums
 from .errors import MomentUnavailable
 from .linalg import StarNorm, psd_factor
@@ -34,44 +32,12 @@ __all__ = [
     "empirical_mean_process",
 ]
 
-_MASK64 = (1 << 64) - 1
-_BLOCK = 4096
 # Noise values drawn per chunk.  Split draws from one stream equal a single
 # concatenated draw, so this bounds memory without changing any number.
 _CHUNK_VALUES = 1 << 16
 
-
-def _stream_rng(seed: int, stream: int) -> np.random.Generator:
-    # Philox is counter-based: the (seed, stream) key fully determines the
-    # stream, independent of scheduling.  The seed fills the key's upper 64
-    # bits, so one outside [0, 2**64) would alias another seed's streams, and
-    # so would a numpy integer's fixed-width shift.
-    seed = operator.index(seed)
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    key = (seed << 64) | (stream & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-# Stream index parities keep path draws and stationary draws disjoint even
-# when both use the same user seed.
-_PATH_PARITY = 0
-_STATIONARY_PARITY = 1
-
 # The empirical mean's own recursion must hold to this much of the path magnitude.
 _MEAN_RECURSION_TOL = 1e-12
-
-
-def _run_blocks(n: int, seed: int, parity: int, run) -> list:
-    """``run(rng, lo, hi)`` over the fixed path blocks of ``0..n``, in block order.
-
-    Block ``b`` gets stream ``2 b + parity``; blocks may run on parallel
-    workers, and the results come back in block order.
-    """
-    return run_jobs(run, [
-        (_stream_rng(seed, 2 * b + parity), lo, min(lo + _BLOCK, n))
-        for b, lo in enumerate(range(0, n, _BLOCK))
-    ])
 
 
 def _noise_steps(draw, rng: np.random.Generator, m: int, steps: int, d: int):
@@ -188,7 +154,7 @@ def simulate_paths(
                 if t in col:
                     out[lo:hi, col[t], :] = state
 
-    _run_blocks(config.n_paths, config.seed, _PATH_PARITY, run)
+    run_blocks(config.n_paths, config.seed, PATHS, run)
     return SampleEnsemble(
         samples=out,
         times=keep,
@@ -266,7 +232,7 @@ def sample_stationary(
                 acc += xi @ Pt[j]
             out[lo:hi, 0, :] = acc
 
-    _run_blocks(n, seed, _STATIONARY_PARITY, run)
+    run_blocks(n, seed, STATIONARY, run)
     return SampleEnsemble(
         samples=out,
         times=(math.inf,),
@@ -314,7 +280,7 @@ def empirical_mean_process(model: StateSpaceModel, n: int, x, horizon: int,
             noise_sum[t - 1] = xi.sum(axis=0)
         return state_sum, noise_sum
 
-    sums = _run_blocks(n, seed, _PATH_PARITY, run)
+    sums = run_blocks(n, seed, PATHS, run)
     S = sum(s for s, _ in sums) / n  # (horizon + 1, d)
     zeta_bar = sum(z for _, z in sums) / n  # (horizon, d)
     resid = float(

@@ -51,8 +51,12 @@ class StabilityVerdict:
 def is_schur_stable(Q, boundary_tol: float = 1e-9) -> StabilityVerdict:
     """Verdict: stable iff ``rho(Q) < 1 - boundary_tol``, ``rho`` read from the Schur form's
     diagonal, as ``validate_model`` and the star norm read it."""
+    return _verdict(schur_triangularize(as_matrix(Q, name="Q")).spectral_radius, boundary_tol)
+
+
+def _verdict(rho: float, boundary_tol: float) -> StabilityVerdict:
+    """The verdict for the spectral radius ``rho``."""
     _check_boundary_tol(boundary_tol)
-    rho = schur_triangularize(as_matrix(Q, name="Q")).spectral_radius
     return StabilityVerdict(
         stable=bool(rho < 1.0 - boundary_tol),
         spectral_radius=float(rho),

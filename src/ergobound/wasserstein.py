@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from ._pool import run_jobs
+from ._pool import DIRECTIONS, run_jobs, stream_rng
 from .errors import DimensionMismatch, UnequalSampleSizes
 from .linalg import _sqnorms, as_matrix, psd_sqrt
 from .model import _gauss_shifted_abs_moment
@@ -97,6 +97,12 @@ def _w2_bures(dm: np.ndarray, covs: np.ndarray, b: GaussianLaw) -> np.ndarray:
     return np.sqrt(_sqnorms(dm) + np.maximum(bures, 0.0))
 
 
+def _check_order(r: float) -> None:
+    """The sorted (comonotone) coupling is optimal only for a convex cost: a finite ``r >= 1``."""
+    if not 1.0 <= r < math.inf:  # a NaN order fails too
+        raise ValueError(f"order r must be finite and at least 1, got {r}")
+
+
 def empirical_w1d(xs, ys, r: float = 1.0) -> EmpiricalEstimate:
     """Order-r distance between equal-size 1-D samples by quantile matching.
 
@@ -104,6 +110,7 @@ def empirical_w1d(xs, ys, r: float = 1.0) -> EmpiricalEstimate:
     is ``(mean |x_(i) - y_(i)|^r)^{1/r}`` with no estimation error beyond
     the samples themselves.
     """
+    _check_order(r)
     xs = np.asarray(xs, dtype=float).ravel()
     ys = np.asarray(ys, dtype=float).ravel()
     if xs.shape[0] != ys.shape[0] or xs.shape[0] == 0:
@@ -122,6 +129,7 @@ def gaussian_wr_1d(m1: float, s1: float, m2: float, s2: float, r: float) -> floa
     standard normal, evaluated exactly through Kummer's function;
     ``r = 2`` uses the closed form ``sqrt(dm**2 + ds**2)``.
     """
+    _check_order(r)
     if s1 < 0 or s2 < 0:
         raise ValueError("standard deviations must be nonnegative")
     dm, ds = m2 - m1, s2 - s1
@@ -150,8 +158,8 @@ def sphere_moment_ratio(d: int, r: float) -> float:
     return float(math.exp(_log_sphere_moment_ratio(d, r)))
 
 
-def _directions(d: int, n_distinct: int, seed) -> np.ndarray:
-    rng = np.random.default_rng(seed)
+def _directions(d: int, n_distinct: int, seed: int) -> np.ndarray:
+    rng = stream_rng(seed, DIRECTIONS)
     v = rng.standard_normal((n_distinct, d))
     norms = np.linalg.norm(v, axis=1)
     # a zero draw is astronomically unlikely; resample defensively
@@ -186,7 +194,7 @@ def _sliced_directions(d: int, n_directions: int, seed, mode: str):
         ang = np.pi * np.arange(n_distinct) / n_distinct
         return np.stack([np.cos(ang), np.sin(ang)], axis=1), True
     if mode == "random":
-        return _directions(d, n_distinct, [seed, 0xD17]), False
+        return _directions(d, n_distinct, seed), False
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -311,6 +319,7 @@ def sliced_empirical_sweep(
     (padded to 16), so below ``d = 32`` the scratch is at most ``workers * 2 *
     31 * (n + 15) * 8`` bytes plus the ``(steps, directions)`` powers.
     """
+    _check_order(r)
     ys = np.asarray(ys, dtype=float)
     xs_list = [_check_sample_pair(xs, ys)[0] for xs in xs_list]
     if not xs_list:

@@ -303,7 +303,7 @@ class TestDecompositionMemo:
     def test_remembered_results_equal_fresh_ones(self, Q):
         V = np.eye(len(Q))
         form = fresh_schur(Q)
-        info = linalg._eigen(linalg._read_only(np.array(Q)), 1e-8)
+        info = linalg._eigen(linalg._read_only(np.array(Q)))
         for _ in range(2):  # the first call decomposes, the second is remembered
             assert bits(schur_triangularize(Q)) == bits(form)
             assert bits(eigen(Q)) == bits(info)
@@ -339,13 +339,17 @@ class TestDecompositionMemo:
         assert lapack_calls["schur"] == 1
         assert bits(form) == bits(fresh_schur(Q))
 
-    def test_stricter_eigen_tol_is_honored(self, lapack_calls):
-        Q = np.array([[0.47, 1.9], [-0.21, -0.36]])
-        info = eigen(Q)
-        with pytest.raises(NonConvergence, match="residual"):
-            eigen(Q, tol=1e-300)
-        assert eigen(Q) is info
-        assert lapack_calls["eig"] == 2
+    def test_stricter_eigen_tol_is_honored(self, lapack_calls, monkeypatch):
+        # Q is not the remembered matrix, so the strict cap reaches its decomposition
+        P, Q = np.diag([0.5, 0.9]), np.array([[0.47, 1.9], [-0.21, -0.36]])
+        info, before = eigen(P), lapack_calls["eig"]
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_EIGEN_TOL", 1e-300)
+            with pytest.raises(NonConvergence, match="residual"):
+                eigen(Q)
+            assert eigen(P) is info  # the call that raised kept nothing
+        assert eigen(Q) is eigen(Q)
+        assert lapack_calls["eig"] == before + 2
 
 
 class TestStationaryCovariance:

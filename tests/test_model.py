@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln, hyp1f1
 
 import ergobound
+from ergobound import _pool
 from ergobound.errors import (EmptyCoefficients, MomentUnavailable, NotPSD, NotSymmetric,
                               OrderViolation)
 from ergobound.linalg import eigen
@@ -251,7 +252,7 @@ class TestNoiseSpec:
         assert val == pytest.approx(vals.mean(), abs=4 * (se + vals.std() / math.sqrt(len(vals))))
 
     def test_sigma_moment_mc_route_streams_one_draw(self):
-        # chunked draws from one generator equal a single draw of all rows
+        # the draws are the rows of the keyed blocks: block b draws from stream MOMENTS + 2 b
         n = 150_000
         Sigma = np.array([[1.0, 0.4], [0.0, 0.7]])
         for spec in (
@@ -263,10 +264,29 @@ class TestNoiseSpec:
             # p = 1 is exact for Gaussian noise; p = 3 is Monte Carlo for all
             for p in (1.0, 3.0) if spec.family != "gaussian" else (3.0,):
                 val, se = spec.abs_moment_sigma(Sigma, p, mc_draws=n, seed=4)
-                rng = np.random.default_rng([4, 0x5E1C])
-                vals = np.linalg.norm(spec.sampler()(rng, n) @ Sigma.T, axis=1) ** p
+                draw = spec.sampler()
+                xi = np.concatenate([
+                    draw(_pool.stream_rng(4, _pool.MOMENTS + 2 * b), min(_pool.BLOCK, n - lo))
+                    for b, lo in enumerate(range(0, n, _pool.BLOCK))
+                ])
+                vals = np.linalg.norm(xi @ Sigma.T, axis=1) ** p
                 assert val == pytest.approx(vals.mean(), rel=1e-12)
                 assert se == pytest.approx(vals.std(ddof=1) / math.sqrt(n), rel=1e-9)
+
+    def test_sigma_moment_mc_bits_ignore_the_worker_count(self, monkeypatch):
+        Sigma = np.array([[1.0, 0.4], [0.0, 0.7]])
+        got = []
+        for threads in ("1", "4"):
+            monkeypatch.setenv("ERGOBOUND_THREADS", threads)
+            spec = NoiseSpec.laplace_d(np.array([0.3, 0.0]), np.array([1.0, 2.0]))  # no cache
+            got.append(spec.abs_moment_sigma(Sigma, 3.0, mc_draws=5 * _pool.BLOCK + 7, seed=9))
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 4])
+    def test_sigma_moment_mc_seed_outside_key_range_raises(self, seed):
+        spec = NoiseSpec.laplace_d(np.zeros(2), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            spec.abs_moment_sigma(np.eye(2), 3.0, mc_draws=100, seed=seed)
 
     def test_scalar_gaussian_with_mean_exact(self):
         # 40-digit references by adaptive quadrature of |m + sd z|^p phi(z)

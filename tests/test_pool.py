@@ -1,3 +1,4 @@
+import itertools
 import multiprocessing
 import os
 import sys
@@ -33,10 +34,34 @@ def test_sim_and_sliced_estimators_share_the_rule(count_calls):
     # one helper, bound once, reads ERGOBOUND_THREADS for both worker pools
     calls = count_calls("worker_count")
     m = ar_state_space([0.3, 0.5], [0.0], NoiseSpec.gaussian(0.0, 1.0))
-    ens = sim.simulate_paths(m, [1.0, 0.0], sim.SimConfig(n_paths=2 * sim._BLOCK, horizon=2, seed=1))
+    ens = sim.simulate_paths(m, [1.0, 0.0], sim.SimConfig(n_paths=2 * _pool.BLOCK, horizon=2, seed=1))
     assert len(calls) == 1
     sliced_empirical_sweep([ens.at_time(2)], ens.at_time(1), 1.0, 64, seed=2)
     assert len(calls) == 2
+
+
+def test_stream_classes_never_share_a_key():
+    # a blocked class's streams are first + 2 b; DIRECTIONS is one stream
+    blocks = 1 << 62
+    classes = [(_pool.PATHS, blocks), (_pool.STATIONARY, blocks), (_pool.MOMENTS, blocks),
+               (_pool.DIRECTIONS, 1)]
+    for first, count in classes:
+        assert 0 <= first and first + 2 * (count - 1) < 2**64  # no stream wraps in the key
+    for (fa, na), (fb, nb) in itertools.combinations(classes, 2):
+        # {fa + 2 i} and {fb + 2 j} meet only when fa and fb have one parity and the ranges overlap
+        assert (fa - fb) % 2 or fa + 2 * (na - 1) < fb or fb + 2 * (nb - 1) < fa, (fa, fb)
+
+
+def test_block_b_is_keyed_by_seed_and_first_plus_2b():
+    def key(rng, lo, hi):
+        return rng.bit_generator.state["state"]["key"].tolist(), lo, hi
+
+    n = 2 * _pool.BLOCK + 5
+    for first in (_pool.PATHS, _pool.STATIONARY, _pool.MOMENTS):
+        assert _pool.run_blocks(n, 2**64 - 1, first, key) == [
+            ([first + 2 * b, 2**64 - 1], b * _pool.BLOCK, min((b + 1) * _pool.BLOCK, n))
+            for b in range(3)
+        ]
 
 
 MODEL = ar_state_space([0.3, 0.5], [0.0], NoiseSpec.gaussian(0.0, 1.0))
@@ -44,7 +69,7 @@ MODEL = ar_state_space([0.3, 0.5], [0.0], NoiseSpec.gaussian(0.0, 1.0))
 
 def monte_carlo(seed):
     """Three path blocks (the last one partial) and a sliced W1 between two kept steps."""
-    config = sim.SimConfig(n_paths=2 * sim._BLOCK + 100, horizon=3, seed=seed)
+    config = sim.SimConfig(n_paths=2 * _pool.BLOCK + 100, horizon=3, seed=seed)
     ens = sim.simulate_paths(MODEL, [1.0, 0.0], config, times=[1, 3])
     est = sliced_empirical(ens.at_time(3), ens.at_time(1), 1.0, 64, seed=seed)
     return ens.samples, est

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ergobound import _pool
 from ergobound import bounds as bnd
 from ergobound import sim
 from ergobound.errors import MomentUnavailable, NotSchurStable
@@ -76,7 +77,7 @@ class TestSeedRange:
     def test_rejected(self, seed):
         m = ar_state_space([0.5], noise1d=NoiseSpec.laplace(0.0, 1.0))
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
-            sim._stream_rng(seed, 0)
+            _pool.stream_rng(seed, 0)
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
             simulate_paths(m, [1.0], SimConfig(n_paths=3, horizon=2, seed=seed))
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
@@ -143,7 +144,7 @@ class TestSimulatePaths:
         full = simulate_paths(m, x, cfg)
         part = simulate_paths(m, x, cfg, times=(0, 1, 2, 3))
         np.testing.assert_array_equal(part.samples, full.samples[:, :4])
-        rng, draw = sim._stream_rng(2, sim._PATH_PARITY), m.noise.sampler()
+        rng, draw = _pool.stream_rng(2, _pool.PATHS), m.noise.sampler()
         state = np.tile(x, (5, 1))
         for t in range(1, 10):
             state = state @ m.Q.T + draw(rng, 5) @ m.Sigma.T
@@ -178,7 +179,7 @@ class TestSimulatePaths:
 
     def test_worker_count_does_not_change_output(self, monkeypatch):
         # streams keyed by (seed, block) make the ensemble schedule-independent
-        n = 2 * sim._BLOCK + 500  # three blocks, the last one partial
+        n = 2 * _pool.BLOCK + 500  # three blocks, the last one partial
         m = ar_state_space([0.3, 0.5], [0.0], NoiseSpec.gaussian(0.0, 1.0))
         runs = []
         for threads in ("1", "4"):
@@ -194,7 +195,7 @@ class TestSimulatePaths:
             np.testing.assert_array_equal(a, b)
         # every block draws from a stream of its own: first steps differ
         first = runs[0][0][:, 1]
-        assert not np.allclose(first[:500], first[2 * sim._BLOCK :])
+        assert not np.allclose(first[:500], first[2 * _pool.BLOCK :])
 
     @pytest.mark.parametrize(
         "noise",
@@ -210,7 +211,7 @@ class TestSimulatePaths:
         rng = np.random.default_rng(3)
         A = rng.standard_normal((3, 3))
         m = raw_model(0.6 * A / np.abs(np.linalg.eigvals(A)).max(), np.eye(3), noise)
-        n = sim._BLOCK + 300
+        n = _pool.BLOCK + 300
         x = [1.0, -1.0, 0.5]
 
         def run_all():
@@ -222,7 +223,7 @@ class TestSimulatePaths:
 
         ref = run_all()
         # one step per chunk; four steps per chunk in the full block, the last chunk short
-        for values in (1, 4 * sim._BLOCK * 3):
+        for values in (1, 4 * _pool.BLOCK * 3):
             monkeypatch.setattr(sim, "_CHUNK_VALUES", values)
             for a, b in zip(ref, run_all()):
                 np.testing.assert_array_equal(a, b)
@@ -282,7 +283,7 @@ class TestExactGaussianDraws:
 
     @pytest.mark.parametrize("threads", ["1", "4"])
     def test_blocks_and_chunks_do_not_change_the_draws(self, monkeypatch, threads):
-        n = 2 * sim._BLOCK + 500  # three blocks, the last one partial
+        n = 2 * _pool.BLOCK + 500  # three blocks, the last one partial
         make, x, _ = EXACT_CASES["non_normal"]
         m, times = make(), (0, 1, 2, 6, 7, 15)
 
@@ -295,12 +296,12 @@ class TestExactGaussianDraws:
         monkeypatch.setenv("ERGOBOUND_THREADS", "1")
         ref = run_all()
         monkeypatch.setenv("ERGOBOUND_THREADS", threads)
-        for values in (1, sim._CHUNK_VALUES, 4 * sim._BLOCK * 3):
+        for values in (1, sim._CHUNK_VALUES, 4 * _pool.BLOCK * 3):
             monkeypatch.setattr(sim, "_CHUNK_VALUES", values)
             for a, b in zip(ref, run_all()):
                 np.testing.assert_array_equal(a, b)
         # every block draws from a stream of its own
-        assert not np.allclose(ref[1][:500], ref[1][2 * sim._BLOCK:])
+        assert not np.allclose(ref[1][:500], ref[1][2 * _pool.BLOCK:])
 
 
 class TestSampleStationary:

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from ergobound import _pool
 from ergobound.errors import DimensionMismatch, NotPSD, NotSymmetric, UnequalSampleSizes
 from ergobound.linalg import psd_sqrt
 from ergobound.wasserstein import (
@@ -21,6 +22,10 @@ from ergobound.wasserstein import (
     sliced_empirical,
     sliced_empirical_sweep,
 )
+
+
+# Orders the sorted (comonotone) coupling does not serve: below 1 (a concave cost), not finite.
+BAD_ORDERS = [0.0, 0.5, -1.0, math.inf, math.nan]
 
 
 def random_law(rng, d):
@@ -209,7 +214,18 @@ class TestEmpiricalW1d:
             empirical_w1d([1.0, 2.0], [1.0], 1.0)
 
 
+    @pytest.mark.parametrize("r", BAD_ORDERS)
+    def test_order_outside_convex_costs_raises(self, r):
+        with pytest.raises(ValueError, match="order r"):
+            empirical_w1d([0.0, 1.0, 3.0], [0.5, 2.0, 2.5], r)
+
+
 class TestGaussianWr1d:
+    @pytest.mark.parametrize("r", BAD_ORDERS)
+    def test_order_outside_convex_costs_raises(self, r):
+        with pytest.raises(ValueError, match="order r"):
+            gaussian_wr_1d(0.0, 1.0, 0.5, 2.0, r)
+
     def test_pure_shift(self):
         assert gaussian_wr_1d(0.0, 1.0, 2.5, 1.0, 3.0) == pytest.approx(2.5, abs=1e-12)
 
@@ -332,6 +348,30 @@ class TestSlicedEmpirical:
     def test_needs_two_dims(self):
         with pytest.raises(ValueError):
             sliced_empirical(np.zeros((10, 1)), np.ones((10, 1)))
+
+    @pytest.mark.parametrize("r", BAD_ORDERS)
+    def test_order_outside_convex_costs_raises(self, r):
+        xs = np.random.default_rng(20).standard_normal((50, 2))
+        with pytest.raises(ValueError, match="order r"):
+            sliced_empirical(xs, xs + 1.0, r, n_directions=8)
+
+    @pytest.mark.parametrize("r", BAD_ORDERS)
+    def test_sweep_order_outside_convex_costs_raises(self, r):
+        xs = np.random.default_rng(21).standard_normal((50, 2))
+        with pytest.raises(ValueError, match="order r"):
+            sliced_empirical_sweep([xs, xs + 1.0], xs, r, n_directions=8)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_key_range_raises(self, seed):
+        xs = np.random.default_rng(22).standard_normal((50, 2))
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            sliced_empirical(xs, xs + 1.0, 1.0, n_directions=8, seed=seed)
+
+    def test_random_directions_come_from_the_directions_stream(self):
+        v = _pool.stream_rng(5, _pool.DIRECTIONS).standard_normal((4, 3))
+        dirs, deterministic = _sliced_directions(3, 8, 5, "random")
+        assert not deterministic
+        np.testing.assert_array_equal(dirs, v / np.linalg.norm(v, axis=1)[:, None])
 
 
 # (d, n, r, n_directions, mode).  With at least 32 distinct directions the
