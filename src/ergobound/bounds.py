@@ -35,7 +35,7 @@ from .errors import (
     NotSymmetric,
     SingularStationaryCovariance,
 )
-from .linalg import StarNorm, as_matrix, fro, row_norms, smallest_eigenvalue_sym
+from .linalg import StarNorm, _read_only, as_matrix, fro, row_norms, smallest_eigenvalue_sym
 from .model import StateSpaceModel, stationary_cov_positive
 from .wasserstein import GaussianLaw, _check_order, sphere_moment_ratio
 
@@ -150,28 +150,38 @@ def law_at(model: StateSpaceModel, x, t: int, B=None) -> GaussianLaw:
     return _laws(model, x, [t], B)[0]
 
 
-def _neumann_sums(model: StateSpaceModel):
-    """``sum_{j<t} Q^j Sigma E[xi]``, ``sum_{j<t} Q^j Cov(Sigma xi) Q^jT``, ``Q^t``; t = 0, 1, ...
+def _neumann_sums(model: StateSpaceModel, t: int) -> tuple:
+    """``sum_{j<t} Q^j Sigma E[xi]``, ``sum_{j<t} Q^j Cov(Sigma xi) Q^jT`` and ``Q^t``, read-only.
 
-    Each step adds one power, so a sweep to ``T`` costs O(T) products.
+    The model keeps the three at the last step reached, O(d^2) floats and never a list of
+    steps.  A call at that step or a later one resumes from them, one power per step, so
+    increasing steps to ``T`` cost O(T) products in all; an earlier step starts from 0.
     """
-    m, V = model.Sigma @ model.noise.mean_vector(), model.noise_cov
-    drift, cov, P = np.zeros(model.d), np.zeros((model.d, model.d)), np.eye(model.d)
-    while True:
-        yield drift, cov, P
-        drift, cov, P = drift + P @ m, cov + P @ V @ P.T, model.Q @ P
+    kept = model._bound_constants
+    at, drift, cov, P = kept.get("neumann", (math.inf, None, None, None))
+    if at > t:
+        at, drift, cov, P = 0, np.zeros(model.d), np.zeros((model.d, model.d)), np.eye(model.d)
+    if at < t:
+        m, V = _once(model, ("neumann_terms",), lambda: (
+            model.Sigma @ model.noise.mean_vector(), model.noise_cov))
+        for _ in range(t - at):
+            drift, cov, P = drift + P @ m, cov + P @ V @ P.T, model.Q @ P
+    kept["neumann"] = (t, _read_only(drift), _read_only(cov), _read_only(P))
+    return drift, cov, P
 
 
-def _laws(model: StateSpaceModel, x, ts: list, B=None) -> list[GaussianLaw]:
-    """:func:`law_at` for each of the increasing steps ``ts``: ``Q^t x`` from
-    :func:`_power_rows`, the noise parts from one pass of :func:`_neumann_sums`;
+def _laws(model: StateSpaceModel, x, ts, B=None) -> list[GaussianLaw]:
+    """:func:`law_at` for each of the steps ``ts``, in any order: ``Q^t x`` from
+    :func:`_power_rows`, the noise parts from :func:`_neumann_sums` in increasing steps;
     nothing is added to ``Q^0 x``."""
+    x, ts = _start(model, x), list(ts)
     B = np.eye(model.d) if B is None else as_matrix(B, square=False, name="B")
-    sums, laws, at = _neumann_sums(model), [], 0
-    for t, mean in zip(ts, _power_rows(model, ts, (_vec(x),))[0]):
-        drift, cov, _ = next(itertools.islice(sums, t - at, None))
-        at = t + 1
-        laws.append(GaussianLaw(mean=B @ (mean + drift if t else mean), cov=B @ cov @ B.T))
+    means = _per_step(model, x, ts, "x", lambda: _read_only(_power_rows(model, ts, (x,))[0][:, 0]))
+    laws = [None] * len(ts)
+    for i in sorted(range(len(ts)), key=ts.__getitem__):
+        t, mean = ts[i], means[i]
+        drift, cov, _ = _neumann_sums(model, t)
+        laws[i] = GaussianLaw(mean=B @ (mean + drift if t else mean), cov=B @ cov @ B.T)
     return laws
 
 
@@ -207,20 +217,67 @@ def _vec(x) -> np.ndarray:
     return np.array(x, dtype=float, ndmin=1)
 
 
+def _start(model: StateSpaceModel, x) -> np.ndarray:
+    """The start ``x`` as a float vector: ``DimensionMismatch`` unless it has length ``d``,
+    ``ValueError`` for a non-finite entry."""
+    x = _vec(x)
+    if x.shape != (model.d,):
+        raise DimensionMismatch(f"x must have length d = {model.d}, got shape {x.shape}")
+    kept = model._bound_constants.get("start", (None,))[0]  # a start that passed already
+    if kept != x.tobytes() and not np.isfinite(x).all():
+        raise ValueError("x must be finite")
+    return x
+
+
+# the most single-step rows kept for one start: a long loop of single steps holds O(d)
+# floats for each of these, not for each of its steps
+_KEPT_ROWS = 1024
+
+
+def _per_step(model: StateSpaceModel, x: np.ndarray, ts: list, kind: str, compute):
+    """``compute()``, the ``kind`` rows at start ``x`` for the steps ``ts``.
+
+    A single step's rows are kept on the model for the last start only: single-step
+    calls at one ``(x, t)`` compute them once, and a call at another start replaces the
+    rows of the one before, as does the row past ``_KEPT_ROWS``.  A sweep computes its
+    rows and keeps none.
+    """
+    if len(ts) != 1:
+        return compute()
+    kept, key, start = model._bound_constants, (kind, operator.index(ts[0])), x.tobytes()
+    last = kept.get("start")
+    if last is None or last[0] != start or len(last[1]) >= _KEPT_ROWS:
+        last = kept["start"] = (start, {})
+    if key not in last[1]:
+        last[1][key] = compute()
+    return last[1][key]
+
+
 def _power_rows(model: StateSpaceModel, ts: list, zs, vs=()) -> list[np.ndarray]:
-    """Rows ``Q^t z`` for each ``z`` in ``zs``, then rows ``(Q^t)^T v`` for each ``v`` in ``vs``.
+    """Rows ``Q^t z`` for the ``zs``, then rows ``(Q^t)^T v`` for the ``vs``: one
+    ``(len(ts), len(group), d)`` array per non-empty group.
 
     Bit ``k`` of ``t`` multiplies a row by ``Q^(2^k)``, the squares kept on the model, so
-    a row costs O(d^2 log t) and no ``Q^t`` is formed.  Each row makes its own stacked
-    product per level, so its bits do not depend on the other steps of ``ts``.
+    a row costs O(d^2 log t) and no ``Q^t`` is formed.  Each step makes its own stacked
+    product per level, so its bits do not depend on the other steps of ``ts``; a single
+    step makes them as plain ``(len(group), d)`` products, which round alike.
     """
     ts = [operator.index(t) for t in ts]  # integer steps, as matrix_power takes
     levels = max(ts, default=0).bit_length()
     ladder = _once(model, ("power_ladder",), lambda: [model.Q])
     while len(ladder) < levels:
         ladder.append(ladder[-1] @ ladder[-1])
-    stacks = [[np.array(g, dtype=float)[None].repeat(len(ts), axis=0), transpose]
+    groups = [(np.array(g, dtype=float), transpose)
               for g, transpose in ((zs, True), (vs, False)) if len(g)]
+    if len(ts) == 1:  # plain products, without the stack and its gathers
+        out = []
+        for rows, transpose in groups:
+            for k in range(levels):
+                if ts[0] >> k & 1:
+                    rows = rows @ (ladder[k].T if transpose else ladder[k])
+            out.append(rows[None])
+        return out
+    stacks = [[rows[None].repeat(len(ts), axis=0), transpose] for rows, transpose in groups]
     for k in range(levels):
         hit = [i for i, t in enumerate(ts) if t >> k & 1]
         for stack in stacks if hit else ():
@@ -229,7 +286,7 @@ def _power_rows(model: StateSpaceModel, ts: list, zs, vs=()) -> list[np.ndarray]
                 stack[0] = stack[0] @ M
             else:
                 stack[0][hit] = stack[0][hit] @ M
-    return [np.ascontiguousarray(rows[:, j]) for rows, _ in stacks for j in range(rows.shape[1])]
+    return [rows for rows, _ in stacks]
 
 
 def ar1_params(model: StateSpaceModel) -> tuple[float, float]:
@@ -287,9 +344,10 @@ def sweep(model: StateSpaceModel, flavor: str, x, r: float, ts, *, star: StarNor
     ts = list(ts)
     for t in ts:
         _check_t(t)
+    x = _start(model, x)
     if flavor == "exact_ar1":
         q, sigma = _once(model, ("ar1_params",), lambda: ar1_params(model))
-        return _exact_ar1(q, sigma, float(_vec(x)[0]), ts)
+        return _exact_ar1(q, sigma, float(x[0]), ts)
     if flavor == "parallel":
         if per_copy_flavor == "parallel":
             raise ValueError("the per-copy flavor of parallel cannot be parallel")
@@ -340,10 +398,19 @@ def _gaussian(model, flavor, x, r, ts, star, B, v, mode) -> list[BoundReport]:
             raise ValueError("v must be a unit vector")
     if flavor == "sliced_gauss" and model.d < 2:
         raise ValueError("sliced bounds need dimension at least 2")
+    if flavor == "gauss_affine":
+        k = model.d if B is None else B.shape[0]
+    star = _star(model, star)
+    s = star.value
+    # the t-free tail before lambda_minus: where its constants overflow, the refusal
+    # comes without the Stein solve and eigensolve
+    tail, moment = _once(model, ("gauss_tail", star.C_star, k, r), lambda: (
+        star.C_star**2 * fro(model.Sigma) ** 2 * fro(model.noise.covariance()),
+        gaussian_abs_moment(k, r)))
     lam = lambda_minus(model, B if flavor == "gauss_affine" else None)
     if flavor == "gauss_affine":
         B = np.eye(model.d) if B is None else B
-        k, scale = B.shape[0], fro(B) ** 2
+        scale = fro(B) ** 2
         details = {"hemmen_ando_constant": "1/sqrt(lambda_minus)"}
     if flavor == "sliced_gauss":
         c_tilde = sphere_moment_ratio(model.d, r)
@@ -351,21 +418,16 @@ def _gaussian(model, flavor, x, r, ts, star, B, v, mode) -> list[BoundReport]:
             raise ValueError(f"unknown mode {mode!r}")
         mean_const = c_tilde if mode == "as_printed" else c_tilde ** (1.0 / r)
         details = {"mode": mode, "moment_ratio": c_tilde}
-    star = _star(model, star)
-    s = star.value
-    tail, moment = _once(model, ("gauss_tail", star.C_star, k, r), lambda: (
-        star.C_star**2 * fro(model.Sigma) ** 2 * fro(model.noise.covariance()),
-        gaussian_abs_moment(k, r)))
-    gap, *w = _power_rows(model, ts, (_vec(x) - model.stationary_mean,),
-                          (v,) if flavor == "projected" else ())
+    gap = _per_step(model, x, ts, "gap", lambda: _read_only(
+        _power_rows(model, ts, (x - model.stationary_mean,))[0][:, 0]))
     if flavor == "gauss_affine":
         gap = np.matmul(B, gap[:, :, None])[:, :, 0]
     if flavor == "projected":
         # Sigma_t = Sigma_inf - Q^t Sigma_inf Q^tT, so with w = Q^tT v:
         # <v, (Sigma_t + Sigma_inf) v> = 2 <v, Sigma_inf v> - <w, Sigma_inf w>
-        cov = model.stationary_cov
+        cov, w = model.stationary_cov, _power_rows(model, ts, (), (v,))[0][:, 0]
         gaps = np.abs(np.matmul(v, gap[:, :, None])[:, 0]).tolist()
-        wcw = np.matmul(np.matmul(w[0][:, None, :], cov), w[0][:, :, None])[:, 0, 0].tolist()
+        wcw = np.matmul(np.matmul(w[:, None, :], cov), w[:, :, None])[:, 0, 0].tolist()
         vcv = float(v @ cov @ v)
     else:
         gaps, wcw = row_norms(gap).tolist(), itertools.repeat(None)
@@ -433,7 +495,6 @@ def _coupling(model, flavor, x, p, ts, star, mc_seed, n) -> list[BoundReport]:
         constants = {"U_fro": sw.u_fro, "U_inv_fro": sw.uinv_fro, "rho": sw.rho}
     elif flavor == "empirical_mean" and n < 1:
         raise ValueError("n must be at least 1")
-    x = _vec(x)
     if not model.noise.has_moment(p):
         raise MomentUnavailable(f"order {p} moment unavailable for this noise")
     star = _star(model, star)
@@ -441,22 +502,25 @@ def _coupling(model, flavor, x, p, ts, star, mc_seed, n) -> list[BoundReport]:
     m1_root, se1, mp_root, sep, sound = _once(
         model, ("coupling", p, mc_seed, flavor == "empirical_mean"),
         lambda: _coupling_constants(model, p, mc_seed, flavor == "empirical_mean"))
-    start = float(np.linalg.norm(x)) + star.K_d * m1_root * s / (1.0 - s)
+    start = math.sqrt(x @ x) + star.K_d * m1_root * s / (1.0 - s)  # |x| as np.linalg.norm
     root_p = (1.0 - s**p) ** (1.0 / p)
-    if sw is None:
-        lows, highs = (row_norms(z).tolist() for z in _power_rows(
-            model, ts, (x - model.stationary_mean, x)))
+    if sw is None:  # per step [|Q^t (x - mean_inf)|, |Q^t x|]
+        rows = _per_step(model, x, ts, "norms", lambda: row_norms(
+            _power_rows(model, ts, (x - model.stationary_mean, x))[0]).tolist())
         const, rate = star.K_d, s
     else:
-        core_gap, core_x = sw.cores(ts, x - model.stationary_mean, x)
-        lows, highs = (core_gap / sw.uinv_fro).tolist(), (sw.u_fro * core_x).tolist()
+        def cores():
+            core_gap, core_x = sw.cores(ts, x - model.stationary_mean, x)
+            return list(zip((core_gap / sw.uinv_fro).tolist(), (sw.u_fro * core_x).tolist()))
+
+        rows = _per_step(model, x, ts, "cores", cores)
         const, rate = sw.u_fro * sw.uinv_fro, sw.rho
     if flavor == "empirical_mean" and model.noise.family == "gaussian":
         avg_val, _ = _once(model, ("averaged", n, p, mc_seed), lambda: model.noise.averaged(
             n).abs_moment_sigma(model.Sigma, p, seed=mc_seed))
         exact_n = star.K_d * avg_val ** (1.0 / p)
     reports = []
-    for t, low, high in zip(ts, lows, highs):
+    for t, (low, high) in zip(ts, rows):
         lower, mean_b = weight * low, weight * high
         upper_a = weight * const * rate**t * start
         noise_b = star.K_d * mp_root * s ** (t + 1) / root_p

@@ -573,7 +573,8 @@ class StateSpaceModel:
             raise ValueError("Q and Sigma must be d x d")
         if self.noise.dim != self.d:
             raise ValueError("noise dimension must match the state dimension")
-        object.__setattr__(self, "_bound_constants", {})  # kept by ``bounds._once``
+        # kept by ``bounds``: the constants of ``_once``, the Neumann sums, the last start's rows
+        object.__setattr__(self, "_bound_constants", {})
 
     @cached_property
     def noise_cov(self) -> np.ndarray:

@@ -12,7 +12,6 @@ step rather than O(n d horizon).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -104,14 +103,14 @@ def _legs(steps: list, exact: bool) -> list:
 
 
 def _transitions(model: StateSpaceModel, gaps) -> dict:
-    """``{k: ((Q^k)^T, b_k, F_k^T)}`` for the increasing ``gaps``: with Gaussian noise,
-    ``X_{s+k}`` given ``X_s`` is ``N(Q^k X_s + b_k, C_k)`` with ``F_k F_k^T = C_k``.  The
-    Neumann sums of :func:`bounds.law_at` give ``b_k`` and ``C_k`` without the cancellation
-    of ``Sigma_inf - Q^k Sigma_inf Q^kT``."""
-    sums, out, at = _neumann_sums(model), {}, 0
+    """``{k: ((Q^k)^T, b_k, F_k^T)}`` for the ``gaps``: with Gaussian noise, ``X_{s+k}``
+    given ``X_s`` is ``N(Q^k X_s + b_k, C_k)`` with ``F_k F_k^T = C_k``.  The Neumann sums
+    of :func:`bounds.law_at` give ``b_k`` and ``C_k`` without the cancellation of
+    ``Sigma_inf - Q^k Sigma_inf Q^kT``; increasing gaps resume them."""
+    out = {}
     for k in gaps:
-        drift, cov, P = next(itertools.islice(sums, k - at, None))
-        out[k], at = (P.T, drift, psd_factor(cov).T), k + 1
+        drift, cov, P = _neumann_sums(model, k)
+        out[k] = (P.T, drift, psd_factor(cov).T)
     return out
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from ergobound import bounds as bnd
 from ergobound.errors import (
+    DimensionMismatch,
     MomentUnavailable,
     NotDiagonalizable,
     NotPSD,
@@ -734,6 +736,11 @@ def ar40():
     return ar_state_space(0.9 * w / np.abs(w).sum(), None, NoiseSpec.gaussian(0.0, 1.0))
 
 
+def power_rows(m, ts, zs, vs=()):
+    """``bnd._power_rows`` as one ``(len(ts), d)`` array per ``z``, then per ``v``."""
+    return [g[:, j] for g in bnd._power_rows(m, ts, zs, vs) for j in range(g.shape[1])]
+
+
 class TestPowerRows:
     """``_power_rows``: ``Q^t z`` and ``(Q^t)^T v`` through the model's squares."""
 
@@ -743,7 +750,7 @@ class TestPowerRows:
         rng = np.random.default_rng(12)
         zs, vs = tuple(rng.normal(size=(2, m.d))), (rng.normal(size=m.d),)
         ts = np.array([4096, 0, 17, 4095, 17, 1, 2048, 3, 300, 0], dtype=np.int64)
-        rows = bnd._power_rows(m, ts, zs, vs)
+        rows = power_rows(m, ts, zs, vs)
         assert [r.shape for r in rows] == [(len(ts), m.d)] * 3
         for i, t in enumerate(ts):
             P = np.linalg.matrix_power(m.Q, t)
@@ -754,12 +761,12 @@ class TestPowerRows:
                 assert np.linalg.norm(got - want) <= 2.0 * gamma((t + 1) * m.d) * np.linalg.norm(
                     size), t
             # a row's bits do not depend on the other steps
-            alone = bnd._power_rows(m, [ts[i]], zs, vs)
+            alone = power_rows(m, [ts[i]], zs, vs)
             assert [r[i].tobytes() for r in rows] == [r[0].tobytes() for r in alone], t
 
     def test_empty_steps_and_python_integers(self):
         m, z = neumann_models(True)["arma"], np.array([1.0, -2.0, 0.5])
-        assert [r.shape for r in bnd._power_rows(m, [], (z,), (z,))] == [(0, 3), (0, 3)]
+        assert [r.shape for r in bnd._power_rows(m, [], (z,), (z,))] == [(0, 1, 3), (0, 1, 3)]
         assert bnd._power_rows(m, [0], (z,))[0].tobytes() == z.tobytes()
         assert bnd._power_rows(m, [np.int32(9)], (z,))[0].tobytes() == bnd._power_rows(
             m, [9], (z,))[0].tobytes()
@@ -809,8 +816,8 @@ class TestNegativeT:
         m = ar_state_space([1.2, -0.5], None, NoiseSpec.gaussian(0.0, 1.0))
         with pytest.raises(ValueError, match="t must be nonnegative"):
             self.CALLS[name](m, -1)
-        assert [k for k in self.CACHED if k in vars(m)] == []
-        self.CALLS[name](m, 0)  # the same call at t = 0 solves a model-level problem
+        assert [k for k in self.CACHED if k in vars(m)] == [] and m._bound_constants == {}
+        self.CALLS[name](m, 1)  # the same call at t = 1 solves a model-level problem
         assert [k for k in self.CACHED if k in vars(m)] != []
 
     def test_scalar_exact_forms(self):
@@ -946,3 +953,136 @@ class TestSweep:
         assert len(solves) == 2
         assert rows == [bnd.gaussian_affine_bounds(m, np.eye(2), x, 1.5, t) for t in range(11)]
         assert len(solves) == 2
+
+
+def bits(law):
+    return law.mean.tobytes(), law.cov.tobytes()
+
+
+class TestKeptState:
+    """Single-step calls read what the model keeps: the rows of its last start, per step,
+    and its Neumann sums at the last step reached.  They are what a fresh model computes."""
+
+    STEPS = [7, 0, 3, 12, 3, 1, 9, 7, 2, 12]
+
+    @pytest.mark.parametrize("flavor", bnd.FLAVORS)
+    @pytest.mark.parametrize("name", sorted(sweep_models()))
+    def test_single_step_reports_equal_a_fresh_models(self, name, flavor):
+        m, x, v = sweep_models()[name]
+        x = np.asarray(x, dtype=float)
+        options = {**TestSweep.OPTIONS, "v": v}
+        for t in self.STEPS:
+            for start in (x, 0.25 - 0.5 * x):  # alternating starts replace the kept rows
+                got = outcome(lambda: bnd.report(m, flavor, start, 1.5, t, **options))
+                fresh = sweep_models()[name][0]
+                want = outcome(lambda: bnd.report(fresh, flavor, start, 1.5, t, **options))
+                assert repr(got) == repr(want), (t, start)
+        if "start" in m._bound_constants:
+            assert m._bound_constants["start"][0] == (0.25 - 0.5 * x).tobytes()
+
+    @pytest.mark.parametrize("name", ["ar2", "arma", "raw_nonnormal"])
+    def test_law_at_resumes_or_restarts_bit_for_bit(self, name):
+        m = neumann_models(False)[name]
+        rng = np.random.default_rng(8)
+        x, B = rng.normal(size=m.d), rng.normal(size=(1, m.d))
+        for b in (None, B):
+            for t in (5, 5, 3, 9, 0):
+                got = bnd.law_at(m, x, t, b)
+                assert bits(got) == bits(bnd.law_at(neumann_models(False)[name], x, t, b)), t
+                assert got.cov.tobytes() == neumann_oracle(m, x, t, b).cov.tobytes(), t
+            ts = [9, 0, 5, 3, 5, 12]
+            fresh = neumann_models(False)[name]
+            assert [bits(law) for law in bnd._laws(m, x, ts, b)] == [
+                bits(bnd.law_at(fresh, x, t, b)) for t in ts]
+
+    def test_kept_arrays_are_read_only(self):
+        m, x = neumann_models(False)["ar2"], np.array([1.0, -2.0])
+        law = bnd.law_at(m, x, 4)
+        bnd.gaussian_affine_bounds(m, None, x, 2.0, 4)
+        at, *sums = m._bound_constants["neumann"]
+        rows = m._bound_constants["start"][1]
+        assert at == 4 and {kind for kind, _ in rows} == {"x", "gap"}
+        for kept in (*sums, *rows.values()):
+            assert not kept.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sums[1][0, 0] = 1.0
+        law.mean[:], law.cov[:] = 7.0, 7.0  # the caller's copies
+        assert bits(bnd.law_at(m, x, 4)) == bits(bnd.law_at(neumann_models(False)["ar2"], x, 4))
+
+    def test_a_long_single_step_loop_keeps_a_bounded_number_of_rows(self):
+        m, x = neumann_models(True)["arma"], np.array([1.0, -2.0, 0.5])
+        fresh = neumann_models(True)["arma"]
+        for t in range(3 * bnd._KEPT_ROWS // 2):
+            rep = bnd.generic_bounds(m, x, 2.0, t)
+            assert 1 <= len(m._bound_constants["start"][1]) <= bnd._KEPT_ROWS
+        assert repr(rep) == repr(bnd.generic_bounds(fresh, x, 2.0, t))
+
+    def test_sweeps_keep_nothing_and_the_sums_stay_quadratic(self):
+        m, T = ar40(), 20_000
+        x = np.eye(m.d)[0]
+        for flavor in ("generic", "gauss_affine"):  # the constants and squares, kept
+            bnd.report(m, flavor, x, 2.0, T - 1)
+            bnd.sweep(m, flavor, x, 2.0, range(100))  # and the interpreter's free lists filled
+        kept = dict(m._bound_constants["start"][1])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for flavor in ("generic", "gauss_affine"):
+                assert len(bnd.sweep(m, flavor, x, 2.0, range(T))) == T
+            swept = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            bnd._neumann_sums(m, 2000)
+            summed, peak = (n - base for n in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert m._bound_constants["start"][1] == kept
+        assert swept < 32 * 1024  # one float per step would take 160 kB
+        # drift, cov and Q^t: d + 2 d^2 floats; a list of steps would take 2000 d^2
+        assert m._bound_constants["neumann"][0] == 2000
+        assert summed < 3 * m.d * m.d * 8 and peak < 10 * m.d * m.d * 8
+
+
+class TestStartChecked:
+    """Every flavor and ``law_at`` check the start once: ``DimensionMismatch`` for another
+    length, ``ValueError`` for a non-finite entry, before any bound is evaluated."""
+
+    CALLS = {
+        **{flavor: lambda m, x, f=flavor: bnd.report(m, f, x, 2.0, 3, v=V_NEG, n_copies=3)
+           for flavor in bnd.FLAVORS},
+        "law_at": lambda m, x: bnd.law_at(m, x, 3),
+        "law_at_b": lambda m, x: bnd.law_at(m, x, 3, B=np.ones((1, m.d))),
+        "gaussian_affine_bounds": lambda m, x: bnd.gaussian_affine_bounds(m, None, x, 2.0, 3),
+        "generic_bounds": lambda m, x: bnd.generic_bounds(m, x, 2.0, 3),
+    }
+
+    @staticmethod
+    def model(name):
+        return ar1(0.5) if name == "exact_ar1" else ar_state_space([1.2, -0.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_non_finite_start_rejected(self, name, bad):
+        m = self.model(name)
+        x = [bad] + [0.0] * (m.d - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="x must be finite"):
+                self.CALLS[name](m, x)
+        assert m._bound_constants == {}
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_wrong_length_rejected(self, name):
+        m = self.model(name)
+        for x in ([1.0] * (m.d + 1), np.ones((1, m.d)), [[]]):
+            with pytest.raises(DimensionMismatch, match=f"x must have length d = {m.d}"):
+                self.CALLS[name](m, x)
+        assert m._bound_constants == {}
+
+    def test_overflowing_tail_refused_before_the_stein_solve(self):
+        # the t_sweep AR(100): C_star**2 overflows, so no Sigma_inf is solved for it
+        w = np.random.default_rng(100).uniform(-1.0, 1.0, 100)
+        m = ar_state_space(0.9 * w / np.abs(w).sum(), None, NoiseSpec.gaussian(0.0, 1.0))
+        with pytest.raises(OverflowError):
+            bnd.gaussian_affine_bounds(m, None, np.zeros(m.d), 2.0, 5)
+        assert "stationary_cov" not in vars(m) and "lambda_min" not in vars(m)

@@ -668,16 +668,16 @@ class TestValidate:
 
 
     def test_exact_column_is_one_neumann_sweep(self, capsys, count_calls, monkeypatch):
-        # the exact Gaussian column advances one Neumann sweep through t = 0..t_max
+        # the exact Gaussian column resumes the model's Neumann sums through t = 0..t_max
         # instead of restarting the sum on every row
         from ergobound import bounds as bnd
 
-        law_at_calls, advances, sweep = count_calls("law_at"), [], bnd._neumann_sums
+        law_at_calls, advances, sums = count_calls("law_at"), [], bnd._neumann_sums
 
-        def counted(model):
-            for sums in sweep(model):
-                advances.append(1)
-                yield sums
+        def counted(model, t):
+            at = model._bound_constants.get("neumann", (0,))[0]
+            advances.append(t - at if at <= t else t)
+            return sums(model, t)
 
         monkeypatch.setattr(bnd, "_neumann_sums", counted)
         code, out, err = run(capsys, "validate", "--flavor", "gauss_affine", "--phi", "1.2,-0.5",
@@ -685,7 +685,7 @@ class TestValidate:
         assert code in (0, 5), err
         assert len(out.strip().splitlines()) == 202
         assert law_at_calls == []
-        assert len(advances) == 201
+        assert len(advances) == 201 and sum(advances) == 200
 
 
     @pytest.mark.parametrize("argv", [

@@ -270,6 +270,23 @@ class TestExactGaussianDraws:
             np.testing.assert_allclose(Ft.T @ Ft, law.cov, rtol=0, atol=tol)
             np.testing.assert_allclose(Pt.T, np.linalg.matrix_power(m.Q, k), rtol=1e-13)
 
+    @pytest.mark.parametrize("case", sorted(EXACT_CASES))
+    def test_draws_do_not_depend_on_the_kept_neumann_sums(self, case):
+        # the jumps read the model's Neumann sums wherever an earlier call left them:
+        # past every gap (a restart), or before them (a resumption)
+        make, x, _ = EXACT_CASES[case]
+        config, times = SimConfig(n_paths=64, horizon=40, seed=9), (0, 2, 7, 40)
+        want = simulate_paths(make(), x, config, times=times).samples.tobytes()
+        for left_at in (60, 3):
+            m = make()
+            bnd.law_at(m, x, left_at)
+            assert simulate_paths(m, x, config, times=times).samples.tobytes() == want
+            assert m._bound_constants["neumann"][0] == 33  # the longest jump, 7 -> 40
+        m, fresh = make(), sim._transitions(make(), [2, 5, 38])
+        for k, jump in sim._transitions(m, [38, 2, 5]).items():
+            assert [a.tobytes() for a in jump] == [a.tobytes() for a in fresh[k]], k
+            assert not any(a.flags.writeable for a in jump[:2])
+
     def test_factor_residual_on_a_badly_scaled_model(self):
         # |Sigma_inf| about 1e10 with eigenvalues down to 1.3
         Q = [[0.95, 4000.0, 0.0], [0.0, 0.9, 0.0], [0.0, 0.0, 0.5]]
