@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,8 +224,7 @@ def _start(model: StateSpaceModel, x) -> np.ndarray:
     x = _vec(x)
     if x.shape != (model.d,):
         raise DimensionMismatch(f"x must have length d = {model.d}, got shape {x.shape}")
-    kept = model._bound_constants.get("start", (None,))[0]  # a start that passed already
-    if kept != x.tobytes() and not np.isfinite(x).all():
+    if not np.isfinite(x).all():
         raise ValueError("x must be finite")
     return x
 
@@ -233,24 +233,29 @@ def _start(model: StateSpaceModel, x) -> np.ndarray:
 # floats for each of these, not for each of its steps
 _KEPT_ROWS = 1024
 
+# the last single-step call's (weak reference to its model, start bytes, {(kind, t): rows});
+# one slot for the process, so a program that holds many models keeps the rows of one
+_LAST_START: list = [(None, None, {})]
+
 
 def _per_step(model: StateSpaceModel, x: np.ndarray, ts: list, kind: str, compute):
     """``compute()``, the ``kind`` rows at start ``x`` for the steps ``ts``.
 
-    A single step's rows are kept on the model for the last start only: single-step
-    calls at one ``(x, t)`` compute them once, and a call at another start replaces the
-    rows of the one before, as does the row past ``_KEPT_ROWS``.  A sweep computes its
-    rows and keeps none.
+    A single step's rows are kept for the last model and start only: single-step calls
+    at one ``(x, t)`` compute them once, and a call at another model or start replaces
+    the rows of the one before, as does the row past ``_KEPT_ROWS``.  A sweep computes
+    its rows and keeps none.
     """
     if len(ts) != 1:
         return compute()
-    kept, key, start = model._bound_constants, (kind, operator.index(ts[0])), x.tobytes()
-    last = kept.get("start")
-    if last is None or last[0] != start or len(last[1]) >= _KEPT_ROWS:
-        last = kept["start"] = (start, {})
-    if key not in last[1]:
-        last[1][key] = compute()
-    return last[1][key]
+    key, start = (kind, operator.index(ts[0])), x.tobytes()
+    ref, kept, rows = _LAST_START[0]
+    if ref is None or ref() is not model or kept != start or len(rows) >= _KEPT_ROWS:
+        rows = {}
+        _LAST_START[0] = (weakref.ref(model), start, rows)
+    if key not in rows:
+        rows[key] = compute()
+    return rows[key]
 
 
 def _power_rows(model: StateSpaceModel, ts: list, zs, vs=()) -> list[np.ndarray]:
@@ -259,25 +264,15 @@ def _power_rows(model: StateSpaceModel, ts: list, zs, vs=()) -> list[np.ndarray]
 
     Bit ``k`` of ``t`` multiplies a row by ``Q^(2^k)``, the squares kept on the model, so
     a row costs O(d^2 log t) and no ``Q^t`` is formed.  Each step makes its own stacked
-    product per level, so its bits do not depend on the other steps of ``ts``; a single
-    step makes them as plain ``(len(group), d)`` products, which round alike.
+    product per level, so its bits do not depend on the other steps of ``ts``.
     """
     ts = [operator.index(t) for t in ts]  # integer steps, as matrix_power takes
     levels = max(ts, default=0).bit_length()
     ladder = _once(model, ("power_ladder",), lambda: [model.Q])
     while len(ladder) < levels:
         ladder.append(ladder[-1] @ ladder[-1])
-    groups = [(np.array(g, dtype=float), transpose)
+    stacks = [[np.array(g, dtype=float)[None].repeat(len(ts), axis=0), transpose]
               for g, transpose in ((zs, True), (vs, False)) if len(g)]
-    if len(ts) == 1:  # plain products, without the stack and its gathers
-        out = []
-        for rows, transpose in groups:
-            for k in range(levels):
-                if ts[0] >> k & 1:
-                    rows = rows @ (ladder[k].T if transpose else ladder[k])
-            out.append(rows[None])
-        return out
-    stacks = [[rows[None].repeat(len(ts), axis=0), transpose] for rows, transpose in groups]
     for k in range(levels):
         hit = [i for i, t in enumerate(ts) if t >> k & 1]
         for stack in stacks if hit else ():
@@ -398,6 +393,8 @@ def _gaussian(model, flavor, x, r, ts, star, B, v, mode) -> list[BoundReport]:
             raise ValueError("v must be a unit vector")
     if flavor == "sliced_gauss" and model.d < 2:
         raise ValueError("sliced bounds need dimension at least 2")
+    if flavor == "sliced_gauss" and mode not in ("as_printed", "jensen_consistent"):
+        raise ValueError(f"unknown mode {mode!r}")
     if flavor == "gauss_affine":
         k = model.d if B is None else B.shape[0]
     star = _star(model, star)
@@ -414,8 +411,6 @@ def _gaussian(model, flavor, x, r, ts, star, B, v, mode) -> list[BoundReport]:
         details = {"hemmen_ando_constant": "1/sqrt(lambda_minus)"}
     if flavor == "sliced_gauss":
         c_tilde = sphere_moment_ratio(model.d, r)
-        if mode not in ("as_printed", "jensen_consistent"):
-            raise ValueError(f"unknown mode {mode!r}")
         mean_const = c_tilde if mode == "as_printed" else c_tilde ** (1.0 / r)
         details = {"mode": mode, "moment_ratio": c_tilde}
     gap = _per_step(model, x, ts, "gap", lambda: _read_only(

@@ -573,7 +573,7 @@ class StateSpaceModel:
             raise ValueError("Q and Sigma must be d x d")
         if self.noise.dim != self.d:
             raise ValueError("noise dimension must match the state dimension")
-        # kept by ``bounds``: the constants of ``_once``, the Neumann sums, the last start's rows
+        # kept by ``bounds``: the constants of ``_once`` and the Neumann sums
         object.__setattr__(self, "_bound_constants", {})
 
     @cached_property

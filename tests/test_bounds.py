@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 import warnings
@@ -960,10 +961,18 @@ def bits(law):
 
 
 class TestKeptState:
-    """Single-step calls read what the model keeps: the rows of its last start, per step,
-    and its Neumann sums at the last step reached.  They are what a fresh model computes."""
+    """Single-step calls read what is kept: the rows of the last model and start, per step,
+    and each model's Neumann sums at the last step reached.  They are what a fresh model
+    computes."""
 
     STEPS = [7, 0, 3, 12, 3, 1, 9, 7, 2, 12]
+
+    @staticmethod
+    def fresh_reports(name, calls):
+        """``repr`` of each ``(start, t, flavor, options)`` report on a fresh model."""
+        return [repr(outcome(lambda: bnd.report(sweep_models()[name][0], flavor, start, 1.5, t,
+                                                **options)))
+                for start, t, flavor, options in calls]
 
     @pytest.mark.parametrize("flavor", bnd.FLAVORS)
     @pytest.mark.parametrize("name", sorted(sweep_models()))
@@ -971,14 +980,35 @@ class TestKeptState:
         m, x, v = sweep_models()[name]
         x = np.asarray(x, dtype=float)
         options = {**TestSweep.OPTIONS, "v": v}
-        for t in self.STEPS:
-            for start in (x, 0.25 - 0.5 * x):  # alternating starts replace the kept rows
-                got = outcome(lambda: bnd.report(m, flavor, start, 1.5, t, **options))
-                fresh = sweep_models()[name][0]
-                want = outcome(lambda: bnd.report(fresh, flavor, start, 1.5, t, **options))
-                assert repr(got) == repr(want), (t, start)
-        if "start" in m._bound_constants:
-            assert m._bound_constants["start"][0] == (0.25 - 0.5 * x).tobytes()
+        # repeated steps at one start read the kept rows; the second start replaces them
+        calls = [(start, t, flavor, options) for start in (x, 0.25 - 0.5 * x) for t in self.STEPS]
+        got = [repr(outcome(lambda: bnd.report(m, flavor, start, 1.5, t, **options)))
+               for start, t, _, _ in calls]
+        assert got == self.fresh_reports(name, calls)
+
+    @pytest.mark.parametrize("name", sorted(sweep_models()))
+    def test_flavors_at_one_start_share_its_rows(self, name):
+        m, x, v = sweep_models()[name]
+        options = {**TestSweep.OPTIONS, "v": v}
+        calls = [(x, t, flavor, options) for t in self.STEPS for flavor in bnd.FLAVORS]
+        got = [repr(outcome(lambda: bnd.report(m, flavor, x, 1.5, t, **options)))
+               for _, t, flavor, _ in calls]
+        assert got == self.fresh_reports(name, calls)
+
+    def test_one_start_is_kept_for_the_process(self):
+        a, b = (neumann_models(False)["ar2"] for _ in range(2))
+        x = np.array([1.0, -2.0])
+        bnd.generic_bounds(a, x, 2.0, 4)
+        assert bnd._LAST_START[0][0]() is a and ("norms", 4) in bnd._LAST_START[0][2]
+        bnd.generic_bounds(b, x, 2.0, 5)  # another model replaces the rows of the one before
+        ref, start, rows = bnd._LAST_START[0]
+        assert ref() is b and start == x.tobytes() and list(rows) == [("norms", 5)]
+        assert "start" not in a._bound_constants and "start" not in b._bound_constants
+        del b
+        gc.collect()
+        assert bnd._LAST_START[0][0]() is None  # the slot does not keep its model alive
+        assert repr(bnd.generic_bounds(a, x, 2.0, 5)) == repr(
+            bnd.generic_bounds(neumann_models(False)["ar2"], x, 2.0, 5))
 
     @pytest.mark.parametrize("name", ["ar2", "arma", "raw_nonnormal"])
     def test_law_at_resumes_or_restarts_bit_for_bit(self, name):
@@ -1000,7 +1030,7 @@ class TestKeptState:
         law = bnd.law_at(m, x, 4)
         bnd.gaussian_affine_bounds(m, None, x, 2.0, 4)
         at, *sums = m._bound_constants["neumann"]
-        rows = m._bound_constants["start"][1]
+        rows = bnd._LAST_START[0][2]
         assert at == 4 and {kind for kind, _ in rows} == {"x", "gap"}
         for kept in (*sums, *rows.values()):
             assert not kept.flags.writeable
@@ -1014,7 +1044,7 @@ class TestKeptState:
         fresh = neumann_models(True)["arma"]
         for t in range(3 * bnd._KEPT_ROWS // 2):
             rep = bnd.generic_bounds(m, x, 2.0, t)
-            assert 1 <= len(m._bound_constants["start"][1]) <= bnd._KEPT_ROWS
+            assert 1 <= len(bnd._LAST_START[0][2]) <= bnd._KEPT_ROWS
         assert repr(rep) == repr(bnd.generic_bounds(fresh, x, 2.0, t))
 
     def test_sweeps_keep_nothing_and_the_sums_stay_quadratic(self):
@@ -1023,7 +1053,7 @@ class TestKeptState:
         for flavor in ("generic", "gauss_affine"):  # the constants and squares, kept
             bnd.report(m, flavor, x, 2.0, T - 1)
             bnd.sweep(m, flavor, x, 2.0, range(100))  # and the interpreter's free lists filled
-        kept = dict(m._bound_constants["start"][1])
+        kept = dict(bnd._LAST_START[0][2])
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -1036,7 +1066,7 @@ class TestKeptState:
             summed, peak = (n - base for n in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        assert m._bound_constants["start"][1] == kept
+        assert bnd._LAST_START[0][2] == kept
         assert swept < 32 * 1024  # one float per step would take 160 kB
         # drift, cov and Q^t: d + 2 d^2 floats; a list of steps would take 2000 d^2
         assert m._bound_constants["neumann"][0] == 2000
@@ -1086,3 +1116,6 @@ class TestStartChecked:
         with pytest.raises(OverflowError):
             bnd.gaussian_affine_bounds(m, None, np.zeros(m.d), 2.0, 5)
         assert "stationary_cov" not in vars(m) and "lambda_min" not in vars(m)
+        # a bad argument is still reported before the tail's overflow
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            bnd.sliced_gauss_bounds(m, np.zeros(m.d), 2.0, 5, mode="bogus")
