@@ -151,23 +151,28 @@ def law_at(model: StateSpaceModel, x, t: int, B=None) -> GaussianLaw:
     return _laws(model, x, [t], B)[0]
 
 
+# the Neumann sums of the last model asked: (weak reference to it, t, drift, cov, Q^t); one
+# state for the process, so a program that holds many models keeps the sums of one
+_LAST_SUMS: list = [(None, math.inf, None, None, None)]
+
+
 def _neumann_sums(model: StateSpaceModel, t: int) -> tuple:
     """``sum_{j<t} Q^j Sigma E[xi]``, ``sum_{j<t} Q^j Cov(Sigma xi) Q^jT`` and ``Q^t``, read-only.
 
-    The model keeps the three at the last step reached, O(d^2) floats and never a list of
-    steps.  A call at that step or a later one resumes from them, one power per step, so
-    increasing steps to ``T`` cost O(T) products in all; an earlier step starts from 0.
+    The three are kept for the last model asked, at the last step reached: O(d^2) floats
+    and never a list of steps.  A call on that model at that step or a later one resumes
+    from them, one power per step, so increasing steps to ``T`` cost O(T) products in all;
+    an earlier step or another model starts from 0.
     """
-    kept = model._bound_constants
-    at, drift, cov, P = kept.get("neumann", (math.inf, None, None, None))
-    if at > t:
+    ref, at, drift, cov, P = _LAST_SUMS[0]
+    if ref is None or ref() is not model or at > t:
         at, drift, cov, P = 0, np.zeros(model.d), np.zeros((model.d, model.d)), np.eye(model.d)
     if at < t:
         m, V = _once(model, ("neumann_terms",), lambda: (
             model.Sigma @ model.noise.mean_vector(), model.noise_cov))
         for _ in range(t - at):
             drift, cov, P = drift + P @ m, cov + P @ V @ P.T, model.Q @ P
-    kept["neumann"] = (t, _read_only(drift), _read_only(cov), _read_only(P))
+    _LAST_SUMS[0] = (weakref.ref(model), t, _read_only(drift), _read_only(cov), _read_only(P))
     return drift, cov, P
 
 

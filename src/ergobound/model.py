@@ -573,8 +573,7 @@ class StateSpaceModel:
             raise ValueError("Q and Sigma must be d x d")
         if self.noise.dim != self.d:
             raise ValueError("noise dimension must match the state dimension")
-        # kept by ``bounds``: the constants of ``_once`` and the Neumann sums
-        object.__setattr__(self, "_bound_constants", {})
+        object.__setattr__(self, "_bound_constants", {})  # kept by ``bounds._once``
 
     @cached_property
     def noise_cov(self) -> np.ndarray:

@@ -962,8 +962,8 @@ def bits(law):
 
 class TestKeptState:
     """Single-step calls read what is kept: the rows of the last model and start, per step,
-    and each model's Neumann sums at the last step reached.  They are what a fresh model
-    computes."""
+    and the last model's Neumann sums at the last step reached.  They are what a fresh
+    model computes."""
 
     STEPS = [7, 0, 3, 12, 3, 1, 9, 7, 2, 12]
 
@@ -995,20 +995,26 @@ class TestKeptState:
                for _, t, flavor, _ in calls]
         assert got == self.fresh_reports(name, calls)
 
-    def test_one_start_is_kept_for_the_process(self):
+    def test_one_model_is_kept_for_the_process(self):
         a, b = (neumann_models(False)["ar2"] for _ in range(2))
         x = np.array([1.0, -2.0])
         bnd.generic_bounds(a, x, 2.0, 4)
-        assert bnd._LAST_START[0][0]() is a and ("norms", 4) in bnd._LAST_START[0][2]
-        bnd.generic_bounds(b, x, 2.0, 5)  # another model replaces the rows of the one before
+        bnd.law_at(a, x, 6)
+        assert bnd._LAST_START[0][0]() is a and bnd._LAST_SUMS[0][0]() is a
+        # another model replaces the rows and the Neumann sums of the one before
+        bnd.generic_bounds(b, x, 2.0, 5)
+        bnd.law_at(b, x, 3)
         ref, start, rows = bnd._LAST_START[0]
-        assert ref() is b and start == x.tobytes() and list(rows) == [("norms", 5)]
-        assert "start" not in a._bound_constants and "start" not in b._bound_constants
+        assert ref() is b and start == x.tobytes() and set(rows) == {("norms", 5), ("x", 3)}
+        assert bnd._LAST_SUMS[0][0]() is b and bnd._LAST_SUMS[0][1] == 3
         del b
         gc.collect()
-        assert bnd._LAST_START[0][0]() is None  # the slot does not keep its model alive
-        assert repr(bnd.generic_bounds(a, x, 2.0, 5)) == repr(
-            bnd.generic_bounds(neumann_models(False)["ar2"], x, 2.0, 5))
+        # the slots do not keep their model alive
+        assert bnd._LAST_START[0][0]() is None and bnd._LAST_SUMS[0][0]() is None
+        want = [bnd.law_at(neumann_models(False)["ar2"], x, 9),
+                bnd.generic_bounds(neumann_models(False)["ar2"], x, 2.0, 5)]
+        assert bits(bnd.law_at(a, x, 9)) == bits(want[0])
+        assert repr(bnd.generic_bounds(a, x, 2.0, 5)) == repr(want[1])
 
     @pytest.mark.parametrize("name", ["ar2", "arma", "raw_nonnormal"])
     def test_law_at_resumes_or_restarts_bit_for_bit(self, name):
@@ -1029,7 +1035,7 @@ class TestKeptState:
         m, x = neumann_models(False)["ar2"], np.array([1.0, -2.0])
         law = bnd.law_at(m, x, 4)
         bnd.gaussian_affine_bounds(m, None, x, 2.0, 4)
-        at, *sums = m._bound_constants["neumann"]
+        _, at, *sums = bnd._LAST_SUMS[0]
         rows = bnd._LAST_START[0][2]
         assert at == 4 and {kind for kind, _ in rows} == {"x", "gap"}
         for kept in (*sums, *rows.values()):
@@ -1069,7 +1075,7 @@ class TestKeptState:
         assert bnd._LAST_START[0][2] == kept
         assert swept < 32 * 1024  # one float per step would take 160 kB
         # drift, cov and Q^t: d + 2 d^2 floats; a list of steps would take 2000 d^2
-        assert m._bound_constants["neumann"][0] == 2000
+        assert bnd._LAST_SUMS[0][1] == 2000
         assert summed < 3 * m.d * m.d * 8 and peak < 10 * m.d * m.d * 8
 
 

@@ -668,14 +668,15 @@ class TestValidate:
 
 
     def test_exact_column_is_one_neumann_sweep(self, capsys, count_calls, monkeypatch):
-        # the exact Gaussian column resumes the model's Neumann sums through t = 0..t_max
+        # the exact Gaussian column resumes the kept Neumann sums through t = 0..t_max
         # instead of restarting the sum on every row
         from ergobound import bounds as bnd
 
         law_at_calls, advances, sums = count_calls("law_at"), [], bnd._neumann_sums
 
         def counted(model, t):
-            at = model._bound_constants.get("neumann", (0,))[0]
+            ref, at = bnd._LAST_SUMS[0][:2]
+            at = at if ref is not None and ref() is model else 0
             advances.append(t - at if at <= t else t)
             return sums(model, t)
 

@@ -272,7 +272,7 @@ class TestExactGaussianDraws:
 
     @pytest.mark.parametrize("case", sorted(EXACT_CASES))
     def test_draws_do_not_depend_on_the_kept_neumann_sums(self, case):
-        # the jumps read the model's Neumann sums wherever an earlier call left them:
+        # the jumps read the kept Neumann sums wherever an earlier call left them:
         # past every gap (a restart), or before them (a resumption)
         make, x, _ = EXACT_CASES[case]
         config, times = SimConfig(n_paths=64, horizon=40, seed=9), (0, 2, 7, 40)
@@ -281,7 +281,7 @@ class TestExactGaussianDraws:
             m = make()
             bnd.law_at(m, x, left_at)
             assert simulate_paths(m, x, config, times=times).samples.tobytes() == want
-            assert m._bound_constants["neumann"][0] == 33  # the longest jump, 7 -> 40
+            assert bnd._LAST_SUMS[0][1] == 33  # the longest jump, 7 -> 40
         m, fresh = make(), sim._transitions(make(), [2, 5, 38])
         for k, jump in sim._transitions(m, [38, 2, 5]).items():
             assert [a.tobytes() for a in jump] == [a.tobytes() for a in fresh[k]], k
