@@ -49,13 +49,14 @@ def format_17g(values) -> np.ndarray:
     with np.errstate(all="ignore"):
         a = np.abs(v)
         # fmax/fmin map a NaN scale to 0, which leaves NaN out of range
-        e = np.fmin(np.fmax(16 - np.floor(np.log10(a)), 0), 23).astype(np.intp)
+        e = np.fmin(np.fmax(16 - np.floor(np.log10(a)), 0), 23).astype(np.uint8)
         ah, al = _split(a)
         hi = a * _POW10[e]
         bh, bl = _POW10_HI[e], _POW10_LO[e]
         lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
         exact = (hi > 1e16) & (hi < 1e17)
         n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    del a, ah, al, hi, bh, bl, lo  # so the formatter holds a few arrays of n values at a time
     # the 17 digits after a leading 0, as three groups of six split by int32 division
     top = n // 10**12
     rest = n - top * 10**12
@@ -68,7 +69,6 @@ def format_17g(values) -> np.ndarray:
         groups = q
     digits = digits.reshape(18, v.size)[1:]
     last = (_COL[1:] * (digits != 0)).max(axis=0, initial=0)  # up to the last nonzero digit
-    e = e.astype(np.uint8)
     shown = np.maximum(last, _INT_DIGITS[e])
     point = _POINT[e]
     digits += 48
@@ -77,10 +77,10 @@ def format_17g(values) -> np.ndarray:
     cells[0] = v < 0
     cells[0] *= 45  # "-"
     cells[1:6] = _PREFIX_CHARS * ((e >= _PREFIX_FROM) & (e <= 20))
-    before = _COL[:17] <= point
-    cells[6:23] = digits * before
+    np.multiply(digits, _COL[:17] <= point, out=cells[6:23])  # the digits before the point
+    digits -= cells[6:23]  # and those after it, one cell to the right
     cells[23] = 0
-    cells[7:24] += digits * ~before
+    cells[7:24] += digits
     dot = np.flatnonzero(shown > point + 1)
     cells[point[dot] + 7, dot] = 46  # "."
     expo = e > 20

@@ -148,13 +148,13 @@ def _manifest(command: str, model: StateSpaceModel | None, args, keys) -> dict:
 
 
 def _write_lines(path: str | None, chunks, manifest: dict) -> None:
-    """Each text chunk of the iterable ``chunks`` and a newline, to ``path`` (stdout
-    when None) as it comes; a file gets the manifest beside it."""
+    """Each text chunk of ``chunks`` and a newline, to ``path`` (stdout when None) as it
+    comes, none held while the next is made; a file gets the manifest beside it."""
     if path is None:
-        sys.stdout.writelines(chunk + "\n" for chunk in chunks)
+        sys.stdout.writelines(map("{}\n".format, chunks))
         return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(chunk + "\n" for chunk in chunks)
+        fh.writelines(map("{}\n".format, chunks))
     with open(path + ".manifest.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -338,6 +338,7 @@ def _simulate_chunks(samples: np.ndarray, times):
             heads = np.maximum.accumulate(chains * np.arange(len(chains))[:, None], axis=0)
             source = (heads * (d + 1) + np.arange(d + 1)).ravel()[copied]
             cell_items[copied // d, copied % d] = cell_items[source // d, source % d]
+            del chains, heads, source  # not held while the next chunk is formatted
         yield block[:n].tobytes().translate(None, b"\0")[:-1].decode("ascii")
 
 

@@ -205,15 +205,15 @@ def _student_log_laplace(df: float, z: np.ndarray) -> np.ndarray:
     return np.log(sum(wj / np.sqrt(1.0 + z * cj) for wj, cj in zip(w / w.sum(), 2.0 * np.exp(-y))))
 
 
-def _mc_abs_moment(draw, Sigma, p, n, seed) -> tuple[float, float]:
-    """Seeded Monte Carlo ``(E|Sigma xi|**p, stderr)`` over the ``MOMENTS`` blocks; their
-    counts, means and centered sums of squares merge in block order by the pairwise update of
-    Chan, Golub & LeVeque (1979), so no bit depends on the worker count."""
+def _mc_abs_moment(draw, loading, p, n, seed) -> tuple[float, float]:
+    """Seeded Monte Carlo ``(E|eta @ loading|**p, stderr)`` over the drivers ``eta`` of the
+    ``MOMENTS`` blocks; their counts, means and centered sums of squares merge in block order by
+    the pairwise update of Chan, Golub & LeVeque (1979), so no bit depends on the worker count."""
     if n < 2:
         raise ValueError("Monte Carlo moments need at least two draws")
 
     def run(rng, lo: int, hi: int) -> tuple[int, float, float]:
-        vals = np.linalg.norm(draw(rng, hi - lo) @ Sigma.T, axis=1)
+        vals = np.linalg.norm(draw(rng, hi - lo) @ loading, axis=1)
         if p != 1:
             vals **= p
         block_mean = float(vals.mean())
@@ -434,10 +434,7 @@ class NoiseSpec:
 
     def mean_vector(self) -> np.ndarray:
         self._require_moment(1)
-        m = self._law.mean(self.params)
-        if self.is_scalar_driven:
-            return m * self.direction
-        return np.broadcast_to(m, self.dim).copy()
+        return np.broadcast_to(self._law.mean(self.params), len(self.loading)) @ self.loading
 
     def covariance(self) -> np.ndarray:
         self._require_moment(2)
@@ -448,16 +445,18 @@ class NoiseSpec:
             return self.params["cov"].copy()
         return np.diag(np.broadcast_to(self._law.var(self.params), self.dim))
 
+    @cached_property
+    def loading(self) -> np.ndarray:
+        """The ``(k, dim)`` matrix ``G`` that turns ``k`` drivers into one noise vector."""
+        return _read_only(self.direction[None, :] if self.is_scalar_driven else np.eye(self.dim))
+
     def sampler(self):
-        """Return ``draw(rng, n) -> (n, dim)`` with any factorization precomputed."""
-        prm, d, draw = self.params, self.dim, self._law.draw
-        if self.is_scalar_driven:
-            u = self.direction
-            return lambda rng, n: draw(rng, prm, n)[:, None] * u
-        if self.family != "gaussian":
-            return lambda rng, n: draw(rng, prm, (n, d))
+        """Return ``draw(rng, n) -> (n, k)`` driver values, any factorization precomputed."""
+        prm, k, draw = self.params, len(self.loading), self._law.draw
+        if self.family != "gaussian" or self.is_scalar_driven:
+            return lambda rng, n: draw(rng, prm, (n, k))
         factor, mean = psd_factor(prm["cov"]), prm["mean"]
-        return lambda rng, n: mean + rng.standard_normal((n, d)) @ factor.T
+        return lambda rng, n: mean + rng.standard_normal((n, k)) @ factor.T
 
     def abs_moment_sigma(
         self, Sigma, p: float, mc_draws: int = 10**6, seed: int = 0
@@ -484,7 +483,8 @@ class NoiseSpec:
             cache[key] = None if exact is None else (exact, 0.0)
         mc_key = key + (mc_draws, seed)
         if cache[key] is None and mc_key not in cache:
-            cache[mc_key] = _mc_abs_moment(self.sampler(), Sigma, p, mc_draws, seed)
+            cache[mc_key] = _mc_abs_moment(self.sampler(), (Sigma @ self.loading.T).T, p,
+                                           mc_draws, seed)
         return cache[key] or cache[mc_key]
 
     def moment_root(self, Sigma, p: float, seed: int = 0) -> tuple[float, float]:
@@ -579,6 +579,11 @@ class StateSpaceModel:
     def noise_cov(self) -> np.ndarray:
         """``Sigma Cov(xi) Sigma^T``, the covariance of one noise increment."""
         return _read_only(self.Sigma @ self.noise.covariance() @ self.Sigma.T)
+
+    @cached_property
+    def noise_loading(self) -> np.ndarray:
+        """``G Sigma^T``, ``G`` the noise ``loading``: drivers ``eta`` add ``eta @ G Sigma^T``."""
+        return _read_only(self.Sigma @ self.noise.loading.T).T  # laid out as Sigma.T
 
     @cached_property
     def schur(self) -> SchurForm:

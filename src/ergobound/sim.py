@@ -5,9 +5,9 @@ truncated series with an explicit tail-bias budget) and the empirical-mean
 process.  Paths and stationary draws run in the fixed, separately keyed
 Philox blocks of ``_pool.run_blocks``, so ensembles are bit-reproducible
 regardless of how blocks are scheduled across workers.  ``ERGOBOUND_THREADS``
-caps the worker count (``_pool.worker_count``).  Noise is drawn step-major in
-bounded chunks as the recursion advances, so memory is O(n d) per kept time
-step rather than O(n d horizon).
+caps the worker count (``_pool.worker_count``).  Noise is ``k`` drivers ``eta``
+per path and step (one for AR/ARMA), drawn step-major in bounded chunks and
+applied as ``eta @ model.noise_loading``: O(n d) memory per kept step, not O(n d T).
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from ._pool import PATHS, STATIONARY, run_blocks
-from .bounds import _neumann_sums
+from .bounds import _neumann_sums, _star, _start
 from .errors import MomentUnavailable
 from .linalg import StarNorm, psd_factor
 from .model import StateSpaceModel, model_digest
@@ -31,30 +32,20 @@ __all__ = [
     "empirical_mean_process",
 ]
 
-# Noise values drawn per chunk.  Split draws from one stream equal a single
+# Driver values drawn per chunk.  Split draws from one stream equal a single
 # concatenated draw, so this bounds memory without changing any number.
-_CHUNK_VALUES = 1 << 16
+_CHUNK_VALUES = 1 << 14
 
 # The empirical mean's own recursion must hold to this much of the path magnitude.
 _MEAN_RECURSION_TOL = 1e-12
 
 
-def _noise_steps(draw, rng: np.random.Generator, m: int, steps: int, d: int):
-    """Yield ``steps`` successive ``(m, d)`` noise draws, fetched in bounded chunks."""
-    per_chunk = max(1, _CHUNK_VALUES // (m * d))
+def _noise_steps(draw, rng: np.random.Generator, m: int, steps: int, k: int):
+    """Yield ``steps`` successive ``(m, k)`` driver draws, fetched in bounded chunks."""
+    per_chunk = max(1, _CHUNK_VALUES // (m * k))
     for lo in range(0, steps, per_chunk):
-        k = min(per_chunk, steps - lo)
-        yield from draw(rng, k * m).reshape(k, m, d)
-
-
-def _checked_start(model: StateSpaceModel, x, horizon: int) -> np.ndarray:
-    """The start ``x`` as a float vector, after the checks every path run makes."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[0] != model.d:
-        raise ValueError("x must have length d")
-    return x
+        n = min(per_chunk, steps - lo)
+        yield from draw(rng, n * m).reshape(n, m, k)
 
 
 @dataclass(frozen=True)
@@ -68,6 +59,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
+        if self.horizon < 1:
+            raise ValueError("horizon must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -124,7 +117,7 @@ def simulate_paths(
     at most once, in any order).  With Gaussian noise a gap of ``k >= 2``
     steps between kept steps is one exact draw of ``N(Q^k X_s + b_k, C_k)``.
     """
-    x = _checked_start(model, x, config.horizon)
+    x = _start(model, x)  # every bound's start check
     keep = tuple(range(config.horizon + 1)) if times is None else tuple(times)
     if any(t < 0 or t > config.horizon for t in keep):
         raise ValueError("times must lie in 0..horizon")
@@ -135,7 +128,7 @@ def simulate_paths(
     legs = _legs(sorted(keep), model.noise.family == "gaussian")
     jumps = _transitions(model, sorted({stop - start for start, stop, jump in legs if jump}))
     draw = model.noise.sampler()
-    Qt, St = model.Q.T, model.Sigma.T
+    Qt, Gt = model.Q.T, model.noise_loading
 
     def run(rng, lo: int, hi: int) -> None:
         state = np.tile(x, (hi - lo, 1))
@@ -147,9 +140,9 @@ def simulate_paths(
                 state = state @ Pt + b + rng.standard_normal((hi - lo, model.d)) @ Ft
                 out[lo:hi, col[stop], :] = state
                 continue
-            steps = _noise_steps(draw, rng, hi - lo, stop - start, model.d)
-            for t, xi in enumerate(steps, start=start + 1):
-                state = state @ Qt + xi @ St
+            steps = _noise_steps(draw, rng, hi - lo, stop - start, len(Gt))
+            for t, eta in enumerate(steps, start=start + 1):
+                state = state @ Qt + eta @ Gt
                 if t in col:
                     out[lo:hi, col[t], :] = state
 
@@ -172,7 +165,7 @@ def truncation_horizon(
     model: StateSpaceModel, eps_stat: float, star: StarNorm | None = None
 ) -> int:
     """Least T with tail majorant ``K_d E|Sigma xi| s^{T+1} / (1 - s) <= eps_stat``."""
-    star = star if star is not None else model.star
+    star = _star(model, star)
     if not model.noise.has_moment(1.0):
         raise MomentUnavailable("stationary sampling needs a finite first moment")
     m1, _ = model.noise.moment_root(model.Sigma, 1.0)
@@ -208,7 +201,7 @@ def sample_stationary(
         raise ValueError(f"eps_stat must be positive and finite, got {eps_stat}")
     if not (truncation is None or isinstance(truncation, (int, np.integer)) and truncation >= 0):
         raise ValueError(f"truncation must be a nonnegative integer, got {truncation!r}")
-    star = star if star is not None else model.star
+    star = _star(model, star)
     exact = truncation is None and model.noise.family == "gaussian"
     out = np.empty((n, 1, model.d))
     if exact:
@@ -218,18 +211,18 @@ def sample_stationary(
             out[lo:hi, 0, :] = mean + rng.standard_normal((hi - lo, model.d)) @ Ft
     else:
         T = truncation if truncation is not None else truncation_horizon(model, eps_stat, star)
-        # stack of (Q^j Sigma)^T for j = 0..T
-        Pt = np.empty((T + 1, model.d, model.d))
-        Pt[0] = model.Sigma.T
+        # (T + 1, k, d) stack of G Sigma^T (Q^T)^j: the drivers of term j add eta @ rows[j]
+        rows = np.empty((T + 1,) + model.noise_loading.shape)
+        rows[0] = model.noise_loading
         for j in range(1, T + 1):
-            Pt[j] = Pt[j - 1] @ model.Q.T
+            rows[j] = rows[j - 1] @ model.Q.T
         draw = model.noise.sampler()
 
         def run(rng, lo: int, hi: int) -> None:
-            acc = np.zeros((hi - lo, model.d))
-            for j, xi in enumerate(_noise_steps(draw, rng, hi - lo, T + 1, model.d)):
-                acc += xi @ Pt[j]
-            out[lo:hi, 0, :] = acc
+            acc = np.zeros((hi - lo, model.d)).T  # Fortran order: dgemm adds in place, no temporary
+            for j, eta in enumerate(_noise_steps(draw, rng, hi - lo, T + 1, len(rows[0]))):
+                acc = dgemm(1.0, rows[j].T, eta.T, 1.0, acc, overwrite_c=True)
+            out[lo:hi, 0, :] = acc.T
 
     run_blocks(n, seed, STATIONARY, run)
     return SampleEnsemble(
@@ -256,37 +249,36 @@ def empirical_mean_process(model: StateSpaceModel, n: int, x, horizon: int,
     The copies are the paths :func:`simulate_paths` draws from the same
     seed with every step kept, drawn step by step for every noise family.
     The empirical mean follows the same recursion driven by the averaged
-    noise; the residual
-    ``max_t |S_{t+1} - Q S_t - Sigma zetabar_{t+1}|`` is checked against
-    ``_MEAN_RECURSION_TOL`` (scaled by the path magnitude) and recorded in
-    provenance.
+    drivers ``zetabar``; the residual
+    ``max_t |S_{t+1} - Q S_t - Sigma G^T zetabar_{t+1}|`` must be at most
+    ``_MEAN_RECURSION_TOL`` (scaled by the path magnitude; a NaN fails) and is
+    recorded in provenance.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    x = _checked_start(model, x, horizon)
+    SimConfig(n, horizon, seed)  # the path count and horizon checks of simulate_paths
+    x = _start(model, x)
     draw = model.noise.sampler()
-    Qt, St = model.Q.T, model.Sigma.T
+    Qt, Gt = model.Q.T, model.noise_loading
 
     def run(rng, lo: int, hi: int):
-        # per-step sums over this block's paths of the states and the noise
+        # per-step sums over this block's paths of the states and the drivers
         state_sum = np.empty((horizon + 1, model.d))
-        noise_sum = np.empty((horizon, model.d))
+        noise_sum = np.empty((horizon, len(Gt)))
         state = np.tile(x, (hi - lo, 1))
         state_sum[0] = state.sum(axis=0)
-        for t, xi in enumerate(_noise_steps(draw, rng, hi - lo, horizon, model.d), start=1):
-            state = state @ Qt + xi @ St
+        for t, eta in enumerate(_noise_steps(draw, rng, hi - lo, horizon, len(Gt)), start=1):
+            state = state @ Qt + eta @ Gt
             state_sum[t] = state.sum(axis=0)
-            noise_sum[t - 1] = xi.sum(axis=0)
+            noise_sum[t - 1] = eta.sum(axis=0)
         return state_sum, noise_sum
 
     sums = run_blocks(n, seed, PATHS, run)
     S = sum(s for s, _ in sums) / n  # (horizon + 1, d)
-    zeta_bar = sum(z for _, z in sums) / n  # (horizon, d)
+    zeta_bar = sum(z for _, z in sums) / n  # (horizon, k)
     resid = float(
-        np.abs(S[1:] - S[:-1] @ Qt - zeta_bar @ St).max()
+        np.abs(S[1:] - S[:-1] @ Qt - zeta_bar @ Gt).max()
     )
     scale = 1.0 + float(np.abs(S).max())
-    if resid > _MEAN_RECURSION_TOL * scale:
+    if not resid <= _MEAN_RECURSION_TOL * scale:  # a NaN fails too
         raise ValueError(
             f"empirical-mean recursion residual {resid:.3e} exceeds tolerance"
         )

@@ -367,9 +367,12 @@ class TestNoiseSpec:
         NoiseSpec.point_mass_d([0.7, -0.3]),
     ], ids=lambda s: f"{s.family}-{'scalar' if s.is_scalar_driven else 'vector'}")
     def test_draws_match_stated_mean_and_covariance(self, spec):
+        # the noise is the drivers times the loading: one driver per draw when scalar-driven
         n = 200_000
-        x = spec.sampler()(np.random.default_rng(31), n)
-        assert x.shape == (n, 2)
+        eta = spec.sampler()(np.random.default_rng(31), n)
+        k = 1 if spec.is_scalar_driven else 2
+        assert eta.shape == (n, k) and spec.loading.shape == (k, 2)
+        x = eta @ spec.loading
         mean = x.mean(axis=0)
         prods = (x - mean)[:, :, None] * (x - mean)[:, None, :]
         for got, want in ((x, spec.mean_vector()), (prods, spec.covariance())):

@@ -7,9 +7,9 @@ import pytest
 from ergobound import _pool
 from ergobound import bounds as bnd
 from ergobound import sim
-from ergobound.errors import MomentUnavailable, NotSchurStable
+from ergobound.errors import DimensionMismatch, MomentUnavailable, NotSchurStable
 from ergobound.linalg import build_star_norm, psd_factor
-from ergobound.model import NoiseSpec, ar_state_space, raw_model
+from ergobound.model import NoiseSpec, ar_state_space, arma_state_space, raw_model
 from ergobound.sim import (
     SimConfig,
     empirical_mean_process,
@@ -204,6 +204,7 @@ class TestSimulatePaths:
             NoiseSpec.laplace_d(np.zeros(3), np.ones(3)),
             NoiseSpec.student_t_d(4.0, np.ones(3)),
             NoiseSpec.uniform_d(np.ones(3)),
+            NoiseSpec.laplace(0.3, 1.0).lift([1.0, 0.0, -0.5]),
         ],
     )
     def test_step_chunk_does_not_change_output(self, monkeypatch, noise):
@@ -408,6 +409,58 @@ class TestSampleStationary:
         with pytest.raises(ValueError, match="eps_stat must be positive and finite"):
             sample_stationary(ar1(0.5), 10, seed=1, eps_stat=eps)
 
+    def test_foreign_star_norm_raises(self):
+        # the star norm of another dimension is refused as by every bound flavor
+        m = ar_state_space([0.5, 0.2], [0.0], NoiseSpec.laplace(0.0, 1.0))
+        star3 = build_star_norm(ar_state_space([0.5, 0.2, 0.1]).Q)
+        with pytest.raises(DimensionMismatch, match="star norm dimension"):
+            sample_stationary(m, 10, seed=1, star=star3)
+        with pytest.raises(DimensionMismatch, match="star norm dimension"):
+            truncation_horizon(m, 1e-3, star3)
+
+    def test_scalar_driven_series_keeps_rows_not_matrices(self):
+        # one (T + 1, d, d) stack of Q^j Sigma for this Laplace AR(40) at T = 2000 would
+        # alone be 25.6 MB; the rows G Sigma^T (Q^T)^j of its one driver take 0.64 MB
+        phi = np.random.default_rng(0).uniform(-1.0, 1.0, 40)
+        m = ar_state_space(0.9 * phi / np.abs(phi).sum(), noise1d=NoiseSpec.laplace(0.0, 1.0))
+        m.star  # set-up, not series
+        tracemalloc.start()
+        try:
+            ens = sample_stationary(m, 200, seed=3, truncation=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.samples.shape == (200, 1, 40) and np.all(np.isfinite(ens.samples))
+        assert peak < 2001 * 40 * 40 * 8 / 10
+
+    @pytest.mark.parametrize("make", [
+        lambda: ar_state_space([0.5, 0.3, 0.1], noise1d=NoiseSpec.laplace(0.2, 1.0)),
+        lambda: arma_state_space([0.5, 0.2], [0.4, 0.3], NoiseSpec.student_t(5.0, 1.0)),
+    ], ids=["ar3", "arma22"])
+    def test_series_matches_matrix_powers(self, make):
+        # the truncated series against sum_j eps_j Q^j Sigma u on the same draws.  With
+        # gamma = d u / (1 - d u) and M_j = |Q|^j |Sigma| |u|, both the rows (a product of
+        # j + 1 factors) and np.linalg.matrix_power (any product tree) are off by at most
+        # ((1 + gamma)^(j+1) - 1) M_j, and summing the T + 1 rounded terms eps_j r_j adds
+        # gamma_(T+1) sum_j |eps_j| (1 + gamma)^(j+1) M_j (Higham, 2002, 3.5 and 4.2)
+        m, n, T = make(), 64, 80
+        ens = sample_stationary(m, n, seed=5, truncation=T)
+        # one block: its drivers, step by step, are one draw of (T + 1) n values
+        eps = m.noise.sampler()(_pool.stream_rng(5, _pool.STATIONARY), (T + 1) * n)
+        eps = eps.reshape(T + 1, n)
+        u, unit = m.noise.direction, np.finfo(float).eps / 2
+        assert np.count_nonzero(u) == (1 if m.provenance["kind"] == "ar" else 2)
+        gamma, gamma_sum = (k * unit / (1 - k * unit) for k in (m.d, T + 1))
+        ref, bound = np.zeros((n, m.d)), np.zeros((n, m.d))
+        M = np.abs(m.Sigma) @ np.abs(u)
+        for j in range(T + 1):
+            ref += eps[j][:, None] * (np.linalg.matrix_power(m.Q, j) @ (m.Sigma @ u))
+            grow = (1 + gamma) ** (j + 1)
+            bound += np.abs(eps[j])[:, None] * ((grow - 1 + gamma_sum * grow) * M)
+            M = np.abs(m.Q) @ M
+        assert bound.max() < 1e-12
+        assert np.all(np.abs(ens.samples[:, 0, :] - ref) <= 2 * bound)
+
 
 class TestEmpiricalMeanProcess:
     def test_input_checks_match_simulate_paths(self):
@@ -418,8 +471,24 @@ class TestEmpiricalMeanProcess:
         ):
             with pytest.raises(ValueError, match="horizon must be at least 1"):
                 call([1.0, 0.0], 0)
-            with pytest.raises(ValueError, match="x must have length d"):
+            # the start check of every bound (``bounds._start``)
+            with pytest.raises(DimensionMismatch, match="x must have length d = 2"):
                 call([1.0, 0.0, 2.0], 5)
+            for bad in ([math.nan, 0.0], [0.0, math.inf]):
+                with pytest.raises(ValueError, match="x must be finite"):
+                    call(bad, 3)
+        # both take their path count and horizon checks from SimConfig
+        with pytest.raises(ValueError, match="n_paths must be at least 1"):
+            empirical_mean_process(m, 0, [1.0, 0.0], 5, seed=1)
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            SimConfig(n_paths=4, horizon=0, seed=1)
+
+    def test_non_finite_recursion_residual_raises(self):
+        # the mean overflows to inf, so the residual is NaN: it must not pass the check
+        m = ar_state_space([1.2, -0.5], [0.0], NoiseSpec.laplace(0.0, 1.0))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="recursion residual nan exceeds tolerance"):
+            empirical_mean_process(m, 3, [1e308, 0.0], 5, seed=0)
 
     def test_n1_is_single_path(self):
         m = ar_state_space([0.3, 0.5], [0.0], NoiseSpec.laplace(0.0, 1.0))
