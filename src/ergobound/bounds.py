@@ -273,9 +273,10 @@ def _power_rows(model: StateSpaceModel, ts: list, zs, vs=()) -> list[np.ndarray]
     """
     ts = [operator.index(t) for t in ts]  # integer steps, as matrix_power takes
     levels = max(ts, default=0).bit_length()
-    ladder = _once(model, ("power_ladder",), lambda: [model.Q])
-    while len(ladder) < levels:
+    ladder = list(_once(model, ("power_ladder",), lambda: (model.Q,)))
+    while len(ladder) < levels:  # grown here and published whole, so no thread sees it half-grown
         ladder.append(ladder[-1] @ ladder[-1])
+        model._bound_constants[("power_ladder",)] = tuple(ladder)
     stacks = [[np.array(g, dtype=float)[None].repeat(len(ts), axis=0), transpose]
               for g, transpose in ((zs, True), (vs, False)) if len(g)]
     for k in range(levels):
@@ -290,15 +291,12 @@ def _power_rows(model: StateSpaceModel, ts: list, zs, vs=()) -> list[np.ndarray]
 
 
 def ar1_params(model: StateSpaceModel) -> tuple[float, float]:
-    """``(q, sigma)`` of a scalar, scalar-driven, centered Gaussian model."""
+    """``(q, sigma)`` of a scalar, centered Gaussian model."""
     if model.d != 1 or model.noise.family != "gaussian":
         raise ValueError("exact_ar1 needs a scalar Gaussian model")
-    if not model.noise.is_scalar_driven:
-        raise ValueError("exact_ar1 needs scalar-driven noise")
-    if model.noise.params["mean"] != 0.0:
+    if model.noise.mean_vector()[0] != 0.0:
         raise ValueError("exact_ar1 needs centered noise")
-    sigma = abs(model.Sigma[0, 0] * model.noise.direction[0]) * math.sqrt(model.noise.params["var"])
-    return float(model.Q[0, 0]), float(sigma)
+    return float(model.Q[0, 0]), math.sqrt(model.noise_cov[0, 0])
 
 
 def _once(model: StateSpaceModel, key, compute):

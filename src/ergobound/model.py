@@ -275,14 +275,14 @@ _LAWS = {
 
 @dataclass(frozen=True, eq=False)
 class NoiseSpec:
-    """An i.i.d. driving-noise family.
+    """I.i.d. noise ``xi = eta @ G``: ``k`` drivers ``eta`` with covariance ``C`` (``cov`` if
+    the spec has one, else ``diag(var)``) times a ``(k, dim)`` loading ``G``.
 
-    Two layouts are supported.  Vector specs carry per-coordinate parameters
-    (full mean/covariance for Gaussian, independent coordinates otherwise).
-    Scalar-driven specs carry scalar family parameters plus a ``direction``
-    vector ``u``, representing ``xi = eps * u`` for a scalar variable
-    ``eps``; AR/ARMA constructors lift their scalar noise this way.  Both
-    layouts share one parameter check, run on construction (see ``_check``).
+    Vector specs carry per-coordinate parameters (full mean/covariance for Gaussian,
+    independent coordinates otherwise), ``G = I``.  Scalar-driven specs carry scalar family
+    parameters plus a ``direction`` ``u``, ``xi = eps * u`` and ``G = u^T``; AR/ARMA
+    constructors lift their scalar noise this way.  Only ``loading``, ``_check`` (run on
+    construction) and ``lift`` read the layout.
 
     ``r_max`` is the supremum of orders with a finite absolute moment:
     infinite for every family except Student-t, where it equals the degrees
@@ -317,7 +317,7 @@ class NoiseSpec:
             names = ("mean", "cov")
         if set(prm) - {"direction"} != set(names):
             raise ValueError(f"{self.family} noise takes parameters {', '.join(names)}")
-        if d < 1 or scalar and self.direction.shape != (d,):
+        if d < 1 or scalar and np.shape(self.direction) != (d,):
             raise ValueError(f"noise dimension {d} must be positive and match the direction")
         for k, v in prm.items():
             shape = (() if scalar and k != "direction" or k == "df"
@@ -391,7 +391,7 @@ class NoiseSpec:
         if self.family != "gaussian":
             raise ValueError("only Gaussian noise averages to a noise spec")
         if n not in self._averaged:
-            key = "var" if self.is_scalar_driven else "cov"
+            key = "cov" if "cov" in self.params else "var"
             self._averaged[n] = NoiseSpec(self.family, self.dim,
                                           {**self.params, key: self.params[key] * (1.0 / n)})
         return self._averaged[n]
@@ -430,20 +430,18 @@ class NoiseSpec:
         return self._law.abs_moment(self.params, p)
 
     # -- vector-level quantities ---------------------------------------------
-    # One formula per family (``_LAWS``); the layouts differ in one step only.
+    # One formula per family (``_LAWS``), read through ``G``, ``C`` and ``_driver``.
 
     def mean_vector(self) -> np.ndarray:
         self._require_moment(1)
         return np.broadcast_to(self._law.mean(self.params), len(self.loading)) @ self.loading
 
     def covariance(self) -> np.ndarray:
+        """``G^T C G``, ``C`` the drivers' covariance: ``cov`` if given, else ``diag(var)``."""
         self._require_moment(2)
-        if self.is_scalar_driven:
-            u = self.direction
-            return self._law.var(self.params) * np.outer(u, u)
-        if self.family == "gaussian":
-            return self.params["cov"].copy()
-        return np.diag(np.broadcast_to(self._law.var(self.params), self.dim))
+        prm, G = self.params, self.loading
+        C = prm["cov"] if "cov" in prm else np.diag(np.broadcast_to(self._law.var(prm), len(G)))
+        return G.T @ C @ G
 
     @cached_property
     def loading(self) -> np.ndarray:
@@ -453,7 +451,7 @@ class NoiseSpec:
     def sampler(self):
         """Return ``draw(rng, n) -> (n, k)`` driver values, any factorization precomputed."""
         prm, k, draw = self.params, len(self.loading), self._law.draw
-        if self.family != "gaussian" or self.is_scalar_driven:
+        if "cov" not in prm:
             return lambda rng, n: draw(rng, prm, (n, k))
         factor, mean = psd_factor(prm["cov"]), prm["mean"]
         return lambda rng, n: mean + rng.standard_normal((n, k)) @ factor.T
@@ -464,9 +462,9 @@ class NoiseSpec:
         """``(E|Sigma xi|**p, stderr)``; stderr is zero for deterministic routes.
 
         Deterministic routes (``_exact_abs_moment``), cached without ``mc_draws`` and ``seed``:
-        closed forms for scalar-driven specs, point masses and ``p = 2``, and at ``0 < p < 2``
-        ``_quad_form_moment`` for vector Gaussian noise and centered Laplace, Student-t and
-        uniform noise with exactly diagonal ``Sigma^T Sigma``; else a seeded Monte Carlo.
+        closed forms where at most one driver reaches ``Sigma xi``, for point masses and ``p =
+        2``, and at ``0 < p < 2`` ``_quad_form_moment`` for Gaussian noise and centered Laplace,
+        Student-t and uniform noise with exactly diagonal ``Sigma^T Sigma``; else Monte Carlo.
 
         Raises
         ------
@@ -495,9 +493,11 @@ class NoiseSpec:
 
     def _exact_abs_moment(self, Sigma, p) -> float | None:
         """The deterministic ``E|Sigma xi|**p`` of ``abs_moment_sigma``, None where none applies."""
-        if self.is_scalar_driven:
-            amp = float(np.linalg.norm(Sigma @ self.direction))
-            return self.scalar_abs_moment(p) * amp**p
+        L = (Sigma @ self.loading.T).T  # Sigma xi = eta @ L over the drivers eta
+        hit = np.flatnonzero(np.any(L, axis=1))
+        if hit.size <= 1:  # one driver k matters: E|eta_k|**p |L_k|**p
+            k = hit[0] if hit.size else 0
+            return float(self._law.abs_moment(self._driver(k), p) * np.linalg.norm(L[k]) ** p)
         if self.family == "point_mass":
             return float(np.linalg.norm(Sigma @ self.params["value"])) ** p
         if p == 2 or self.family == "gaussian" and 0 < p < 2:
@@ -513,12 +513,17 @@ class NoiseSpec:
         if lam.size == 0:
             return 0.0
         # centered coordinates share one law at unit spread: the first one's
-        unit = law.abs_moment({k: _coords(v)[0] for k, v in prm.items()} | {law.names[-1]: 1.0}, p)
+        unit = law.abs_moment(self._driver(0) | {law.names[-1]: 1.0}, p)
         offset = math.gamma(1.0 - s) / s * unit * float(np.sum(lam**s)) - (lam.size - 1) / s
         # what the control terms leave is O(u**(min(2, df) - s)): e^-36 below the first edge
         x0 = math.ceil(36.0 / (min(2.0, self.r_max) - s))
         return _quad_form_moment(lambda u: law.log_laplace(prm, u * lam), float(w.sum()), s,
                                  np.arange(-x0, 71.0 - math.log(lam.min())), offset, control=True)
+
+    def _driver(self, k: int) -> dict:
+        """Driver ``k``'s scalar parameters, its variance ``var`` read off a full ``cov``."""
+        one = {n: v[k] if np.ndim(v) == 1 else v for n, v in self.params.items()}
+        return one | {"var": one["cov"][k, k]} if "cov" in one else one
 
     # -- serialization ---------------------------------------------------------
 
@@ -530,16 +535,12 @@ class NoiseSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "NoiseSpec":
         raw = dict(obj["params"])
-        direction = raw.pop("direction", None)
         params = {k: np.asarray(v, dtype=float) if isinstance(v, list) else float(v)
                   for k, v in raw.items()}
-        if direction is not None or not any(isinstance(v, np.ndarray) for v in params.values()):
-            spec = cls(obj["family"], 1, params)
-            return spec.lift(direction) if direction is not None else spec
         if "cov" in params:  # stored row-major; a ValueError unless square
             n = math.isqrt(np.size(params["cov"]))
             params["cov"] = np.reshape(params["cov"], (n, n))
-        dim = next(len(v) for v in params.values() if isinstance(v, np.ndarray))
+        dim = next((len(v) for v in params.values() if isinstance(v, np.ndarray)), 1)
         return cls(obj["family"], dim, params)
 
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import threading
 import tracemalloc
 import warnings
 from functools import cached_property
@@ -773,6 +774,36 @@ class TestPowerRows:
             m, [9], (z,))[0].tobytes()
         with pytest.raises(TypeError):
             bnd._power_rows(m, [2.0], (z,))
+
+    def test_threads_growing_the_squares_get_the_serial_report(self):
+        # each square's product releases the GIL: threads that grew one kept list in
+        # place read squares appended by the others at the wrong level
+        x = np.eye(40)[0]
+        want = repr(bnd.generic_bounds(ar40(), x, 2.0, 1000))
+        for _ in range(20):
+            m = ar40()
+            m.star  # built before the threads start, so they meet at the squares
+            barrier, got = threading.Barrier(4), [None] * 4
+
+            def run(i):
+                barrier.wait()
+                got[i] = repr(bnd.generic_bounds(m, x, 2.0, 1000))
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join()
+            assert got == [want] * 4
+
+    def test_kept_squares_are_replaced_not_grown(self):
+        # the race above needs two CPUs to show; this is its single-CPU witness: a
+        # reader's snapshot of the kept squares stays what it was when read
+        m, z = ar40(), np.eye(40)[0]
+        bnd._power_rows(m, [3], (z,))
+        snapshot = m._bound_constants[("power_ladder",)]
+        bnd._power_rows(m, [1000], (z,))
+        assert len(snapshot) == 2 and len(m._bound_constants[("power_ladder",)]) == 10
 
     def test_long_sweep_memory_is_linear_in_steps(self):
         m, T = ar40(), 5000

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ergobound.cli import main
-from ergobound.model import NoiseSpec, ar_state_space, model_to_json
+from ergobound.model import NoiseSpec, ar_state_space, model_to_json, raw_model
 
 
 def run(capsys, *argv):
@@ -36,8 +36,6 @@ class TestStability:
         assert obj["stable"] is False
 
     def test_boundary_model_file(self, capsys, tmp_path):
-        from ergobound.model import raw_model
-
         m = raw_model(np.eye(2), np.eye(2), NoiseSpec.gaussian(0.0, 1.0).lift([1.0, 0.0]))
         code, out, _ = run(capsys, "stability", "--model", write_model(tmp_path, m))
         assert code == 0
@@ -110,9 +108,10 @@ class TestModelArgs:
         {"family": "gaussian", "params": {"mean": [0.0, 0.0], "cov": [1.0, 0.0, 0.0, -1.0]}},
         {"family": "gaussian", "params": {"mean": [0.0, 0.0], "cov": [1.0, 0.5, 0.0, 1.0]}},
         {"family": "gaussian", "params": {"mean": 0.0, "var": 10**400, "direction": [1.0, 0.0]}},
+        {"family": "gaussian", "params": {"mean": 0.0, "var": 1.0, "direction": 1.0}},
     ], ids=["mean_null", "params_list", "noise_string", "laplace_scale", "laplace_length",
             "student_t_df", "uniform_half_width", "cov_not_psd", "cov_not_symmetric",
-            "var_past_float"])
+            "var_past_float", "direction_number"])
     def test_malformed_noise_in_model_file_exit_3(self, capsys, tmp_path, command, noise):
         doc = model_to_json(ar_state_space([0.3, 0.5]))
         doc["noise"] = noise
@@ -269,6 +268,15 @@ class TestBounds:
             want = exact_w2_ar1(0.5, 1.0, 2.0, t)
             assert float(cells[1]) == pytest.approx(want, rel=1e-15)
             assert float(cells[2]) == pytest.approx(want, rel=1e-15)
+
+    def test_exact_ar1_takes_any_centered_1d_gaussian_model(self, capsys, tmp_path):
+        # vector-layout noise of the same law as the inline AR(1)'s scalar one: same rows
+        model = raw_model([[0.5]], [[1.0]], NoiseSpec.gaussian_d([0.0], [[1.0]]))
+        argv = ("bounds", "--flavor", "exact_ar1", "--t-max", "6", "--x", "2")
+        inline = run(capsys, *argv, "--phi", "0.5")
+        from_file = run(capsys, *argv, "--model", write_model(tmp_path, model))
+        assert inline[0] == from_file[0] == 0, from_file[2]
+        assert from_file[1] == inline[1]
 
     def test_t_max_zero_single_row(self, capsys):
         code, out, _ = run(capsys, "bounds", "--phi", "0.5", "--t-max", "0")

@@ -339,13 +339,18 @@ class TestNoiseSpec:
         with pytest.raises(error):
             make()
 
-    @pytest.mark.parametrize("scalar, vector", [
-        (NoiseSpec.laplace(0.4, 1.3), NoiseSpec.laplace_d([0.4], [1.3])),
-        (NoiseSpec.student_t(4.5, 0.7), NoiseSpec.student_t_d(4.5, [0.7])),
-        (NoiseSpec.uniform(1.7), NoiseSpec.uniform_d([1.7])),
-        (NoiseSpec.point_mass(-0.3), NoiseSpec.point_mass_d([-0.3])),
-    ], ids=["laplace", "student_t", "uniform", "point_mass"])
-    def test_one_formula_for_both_layouts(self, scalar, vector):
+    @pytest.mark.parametrize("scalar, vector, wide", [
+        (NoiseSpec.gaussian(0.5, 2.0), NoiseSpec.gaussian_d([0.5], [[2.0]]),
+         NoiseSpec.gaussian_d([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]])),
+        (NoiseSpec.laplace(0.4, 1.3), NoiseSpec.laplace_d([0.4], [1.3]),
+         NoiseSpec.laplace_d([0.4, -0.2], [1.3, 0.5])),
+        (NoiseSpec.student_t(4.5, 0.7), NoiseSpec.student_t_d(4.5, [0.7]),
+         NoiseSpec.student_t_d(4.5, [0.7, 2.0])),
+        (NoiseSpec.uniform(1.7), NoiseSpec.uniform_d([1.7]), NoiseSpec.uniform_d([1.7, 0.2])),
+        (NoiseSpec.point_mass(-0.3), NoiseSpec.point_mass_d([-0.3]),
+         NoiseSpec.point_mass_d([-0.3, 0.9])),
+    ], ids=["gaussian", "laplace", "student_t", "uniform", "point_mass"])
+    def test_one_formula_for_both_layouts(self, scalar, vector, wide):
         lifted = scalar.lift([1.0])
         assert lifted.is_scalar_driven and not vector.is_scalar_driven
         assert lifted.mean_vector().tobytes() == vector.mean_vector().tobytes()
@@ -353,6 +358,14 @@ class TestNoiseSpec:
         draws = [s.sampler()(np.random.default_rng(8), 1000) for s in (lifted, vector)]
         assert draws[0].shape == draws[1].shape == (1000, 1)
         assert draws[0].tobytes() == draws[1].tobytes()
+        # the moments too, exact: one driver reaches the state, here the first of a d = 2
+        # spec whose Sigma has one nonzero column, the same column as the lift's direction
+        pairs = [((lifted, [[0.7]]), (vector, [[0.7]])),
+                 ((scalar.lift([0.7, -0.2]), np.eye(2)), (wide, [[0.7, 0.0], [-0.2, 0.0]]))]
+        for p in (1.0, 1.5, 3.0):
+            for (a, Sa), (b, Sb) in pairs:
+                got, want = b.abs_moment_sigma(Sb, p), a.abs_moment_sigma(Sa, p)
+                assert want[1] == 0.0 and np.array(got).tobytes() == np.array(want).tobytes(), p
 
     @pytest.mark.parametrize("spec", [
         NoiseSpec.gaussian(0.5, 2.0).lift([1.0, -0.5]),
