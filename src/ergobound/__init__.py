@@ -8,7 +8,40 @@ exact Gaussian formulas and seeded Monte Carlo estimates.
 
 __version__ = "0.1.0"
 
-from .bounds import (
+
+def _defer_numpy_submodules() -> None:
+    """Bind numpy's not yet imported submodules as lazy modules, before scipy is imported.
+
+    scipy's array-API shim reads every name in ``numpy.__all__``, which executes numpy's
+    lazily loaded submodules (``numpy.f2py``, ``numpy.testing``, ``numpy.ma``, ...) that
+    neither scipy nor this package use.  Each one is put in ``sys.modules`` and bound on
+    ``numpy`` through ``importlib.util.LazyLoader``, so it runs on its first attribute
+    access, as a plain import would have run it.  A submodule already imported is left
+    alone: this does nothing when scipy came first or numpy imports them eagerly.
+    """
+    import importlib.machinery
+    import importlib.util
+    import sys
+
+    import numpy
+
+    for name in numpy.__all__:
+        full = f"numpy.{name}"
+        if name in vars(numpy) or full in sys.modules:
+            continue
+        spec = importlib.util.find_spec(full)
+        if spec is None or not isinstance(spec.loader, importlib.machinery.SourceFileLoader):
+            continue
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(numpy, name, module)
+
+
+_defer_numpy_submodules()
+
+from .bounds import (  # noqa: E402  (after the deferral above)
     BoundReport,
     chafai_w2_affine,
     diagonalizable_bounds,

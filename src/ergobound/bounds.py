@@ -452,32 +452,33 @@ def _gaussian(model, flavor, x, r, ts, star, B, v, mode) -> list[BoundReport]:
 
 def _coupling_constants(model, p: float, mc_seed: int, majorant: bool) -> tuple:
     """The t-invariant part of the coupling routes: the first and order-``p``
-    moment roots with their stderrs (with ``majorant``, the order-``p`` root is
-    the n-free majorant ``||Sigma||_F (E|xi|^p)^{1/p}``), and whether the routes
-    are reliable upper bounds as evaluated at ``t >= 1``.
+    moment roots of the centered noise ``xi - E xi`` with their stderrs (with
+    ``majorant``, the order-``p`` root is the n-free majorant ``||Sigma||_F
+    (E|xi - E xi|^p)^{1/p}``), and whether the routes are reliable upper bounds as
+    evaluated at ``t >= 1``.
 
     Two mechanisms can make the stated routes undershoot the true distance:
-    the moment split of the noise tail is only valid up to ``p = 2`` for
-    centered noise (von Bahr-Esseen; coherent nonzero means break it), and
-    the tail starts one step past ``t``, so the missing leading term bites
-    at ``t = 0`` and, for noise dominated by its mean, at every ``t``.
-    Centered noise with ``1 <= p <= 2`` at ``t >= 1`` avoids both.  A Monte Carlo
-    moment of order ``q`` with infinite variance (``df <= 2q``) has an infinite stderr.
+    the moment split of the noise tail is only valid up to ``p = 2``
+    (von Bahr-Esseen, for the centered noise the routes read), and the tail
+    starts one step past ``t``, so the missing leading term bites at ``t = 0``.
+    ``1 <= p <= 2`` at ``t >= 1`` avoids both.  A Monte Carlo moment of order
+    ``q`` with infinite variance (``df <= 2q``) has an infinite stderr.
     """
-    m1_root, se1 = model.noise.moment_root(model.Sigma, 1.0, mc_seed)
+    noise = model.noise.centered
+    m1_root, se1 = noise.moment_root(model.Sigma, 1.0, mc_seed)
     if majorant:
-        raw_root, sep = model.noise.moment_root(np.eye(model.d), p, mc_seed)
+        raw_root, sep = noise.moment_root(np.eye(model.d), p, mc_seed)
         mp_root = fro(model.Sigma) * raw_root
     else:
-        mp_root, sep = model.noise.moment_root(model.Sigma, p, mc_seed)
-    se1, sep = (math.inf if se > 0.0 and not model.noise.has_moment(2.0 * q) else se
+        mp_root, sep = noise.moment_root(model.Sigma, p, mc_seed)
+    se1, sep = (math.inf if se > 0.0 and not noise.has_moment(2.0 * q) else se
                 for q, se in ((1.0, se1), (p, sep)))
-    return m1_root, se1, mp_root, sep, (p <= 2.0 and se1 + sep < math.inf
-                                        and bool(np.all(model.noise.mean_vector() == 0.0)))
+    return m1_root, se1, mp_root, sep, p <= 2.0 and se1 + sep < math.inf
 
 
 def _coupling(model, flavor, x, p, ts, star, mc_seed, n) -> list[BoundReport]:
-    """Routes (a)/(b) of the coupling flavors.  ``sliced_generic`` scales the mean terms
+    """Routes (a)/(b) of the coupling flavors, on the centered recursion ``X_t - mean_inf``
+    from ``x - mean_inf`` with noise ``xi - E xi``.  ``sliced_generic`` scales the mean terms
     by the r = 1 sphere ratio; ``generic_diag`` takes ``|Q^t z|`` and route (a)'s
     ``K_d s^t`` from the eigen sandwich, as ``||U||_F ||U^{-1}||_F rho^t``;
     ``empirical_mean``'s route (b) takes the n-free majorant (``_coupling_constants``).
@@ -500,22 +501,25 @@ def _coupling(model, flavor, x, p, ts, star, mc_seed, n) -> list[BoundReport]:
     m1_root, se1, mp_root, sep, sound = _once(
         model, ("coupling", p, mc_seed, flavor == "empirical_mean"),
         lambda: _coupling_constants(model, p, mc_seed, flavor == "empirical_mean"))
-    start = math.sqrt(x @ x) + star.K_d * m1_root * s / (1.0 - s)  # |x| as np.linalg.norm
+    gap = x - model.stationary_mean  # x itself for centered noise: x - 0.0 is x
+    start = math.sqrt(gap @ gap) + star.K_d * m1_root * s / (1.0 - s)  # as np.linalg.norm
     root_p = (1.0 - s**p) ** (1.0 / p)
-    if sw is None:  # per step [|Q^t (x - mean_inf)|, |Q^t x|]
+    if sw is None:
+        # per step [|Q^t gap|, |Q^t gap|]: a one-row product is numpy's matrix-vector
+        # case and rounds otherwise, so the start goes in twice to keep the two-row bits
         rows = _per_step(model, x, ts, "norms", lambda: row_norms(
-            _power_rows(model, ts, (x - model.stationary_mean, x))[0]).tolist())
+            _power_rows(model, ts, (gap, gap))[0]).tolist())
         const, rate = star.K_d, s
     else:
         def cores():
-            core_gap, core_x = sw.cores(ts, x - model.stationary_mean, x)
-            return list(zip((core_gap / sw.uinv_fro).tolist(), (sw.u_fro * core_x).tolist()))
+            (core,) = sw.cores(ts, gap)
+            return list(zip((core / sw.uinv_fro).tolist(), (sw.u_fro * core).tolist()))
 
         rows = _per_step(model, x, ts, "cores", cores)
         const, rate = sw.u_fro * sw.uinv_fro, sw.rho
     if flavor == "empirical_mean" and model.noise.family == "gaussian":
-        avg_val, _ = _once(model, ("averaged", n, p, mc_seed), lambda: model.noise.averaged(
-            n).abs_moment_sigma(model.Sigma, p, seed=mc_seed))
+        avg_val, _ = _once(model, ("averaged", n, p, mc_seed), lambda: (
+            model.noise.centered.averaged(n).abs_moment_sigma(model.Sigma, p, seed=mc_seed)))
         exact_n = star.K_d * avg_val ** (1.0 / p)
     reports = []
     for t, (low, high) in zip(ts, rows):
@@ -586,16 +590,16 @@ def generic_bounds(model: StateSpaceModel, x, p: float, t: int, star: StarNorm |
                    mc_seed: int = 0) -> BoundReport:
     """Coupling sandwich for ``W_p(X_t(x), X_inf)``, any noise with p moments.
 
-    The upper bound is the minimum of two routes: (a) the
-    stationarity coupling ``K_d s^t (|x| + K_d E|Sigma xi| s / (1 - s))``
-    and (b) the tail route ``|Q^t x| + K_d (E|Sigma xi|^p)^{1/p} s^{t+1} /
-    (1 - s^p)^{1/p}``.  Monte Carlo moment estimates enter with a +3 stderr
-    margin, recorded in ``details``.
+    The routes run on the centered recursion ``X_t - mean_inf``, whose noise is
+    ``eta = xi - E xi``.  The upper bound is the minimum of two routes: (a) the
+    stationarity coupling ``K_d s^t (|x - mean_inf| + K_d E|Sigma eta| s / (1 - s))``
+    and (b) the tail route ``|Q^t (x - mean_inf)| + K_d (E|Sigma eta|^p)^{1/p}
+    s^{t+1} / (1 - s^p)^{1/p}``.  Monte Carlo moment estimates enter with a +3
+    stderr margin, recorded in ``details``.
 
     The routes are evaluated as stated for every admissible input, but
-    they are reliable upper bounds only for centered noise with
-    ``1 <= p <= 2`` at ``t >= 1``: noise dominated by a nonzero mean, or
-    orders past 2, can push the true distance above the evaluated tail
+    they are reliable upper bounds only for ``1 <= p <= 2`` at ``t >= 1``:
+    orders past 2 can push the true distance above the evaluated tail
     (see ``_coupling_constants``).
     ``details["coupling_regime_sound"]`` records whether the inputs are in
     the reliable regime.
@@ -655,7 +659,7 @@ def empirical_mean_bounds(model: StateSpaceModel, n: int, x, p: float, t: int,
 
     The averaged process satisfies the same recursion with averaged noise,
     so the lower bound (and route (a)) coincide with the single-path case.
-    Route (b) uses the n-free majorant ``||Sigma||_F (E|xi|^p)^{1/p}`` for
+    Route (b) uses the n-free majorant ``||Sigma||_F (E|xi - E xi|^p)^{1/p}`` for
     the averaged-noise moment.  For Gaussian noise the averaged noise is
     Gaussian with covariance ``Xi / n`` and the exact per-n route (b) is
     reported in ``details["upper_b_exact_n"]``.

@@ -236,11 +236,12 @@ def _coords(x) -> np.ndarray:
 
 
 class _Law(NamedTuple):
-    """A noise family's parameter names, mean, variance, draw ``(rng, p, size)``, ``(p, r) ->
-    E|eps|**r`` and ``(p, z) -> log E exp(-z eta**2)`` at unit spread (the last name)."""
+    """A noise family's parameter names, the name of its location (the mean; None for a
+    zero mean), variance, draw ``(rng, p, size)``, ``(p, r) -> E|eps|**r`` and ``(p, z) ->
+    log E exp(-z eta**2)`` at unit spread (the last name)."""
 
     names: tuple[str, ...]
-    mean: Callable
+    loc: str | None
     var: Callable
     draw: Callable
     abs_moment: Callable
@@ -251,23 +252,23 @@ class _Law(NamedTuple):
 # parameter and a per-coordinate array alike (the absolute moment for scalars
 # only).  Vector Gaussian noise, with a full ``cov`` for ``var``, is the one special case.
 _LAWS = {
-    "gaussian": _Law(("mean", "var"), lambda p: p["mean"], lambda p: p["var"],
+    "gaussian": _Law(("mean", "var"), "mean", lambda p: p["var"],
                      lambda rng, p, size: p["mean"] + np.sqrt(p["var"]) * rng.standard_normal(size),
                      lambda p, r: _gauss_shifted_abs_moment(p["mean"], math.sqrt(p["var"]), r)),
-    "laplace": _Law(("loc", "scale"), lambda p: p["loc"], lambda p: 2.0 * p["scale"] ** 2,
+    "laplace": _Law(("loc", "scale"), "loc", lambda p: 2.0 * p["scale"] ** 2,
                     lambda rng, p, size: p["loc"] + p["scale"] * rng.laplace(0.0, 1.0, size),
                     lambda p, r: _laplace_abs_moment(p["loc"], p["scale"], r),
                     lambda p, z: np.log(np.sqrt(np.pi / z) / 2.0 * erfcx(0.5 / np.sqrt(z)))),
-    "student_t": _Law(("df", "scale"), lambda p: 0.0,
+    "student_t": _Law(("df", "scale"), None,
                       lambda p: p["scale"] ** 2 * p["df"] / (p["df"] - 2.0),
                       lambda rng, p, size: p["scale"] * rng.standard_t(p["df"], size),
                       lambda p, r: p["scale"] ** r * _student_abs_moment(p["df"], r),
                       lambda p, z: _student_log_laplace(p["df"], z)),
-    "uniform": _Law(("half_width",), lambda p: 0.0, lambda p: p["half_width"] ** 2 / 3.0,
+    "uniform": _Law(("half_width",), None, lambda p: p["half_width"] ** 2 / 3.0,
                     lambda rng, p, size: rng.uniform(-1.0, 1.0, size) * p["half_width"],
                     lambda p, r: p["half_width"] ** r / (r + 1.0),
                     lambda p, z: np.log(np.sqrt(np.pi / z) / 2.0 * erf(np.sqrt(z)))),
-    "point_mass": _Law(("value",), lambda p: p["value"], lambda p: 0.0,
+    "point_mass": _Law(("value",), "value", lambda p: 0.0,
                        lambda rng, p, size: np.full(size, p["value"]),
                        lambda p, r: abs(p["value"]) ** r),
 }
@@ -434,7 +435,22 @@ class NoiseSpec:
 
     def mean_vector(self) -> np.ndarray:
         self._require_moment(1)
-        return np.broadcast_to(self._law.mean(self.params), len(self.loading)) @ self.loading
+        return np.broadcast_to(self._location, len(self.loading)) @ self.loading
+
+    @property
+    def _location(self):
+        """The drivers' mean: the family's location parameter, else 0.0."""
+        return self.params[self._law.loc] if self._law.loc else 0.0
+
+    @cached_property
+    def centered(self) -> "NoiseSpec":
+        """The spec of ``xi - E xi``: the same spec with its location set to zero, ``self``
+        when that is zero already (so centered noise keeps its moments and their cache)."""
+        loc = self._location
+        if not np.any(loc):
+            return self
+        zero = np.zeros_like(loc) if isinstance(loc, np.ndarray) else 0.0
+        return NoiseSpec(self.family, self.dim, {**self.params, self._law.loc: zero})
 
     def covariance(self) -> np.ndarray:
         """``G^T C G``, ``C`` the drivers' covariance: ``cov`` if given, else ``diag(var)``."""
@@ -505,7 +521,7 @@ class NoiseSpec:
             c = Sigma @ self.covariance() @ Sigma.T
             return float(m @ m + np.trace(c)) if p == 2 else _gauss_norm_moment(m, c, p)
         law, prm, s, gram = self._law, self.params, p / 2.0, Sigma.T @ Sigma
-        if not 0 < p < 2 or np.any(gram - np.diag(np.diag(gram))) or np.any(law.mean(prm)):
+        if not 0 < p < 2 or np.any(gram - np.diag(np.diag(gram))) or np.any(self._location):
             return None
         # orthogonal columns: |Sigma xi|**2 = sum_k w_k eta_k**2 over unit-spread eta_k
         w = np.sum(Sigma * Sigma, axis=0) * prm[law.names[-1]] ** 2

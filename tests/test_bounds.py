@@ -375,8 +375,9 @@ class TestGeneric:
         shifted = ar_state_space([0.5], noise1d=NoiseSpec.gaussian(0.3, 1.0))
         assert bnd.generic_bounds(centered, [1.0], 2.0, 1).details["coupling_regime_sound"]
         assert bnd.generic_bounds(centered, [1.0], 1.0, 1).details["coupling_regime_sound"]
-        assert not bnd.generic_bounds(shifted, [1.0], 2.0, 1).details["coupling_regime_sound"]
-        assert not bnd.generic_bounds(shifted, [1.0], 1.0, 1).details["coupling_regime_sound"]
+        # the routes run on the centered recursion, so a noise mean does not matter
+        assert bnd.generic_bounds(shifted, [1.0], 2.0, 1).details["coupling_regime_sound"]
+        assert bnd.generic_bounds(shifted, [1.0], 1.0, 1).details["coupling_regime_sound"]
         assert not bnd.generic_bounds(centered, [1.0], 3.0, 1).details["coupling_regime_sound"]
         # the noise tail starts one step past t, so t = 0 is not covered
         assert not bnd.generic_bounds(centered, [1.0], 2.0, 0).details["coupling_regime_sound"]
@@ -392,23 +393,74 @@ class TestGeneric:
             assert math.isfinite(rep.details["moment_stderr"]) is sound
             assert 0.0 < rep.details["first_moment_stderr"] < math.inf  # E|Sigma xi|**2 < inf
 
-    def test_mean_dominated_noise_breaks_coupling_upper(self):
-        # regression pin for the known limitation that the flag reports: with
-        # noise dominated by its mean, the evaluated tail (which starts one
-        # step past t) undershoots the exact order-1 distance
+    def test_mean_dominated_noise_keeps_the_coupling_sandwich(self):
+        # noise dominated by its mean: the routes read the centered noise, so the
+        # evaluated tail no longer undershoots the exact order-1 distance
         from ergobound.wasserstein import gaussian_wr_1d
 
         m = ar_state_space([0.9], noise1d=NoiseSpec.gaussian(3.0, 0.01))
         star = build_star_norm(m.Q)
         linf = bnd.stationary_law(m)
         rep = bnd.generic_bounds(m, [0.0], 1.0, 5, star)
-        assert not rep.details["coupling_regime_sound"]
+        assert rep.details["coupling_regime_sound"]
         lt = bnd.law_at(m, [0.0], 5)
         w1 = gaussian_wr_1d(
             lt.mean[0], math.sqrt(lt.cov[0, 0]), linf.mean[0], math.sqrt(linf.cov[0, 0]), 1.0
         )
-        assert w1 > rep.upper  # the documented undershoot
-        assert rep.lower <= w1 * (1 + 1e-9)  # the lower bound stays valid
+        assert rep.lower <= w1 * (1 + 1e-9) <= rep.upper * (1 + 2e-9)
+
+
+class TestCenteredRecursion:
+    """The coupling routes run on ``X_t - mean_inf`` from ``x - mean_inf``, with noise
+    ``xi - E xi``: a noise mean only moves the start."""
+
+    # seeded model_scan's strongly non-normal raw point-mass model (spectral radius 0.995),
+    # where route (b) with the raw noise moment fell below the mean gap
+    Q = [[0.3917207150933907, -0.22873694171771156], [1.5825580689401582, 1.5950330246013225]]
+    VALUE = [-0.6525932855277783, -0.16839035526641988]
+    X = [0.3847283798177643, 0.8632864488094179]
+
+    def test_point_mass_sandwich_closes_on_the_mean_gap(self):
+        m = raw_model(self.Q, np.eye(2), NoiseSpec.point_mass_d(self.VALUE))
+        gap = np.array(self.X) - m.stationary_mean
+        for t in range(11):
+            generic = bnd.generic_bounds(m, self.X, 2.0, t)
+            reps = {
+                "generic": generic,
+                "sliced_generic": bnd.sliced_generic_bounds(m, self.X, 2.0, t),
+                "generic_diag": bnd.diagonalizable_bounds(m, self.X, 2.0, t),
+                "empirical_mean": bnd.empirical_mean_bounds(m, 4, self.X, 2.0, t),
+                "parallel": bnd.parallel_bounds(generic, 4, 2.0),
+            }
+            for flavor, rep in reps.items():
+                assert rep.lower <= rep.upper, (flavor, t, rep.lower, rep.upper)
+            # the exact W_p of a point mass is the mean gap: route (b) is that, to the bit
+            assert generic.details["upper_b"] == generic.lower
+            exact = np.linalg.norm(np.linalg.matrix_power(m.Q, t) @ gap)
+            assert generic.lower == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("flavor", ["generic", "generic_diag", "empirical_mean"])
+    def test_shifted_noise_is_centered_noise_from_a_shifted_start(self, flavor):
+        phi, x = [0.6, -0.2], np.array([1.5, -0.4])
+        for family in (NoiseSpec.laplace, NoiseSpec.gaussian):
+            shifted = ar_state_space(phi, None, family(0.7, 1.3))
+            centered = ar_state_space(phi, None, family(0.0, 1.3))
+            assert shifted.noise.centered.to_json() == centered.noise.to_json()
+            for t in (0, 1, 6):
+                a = bnd.sweep(shifted, flavor, x, 1.5, (t,), n_copies=3)[0]
+                b = bnd.sweep(centered, flavor, x - shifted.stationary_mean, 1.5, (t,),
+                              n_copies=3)[0]
+                assert (a.lower, a.upper, a.details) == (b.lower, b.upper, b.details)
+
+    def test_centered_noise_is_its_own_centered_spec(self):
+        for noise in (NoiseSpec.gaussian(0.0, 2.0), NoiseSpec.student_t(3.0, 1.0),
+                      NoiseSpec.uniform_d([1.0, 2.0]), NoiseSpec.point_mass(0.0)):
+            assert noise.centered is noise
+        noise = NoiseSpec.laplace_d([0.5, 0.0], [1.0, 2.0])
+        assert noise.centered.is_scalar_driven is False
+        assert np.array_equal(noise.centered.params["loc"], [0.0, 0.0])
+        assert np.array_equal(noise.centered.params["scale"], [1.0, 2.0])
+        assert NoiseSpec.point_mass(-0.4).centered.params["value"] == 0.0
 
 
 class TestDiagonalizable:
