@@ -407,14 +407,15 @@ class TestGeneric:
         w1 = gaussian_wr_1d(
             lt.mean[0], math.sqrt(lt.cov[0, 0]), linf.mean[0], math.sqrt(linf.cov[0, 0]), 1.0
         )
-        assert rep.lower <= w1 * (1 + 1e-9) <= rep.upper * (1 + 2e-9)
+        assert rep.lower <= w1 * (1 + 1e-9)
+        assert w1 <= rep.upper
 
 
 class TestCenteredRecursion:
     """The coupling routes run on ``X_t - mean_inf`` from ``x - mean_inf``, with noise
     ``xi - E xi``: a noise mean only moves the start."""
 
-    # seeded model_scan's strongly non-normal raw point-mass model (spectral radius 0.995),
+    # seeded model_scan's strongly non-normal raw point-mass model (spectral radius 0.994),
     # where route (b) with the raw noise moment fell below the mean gap
     Q = [[0.3917207150933907, -0.22873694171771156], [1.5825580689401582, 1.5950330246013225]]
     VALUE = [-0.6525932855277783, -0.16839035526641988]
