@@ -26,8 +26,8 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
+from ._special import log_gamma_ratio
 from .errors import (
     DimensionMismatch,
     MomentUnavailable,
@@ -89,12 +89,12 @@ def gaussian_abs_moment(d: int, r: float) -> float:
     """``(E|N_d|^r)^{1/r}`` for a standard Gaussian vector in R^d.
 
     ``|N_d|`` is chi(d)-distributed, giving the closed form
-    ``(2^{r/2} Gamma((d+r)/2) / Gamma(d/2))^{1/r}``.
+    ``(2^{r/2} Gamma((d+r)/2) / Gamma(d/2))^{1/r}``, which is ``sqrt(d)`` times the
+    ``1/r``-th power of ``Gamma(d/2 + r/2) / (Gamma(d/2) (d/2)^{r/2})``.
     """
     if d < 1 or not 1 <= r < math.inf:  # a NaN order fails too
         raise ValueError("need d >= 1 and a finite r >= 1")
-    logm = (r / 2.0) * math.log(2.0) + gammaln((d + r) / 2.0) - gammaln(d / 2.0)
-    return float(math.exp(logm / r))
+    return math.sqrt(d) * math.exp(log_gamma_ratio(d / 2.0, r / 2.0) / r)
 
 
 # ---------------------------------------------------------------------------

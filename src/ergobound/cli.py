@@ -299,10 +299,11 @@ def _simulate_chunks(samples: np.ndarray, times):
     chunks of at most ``_SIMULATE_BATCH`` rows and ``_SIMULATE_CELLS`` floats (but at least
     one row), each without its final newline.
 
-    A chunk is laid out as one NUL-padded uint8 block and emitted with the NULs removed.
-    Each float cell is the ``%.17g`` text from ``format_17g``, except that a cell equal bit
-    for bit to its left neighbour one row up (the lag coordinates of an AR/ARMA state)
-    copies that neighbour's characters."""
+    A chunk is laid out as one NUL-padded uint8 block over a ``bytearray`` and emitted with
+    the NULs removed by ``bytearray.translate``, which reads the block in place: the text
+    exists once as bytes and once as the str.  Each float cell is the ``%.17g`` text from
+    ``format_17g``, except that a cell equal bit for bit to its left neighbour one row up
+    (the lag coordinates of an AR/ARMA state) copies that neighbour's characters."""
     n_paths, n_times, d = samples.shape
     flat = samples.reshape(-1, d)
     bits = flat.view(np.uint64)
@@ -310,13 +311,14 @@ def _simulate_chunks(samples: np.ndarray, times):
     steps, path_width = _text_table(map(str, times)), len(f"{n_paths - 1},")
     lead = path_width + steps.itemsize
     batch = min(_SIMULATE_BATCH, max(1, _SIMULATE_CELLS // d), flat.shape[0])
-    block = np.empty((batch, lead + d * (1 + CELL) + 1), dtype=np.uint8)
+    width = lead + d * (1 + CELL) + 1
+    buf = bytearray(batch * width)
+    block = np.frombuffer(buf, dtype=np.uint8).reshape(batch, width)
     path_col = _fields(block, 0, path_width)[:, 0]
     step_col = _fields(block, path_width, steps.itemsize)[:, 0]
     cells = block[:, lead:-1].reshape(batch, d, 1 + CELL)  # "," and the value
     cell_items = _fields(block, lead, 1 + CELL, d)  # the same bytes, one item per cell
     cells[:, :, 0] = ord(",")
-    block[:, -1] = ord("\n")
     for r0 in range(0, flat.shape[0], batch):
         r1 = min(r0 + batch, flat.shape[0])
         n, rows = r1 - r0, np.arange(r0, r1)
@@ -339,7 +341,12 @@ def _simulate_chunks(samples: np.ndarray, times):
             source = (heads * (d + 1) + np.arange(d + 1)).ravel()[copied]
             cell_items[copied // d, copied % d] = cell_items[source // d, source % d]
             del chains, heads, source  # not held while the next chunk is formatted
-        yield block[:n].tobytes().translate(None, b"\0")[:-1].decode("ascii")
+        # the chunk's final newline and the rows past the ensemble's end (in the last chunk)
+        # drop out with the padding, so the translated buffer is the text
+        block[:, -1] = ord("\n")
+        block[n - 1, -1] = 0
+        block[n:] = 0
+        yield buf.translate(None, b"\0").decode("ascii")
 
 
 def _cmd_simulate(args) -> int:

@@ -17,9 +17,9 @@ from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import erf, erfcx, gammaln, hyp1f1
 
 from ._pool import MOMENTS, run_blocks
+from ._special import erf, erfcx, log_gamma_ratio
 from .asymptotics import EigenSandwich
 from .errors import EmptyCoefficients, MomentUnavailable, NonConvergence, OrderViolation
 from .linalg import (SchurForm, SpectralInfo, StarNorm, _read_only, as_matrix, eigen, psd_factor,
@@ -42,48 +42,63 @@ __all__ = [
 # Relative error-estimate cap of the moment quadratures.
 _QUAD_RTOL = 1e-10
 
-# Gauss-Legendre rules per panel: 16 nodes for the value, 8 for the error estimate.
-_GAUSS_LEGENDRE = tuple(np.polynomial.legendre.leggauss(n) for n in (16, 8))
+# Gauss-Legendre rules per panel, numpy's ``leggauss(16)`` for the value and ``leggauss(8)`` for
+# the error estimate, as (nodes, weights) literals: numpy.polynomial never runs on import.
+_GAUSS_LEGENDRE = (
+    (np.array([
+        -0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
+        -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
+        -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
+        0.2816035507792589, 0.45801677765722737, 0.6178762444026438, 0.755404408355003,
+        0.8656312023878318, 0.9445750230732326, 0.9894009349916499]),
+     np.array([
+        0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
+        0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
+        0.18260341504492364, 0.18945061045506864, 0.18945061045506864,
+        0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+        0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
+        0.027152459411754176])),
+    (np.array([
+        -0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+        -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+        0.7966664774136267, 0.9602898564975362]),
+     np.array([
+        0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+        0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+        0.22238103445337443, 0.10122853629037706])),
+)
 # The Gaussian moment's panels in ``x = ln u``: 19 on ``[ln u0, 0]``, unit ones on ``[0, 90]``.
 _HEAD_U0 = 1e-8
 _GAUSS_PANELS = np.concatenate((np.linspace(math.log(_HEAD_U0), 0.0, 20), np.arange(1.0, 91.0)))
 
 
 def _gauss_abs_moment_1d(p: float) -> float:
-    """E|Z|**p for standard normal Z."""
-    return math.exp((p / 2.0) * math.log(2.0) + gammaln((p + 1.0) / 2.0) - 0.5 * math.log(math.pi))
+    """E|Z|**p for standard normal Z: ``2**(p/2) Gamma((p + 1)/2) / sqrt(pi)``, which is
+    ``Gamma(1/2 + p/2) / (Gamma(1/2) (1/2)**(p/2))``."""
+    return math.exp(log_gamma_ratio(0.5, p / 2.0))
 
 
 def _gauss_shifted_abs_moment(mean: float, std: float, p: float) -> float:
-    """E|mean + std*Z|**p for standard normal Z, via Kummer's function."""
+    """E|mean + std*Z|**p for standard normal Z, via Kummer's function ``M(-p/2, 1/2,
+    -mean**2 / (2 std**2))``, which is 1 at ``mean = 0``."""
     if std <= 1e-9 * abs(mean):  # |mean|**p to rounding; scipy's Kummer form NaNs past it
         return abs(mean) ** p
-    kummer = float(hyp1f1(-p / 2.0, 0.5, -((mean / std) ** 2) / 2.0))
+    kummer = 1.0
+    if mean != 0.0:
+        from scipy.special import hyp1f1  # the non-centered moments alone load scipy.special
+
+        kummer = float(hyp1f1(-p / 2.0, 0.5, -((mean / std) ** 2) / 2.0))
     return std**p * _gauss_abs_moment_1d(p) * kummer
 
 
 def _student_abs_moment(df: float, p: float) -> float:
     """E|T_df|**p, finite iff p < df.
 
-    That is ``df^(p/2) Gamma((df - p)/2) / (sqrt(pi) Gamma(df/2)) Gamma((p + 1)/2)``.  From
-    ``df - p >= 1000`` on, where ``gammaln``'s difference cancels (9e-10 relative off at ``df
-    = 1e6``), ``ln(df^(p/2) Gamma(z + h) / Gamma(z))`` with ``z = df/2``, ``h = -p/2`` is
-    ``(p/2) ln 2 + (z + h - 1/2) log1p(h/z) - h`` plus Stirling's terms ``B_2k / (2k (2k -
-    1)) ((z + h)^(1-2k) - z^(1-2k))``, ``k = 1, 2, 3``; the next is below 1e-22.
+    That is ``df^(p/2) Gamma((df - p)/2) / (sqrt(pi) Gamma(df/2)) Gamma((p + 1)/2)``: E|Z|**p
+    times ``Gamma(z + h) / (Gamma(z) z**h)`` at ``z = df/2``, ``h = -p/2``, whose log stays
+    near 0 for large ``df`` rather than cancelling ``(p/2) ln df``.
     """
-    if df - p >= 1e3:
-        z, h = df / 2.0, -p / 2.0
-        tail = sum(b / (2 * k * (2 * k - 1)) * ((z + h) ** (1 - 2 * k) - z ** (1 - 2 * k))
-                   for k, b in ((1, 1.0 / 6.0), (2, -1.0 / 30.0), (3, 1.0 / 42.0)))
-        return math.exp((p / 2.0) * math.log(2.0) + (z + h - 0.5) * math.log1p(h / z) - h
-                        + tail + gammaln((p + 1.0) / 2.0) - 0.5 * math.log(math.pi))
-    return math.exp(
-        (p / 2.0) * math.log(df)
-        + gammaln((p + 1.0) / 2.0)
-        + gammaln((df - p) / 2.0)
-        - 0.5 * math.log(math.pi)
-        - gammaln(df / 2.0)
-    )
+    return math.exp(log_gamma_ratio(0.5, p / 2.0) + log_gamma_ratio(df / 2.0, -p / 2.0))
 
 
 def _panel_quad(f, edges: np.ndarray, offset: float = 0.0) -> float:
@@ -130,6 +145,8 @@ def _laplace_abs_moment(loc: float, scale: float, p: float) -> float:
     def far(x, unit=1.0):
         z = np.exp(x)
         return ((A + z) / unit) ** p * np.exp(x - z)
+
+    from scipy.special import hyp1f1  # the non-centered moments alone load scipy.special
 
     # scipy's Kummer function is NaN near A = 1e-300; below 1e-8 two series terms are exact
     kummer = float(hyp1f1(1.0, p + 2.0, -A)) if A > 1e-8 else 1.0 - A / (p + 2.0)

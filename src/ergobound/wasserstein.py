@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from ._pool import DIRECTIONS, run_jobs, stream_rng
+from ._special import log_gamma_ratio
 from .errors import DimensionMismatch, UnequalSampleSizes
 from .linalg import _sqnorms, as_matrix, psd_sqrt
 from .model import _gauss_shifted_abs_moment
@@ -139,12 +139,10 @@ def gaussian_wr_1d(m1: float, s1: float, m2: float, s2: float, r: float) -> floa
 
 
 def _log_sphere_moment_ratio(d: int, r: float) -> float:
-    return (
-        gammaln((r + 1.0) / 2.0)
-        + gammaln(d / 2.0)
-        - gammaln((r + d) / 2.0)
-        - 0.5 * math.log(math.pi)
-    )
+    # Gamma(1/2 + r/2) / Gamma(1/2) over Gamma(d/2 + r/2) / Gamma(d/2), each ratio as
+    # its leading power z**(r/2) times the small remainder log_gamma_ratio gives
+    h = r / 2.0
+    return log_gamma_ratio(0.5, h) - log_gamma_ratio(d / 2.0, h) - h * math.log(d)
 
 
 def sphere_moment_ratio(d: int, r: float) -> float:

@@ -1000,7 +1000,7 @@ PINNED_RUNS = {
     "validate_gauss_affine": (
         ["validate", "--flavor", "gauss_affine", "--phi", "1.2,-0.5", "--x", "2,0",
          "--t-max", "120"],
-        "688301a2d7481abc1ad7e77ff8f13349689d3b98526160f6e9e9baae1fa67d53",
+        "9f3e60326a01f72f1a106cf46f034a7f103a87635258d7f5f33734c69751fea2",
         "f8ecc096cb3246373b42c72c52b3f2e850d618b35aa50ede90e1c8e0e1774300",
     ),
     "simulate_ar2_laplace": (

@@ -17,6 +17,7 @@ from ergobound.errors import (EmptyCoefficients, MomentUnavailable, NotPSD, NotS
                               OrderViolation)
 from ergobound.linalg import eigen
 from ergobound.model import (
+    _GAUSS_LEGENDRE,
     NoiseSpec,
     _gauss_norm_moment,
     _laplace_abs_moment,
@@ -518,6 +519,11 @@ class TestMomentQuadrature:
                              check=True, env={"PYTHONPATH": src})
         assert out.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("rule, n", zip(_GAUSS_LEGENDRE, (16, 8)))
+    def test_gauss_legendre_literals_are_leggauss(self, rule, n):
+        for got, want in zip(rule, np.polynomial.legendre.leggauss(n)):
+            assert got.tobytes() == want.tobytes()
+
     def test_seeded_battery_against_quadpack(self):
         # ill-conditioned, rank-deficient and far-from-centered covariances
         rng = np.random.default_rng(2024)
@@ -735,26 +741,35 @@ class TestLaplaceHighOrders:
 
 class TestStudentLargeDf:
     # gammaln((df - p)/2) - gammaln(df/2) cancels: 4e-12 relative off at df 1e4, 9e-10 at
-    # 1e6 and 4e-4 at 1e12; Stirling's series takes over from df - p = 1e3 on
+    # 1e6 and 4e-4 at 1e12; the moment is E|Z|**p times the Gamma ratio over its leading
+    # power, whose log stays near 0 however large df is
     @pytest.mark.parametrize("df", [1e3 + 12.0, 1e4, 1e5, 1e6, 1e8, 1e10, 1e12])
     @pytest.mark.parametrize("p", [0.3, 1.0, 1.9, 4.0, 12.0])
     def test_against_mpmath(self, df, p):
-        import mpmath
+        assert _student_abs_moment(df, p) == pytest.approx(mpmath_student_abs_moment(df, p),
+                                                           rel=1e-13, abs=0.0)
 
-        with mpmath.workdps(40):
-            h, z = mpmath.mpf(p) / 2, mpmath.mpf(df) / 2
-            want = float(mpmath.exp(h * mpmath.log(df) + mpmath.loggamma(h + 0.5)
-                                    + mpmath.loggamma(z - h) - mpmath.loggamma(z))
-                         / mpmath.sqrt(mpmath.pi))
-        assert _student_abs_moment(df, p) == pytest.approx(want, rel=1e-13, abs=0.0)
+    # the math.gamma quotient for df - p < 28 and Stirling's series past it, bit for bit;
+    # gammaln's route was 2.9e-15, 1.6e-13 and 1.1e-12 off mpmath at the last three
+    @pytest.mark.parametrize("df, p, bits", [
+        (2.05, 2.0, "0x1.4800000000013p+5"), (2.5, 1.0, "0x1.34be52610c593p+0"),
+        (3.0, 1.0, "0x1.1a47c7ee5a514p+0"), (30.0, 1.5, "0x1.cc9cddf861f31p-1"),
+        (999.0, 1.0, "0x1.98d2ebbdc3eafp-1"), (1001.0, 1.5, "0x1.b8eb3026f8b8cp-1")])
+    def test_gamma_ratio_routes_pinned(self, df, p, bits):
+        got = _student_abs_moment(df, p)
+        assert got == float.fromhex(bits)
+        assert got == pytest.approx(mpmath_student_abs_moment(df, p), rel=4e-16, abs=0.0)
 
-    @pytest.mark.parametrize("df, p", [(2.05, 2.0), (2.5, 1.0), (3.0, 1.0), (30.0, 1.5),
-                                       (999.0, 1.0), (1001.0, 1.5)])
-    def test_gammaln_route_below_the_series(self, df, p):
-        want = math.exp((p / 2.0) * math.log(df) + gammaln((p + 1.0) / 2.0)
-                        + gammaln((df - p) / 2.0) - 0.5 * math.log(math.pi)
-                        - gammaln(df / 2.0))
-        assert _student_abs_moment(df, p) == want
+
+def mpmath_student_abs_moment(df, p):
+    """Test-only 40-digit ``E|T_df|**p``."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        h, z = mpmath.mpf(p) / 2, mpmath.mpf(df) / 2
+        return float(mpmath.exp(h * mpmath.log(df) + mpmath.loggamma(h + 0.5)
+                                + mpmath.loggamma(z - h) - mpmath.loggamma(z))
+                     / mpmath.sqrt(mpmath.pi))
 
 
 class TestSerialization:
