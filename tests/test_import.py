@@ -85,7 +85,6 @@ def test_centered_moments_constants_and_bounds_leave_scipy_special_out():
         "import sys\n"
         "import numpy as np\n"
         "import ergobound as eb\n"
-        "from ergobound.model import _gauss_abs_moment_1d\n"
         "specs = [eb.NoiseSpec.gaussian(0.0, 2.0), eb.NoiseSpec.laplace(0.0, 1.5),\n"
         "         eb.NoiseSpec.student_t(3.5, 1.0), eb.NoiseSpec.uniform(0.7),\n"
         "         eb.NoiseSpec.point_mass(0.3), eb.NoiseSpec.laplace_d([0.0, 0.0], [1.0, 2.0]),\n"
