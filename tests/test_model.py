@@ -749,16 +749,23 @@ class TestStudentLargeDf:
         assert _student_abs_moment(df, p) == pytest.approx(mpmath_student_abs_moment(df, p),
                                                            rel=1e-13, abs=0.0)
 
-    # the math.gamma quotient for df - p < 28 and Stirling's series past it, bit for bit;
-    # gammaln's route was 2.9e-15, 1.6e-13 and 1.1e-12 off mpmath at the last three
-    @pytest.mark.parametrize("df, p, bits", [
-        (2.05, 2.0, "0x1.4800000000013p+5"), (2.5, 1.0, "0x1.34be52610c593p+0"),
-        (3.0, 1.0, "0x1.1a47c7ee5a514p+0"), (30.0, 1.5, "0x1.cc9cddf861f31p-1"),
-        (999.0, 1.0, "0x1.98d2ebbdc3eafp-1"), (1001.0, 1.5, "0x1.b8eb3026f8b8cp-1")])
-    def test_gamma_ratio_routes_pinned(self, df, p, bits):
+    # the math.gamma quotient for df - p < 28 and Stirling's series past it, bit for bit,
+    # against the gammaln route they replaced: gammaln's was 2.9e-15, 1.6e-13 and 1.1e-12
+    # off mpmath at the last three
+    _GAMMA_RATIO_BITS = {
+        (2.05, 2.0): "0x1.4800000000013p+5", (2.5, 1.0): "0x1.34be52610c593p+0",
+        (3.0, 1.0): "0x1.1a47c7ee5a514p+0", (30.0, 1.5): "0x1.cc9cddf861f31p-1",
+        (999.0, 1.0): "0x1.98d2ebbdc3eafp-1", (1001.0, 1.5): "0x1.b8eb3026f8b8cp-1"}
+
+    @pytest.mark.parametrize("df, p", list(_GAMMA_RATIO_BITS))
+    def test_gammaln_route_below_the_series(self, df, p):
         got = _student_abs_moment(df, p)
-        assert got == float.fromhex(bits)
+        assert got == float.fromhex(self._GAMMA_RATIO_BITS[df, p])
         assert got == pytest.approx(mpmath_student_abs_moment(df, p), rel=4e-16, abs=0.0)
+        old = math.exp((p / 2.0) * math.log(df) + gammaln((p + 1.0) / 2.0)
+                       + gammaln((df - p) / 2.0) - 0.5 * math.log(math.pi)
+                       - gammaln(df / 2.0))
+        assert got == pytest.approx(old, rel=1.2e-12, abs=0.0)
 
 
 def mpmath_student_abs_moment(df, p):
