@@ -8,8 +8,8 @@ JSON side file, and reruns with equal manifests produce byte-identical
 data files.
 
 Exit codes: 0 success, 2 argument parse error, 3 invalid model, 4
-precondition violation (the error name is printed), 5 sandwich violation
-in ``validate``, 6 I/O failure.
+precondition violation or a size too large to allocate (the error name is
+printed), 5 sandwich violation in ``validate``, 6 I/O failure.
 """
 
 from __future__ import annotations
@@ -471,6 +471,9 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     except ValueError as exc:  # numpy's LinAlgError too, printed as ValueError
         print(f"ValueError: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except MemoryError as exc:  # numpy's failed allocations too, printed as MemoryError
+        print(f"MemoryError: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_PRECONDITION
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

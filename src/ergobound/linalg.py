@@ -231,15 +231,22 @@ def _schur(A: np.ndarray) -> SchurForm:
     return SchurForm(A=A, U=_read_only(U), Delta=Delta, residual=resid, spectral_radius=rho)
 
 
-def _scaled_triangular_norm(M: np.ndarray, kappa: float) -> float:
-    """1-norm of ``D M D^{-1}`` with ``D = diag(kappa, ..., kappa**d)``.
+def _scaled_norms(M: np.ndarray, kappas) -> np.ndarray:
+    """``||J M J^{-1}||_1`` with ``J = diag(kappa, ..., kappa**d)`` at each of ``kappas``.
 
-    Entry (i, j) of the conjugated matrix is ``M[i, j] * kappa**(i - j)``, so
-    the strictly upper triangle is damped by negative powers of ``kappa``.
+    Entry (i, j) of the conjugated matrix is ``M[i, j] * kappa**(i - j)``, so the strictly
+    upper triangle is damped by negative powers of ``kappa``.  Per kappa, the ``2d - 1``
+    powers ``kappa ** k`` are gathered into those weights, a few kappas at a time
+    (temporaries below 2^14 entries).
     """
     d = M.shape[0]
-    p = np.arange(1, d + 1, dtype=float)
-    return one_norm(M * kappa ** (p[:, None] - p[None, :]))
+    kappas = np.asarray(kappas, dtype=float).reshape(-1)
+    powers = np.arange(1 - d, d, dtype=float)
+    gather = np.subtract.outer(np.arange(d), np.arange(d)) + (d - 1)
+    step = max(1, 2 ** 14 // max(1, d * d))
+    return np.concatenate([np.abs(M * (kappas[i:i + step, None] ** powers)[:, gather])
+                           .sum(axis=1).max(axis=1, initial=0.0)
+                           for i in range(0, len(kappas), step)])
 
 
 @dataclass(frozen=True)
@@ -273,8 +280,7 @@ class StarNorm:
         A = as_matrix(A, name="A")
         if A.shape != self.U.shape:
             raise ValueError(f"expected shape {self.U.shape}, got {A.shape}")
-        M = self.U.conj().T @ A @ self.U
-        return _scaled_triangular_norm(M, self.kappa)
+        return float(_scaled_norms(self.U.conj().T @ A @ self.U, self.kappa)[0])
 
 
 def _star_constants(U: np.ndarray, kappa: float) -> tuple[float, float]:
@@ -288,14 +294,9 @@ def _star_constants(U: np.ndarray, kappa: float) -> tuple[float, float]:
 
 
 def _kappa_objective(Delta: np.ndarray, U: np.ndarray, t: int):
-    """The objective of :func:`_optimize_kappa` at one kappa or at each of a sequence, which
-    is taken a few kappas at a time (temporaries below 2^14 entries).  Per kappa, the ``2d - 1``
-    powers ``kappa ** k`` are gathered into the weights ``kappa ** (i - j)``.  A non-finite
-    norm or an overflowing objective scores ``inf``."""
+    """The objective of :func:`_optimize_kappa` at each of a sequence of kappas, as a list.
+    A non-finite norm or an overflowing objective scores ``inf``."""
     d, a, b = U.shape[0], one_norm(U), one_norm(U.conj().T)
-    powers = np.arange(1 - d, d, dtype=float)
-    gather = np.subtract.outer(np.arange(d), np.arange(d)) + (d - 1)
-    step = max(1, 2 ** 14 // (d * d))
 
     def value(kappa: float, s: float) -> float:
         try:
@@ -304,13 +305,9 @@ def _kappa_objective(Delta: np.ndarray, U: np.ndarray, t: int):
             return np.inf
         return f if s < 1.0 and f < np.inf else np.inf
 
-    def objective(kappa):
-        if not np.ndim(kappa):
-            return value(kappa, one_norm(Delta * (kappa ** powers)[gather]))
-        kappas = np.asarray(kappa, dtype=float)
-        s = np.concatenate([np.abs(Delta * (kappas[i:i + step, None] ** powers)[:, gather])
-                            .sum(axis=1).max(axis=1) for i in range(0, len(kappas), step)])
-        return [value(k, x) for k, x in zip(kappas.tolist(), s.tolist())]
+    def objective(kappas):
+        kappas = np.asarray(kappas, dtype=float)
+        return [value(k, s) for k, s in zip(kappas.tolist(), _scaled_norms(Delta, kappas).tolist())]
 
     return objective
 
@@ -321,37 +318,31 @@ def _optimize_kappa(Delta: np.ndarray, U: np.ndarray, threshold: float, t: int) 
 
     Objective is ``K_d(kappa) * s(kappa)**(t+1) / (1 - s(kappa))`` with
     ``s`` the norm value at that kappa, the kappa-dependent factor of the
-    order-1 coupling bound with unit moment weights.  The objective is
-    scanned on a log grid above the admissibility threshold in one batched
-    pass and refined by golden-section search in the best bracket.
+    order-1 coupling bound with unit moment weights.  It is scanned on 16
+    log-spaced points over ``[threshold (1 + 1e-9), 1e4 threshold]``, then on 8
+    across the best point's bracket until that is narrower than 1e-9 in
+    ``log kappa``.  Each column sum of ``J Delta J^{-1}`` is a sum of
+    exponentials in ``log kappa``, so the objective's log is convex in
+    ``log kappa`` where it is finite (from the threshold on), and every bracket
+    holds the minimizer.
     """
     objective = _kappa_objective(Delta, U, t)
-    lo = math.log(threshold * (1.0 + 1e-9))
-    hi = math.log(threshold * 1e4)
-    grid = np.linspace(lo, hi, 80)
-    vals = objective([math.exp(g) for g in grid])
-    k = int(np.argmin(vals))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, len(grid) - 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1, f2 = objective(math.exp(x1)), objective(math.exp(x2))
-    for _ in range(60):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = objective(math.exp(x1))
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = objective(math.exp(x2))
-    return math.exp(0.5 * (a + b))
+    grid = np.linspace(math.log(threshold * (1.0 + 1e-9)), math.log(threshold * 1e4), 16)
+    while True:
+        k = int(np.argmin(objective(np.exp(grid))))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+        if not hi - lo >= 1e-9:  # a NaN width stops too
+            return math.exp(grid[k])
+        grid = np.linspace(lo, hi, 8)
 
 
 def check_kappa_policy(policy: dict) -> None:
-    """Raise ``ValueError`` unless a fixed kappa is finite, a margin is finite
-    and above one, and an optimization step ``t`` is nonnegative."""
+    """Raise ``ValueError`` unless ``policy`` has exactly one of the keys ``auto_margin``,
+    ``fixed`` and ``optimize_at``, a fixed kappa is finite, a margin is finite and above
+    one, and an optimization step ``t`` is nonnegative."""
+    if len(policy) != 1 or not policy.keys() <= {"auto_margin", "fixed", "optimize_at"}:
+        raise ValueError(f"a kappa policy has exactly one of the keys auto_margin, fixed "
+                         f"and optimize_at, got {policy!r}")
     fixed, margin = float(policy.get("fixed", 0.0)), float(policy.get("auto_margin", 2.0))
     t = int(policy.get("optimize_at", 0))
     if not math.isfinite(fixed) or not 1.0 < margin < math.inf or t < 0:
@@ -387,20 +378,19 @@ def star_norm(schur: SchurForm, kappa_policy: dict | None = None) -> StarNorm:
         raise NotSchurStable(f"spectral radius {rho:.12g} is not below 1")
     threshold = max(1.0, one_norm(Delta) / (1.0 - rho))
 
-    if "fixed" in policy:
-        kappa = float(policy["fixed"])
+    (kind, arg), = policy.items()
+    if kind == "fixed":
+        kappa = float(arg)
         if kappa <= threshold:
             raise KappaBelowThreshold(
                 f"kappa {kappa:g} must exceed threshold {threshold:.12g}"
             )
-    elif "optimize_at" in policy:
-        kappa = _optimize_kappa(Delta, U, threshold, int(policy["optimize_at"]))
-    elif "auto_margin" in policy:
-        kappa = float(policy["auto_margin"]) * threshold
+    elif kind == "optimize_at":
+        kappa = _optimize_kappa(Delta, U, threshold, int(arg))
     else:
-        raise ValueError(f"unknown kappa policy {policy!r}")
+        kappa = float(arg) * threshold
 
-    value = _scaled_triangular_norm(Delta, kappa)
+    value = float(_scaled_norms(Delta, kappa)[0])
     K_d, C_star = _star_constants(U, kappa)
     return StarNorm(U=U, Delta=Delta, kappa=kappa, value=value, K_d=K_d, C_star=C_star,
                     schur_residual=schur.residual, spectral_radius=rho)

@@ -206,6 +206,21 @@ def test_malformed_count_exit_2(capsys, tmp_path, argv, message):
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--t-max", "100000000000000000"],
+    ["simulate", "--paths", "100000000000000000", "--horizon", "10"],
+    ["validate", "--noise", "laplace", "--flavor", "generic", "--n-samples",
+     "100000000000000000", "--t-max", "2"],
+])
+def test_unallocatable_size_exit_4(capsys, argv):
+    # 1e17 steps or paths ask for exabytes, beyond any 64-bit address space, so the
+    # first allocation fails at once under any overcommit setting
+    code, stdout, err = run(capsys, *argv, "--phi=0.5")
+    assert code == 4
+    assert err.startswith("MemoryError: ") and err.count("\n") == 1, err
+    assert stdout == ""
+
+
 @pytest.mark.parametrize("r", ["nan", "inf", "0.5"])
 @pytest.mark.parametrize("flavor", ["gauss_affine", "generic"])
 @pytest.mark.parametrize("command", ["bounds", "validate"])

@@ -15,7 +15,6 @@ from ergobound.errors import (
 )
 from ergobound.linalg import (
     _kappa_objective,
-    _scaled_triangular_norm,
     _star_constants,
     build_star_norm,
     eigen,
@@ -203,6 +202,8 @@ class TestStarNorm:
         {"fixed": math.nan}, {"fixed": math.inf}, {"fixed": -math.inf},
         {"auto_margin": math.nan}, {"auto_margin": math.inf}, {"auto_margin": 1.0},
         {"optimize_at": -3},
+        {"fixed": 50.0, "optimize_at": 10}, {"auto_margin": 3.0, "optimize_at": 10},
+        {"auto_margin": 3.0, "kappa": 9},
     ])
     def test_invalid_kappa_policy_raises(self, policy):
         with pytest.raises(ValueError):
@@ -210,10 +211,12 @@ class TestStarNorm:
 
 
 def reference_kappa_objective(Delta, U, t):
-    """The kappa objective as first written: a full star norm per call."""
+    """The kappa objective as first written: the scaled norm of ``Delta`` in full and ``K_d``,
+    one kappa per call."""
+    p = np.arange(1, Delta.shape[0] + 1, dtype=float)
 
     def objective(kappa):
-        s = _scaled_triangular_norm(Delta, kappa)
+        s = one_norm(Delta * kappa ** (p[:, None] - p[None, :]))
         if s >= 1.0:
             return np.inf
         K_d, _ = _star_constants(U, kappa)
@@ -223,9 +226,30 @@ def reference_kappa_objective(Delta, U, t):
 
 
 def reference_kappa_search_objective(Delta, U, t):
-    """The reference objective called once per kappa, also on the scan's grid."""
+    """The reference objective called once per kappa of each grid."""
     one = reference_kappa_objective(Delta, U, t)
-    return lambda kappa: [one(k) for k in kappa] if np.ndim(kappa) else one(kappa)
+    return lambda kappas: [one(k) for k in kappas]
+
+
+def golden_section_kappa(objective, threshold):
+    """The kappa search as first written: the best of an 80-point log grid over ``[threshold
+    (1 + 1e-9), 1e4 threshold]``, then 60 golden-section steps in its bracket."""
+    grid = np.linspace(math.log(threshold * (1.0 + 1e-9)), math.log(threshold * 1e4), 80)
+    k = int(np.argmin([objective(math.exp(g)) for g in grid]))
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - phi * (b - a), a + phi * (b - a)
+    f1, f2 = objective(math.exp(x1)), objective(math.exp(x2))
+    for _ in range(60):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - phi * (b - a)
+            f1 = objective(math.exp(x1))
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + phi * (b - a)
+            f2 = objective(math.exp(x2))
+    return math.exp(0.5 * (a + b))
 
 
 class TestKappaSearch:
@@ -245,8 +269,6 @@ class TestKappaSearch:
         U, Delta = form.U, form.Delta
         fast, slow = _kappa_objective(Delta, U, t), reference_kappa_objective(Delta, U, t)
         kappas = np.geomspace(0.5, 1e6, 97)
-        for kappa in kappas:
-            assert fast(kappa) == slow(kappa)
         assert fast(kappas) == [slow(kappa) for kappa in kappas]  # the batched scan
 
     @pytest.mark.parametrize("Q", MODELS)
@@ -256,6 +278,18 @@ class TestKappaSearch:
         want = build_star_norm(Q, {"optimize_at": 20})
         assert (got.kappa, got.value, got.K_d, got.C_star) == (
             want.kappa, want.value, want.K_d, want.C_star)
+
+    @pytest.mark.parametrize("Q", MODELS)
+    @pytest.mark.parametrize("t", [0, 10, 20, 300])
+    def test_nested_grids_match_golden_section_search(self, Q, t):
+        # the objective's log is convex in log kappa, so the nested grids end within their
+        # stop width of the minimizer that the golden-section search closes in on
+        form = linalg.schur_triangularize(Q)
+        objective = reference_kappa_objective(form.Delta, form.U, t)
+        threshold = max(1.0, one_norm(form.Delta) / (1.0 - form.spectral_radius))
+        got = build_star_norm(Q, {"optimize_at": t}).kappa
+        want = golden_section_kappa(objective, threshold)
+        assert objective(got) <= objective(want) * (1 + 1e-9)
 
 
 def bits(result):

@@ -148,6 +148,15 @@ class TestValidateModel:
         assert not diag.stable
         assert diag.spectral_radius == pytest.approx(root, abs=1e-9)
 
+    def test_singular_stationary_covariance_flag(self):
+        # noise enters one coordinate of a diagonal Q, so the stationary covariance is
+        # diag(1 / (1 - 0.25), 0)
+        m = raw_model(np.diag([0.5, 0.3]), np.diag([1.0, 0.0]),
+                      NoiseSpec.gaussian_d(np.zeros(2), np.eye(2)))
+        diag = validate_model(m, 2.0)
+        assert diag.stable and diag.moment_ok and not diag.gaussian_applicable
+        assert diag.flags == ("SingularStationaryCovariance",)
+        assert diag.lambda_minus == pytest.approx(0.0, abs=1e-15)
 
     def test_nan_order_rejected(self):
         with pytest.raises(ValueError, match="order r must be at least 1"):

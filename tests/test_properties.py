@@ -59,9 +59,10 @@ def test_remembered_decomposition_equals_uncached_calls(model, t):
 
 
 def reference_objective(form, t, kappa):
-    """The kappa objective from a full star norm at one kappa: ``K_d s^(t+1) / (1 - s)``,
-    or ``inf`` where ``s >= 1`` or ``K_d`` overflows."""
-    s = linalg._scaled_triangular_norm(form.Delta, kappa)
+    """The kappa objective from the scaled norm of ``Delta`` in full at one kappa:
+    ``K_d s^(t+1) / (1 - s)``, or ``inf`` where ``s >= 1`` or ``K_d`` overflows."""
+    p = np.arange(1, form.Delta.shape[0] + 1, dtype=float)
+    s = linalg.one_norm(form.Delta * kappa ** (p[:, None] - p[None, :]))
     try:
         value = linalg._star_constants(form.U, kappa)[0] * s ** (t + 1) / (1.0 - s)
     except OverflowError:
@@ -76,3 +77,15 @@ def test_kappa_scan_equals_reference_objective(model, t, span):
     kappas = np.geomspace(1.0, span, 80).tolist()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         assert objective(kappas) == [reference_objective(form, t, k) for k in kappas]
+
+
+@given(stable_models(), st.integers(0, 40))
+def test_optimized_kappa_within_dense_grid(model, t):
+    # no point of a dense log grid over the searched range beats the nested grids' kappa
+    form = linalg.schur_triangularize(model[0])
+    threshold = max(1.0, linalg.one_norm(form.Delta) / (1.0 - form.spectral_radius))
+    kappas = np.geomspace(threshold * (1.0 + 1e-9), threshold * 1e4, 2000)
+    kappa = linalg.star_norm(form, {"optimize_at": t}).kappa
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        best = min(linalg._kappa_objective(form.Delta, form.U, t)(kappas))
+        assert reference_objective(form, t, kappa) <= best * (1 + 1e-9)

@@ -56,6 +56,19 @@ class TestGammaRatio:
               lambda z, h: math.exp(gammaln(z + h) - gammaln(z) - h * math.log(z)),
               lambda z, h: mpmath.exp(mp_log_gamma_ratio(z, h)), grid)
 
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_lgamma_route(self, flip):
+        # one argument below 14, the other at 171 or more, past math.gamma's range: the
+        # difference of math.lgamma; against 40-digit mpmath the largest relative error of
+        # the log measured 8.0e-16 for h > 0 and 2.3e-15 for h < 0 (glibc)
+        grid = [(z, h) for z in np.linspace(0.5, 13.9, 28).tolist()
+                for h in np.geomspace(158.0, 1000.0, 25).tolist() if z + h >= 171.0]
+        if flip:
+            grid = [(z + h, -h) for z, h in grid]
+        with mpmath.workdps(40):
+            got = worst((log_gamma_ratio(z, h), mp_log_gamma_ratio(z, h)) for z, h in grid)
+        assert got <= (5e-15 if flip else 2e-15), got
+
     def test_sphere_moment_ratio(self):
         check("sphere", 6e-15, lambda d, r: math.exp(_log_sphere_moment_ratio(d, r)),
               lambda d, r: math.exp(gammaln((r + 1.0) / 2.0) + gammaln(d / 2.0)

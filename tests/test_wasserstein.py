@@ -437,6 +437,24 @@ def test_worker_count_does_not_change_sliced_output(monkeypatch, case):
         assert got.value == float(powers.mean()) ** (1.0 / r)
 
 
+@pytest.mark.parametrize("d", [32, 40])
+def test_deep_projections_are_one_product(monkeypatch, d):
+    # from depth 32 on, all directions project in one untiled product, so the estimate is
+    # that of plain numpy: one ``dirs @ xs.T``, a row sort and the mean of |diff|^r
+    n, r, n_dirs = 1003, 1.5, 96
+    rng = np.random.default_rng(d)
+    xs, ys = rng.standard_normal((n, d)), rng.standard_normal((n, d)) + 0.2
+    assert _projection_jobs(n_dirs // 2, n, d) == [(0, n_dirs // 2, [0, n])]
+    runs = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("ERGOBOUND_THREADS", threads)
+        runs.append(sliced_empirical(xs, ys, r, n_dirs, seed=6))
+    assert runs[1] == runs[0]
+    dirs, _ = _sliced_directions(d, n_dirs, 6, "random")
+    powers = (np.abs(np.sort(dirs @ xs.T, axis=1) - np.sort(dirs @ ys.T, axis=1)) ** r).mean(axis=1)
+    assert runs[0].value == float(powers.mean()) ** (1.0 / r)
+
+
 def test_sweep_scratch_is_per_job(monkeypatch):
     # numpy reports its buffers to tracemalloc: each of the two workers holds two
     # (at most 31, n rounded up to 16) blocks at a time, so the peak does not grow with
