@@ -5,21 +5,21 @@ streams (Salmon et al., SC 2011) that every random draw of the package comes fro
 may run on).  Every caller splits its work into jobs whose results do not
 depend on which worker runs them, so the count never changes an output bit.
 
-One pool serves the whole process.  It starts all its threads on the first
-call with two or more jobs, never at import, and is replaced only when the
-worker count changes, so its threads keep their BLAS and allocator state
-across calls.  A call made from inside a job runs inline (a nested wait on
-the same workers could deadlock), and a forked child drops the pool it
-inherits, whose threads do not exist there.
+One ``ThreadPoolExecutor`` serves the whole process.  It starts all its
+threads on the first call with two or more jobs, never at import, and is
+replaced only when the worker count changes, so its threads keep their BLAS
+and allocator state across calls.  A call made from inside a job runs inline
+(a nested wait on the same workers could deadlock), and a forked child drops
+the executor it inherits, whose threads do not exist there.  The interpreter
+joins the idle threads at exit.
 """
 
 from __future__ import annotations
 
 import operator
 import os
-import queue
 import threading
-from concurrent.futures import Future, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -40,37 +40,28 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-class _Pool:
-    """``workers`` daemon threads, all started up front, running queued jobs first in first out."""
+def _mark_job_thread() -> None:
+    _local.in_job = True
 
-    def __init__(self, workers: int):
-        self.workers = workers
-        self._tasks = queue.SimpleQueue()
-        for k in range(workers):
-            threading.Thread(target=self._serve, name=f"ergobound-{k}", daemon=True).start()
 
-    def _serve(self) -> None:
-        _local.in_job = True
-        while (task := self._tasks.get()) is not None:
-            future, run, job = task
-            try:
-                future.set_result(run(*job))
-            except BaseException as exc:  # raised again in the caller by ``result()``
-                future.set_exception(exc)
-
-    def submit(self, run, job) -> Future:
-        future = Future()
-        self._tasks.put((future, run, job))
-        return future
-
-    def close(self) -> None:
-        """End the threads once the jobs queued so far have run."""
-        for _ in range(self.workers):
-            self._tasks.put(None)
+def _start_pool(workers: int) -> ThreadPoolExecutor:
+    """An executor with all ``workers`` threads running.  The executor starts a thread per
+    submit only while none is idle, so each start job waits at one barrier until the last
+    thread has started."""
+    executor = ThreadPoolExecutor(workers, "ergobound", initializer=_mark_job_thread)
+    barrier = threading.Barrier(workers)
+    try:
+        for _ in range(workers):
+            executor.submit(barrier.wait)
+    except RuntimeError:  # a thread failed to start: release the started ones
+        barrier.abort()
+        executor.shutdown(wait=False)
+        raise
+    return executor
 
 
 _lock = threading.Lock()
-_pool: _Pool | None = None
+_pool: tuple[int, ThreadPoolExecutor] | None = None  # (worker count, its executor)
 
 
 def _forget_pool() -> None:
@@ -92,12 +83,12 @@ def run_jobs(run, jobs: list) -> list:
     workers = worker_count()
     if workers < 2 or len(jobs) < 2 or getattr(_local, "in_job", False):
         return [run(*job) for job in jobs]
-    with _lock:  # submit under the lock, so no other caller closes this pool meanwhile
-        if _pool is None or _pool.workers != workers:
-            if _pool is not None:
-                _pool.close()
-            _pool = _Pool(workers)
-        futures = [_pool.submit(run, job) for job in jobs]
+    with _lock:  # submit under the lock, so no other caller shuts this executor down meanwhile
+        if _pool is None or _pool[0] != workers:
+            old, _pool = _pool, (workers, _start_pool(workers))
+            if old is not None:
+                old[1].shutdown(wait=False)  # its threads end once the jobs queued so far have run
+        futures = [_pool[1].submit(run, *job) for job in jobs]
     wait(futures)
     return [f.result() for f in futures]
 

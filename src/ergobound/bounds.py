@@ -85,6 +85,17 @@ def _check_t(t: int) -> None:
         raise ValueError(f"t must be nonnegative, got {t}")
 
 
+def _copy_count(n) -> int:
+    """``n`` as a Python int when it is a positive integer, else ``ValueError``."""
+    try:
+        n = operator.index(n)
+    except TypeError:  # a float or a string is no count, even when integral
+        n = 0
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    return n
+
+
 def gaussian_abs_moment(d: int, r: float) -> float:
     """``(E|N_d|^r)^{1/r}`` for a standard Gaussian vector in R^d.
 
@@ -492,15 +503,18 @@ def _coupling(model, flavor, x, p, ts, star, mc_seed, n) -> list[BoundReport]:
     elif flavor == "generic_diag":
         sw = model.sandwich
         constants = {"U_fro": sw.u_fro, "U_inv_fro": sw.uinv_fro, "rho": sw.rho}
-    elif flavor == "empirical_mean" and n < 1:
-        raise ValueError("n must be at least 1")
+    elif flavor == "empirical_mean":
+        n = _copy_count(n)
     if not model.noise.has_moment(p):
         raise MomentUnavailable(f"order {p} moment unavailable for this noise")
     star = _star(model, star)
     s = star.value
-    m1_root, se1, mp_root, sep, sound = _once(
-        model, ("coupling", p, mc_seed, flavor == "empirical_mean"),
-        lambda: _coupling_constants(model, p, mc_seed, flavor == "empirical_mean"))
+
+    def coupling(majorant):
+        return _once(model, ("coupling", p, mc_seed, majorant),
+                     lambda: _coupling_constants(model, p, mc_seed, majorant))
+
+    m1_root, se1, mp_root, sep, sound = coupling(flavor == "empirical_mean")
     gap = x - model.stationary_mean  # x itself for centered noise: x - 0.0 is x
     start = math.sqrt(gap @ gap) + star.K_d * m1_root * s / (1.0 - s)  # as np.linalg.norm
     root_p = (1.0 - s**p) ** (1.0 / p)
@@ -518,9 +532,8 @@ def _coupling(model, flavor, x, p, ts, star, mc_seed, n) -> list[BoundReport]:
         rows = _per_step(model, x, ts, "cores", cores)
         const, rate = sw.u_fro * sw.uinv_fro, sw.rho
     if flavor == "empirical_mean" and model.noise.family == "gaussian":
-        avg_val, _ = _once(model, ("averaged", n, p, mc_seed), lambda: (
-            model.noise.centered.averaged(n).abs_moment_sigma(model.Sigma, p, seed=mc_seed)))
-        exact_n = star.K_d * avg_val ** (1.0 / p)
+        # the mean of n i.i.d. centered Gaussian drivers has the law of one over sqrt(n)
+        exact_n = star.K_d * coupling(False)[2] / math.sqrt(n)
     reports = []
     for t, (low, high) in zip(ts, rows):
         lower, mean_b = weight * low, weight * high
@@ -642,8 +655,7 @@ def parallel_bounds(per_copy: BoundReport, n: int, p: float) -> BoundReport:
     report is exact and ``p = 2``, the tensorization identity gives the
     joint W2 exactly; it is reported in ``details["tensorized_w2"]``.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _copy_count(n)
     root = math.sqrt(n)
     details = {"n_copies": n, "per_copy_flavor": per_copy.flavor}
     if p == 2 and per_copy.details.get("exact"):
@@ -660,9 +672,10 @@ def empirical_mean_bounds(model: StateSpaceModel, n: int, x, p: float, t: int,
     The averaged process satisfies the same recursion with averaged noise,
     so the lower bound (and route (a)) coincide with the single-path case.
     Route (b) uses the n-free majorant ``||Sigma||_F (E|xi - E xi|^p)^{1/p}`` for
-    the averaged-noise moment.  For Gaussian noise the averaged noise is
-    Gaussian with covariance ``Xi / n`` and the exact per-n route (b) is
-    reported in ``details["upper_b_exact_n"]``.
+    the averaged-noise moment.  For Gaussian noise the averaged noise is the
+    centered noise divided by ``sqrt(n)``, so the exact per-n route (b), reported
+    in ``details["upper_b_exact_n"]``, takes ``generic``'s moment root over ``sqrt(n)``
+    (a Monte Carlo root, as at ``p > 2`` in ``d >= 2``, keeps its +3 stderr margin).
     """
     return sweep(model, "empirical_mean", x, p, (t,), star=star, mc_seed=mc_seed, n_copies=n)[0]
 

@@ -10,6 +10,7 @@ remember their last matrix, so each matrix is decomposed once.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,12 +340,15 @@ def _optimize_kappa(Delta: np.ndarray, U: np.ndarray, threshold: float, t: int) 
 def check_kappa_policy(policy: dict) -> None:
     """Raise ``ValueError`` unless ``policy`` has exactly one of the keys ``auto_margin``,
     ``fixed`` and ``optimize_at``, a fixed kappa is finite, a margin is finite and above
-    one, and an optimization step ``t`` is nonnegative."""
+    one, and an optimization step ``t`` is a nonnegative integer."""
     if len(policy) != 1 or not policy.keys() <= {"auto_margin", "fixed", "optimize_at"}:
         raise ValueError(f"a kappa policy has exactly one of the keys auto_margin, fixed "
                          f"and optimize_at, got {policy!r}")
     fixed, margin = float(policy.get("fixed", 0.0)), float(policy.get("auto_margin", 2.0))
-    t = int(policy.get("optimize_at", 0))
+    try:
+        t = operator.index(policy.get("optimize_at", 0))
+    except TypeError:  # a float or a string is no step, even when integral
+        t = -1
     if not math.isfinite(fixed) or not 1.0 < margin < math.inf or t < 0:
         raise ValueError(f"invalid kappa policy {policy!r}")
 
@@ -386,7 +390,7 @@ def star_norm(schur: SchurForm, kappa_policy: dict | None = None) -> StarNorm:
                 f"kappa {kappa:g} must exceed threshold {threshold:.12g}"
             )
     elif kind == "optimize_at":
-        kappa = _optimize_kappa(Delta, U, threshold, int(arg))
+        kappa = _optimize_kappa(Delta, U, threshold, operator.index(arg))
     else:
         kappa = float(arg) * threshold
 

@@ -321,7 +321,6 @@ class NoiseSpec:
                   for k, v in self.params.items()}
         object.__setattr__(self, "params", MappingProxyType(params))
         object.__setattr__(self, "_moment_cache", {})
-        object.__setattr__(self, "_averaged", {})
         object.__setattr__(self, "_law", law)
         self._check(law.names)
 
@@ -403,16 +402,6 @@ class NoiseSpec:
             raise ValueError("only 1-D scalar specs can be lifted")
         u = _coords(direction)
         return NoiseSpec(self.family, len(u), {**self.params, "direction": u})
-
-    def averaged(self, n: int) -> "NoiseSpec":
-        """Gaussian noise of the mean of ``n`` i.i.d. copies; one spec (and moment cache) per n."""
-        if self.family != "gaussian":
-            raise ValueError("only Gaussian noise averages to a noise spec")
-        if n not in self._averaged:
-            key = "cov" if "cov" in self.params else "var"
-            self._averaged[n] = NoiseSpec(self.family, self.dim,
-                                          {**self.params, key: self.params[key] * (1.0 / n)})
-        return self._averaged[n]
 
     # -- structure ---------------------------------------------------------
 

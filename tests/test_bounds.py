@@ -599,6 +599,63 @@ class TestEmpiricalMean:
         tail2 = exact[2] - reps[2].mean_part
         assert tail2 == pytest.approx(tail0 / 4.0, rel=1e-9)
 
+    @staticmethod
+    def model_d3():
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((3, 3))
+        C = A @ A.T + np.eye(3)
+        Sigma = np.diag([1.0, 0.5, 2.0])
+        return raw_model(0.6 * A / np.abs(np.linalg.eigvals(A)).max(), Sigma,
+                         NoiseSpec.gaussian_d(rng.normal(size=3), C)), Sigma, C
+
+    @staticmethod
+    def tail(rep, root):
+        """Route (b)'s noise tail with moment root ``root``, as the report's constants give it."""
+        s, p = rep.constants_used["star_norm"], rep.order
+        return rep.constants_used["K_d"] * root * s ** (rep.t + 1) / (1.0 - s**p) ** (1.0 / p)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    def test_exact_n_matches_the_averaged_noise_moment(self, p, n):
+        # the averaged noise written out: centered Gaussian with driver covariance C / n
+        m, Sigma, C = self.model_d3()
+        val, se = NoiseSpec.gaussian_d(np.zeros(3), C / n).abs_moment_sigma(Sigma, p)
+        assert se == 0.0
+        for t in (1, 5):
+            rep = bnd.empirical_mean_bounds(m, n, [1.0, -2.0, 0.5], p, t)
+            want = rep.mean_part + self.tail(rep, val ** (1.0 / p))
+            assert rep.details["upper_b_exact_n"] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_exact_n_keeps_the_monte_carlo_margin(self, n):
+        # at p = 3 the Gaussian moment of d = 3 noise is a Monte Carlo estimate: the exact
+        # route carries its +3 stderr margin, as every Monte Carlo moment in a bound does
+        m, Sigma, _ = self.model_d3()
+        p = 3.0
+        val, se = m.noise.centered.abs_moment_sigma(Sigma, p, seed=4)
+        assert se > 0.0
+        rep = bnd.empirical_mean_bounds(m, n, [1.0, -2.0, 0.5], p, 2, mc_seed=4)
+        margin = self.tail(rep, (val + 3.0 * se) ** (1.0 / p) / math.sqrt(n))
+        bare = self.tail(rep, val ** (1.0 / p) / math.sqrt(n))
+        assert rep.details["upper_b_exact_n"] - rep.mean_part == pytest.approx(margin, rel=1e-12)
+        assert margin > bare * (1.0 + 1e-6)
+
+
+class TestCopyCount:
+    @pytest.mark.parametrize("flavor", ["parallel", "empirical_mean"])
+    @pytest.mark.parametrize("n", [0, -1, 2.5, 4.0, math.inf, math.nan, "3"])
+    def test_not_a_positive_integer_raises(self, flavor, n):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            bnd.report(ar1(0.5), flavor, [2.0], 2.0, 3, n_copies=n)
+
+    @pytest.mark.parametrize("flavor", ["parallel", "empirical_mean"])
+    def test_numpy_integers_count(self, flavor):
+        m = ar1(0.5)
+        a = bnd.report(m, flavor, [2.0], 2.0, 3, n_copies=np.int64(4))
+        b = bnd.report(m, flavor, [2.0], 2.0, 3, n_copies=4)
+        assert (a.lower, a.upper, a.details) == (b.lower, b.upper, b.details)
+        assert type(a.details["n_copies"]) is int
+
 
 class TestReport:
     @pytest.mark.parametrize(

@@ -472,8 +472,8 @@ class TestBounds:
                 assert files[0] == files[1]
 
     def test_empirical_mean_averaged_moment_once(self, capsys, monkeypatch, tmp_path):
-        # d = 3 vector Gaussian noise: the averaged noise's order-p moment is a
-        # quadrature, which a sweep should run once, not once per row
+        # d = 3 vector Gaussian noise: the exact per-n route reads generic's order-p moment
+        # of Sigma xi, a quadrature a sweep runs once, and no moment of the averaged noise
         from ergobound import model as mdl
         from ergobound.model import raw_model
 
@@ -482,17 +482,25 @@ class TestBounds:
         Sigma = np.diag([1.0, 0.5, 2.0])
         m = raw_model(0.6 * A / np.abs(np.linalg.eigvals(A)).max(), Sigma,
                       NoiseSpec.gaussian_d(rng.normal(size=3), A @ A.T + np.eye(3)))
-        averaged = Sigma @ m.noise.covariance() @ Sigma.T / 4
-        covs = []
+        C = m.noise.covariance()
+        full = Sigma @ C @ Sigma.T
+        calls = []
         quad = mdl._gauss_norm_moment
         monkeypatch.setattr(mdl, "_gauss_norm_moment",
-                            lambda mu, S, p: covs.append(S) or quad(mu, S, p))
+                            lambda mu, S, p: calls.append((S, p)) or quad(mu, S, p))
         code, out, err = run(capsys, "bounds", "--model", write_model(tmp_path, m),
                              "--flavor", "empirical_mean", "--n-copies", "4", "--r", "1.5",
                              "--t-max", "49")
         assert code == 0, err
         assert len(out.strip().splitlines()) == 51
-        assert sum(np.allclose(S, averaged, rtol=1e-12, atol=0.0) for S in covs) == 1
+
+        def quadratures(S, p=None):
+            """The calls on covariance ``S`` (of order ``p`` when given)."""
+            return sum(np.allclose(T, S, rtol=1e-12, atol=0.0) and (p is None or q == p)
+                       for T, q in calls)
+
+        assert quadratures(full, 1.5) == 1
+        assert quadratures(full / 4) == quadratures(C / 4) == 0
 
     @pytest.mark.parametrize("argv", [
         ["--flavor", "projected"],

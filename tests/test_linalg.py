@@ -201,7 +201,8 @@ class TestStarNorm:
     @pytest.mark.parametrize("policy", [
         {"fixed": math.nan}, {"fixed": math.inf}, {"fixed": -math.inf},
         {"auto_margin": math.nan}, {"auto_margin": math.inf}, {"auto_margin": 1.0},
-        {"optimize_at": -3},
+        {"optimize_at": -3}, {"optimize_at": math.inf}, {"optimize_at": math.nan},
+        {"optimize_at": 2.7}, {"optimize_at": "3"},
         {"fixed": 50.0, "optimize_at": 10}, {"auto_margin": 3.0, "optimize_at": 10},
         {"auto_margin": 3.0, "kappa": 9},
     ])

@@ -1,9 +1,11 @@
 import itertools
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,3 +228,68 @@ def test_one_job_runs_on_the_caller(monkeypatch):
     monkeypatch.setenv("ERGOBOUND_THREADS", "4")
     assert _pool.run_jobs(threading.get_ident, [()]) == [threading.get_ident()]
     assert _pool.run_jobs(threading.get_ident, []) == []
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def exits_cleanly(code):
+    """Run ``code`` in a fresh interpreter at 2 workers; it must exit with code 0 within 10 s."""
+    env = dict(os.environ, ERGOBOUND_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_interpreter_exits_after_a_pool_call():
+    # the executor's threads are no daemon threads: the interpreter joins them at exit
+    out = exits_cleanly("from ergobound import _pool\n"
+                        "print(_pool.run_jobs(pow, [(2, 3), (3, 2)]))\n")
+    assert out == "[8, 9]"
+
+
+def test_forked_child_exits_after_a_pool_call():
+    # the child drops the inherited executor, starts its own and joins it at its exit
+    if not hasattr(os, "fork"):
+        pytest.skip("no fork on this platform")
+    out = exits_cleanly(
+        "import os, sys, time, warnings\n"
+        "from ergobound import _pool\n"
+        "assert _pool.run_jobs(pow, [(2, 3), (3, 2)]) == [8, 9]\n"
+        "with warnings.catch_warnings():\n"
+        "    warnings.simplefilter('ignore', DeprecationWarning)  # fork with threads running\n"
+        "    pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    assert _pool.run_jobs(pow, [(2, 5), (5, 2)]) == [32, 25]\n"
+        "else:\n"
+        "    deadline = time.monotonic() + 8\n"
+        "    while not (done := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:\n"
+        "        time.sleep(0.01)\n"
+        "    if not done[0]:\n"
+        "        os.kill(pid, 9)\n"
+        "        sys.exit('the forked child did not exit within 8 s')\n"
+        "    print(os.waitstatus_to_exitcode(done[1]))\n")
+    assert out == "0"
+
+
+def test_failed_thread_start_frees_the_started_threads(monkeypatch):
+    # a thread left waiting at the start barrier would be joined at exit forever
+    monkeypatch.setenv("ERGOBOUND_THREADS", "3")
+    monkeypatch.setattr(_pool, "_pool", None)
+    started = []
+    start = threading.Thread.start
+
+    def second_fails(self):
+        if started:
+            raise RuntimeError("can't start new thread")
+        start(self)
+        started.append(self)
+
+    monkeypatch.setattr(threading.Thread, "start", second_fails)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        _pool.run_jobs(pow, [(2, 3), (3, 2)])
+    started[0].join(10)
+    assert not started[0].is_alive()
+    assert _pool._pool is None
