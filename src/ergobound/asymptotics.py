@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotDiagonalizable, OutOfRegime, ZeroEigenvalue
+from .errors import NotDiagonalizable, OutOfRegime, ZeroEigenvalue, as_step
 from .linalg import SpectralInfo, row_norms
 
 __all__ = [
@@ -210,8 +210,7 @@ def jordan_power(q: complex, d: int, t: int) -> np.ndarray:
     Entry ``(i, i + j)`` equals ``C(t, j) q^{t - j}``; magnitudes are
     assembled in log space for large t to avoid overflow.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    t = as_step(t)
     out = np.zeros((d, d), dtype=complex)
     if q == 0:
         if t <= d - 1:
@@ -248,6 +247,7 @@ def _estimate(query: JordanQuery | JordanPairQuery, t: int) -> JordanEstimate:
     first candidate) or at its mirrored one (the second).  ``error_bound``
     sees the first block only; pairs add the two-block ``combined_bound``.
     """
+    t = as_step(t)
     if query.q == 0:
         raise ZeroEigenvalue("estimate requires a nonzero eigenvalue")
     blocks, j_star = query._blocks, query.j_star
@@ -369,16 +369,15 @@ class EigenSandwich:
         self.u_fro = float(np.linalg.norm(U, ord="fro"))
         self.uinv_fro = float(np.linalg.norm(self.U_inv, ord="fro"))
 
-    def cores(self, ts, *zs) -> list[np.ndarray]:
-        """``S(z, t) = |diag(|q_j|^t) U^{-1} z|`` per step of ``ts``, one array per ``z``."""
+    def cores(self, ts, z) -> np.ndarray:
+        """``S(z, t) = |diag(|q_j|^t) U^{-1} z|`` per step of ``ts``."""
         M = np.array([self.moduli**t for t in ts]).reshape(len(ts), self.moduli.size)
-        return [row_norms(M * (self.U_inv @ z)) for z in zs]
+        return row_norms(M * (self.U_inv @ z))
 
 
 def lyapunov_sandwich(spec: SpectralInfo, z, t: int) -> tuple[float, float]:
     """Two-sided eigen-coordinate estimate of ``|Q^t z|`` (see :class:`EigenSandwich`)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    t = as_step(t)
     sw = EigenSandwich(spec)
-    core = float(sw.cores((t,), np.atleast_1d(np.asarray(z, dtype=float)))[0][0])
+    core = float(sw.cores((t,), np.atleast_1d(np.asarray(z, dtype=float)))[0])
     return core / sw.uinv_fro, sw.u_fro * core

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import weakref
 from dataclasses import dataclass, field
 
@@ -35,10 +34,13 @@ from .errors import (
     NotSchurStable,
     NotSymmetric,
     SingularStationaryCovariance,
+    as_count,
+    as_order,
+    as_step,
 )
 from .linalg import StarNorm, _read_only, as_matrix, fro, row_norms, smallest_eigenvalue_sym
 from .model import StateSpaceModel, stationary_cov_positive
-from .wasserstein import GaussianLaw, _check_order, sphere_moment_ratio
+from .wasserstein import GaussianLaw, sphere_moment_ratio
 
 __all__ = [
     "FLAVORS",
@@ -79,23 +81,6 @@ class BoundReport:
     details: dict = field(default_factory=dict)
 
 
-def _check_t(t: int) -> None:
-    """The per-t functions are defined for ``t >= 0`` only (``Q^t`` would invert ``Q``)."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-
-
-def _copy_count(n) -> int:
-    """``n`` as a Python int when it is a positive integer, else ``ValueError``."""
-    try:
-        n = operator.index(n)
-    except TypeError:  # a float or a string is no count, even when integral
-        n = 0
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return n
-
-
 def gaussian_abs_moment(d: int, r: float) -> float:
     """``(E|N_d|^r)^{1/r}`` for a standard Gaussian vector in R^d.
 
@@ -103,8 +88,7 @@ def gaussian_abs_moment(d: int, r: float) -> float:
     ``(2^{r/2} Gamma((d+r)/2) / Gamma(d/2))^{1/r}``, which is ``sqrt(d)`` times the
     ``1/r``-th power of ``Gamma(d/2 + r/2) / (Gamma(d/2) (d/2)^{r/2})``.
     """
-    if d < 1 or not 1 <= r < math.inf:  # a NaN order fails too
-        raise ValueError("need d >= 1 and a finite r >= 1")
+    d, r = as_count(d, "d"), as_order(r)
     return math.sqrt(d) * math.exp(log_gamma_ratio(d / 2.0, r / 2.0) / r)
 
 
@@ -124,8 +108,7 @@ def exact_w2_ar1(q: float, sigma: float, x: float, t: int) -> float:
 
 def exact_ar1_report(q: float, sigma: float, x: float, t: int) -> BoundReport:
     """Wrap the exact scalar value as a degenerate report (lower = upper)."""
-    _check_t(t)
-    return _exact_ar1(q, sigma, x, (t,))[0]
+    return _exact_ar1(q, sigma, x, (as_step(t),))[0]
 
 
 def _exact_ar1(q: float, sigma: float, x: float, ts) -> list[BoundReport]:
@@ -157,7 +140,7 @@ def stationary_mean(model: StateSpaceModel) -> np.ndarray:
 
 def law_at(model: StateSpaceModel, x, t: int, B=None) -> GaussianLaw:
     """Gaussian law of ``B X_t(x)`` (finite Neumann sums for mean and covariance)."""
-    _check_t(t)
+    t = as_step(t)
     _require_gaussian(model)
     return _laws(model, x, [t], B)[0]
 
@@ -264,7 +247,7 @@ def _per_step(model: StateSpaceModel, x: np.ndarray, ts: list, kind: str, comput
     """
     if len(ts) != 1:
         return compute()
-    key, start = (kind, operator.index(ts[0])), x.tobytes()
+    key, start = (kind, ts[0]), x.tobytes()
     ref, kept, rows = _LAST_START[0]
     if ref is None or ref() is not model or kept != start or len(rows) >= _KEPT_ROWS:
         rows = {}
@@ -282,7 +265,6 @@ def _power_rows(model: StateSpaceModel, ts: list, zs, vs=()) -> list[np.ndarray]
     a row costs O(d^2 log t) and no ``Q^t`` is formed.  Each step makes its own stacked
     product per level, so its bits do not depend on the other steps of ``ts``.
     """
-    ts = [operator.index(t) for t in ts]  # integer steps, as matrix_power takes
     levels = max(ts, default=0).bit_length()
     ladder = list(_once(model, ("power_ladder",), lambda: (model.Q,)))
     while len(ladder) < levels:  # grown here and published whole, so no thread sees it half-grown
@@ -299,6 +281,14 @@ def _power_rows(model: StateSpaceModel, ts: list, zs, vs=()) -> list[np.ndarray]
             else:
                 stack[0][hit] = stack[0][hit] @ M
     return [rows for rows, _ in stacks]
+
+
+def _gap_rows(model: StateSpaceModel, x: np.ndarray, ts: list) -> tuple[np.ndarray, list]:
+    """The ``(len(ts), d)`` rows ``Q^t (x - m_inf)`` and their norms, kept as
+    :func:`_per_step`'s ``"gap"``: the Gaussian and the coupling flavors read both."""
+    return _per_step(model, x, ts, "gap", lambda: (
+        rows := _read_only(_power_rows(model, ts, (x - model.stationary_mean,))[0][:, 0]),
+        row_norms(rows).tolist()))
 
 
 def ar1_params(model: StateSpaceModel) -> tuple[float, float]:
@@ -349,10 +339,9 @@ def sweep(model: StateSpaceModel, flavor: str, x, r: float, ts, *, star: StarNor
     ``n_copies`` copies; ``empirical_mean`` averages ``n_copies`` paths.
     Every flavor needs a finite order ``r >= 1``.
     """
-    _check_order(r)
-    ts = list(ts)
-    for t in ts:
-        _check_t(t)
+    as_order(r)
+    n_copies = as_count(n_copies, "n_copies")
+    ts = [as_step(t) for t in list(ts)]  # list() sizes a range at once: too long fails here
     x = _start(model, x)
     if flavor == "exact_ar1":
         q, sigma = _once(model, ("ar1_params",), lambda: ar1_params(model))
@@ -427,8 +416,7 @@ def _gaussian(model, flavor, x, r, ts, star, B, v, mode) -> list[BoundReport]:
         c_tilde = sphere_moment_ratio(model.d, r)
         mean_const = c_tilde if mode == "as_printed" else c_tilde ** (1.0 / r)
         details = {"mode": mode, "moment_ratio": c_tilde}
-    gap = _per_step(model, x, ts, "gap", lambda: _read_only(
-        _power_rows(model, ts, (x - model.stationary_mean,))[0][:, 0]))
+    gap, norms = _gap_rows(model, x, ts)
     if flavor == "gauss_affine":
         gap = np.matmul(B, gap[:, :, None])[:, :, 0]
     if flavor == "projected":
@@ -439,7 +427,8 @@ def _gaussian(model, flavor, x, r, ts, star, B, v, mode) -> list[BoundReport]:
         wcw = np.matmul(np.matmul(w[:, None, :], cov), w[:, :, None])[:, 0, 0].tolist()
         vcv = float(v @ cov @ v)
     else:
-        gaps, wcw = row_norms(gap).tolist(), itertools.repeat(None)
+        gaps = row_norms(gap).tolist() if flavor == "gauss_affine" else norms
+        wcw = itertools.repeat(None)
     reports = []
     for t, lower, w_sq in zip(ts, gaps, wcw):
         decay = tail * s ** (2 * t)
@@ -503,8 +492,6 @@ def _coupling(model, flavor, x, p, ts, star, mc_seed, n) -> list[BoundReport]:
     elif flavor == "generic_diag":
         sw = model.sandwich
         constants = {"U_fro": sw.u_fro, "U_inv_fro": sw.uinv_fro, "rho": sw.rho}
-    elif flavor == "empirical_mean":
-        n = _copy_count(n)
     if not model.noise.has_moment(p):
         raise MomentUnavailable(f"order {p} moment unavailable for this noise")
     star = _star(model, star)
@@ -518,15 +505,13 @@ def _coupling(model, flavor, x, p, ts, star, mc_seed, n) -> list[BoundReport]:
     gap = x - model.stationary_mean  # x itself for centered noise: x - 0.0 is x
     start = math.sqrt(gap @ gap) + star.K_d * m1_root * s / (1.0 - s)  # as np.linalg.norm
     root_p = (1.0 - s**p) ** (1.0 / p)
-    if sw is None:
-        # per step [|Q^t gap|, |Q^t gap|]: a one-row product is numpy's matrix-vector
-        # case and rounds otherwise, so the start goes in twice to keep the two-row bits
-        rows = _per_step(model, x, ts, "norms", lambda: row_norms(
-            _power_rows(model, ts, (gap, gap))[0]).tolist())
+    if sw is None:  # per step [|Q^t gap|, |Q^t gap|]
+        norms = _gap_rows(model, x, ts)[1]
+        rows = zip(norms, norms)
         const, rate = star.K_d, s
     else:
         def cores():
-            (core,) = sw.cores(ts, gap)
+            core = sw.cores(ts, gap)
             return list(zip((core / sw.uinv_fro).tolist(), (sw.u_fro * core).tolist()))
 
         rows = _per_step(model, x, ts, "cores", cores)
@@ -655,7 +640,7 @@ def parallel_bounds(per_copy: BoundReport, n: int, p: float) -> BoundReport:
     report is exact and ``p = 2``, the tensorization identity gives the
     joint W2 exactly; it is reported in ``details["tensorized_w2"]``.
     """
-    n = _copy_count(n)
+    n = as_count(n, "n")
     root = math.sqrt(n)
     details = {"n_copies": n, "per_copy_flavor": per_copy.flavor}
     if p == 2 and per_copy.details.get("exact"):
@@ -677,7 +662,8 @@ def empirical_mean_bounds(model: StateSpaceModel, n: int, x, p: float, t: int,
     in ``details["upper_b_exact_n"]``, takes ``generic``'s moment root over ``sqrt(n)``
     (a Monte Carlo root, as at ``p > 2`` in ``d >= 2``, keeps its +3 stderr margin).
     """
-    return sweep(model, "empirical_mean", x, p, (t,), star=star, mc_seed=mc_seed, n_copies=n)[0]
+    return sweep(model, "empirical_mean", x, p, (t,), star=star, mc_seed=mc_seed,
+                 n_copies=as_count(n, "n"))[0]
 
 
 def chafai_w2_affine(X_law: GaussianLaw, R, v) -> float:

@@ -199,10 +199,10 @@ def _cmd_bounds(args) -> int:
         model, args.flavor, x, args.r, range(args.t_max + 1), star=star, v=v, mode=args.mode,
         mc_seed=args.seed, n_copies=args.n_copies, per_copy_flavor=args.per_copy_flavor,
     )
-    # one flavor, order and lambda_minus per sweep: the columns free of t are formatted once
+    # one flavor, order and lambda_minus (nan if unused) per sweep: formatted once
     template = "%d" + ",%.17g" * 4 + "," + _row(
         reps[0].flavor, reps[0].order, star.value, star.K_d, star.C_star,
-        reps[0].constants_used.get("lambda_minus", model.lambda_min))
+        reps[0].constants_used.get("lambda_minus"))
     rows = [_BOUNDS_COLUMNS] + [
         template % (rep.t, rep.lower, rep.upper, rep.mean_part, rep.noise_part) for rep in reps]
     manifest = _manifest(

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rules for counts, steps and orders."""
+
+import math
+import operator
 
 
 class ErgoboundError(Exception):
@@ -59,3 +62,30 @@ class DimensionMismatch(ErgoboundError):
 
 class UnequalSampleSizes(ErgoboundError):
     """Empirical quantile distances require equally sized samples."""
+
+
+def as_count(value, name: str, least: int = 1) -> int:
+    """``value`` as a Python int; ``ValueError`` naming ``name`` unless it is an integer of at
+    least ``least`` (dimensions, copies, paths, draws, directions)."""
+    try:
+        n = operator.index(value)
+    except TypeError:  # a float or a string is no count, even an integral one
+        n = least - 1
+    if n < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return n
+
+
+def as_step(value, name: str = "t") -> int:
+    """A time step: a count of at least 0 (``Q^t`` at ``t < 0`` would invert ``Q``)."""
+    return as_count(value, name, 0)
+
+
+def as_order(value, name: str = "r"):
+    """``value``; ``ValueError`` naming ``name`` unless it is a real order ``1 <= r < inf``."""
+    try:
+        if 1.0 <= value < math.inf:  # NaN fails
+            return value
+    except TypeError:  # a string is no order
+        pass
+    raise ValueError(f"order {name} must be finite and at least 1, got {value!r}")

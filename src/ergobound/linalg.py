@@ -10,7 +10,6 @@ remember their last matrix, so each matrix is decomposed once.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .errors import (
     NotPSD,
     NotSchurStable,
     NotSymmetric,
+    as_step,
 )
 
 __all__ = [
@@ -340,17 +340,14 @@ def _optimize_kappa(Delta: np.ndarray, U: np.ndarray, threshold: float, t: int) 
 def check_kappa_policy(policy: dict) -> None:
     """Raise ``ValueError`` unless ``policy`` has exactly one of the keys ``auto_margin``,
     ``fixed`` and ``optimize_at``, a fixed kappa is finite, a margin is finite and above
-    one, and an optimization step ``t`` is a nonnegative integer."""
+    one, and an optimization step ``t`` is a step (:func:`errors.as_step`)."""
     if len(policy) != 1 or not policy.keys() <= {"auto_margin", "fixed", "optimize_at"}:
         raise ValueError(f"a kappa policy has exactly one of the keys auto_margin, fixed "
                          f"and optimize_at, got {policy!r}")
     fixed, margin = float(policy.get("fixed", 0.0)), float(policy.get("auto_margin", 2.0))
-    try:
-        t = operator.index(policy.get("optimize_at", 0))
-    except TypeError:  # a float or a string is no step, even when integral
-        t = -1
-    if not math.isfinite(fixed) or not 1.0 < margin < math.inf or t < 0:
+    if not math.isfinite(fixed) or not 1.0 < margin < math.inf:
         raise ValueError(f"invalid kappa policy {policy!r}")
+    as_step(policy.get("optimize_at", 0), "optimize_at")
 
 
 def star_norm(schur: SchurForm, kappa_policy: dict | None = None) -> StarNorm:
@@ -390,7 +387,7 @@ def star_norm(schur: SchurForm, kappa_policy: dict | None = None) -> StarNorm:
                 f"kappa {kappa:g} must exceed threshold {threshold:.12g}"
             )
     elif kind == "optimize_at":
-        kappa = _optimize_kappa(Delta, U, threshold, operator.index(arg))
+        kappa = _optimize_kappa(Delta, U, threshold, as_step(arg, "optimize_at"))
     else:
         kappa = float(arg) * threshold
 

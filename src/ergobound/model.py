@@ -21,7 +21,8 @@ import numpy as np
 from ._pool import MOMENTS, run_blocks
 from ._special import erf, erfcx, log_gamma_ratio
 from .asymptotics import EigenSandwich
-from .errors import EmptyCoefficients, MomentUnavailable, NonConvergence, OrderViolation
+from .errors import (EmptyCoefficients, MomentUnavailable, NonConvergence, OrderViolation, as_count,
+                     as_order)
 from .linalg import (SchurForm, SpectralInfo, StarNorm, _read_only, as_matrix, eigen, psd_factor,
                      psd_sqrt, schur_triangularize, smallest_eigenvalue_sym, solve_stein, star_norm)
 from .stability import _verdict
@@ -226,9 +227,6 @@ def _mc_abs_moment(draw, loading, p, n, seed) -> tuple[float, float]:
     """Seeded Monte Carlo ``(E|eta @ loading|**p, stderr)`` over the drivers ``eta`` of the
     ``MOMENTS`` blocks; their counts, means and centered sums of squares merge in block order by
     the pairwise update of Chan, Golub & LeVeque (1979), so no bit depends on the worker count."""
-    if n < 2:
-        raise ValueError("Monte Carlo moments need at least two draws")
-
     def run(rng, lo: int, hi: int) -> tuple[int, float, float]:
         vals = np.linalg.norm(draw(rng, hi - lo) @ loading, axis=1)
         if p != 1:
@@ -494,7 +492,10 @@ class NoiseSpec:
             If the order-``p`` moment is infinite.
         NonConvergence
             If a quadrature misses its relative error cap.
+        ValueError
+            If ``mc_draws`` is not an integer of at least 2.
         """
+        mc_draws = as_count(mc_draws, "mc_draws", 2)  # a Monte Carlo stderr needs two draws
         Sigma = as_matrix(Sigma, name="Sigma").astype(float)
         self._require_moment(p)
         cache, key = self._moment_cache, (Sigma.tobytes(), Sigma.shape, p)
@@ -744,8 +745,7 @@ def validate_model(
     model: StateSpaceModel, r: float, boundary_tol: float = 1e-9
 ) -> ModelDiagnostics:
     """Stability, moment and Gaussian-flavor applicability diagnostics."""
-    if not r >= 1:  # a NaN order fails too
-        raise ValueError("order r must be at least 1")
+    as_order(r)
     verdict = _verdict(model.schur.spectral_radius, boundary_tol)
     moment_ok = model.noise.has_moment(r)
     flags = []

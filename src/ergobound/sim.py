@@ -20,7 +20,7 @@ from scipy.linalg.blas import dgemm
 
 from ._pool import PATHS, STATIONARY, run_blocks
 from .bounds import _neumann_sums, _star, _start
-from .errors import MomentUnavailable
+from .errors import MomentUnavailable, as_count, as_step
 from .linalg import StarNorm, psd_factor
 from .model import StateSpaceModel, model_digest
 
@@ -57,10 +57,8 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be at least 1")
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
+        for name in ("n_paths", "horizon"):
+            object.__setattr__(self, name, as_count(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -118,8 +116,9 @@ def simulate_paths(
     steps between kept steps is one exact draw of ``N(Q^k X_s + b_k, C_k)``.
     """
     x = _start(model, x)  # every bound's start check
-    keep = tuple(range(config.horizon + 1)) if times is None else tuple(times)
-    if any(t < 0 or t > config.horizon for t in keep):
+    keep = tuple(range(config.horizon + 1)) if times is None else tuple(
+        as_step(t, "times") for t in times)
+    if any(t > config.horizon for t in keep):
         raise ValueError("times must lie in 0..horizon")
     if len(set(keep)) != len(keep):
         raise ValueError("times must not repeat a step")
@@ -195,12 +194,10 @@ def sample_stationary(
     so the contraction-norm tail majorant is at most ``eps_stat``: an
     explicit, auditable bias bound, unlike a burn-in.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = as_count(n, "n")
     if not 0.0 < eps_stat < math.inf:
         raise ValueError(f"eps_stat must be positive and finite, got {eps_stat}")
-    if not (truncation is None or isinstance(truncation, (int, np.integer)) and truncation >= 0):
-        raise ValueError(f"truncation must be a nonnegative integer, got {truncation!r}")
+    truncation = None if truncation is None else as_step(truncation, "truncation")
     star = _star(model, star)
     exact = truncation is None and model.noise.family == "gaussian"
     out = np.empty((n, 1, model.d))
@@ -254,8 +251,7 @@ def empirical_mean_process(model: StateSpaceModel, n: int, x, horizon: int,
     ``_MEAN_RECURSION_TOL`` (scaled by the path magnitude; a NaN fails) and is
     recorded in provenance.
     """
-    SimConfig(n, horizon, seed)  # the path count and horizon checks of simulate_paths
-    x = _start(model, x)
+    n, horizon, x = as_count(n, "n"), as_count(horizon, "horizon"), _start(model, x)
     draw = model.noise.sampler()
     Qt, Gt = model.Q.T, model.noise_loading
 

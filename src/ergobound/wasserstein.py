@@ -16,7 +16,7 @@ import numpy as np
 
 from ._pool import DIRECTIONS, run_jobs, stream_rng
 from ._special import log_gamma_ratio
-from .errors import DimensionMismatch, UnequalSampleSizes
+from .errors import DimensionMismatch, UnequalSampleSizes, as_count, as_order
 from .linalg import _sqnorms, as_matrix, psd_sqrt
 from .model import _gauss_shifted_abs_moment
 
@@ -97,12 +97,6 @@ def _w2_bures(dm: np.ndarray, covs: np.ndarray, b: GaussianLaw) -> np.ndarray:
     return np.sqrt(_sqnorms(dm) + np.maximum(bures, 0.0))
 
 
-def _check_order(r: float) -> None:
-    """The sorted (comonotone) coupling is optimal only for a convex cost: a finite ``r >= 1``."""
-    if not 1.0 <= r < math.inf:  # a NaN order fails too
-        raise ValueError(f"order r must be finite and at least 1, got {r}")
-
-
 def empirical_w1d(xs, ys, r: float = 1.0) -> EmpiricalEstimate:
     """Order-r distance between equal-size 1-D samples by quantile matching.
 
@@ -110,7 +104,7 @@ def empirical_w1d(xs, ys, r: float = 1.0) -> EmpiricalEstimate:
     is ``(mean |x_(i) - y_(i)|^r)^{1/r}`` with no estimation error beyond
     the samples themselves.
     """
-    _check_order(r)
+    as_order(r)  # the sorted (comonotone) coupling is optimal only for a convex cost
     xs = np.asarray(xs, dtype=float).ravel()
     ys = np.asarray(ys, dtype=float).ravel()
     if xs.shape[0] != ys.shape[0] or xs.shape[0] == 0:
@@ -129,7 +123,7 @@ def gaussian_wr_1d(m1: float, s1: float, m2: float, s2: float, r: float) -> floa
     standard normal, evaluated exactly through Kummer's function;
     ``r = 2`` uses the closed form ``sqrt(dm**2 + ds**2)``.
     """
-    _check_order(r)
+    as_order(r)
     if s1 < 0 or s2 < 0:
         raise ValueError("standard deviations must be nonnegative")
     dm, ds = m2 - m1, s2 - s1
@@ -151,9 +145,7 @@ def sphere_moment_ratio(d: int, r: float) -> float:
     Equals ``Gamma((r+1)/2) Gamma(d/2) / (Gamma((r+d)/2) sqrt(pi))``; at
     ``r = 2`` this is exactly ``1/d``.
     """
-    if d < 2 or not 1 <= r < math.inf:  # a NaN order fails too
-        raise ValueError("need d >= 2 and a finite r >= 1")
-    return float(math.exp(_log_sphere_moment_ratio(d, r)))
+    return float(math.exp(_log_sphere_moment_ratio(as_count(d, "d", 2), as_order(r))))
 
 
 def _directions(d: int, n_distinct: int, seed: int) -> np.ndarray:
@@ -183,8 +175,6 @@ def _check_sample_pair(xs, ys) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sliced_directions(d: int, n_directions: int, seed, mode: str):
-    if n_directions < 1:
-        raise ValueError(f"n_directions must be positive, got {n_directions}")
     n_distinct = (n_directions + 1) // 2
     if mode == "equispaced":
         if d != 2:
@@ -317,7 +307,8 @@ def sliced_empirical_sweep(
     (padded to 16), so below ``d = 32`` the scratch is at most ``workers * 2 *
     31 * (n + 15) * 8`` bytes plus the ``(steps, directions)`` powers.
     """
-    _check_order(r)
+    as_order(r)
+    n_directions = as_count(n_directions, "n_directions")
     ys = np.asarray(ys, dtype=float)
     xs_list = [_check_sample_pair(xs, ys)[0] for xs in xs_list]
     if not xs_list:

@@ -305,7 +305,7 @@ class TestLyapunovSandwich:
 
     def test_negative_t_rejected(self):
         for Q, t in ((np.diag([0.5, 0.0]), -1), (np.diag([0.5, 0.2]), -3)):
-            with pytest.raises(ValueError, match="nonnegative"):
+            with pytest.raises(ValueError, match="t must be an integer of at least 0"):
                 lyapunov_sandwich(eigen(Q), [1.0, 1.0], t)
 
     def test_rejects_defective(self):

@@ -645,7 +645,7 @@ class TestCopyCount:
     @pytest.mark.parametrize("flavor", ["parallel", "empirical_mean"])
     @pytest.mark.parametrize("n", [0, -1, 2.5, 4.0, math.inf, math.nan, "3"])
     def test_not_a_positive_integer_raises(self, flavor, n):
-        with pytest.raises(ValueError, match="n must be a positive integer"):
+        with pytest.raises(ValueError, match="n_copies must be an integer of at least 1"):
             bnd.report(ar1(0.5), flavor, [2.0], 2.0, 3, n_copies=n)
 
     @pytest.mark.parametrize("flavor", ["parallel", "empirical_mean"])
@@ -861,7 +861,7 @@ class TestPowerRows:
         m = ar40() if name == "ar40" else neumann_models(True)[name]
         rng = np.random.default_rng(12)
         zs, vs = tuple(rng.normal(size=(2, m.d))), (rng.normal(size=m.d),)
-        ts = np.array([4096, 0, 17, 4095, 17, 1, 2048, 3, 300, 0], dtype=np.int64)
+        ts = [4096, 0, 17, 4095, 17, 1, 2048, 3, 300, 0]
         rows = power_rows(m, ts, zs, vs)
         assert [r.shape for r in rows] == [(len(ts), m.d)] * 3
         for i, t in enumerate(ts):
@@ -880,10 +880,11 @@ class TestPowerRows:
         m, z = neumann_models(True)["arma"], np.array([1.0, -2.0, 0.5])
         assert [r.shape for r in bnd._power_rows(m, [], (z,), (z,))] == [(0, 1, 3), (0, 1, 3)]
         assert bnd._power_rows(m, [0], (z,))[0].tobytes() == z.tobytes()
-        assert bnd._power_rows(m, [np.int32(9)], (z,))[0].tobytes() == bnd._power_rows(
-            m, [9], (z,))[0].tobytes()
-        with pytest.raises(TypeError):
-            bnd._power_rows(m, [2.0], (z,))
+        # the rows take Python ints: sweep converts a numpy integer step and refuses a float
+        assert repr(bnd.sweep(m, "generic", z, 2.0, [np.int32(9)])) == repr(
+            bnd.sweep(m, "generic", z, 2.0, [9]))
+        with pytest.raises(ValueError, match="t must be an integer of at least 0, got 2.0"):
+            bnd.sweep(m, "generic", z, 2.0, [2.0])
 
     def test_threads_growing_the_squares_get_the_serial_report(self):
         # each square's product releases the GIL: threads that grew one kept list in
@@ -956,7 +957,7 @@ class TestNegativeT:
     @pytest.mark.parametrize("name", sorted(CALLS))
     def test_rejected_before_any_work(self, name):
         m = ar_state_space([1.2, -0.5], None, NoiseSpec.gaussian(0.0, 1.0))
-        with pytest.raises(ValueError, match="t must be nonnegative"):
+        with pytest.raises(ValueError, match="t must be an integer of at least 0"):
             self.CALLS[name](m, -1)
         assert [k for k in self.CACHED if k in vars(m)] == [] and m._bound_constants == {}
         self.CALLS[name](m, 1)  # the same call at t = 1 solves a model-level problem
@@ -969,7 +970,7 @@ class TestNegativeT:
             lambda: bnd.exact_ar1_report(0.5, 1.0, 2.0, -1),
             lambda: bnd.report(m, "exact_ar1", [2.0], 2.0, -1),
         ):
-            with pytest.raises(ValueError, match="t must be nonnegative"):
+            with pytest.raises(ValueError, match="t must be an integer of at least 0"):
                 call()
         assert [k for k in self.CACHED if k in vars(m)] == []
 
@@ -992,9 +993,9 @@ class TestOrderRange:
 
     @pytest.mark.parametrize("r", [math.nan, math.inf, 0.5])
     def test_moment_constants_reject_the_order(self, r):
-        with pytest.raises(ValueError, match="a finite r >= 1"):
+        with pytest.raises(ValueError, match="order r must be finite and at least 1"):
             bnd.gaussian_abs_moment(2, r)
-        with pytest.raises(ValueError, match="a finite r >= 1"):
+        with pytest.raises(ValueError, match="order r must be finite and at least 1"):
             sphere_moment_ratio(2, r)
 
 
@@ -1078,9 +1079,20 @@ class TestSweep:
             bnd.report(model, flavor, x, r, 3, v=[1.0] + [0.0] * (model.d - 1))
         assert str(swept.value) == str(each.value)
 
+    @pytest.mark.parametrize("name", sorted(sweep_models()))
+    def test_coupling_rows_are_the_gap_rows(self, name):
+        # the coupling flavors read the Gaussian flavors' one-row "gap" products: |Q^t (x -
+        # m_inf)| is matrix_power's to a few ulps (at most 18, on the nonnormal model)
+        m, x, _ = sweep_models()[name]
+        gap = np.asarray(x, dtype=float) - m.stationary_mean
+        for rep in bnd.sweep(m, "generic", x, 1.5, range(64)):
+            want = np.linalg.norm(np.linalg.matrix_power(m.Q, rep.t) @ gap)
+            assert rep.lower == rep.mean_part
+            assert abs(rep.lower - want) <= 32 * np.spacing(want), rep.t
+
     def test_negative_step_anywhere_rejected(self):
         m, x, _ = sweep_models()["ar2_gauss"]
-        with pytest.raises(ValueError, match="t must be nonnegative, got -2"):
+        with pytest.raises(ValueError, match="t must be an integer of at least 0, got -2"):
             bnd.sweep(m, "generic", x, 1.5, [3, 0, -2, 4])
 
     def test_explicit_b_eigensolve_once(self, count_calls):
@@ -1146,7 +1158,7 @@ class TestKeptState:
         bnd.generic_bounds(b, x, 2.0, 5)
         bnd.law_at(b, x, 3)
         ref, start, rows = bnd._LAST_START[0]
-        assert ref() is b and start == x.tobytes() and set(rows) == {("norms", 5), ("x", 3)}
+        assert ref() is b and start == x.tobytes() and set(rows) == {("gap", 5), ("x", 3)}
         assert bnd._LAST_SUMS[0][0]() is b and bnd._LAST_SUMS[0][1] == 3
         del b
         gc.collect()
@@ -1179,7 +1191,7 @@ class TestKeptState:
         _, at, *sums = bnd._LAST_SUMS[0]
         rows = bnd._LAST_START[0][2]
         assert at == 4 and {kind for kind, _ in rows} == {"x", "gap"}
-        for kept in (*sums, *rows.values()):
+        for kept in (*sums, rows[("x", 4)], rows[("gap", 4)][0]):
             assert not kept.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             sums[1][0, 0] = 1.0

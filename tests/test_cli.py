@@ -547,6 +547,18 @@ STUDENT_3D = NoiseSpec.student_t_d(4.5, [1.0, 0.5, 2.0])
 class TestSweepRows:
     """``bounds`` makes one sweep per command; its rows are the per-step reports."""
 
+    @pytest.mark.parametrize("flavor", ["generic", "sliced_generic", "empirical_mean", "parallel"])
+    def test_unused_lambda_minus_is_nan_and_never_solved(self, capsys, tmp_path, flavor):
+        # rho = 0.9983 with entries near 1e4: the Stein solve for Sigma_inf misses its residual
+        # cap, and no coupling bound reads lambda_minus, so the run exits 0 with a nan column
+        Q = np.array([[-2132.3204598137177, 306.7500592907816],
+                      [-14822.355313326687, 2132.3058325091083]])
+        m = raw_model(Q, np.eye(2), NoiseSpec.gaussian_d(np.zeros(2), np.eye(2)))
+        code, out, err = run(capsys, "bounds", "--model", write_model(tmp_path, m),
+                             "--flavor", flavor, "--t-max", "2", "--x", "1,1")
+        assert code == 0, err
+        assert [line.split(",")[-1] for line in out.splitlines()[1:]] == ["nan"] * 3
+
     @pytest.mark.parametrize("flavor", ["exact_ar1", "gauss_affine", "projected", "sliced_gauss",
                                         "generic", "generic_diag", "sliced_generic", "parallel",
                                         "empirical_mean"])
@@ -571,9 +583,9 @@ class TestSweepRows:
         assert code == 0, err
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         for t, (row, rep) in enumerate(zip(rows, reps, strict=True)):
-            lam = rep.constants_used.get("lambda_minus", m.lambda_min)
+            lam = rep.constants_used.get("lambda_minus", math.nan)  # nan where unused
             fields = (rep.lower, rep.upper, rep.mean_part, rep.noise_part, rep.order,
-                      star.value, star.K_d, star.C_star, math.nan if lam is None else lam)
+                      star.value, star.K_d, star.C_star, lam)
             assert row == [str(t), *(format(f, ".17g") for f in fields[:4]), rep.flavor,
                            *(format(f, ".17g") for f in fields[4:])]
 

@@ -159,7 +159,7 @@ class TestValidateModel:
         assert diag.lambda_minus == pytest.approx(0.0, abs=1e-15)
 
     def test_nan_order_rejected(self):
-        with pytest.raises(ValueError, match="order r must be at least 1"):
+        with pytest.raises(ValueError, match="order r must be finite and at least 1"):
             validate_model(ar_state_space([0.5]), math.nan)
 
 class TestOwnedArrays:

@@ -398,7 +398,7 @@ class TestSampleStationary:
     @pytest.mark.parametrize("truncation", [-1, 2.5, "3"])
     def test_truncation_checked(self, truncation):
         m = ar_state_space([0.5], noise1d=NoiseSpec.laplace(0.0, 1.0))
-        with pytest.raises(ValueError, match="truncation must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="truncation must be an integer of at least 0"):
             sample_stationary(m, 10, seed=1, truncation=truncation)
         # integers of any kind pass
         ens = sample_stationary(m, 10, seed=1, truncation=np.int64(3))
@@ -469,7 +469,7 @@ class TestEmpiricalMeanProcess:
             lambda x, h: empirical_mean_process(m, 4, x, h, seed=1),
             lambda x, h: simulate_paths(m, x, SimConfig(n_paths=4, horizon=h, seed=1)),
         ):
-            with pytest.raises(ValueError, match="horizon must be at least 1"):
+            with pytest.raises(ValueError, match="horizon must be an integer of at least 1"):
                 call([1.0, 0.0], 0)
             # the start check of every bound (``bounds._start``)
             with pytest.raises(DimensionMismatch, match="x must have length d = 2"):
@@ -477,10 +477,12 @@ class TestEmpiricalMeanProcess:
             for bad in ([math.nan, 0.0], [0.0, math.inf]):
                 with pytest.raises(ValueError, match="x must be finite"):
                     call(bad, 3)
-        # both take their path count and horizon checks from SimConfig
-        with pytest.raises(ValueError, match="n_paths must be at least 1"):
+        # both take their path count and horizon checks from errors.as_count
+        with pytest.raises(ValueError, match="n must be an integer of at least 1"):
             empirical_mean_process(m, 0, [1.0, 0.0], 5, seed=1)
-        with pytest.raises(ValueError, match="horizon must be at least 1"):
+        with pytest.raises(ValueError, match="n_paths must be an integer of at least 1"):
+            SimConfig(n_paths=0, horizon=4, seed=1)
+        with pytest.raises(ValueError, match="horizon must be an integer of at least 1"):
             SimConfig(n_paths=4, horizon=0, seed=1)
 
     def test_non_finite_recursion_residual_raises(self):
