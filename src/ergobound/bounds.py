@@ -88,7 +88,8 @@ def gaussian_abs_moment(d: int, r: float) -> float:
     ``(2^{r/2} Gamma((d+r)/2) / Gamma(d/2))^{1/r}``, which is ``sqrt(d)`` times the
     ``1/r``-th power of ``Gamma(d/2 + r/2) / (Gamma(d/2) (d/2)^{r/2})``.
     """
-    d, r = as_count(d, "d"), as_order(r)
+    d = as_count(d, "d")
+    as_order(r)
     return math.sqrt(d) * math.exp(log_gamma_ratio(d / 2.0, r / 2.0) / r)
 
 
@@ -283,12 +284,16 @@ def _power_rows(model: StateSpaceModel, ts: list, zs, vs=()) -> list[np.ndarray]
     return [rows for rows, _ in stacks]
 
 
-def _gap_rows(model: StateSpaceModel, x: np.ndarray, ts: list) -> tuple[np.ndarray, list]:
-    """The ``(len(ts), d)`` rows ``Q^t (x - m_inf)`` and their norms, kept as
-    :func:`_per_step`'s ``"gap"``: the Gaussian and the coupling flavors read both."""
-    return _per_step(model, x, ts, "gap", lambda: (
-        rows := _read_only(_power_rows(model, ts, (x - model.stationary_mean,))[0][:, 0]),
-        row_norms(rows).tolist()))
+def _gap_rows(model: StateSpaceModel, x: np.ndarray, ts: list) -> np.ndarray:
+    """The ``(len(ts), d)`` rows ``Q^t (x - m_inf)``, kept as :func:`_per_step`'s ``"gap"``."""
+    return _per_step(model, x, ts, "gap", lambda: _read_only(
+        _power_rows(model, ts, (x - model.stationary_mean,))[0][:, 0]))
+
+
+def _gap_norms(model: StateSpaceModel, x: np.ndarray, ts: list) -> list:
+    """The norms of :func:`_gap_rows`, kept beside them as ``"gap_norms"``: the lower bounds
+    of ``sliced_gauss`` and of the coupling flavors."""
+    return _per_step(model, x, ts, "gap_norms", lambda: row_norms(_gap_rows(model, x, ts)).tolist())
 
 
 def ar1_params(model: StateSpaceModel) -> tuple[float, float]:
@@ -339,9 +344,13 @@ def sweep(model: StateSpaceModel, flavor: str, x, r: float, ts, *, star: StarNor
     ``n_copies`` copies; ``empirical_mean`` averages ``n_copies`` paths.
     Every flavor needs a finite order ``r >= 1``.
     """
-    as_order(r)
-    n_copies = as_count(n_copies, "n_copies")
     ts = [as_step(t) for t in list(ts)]  # list() sizes a range at once: too long fails here
+    return _sweep(model, flavor, x, as_order(r), ts, star, v, mode, mc_seed,
+                  as_count(n_copies, "n_copies"), per_copy_flavor, B)
+
+
+def _sweep(model, flavor, x, r, ts, star, v, mode, mc_seed, n, per_copy_flavor, B):
+    """:func:`sweep` at a checked order ``r``, checked steps ``ts`` and ``n`` copies."""
     x = _start(model, x)
     if flavor == "exact_ar1":
         q, sigma = _once(model, ("ar1_params",), lambda: ar1_params(model))
@@ -349,13 +358,12 @@ def sweep(model: StateSpaceModel, flavor: str, x, r: float, ts, *, star: StarNor
     if flavor == "parallel":
         if per_copy_flavor == "parallel":
             raise ValueError("the per-copy flavor of parallel cannot be parallel")
-        per_copy = sweep(model, per_copy_flavor, x, r, ts, star=star, v=v, mode=mode,
-                         mc_seed=mc_seed, n_copies=n_copies, B=B)
-        return [parallel_bounds(rep, n_copies, r) for rep in per_copy]
+        per_copy = _sweep(model, per_copy_flavor, x, r, ts, star, v, mode, mc_seed, n, None, B)
+        return [_parallel(rep, n, r) for rep in per_copy]
     if flavor in ("gauss_affine", "projected", "sliced_gauss"):
         return _gaussian(model, flavor, x, r, ts, star, B, v, mode)
     if flavor in ("generic", "generic_diag", "sliced_generic", "empirical_mean"):
-        return _coupling(model, flavor, x, r, ts, star, mc_seed, n_copies)
+        return _coupling(model, flavor, x, r, ts, star, mc_seed, n)
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
@@ -416,19 +424,18 @@ def _gaussian(model, flavor, x, r, ts, star, B, v, mode) -> list[BoundReport]:
         c_tilde = sphere_moment_ratio(model.d, r)
         mean_const = c_tilde if mode == "as_printed" else c_tilde ** (1.0 / r)
         details = {"mode": mode, "moment_ratio": c_tilde}
-    gap, norms = _gap_rows(model, x, ts)
-    if flavor == "gauss_affine":
-        gap = np.matmul(B, gap[:, :, None])[:, :, 0]
-    if flavor == "projected":
+    wcw = itertools.repeat(None)
+    if flavor == "sliced_gauss":
+        gaps = _gap_norms(model, x, ts)
+    elif flavor == "gauss_affine":
+        gaps = row_norms(np.matmul(B, _gap_rows(model, x, ts)[:, :, None])[:, :, 0]).tolist()
+    else:
         # Sigma_t = Sigma_inf - Q^t Sigma_inf Q^tT, so with w = Q^tT v:
         # <v, (Sigma_t + Sigma_inf) v> = 2 <v, Sigma_inf v> - <w, Sigma_inf w>
         cov, w = model.stationary_cov, _power_rows(model, ts, (), (v,))[0][:, 0]
-        gaps = np.abs(np.matmul(v, gap[:, :, None])[:, 0]).tolist()
+        gaps = np.abs(np.matmul(v, _gap_rows(model, x, ts)[:, :, None])[:, 0]).tolist()
         wcw = np.matmul(np.matmul(w[:, None, :], cov), w[:, :, None])[:, 0, 0].tolist()
         vcv = float(v @ cov @ v)
-    else:
-        gaps = row_norms(gap).tolist() if flavor == "gauss_affine" else norms
-        wcw = itertools.repeat(None)
     reports = []
     for t, lower, w_sq in zip(ts, gaps, wcw):
         decay = tail * s ** (2 * t)
@@ -506,7 +513,7 @@ def _coupling(model, flavor, x, p, ts, star, mc_seed, n) -> list[BoundReport]:
     start = math.sqrt(gap @ gap) + star.K_d * m1_root * s / (1.0 - s)  # as np.linalg.norm
     root_p = (1.0 - s**p) ** (1.0 / p)
     if sw is None:  # per step [|Q^t gap|, |Q^t gap|]
-        norms = _gap_rows(model, x, ts)[1]
+        norms = _gap_norms(model, x, ts)
         rows = zip(norms, norms)
         const, rate = star.K_d, s
     else:
@@ -640,7 +647,11 @@ def parallel_bounds(per_copy: BoundReport, n: int, p: float) -> BoundReport:
     report is exact and ``p = 2``, the tensorization identity gives the
     joint W2 exactly; it is reported in ``details["tensorized_w2"]``.
     """
-    n = as_count(n, "n")
+    return _parallel(per_copy, as_count(n, "n"), p)
+
+
+def _parallel(per_copy: BoundReport, n: int, p: float) -> BoundReport:
+    """:func:`parallel_bounds` for a checked count ``n``."""
     root = math.sqrt(n)
     details = {"n_copies": n, "per_copy_flavor": per_copy.flavor}
     if p == 2 and per_copy.details.get("exact"):
@@ -662,8 +673,8 @@ def empirical_mean_bounds(model: StateSpaceModel, n: int, x, p: float, t: int,
     in ``details["upper_b_exact_n"]``, takes ``generic``'s moment root over ``sqrt(n)``
     (a Monte Carlo root, as at ``p > 2`` in ``d >= 2``, keeps its +3 stderr margin).
     """
-    return sweep(model, "empirical_mean", x, p, (t,), star=star, mc_seed=mc_seed,
-                 n_copies=as_count(n, "n"))[0]
+    return _sweep(model, "empirical_mean", x, as_order(p), [as_step(t)], star, None,
+                  "jensen_consistent", mc_seed, as_count(n, "n"), None, None)[0]
 
 
 def chafai_w2_affine(X_law: GaussianLaw, R, v) -> float:

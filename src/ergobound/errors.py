@@ -81,11 +81,11 @@ def as_step(value, name: str = "t") -> int:
     return as_count(value, name, 0)
 
 
-def as_order(value, name: str = "r"):
-    """``value``; ``ValueError`` naming ``name`` unless it is a real order ``1 <= r < inf``."""
+def as_order(value):
+    """``value``; ``ValueError`` unless it is a real order ``1 <= r < inf``."""
     try:
         if 1.0 <= value < math.inf:  # NaN fails
             return value
     except TypeError:  # a string is no order
         pass
-    raise ValueError(f"order {name} must be finite and at least 1, got {value!r}")
+    raise ValueError(f"order r must be finite and at least 1, got {value!r}")

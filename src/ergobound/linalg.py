@@ -337,17 +337,18 @@ def _optimize_kappa(Delta: np.ndarray, U: np.ndarray, threshold: float, t: int) 
         grid = np.linspace(lo, hi, 8)
 
 
-def check_kappa_policy(policy: dict) -> None:
+def check_kappa_policy(policy: dict) -> int:
     """Raise ``ValueError`` unless ``policy`` has exactly one of the keys ``auto_margin``,
     ``fixed`` and ``optimize_at``, a fixed kappa is finite, a margin is finite and above
-    one, and an optimization step ``t`` is a step (:func:`errors.as_step`)."""
+    one, and an optimization step ``t`` is a step (:func:`errors.as_step`); return that
+    step as a Python int (0 without one)."""
     if len(policy) != 1 or not policy.keys() <= {"auto_margin", "fixed", "optimize_at"}:
         raise ValueError(f"a kappa policy has exactly one of the keys auto_margin, fixed "
                          f"and optimize_at, got {policy!r}")
     fixed, margin = float(policy.get("fixed", 0.0)), float(policy.get("auto_margin", 2.0))
     if not math.isfinite(fixed) or not 1.0 < margin < math.inf:
         raise ValueError(f"invalid kappa policy {policy!r}")
-    as_step(policy.get("optimize_at", 0), "optimize_at")
+    return as_step(policy.get("optimize_at", 0), "optimize_at")
 
 
 def star_norm(schur: SchurForm, kappa_policy: dict | None = None) -> StarNorm:
@@ -373,7 +374,7 @@ def star_norm(schur: SchurForm, kappa_policy: dict | None = None) -> StarNorm:
         If the policy fails :func:`check_kappa_policy`.
     """
     policy = dict(kappa_policy) if kappa_policy else {"auto_margin": 2.0}
-    check_kappa_policy(policy)
+    step = check_kappa_policy(policy)
     U, Delta, rho = schur.U, schur.Delta, schur.spectral_radius
     if rho >= 1.0 - _STABILITY_TOL:
         raise NotSchurStable(f"spectral radius {rho:.12g} is not below 1")
@@ -387,7 +388,7 @@ def star_norm(schur: SchurForm, kappa_policy: dict | None = None) -> StarNorm:
                 f"kappa {kappa:g} must exceed threshold {threshold:.12g}"
             )
     elif kind == "optimize_at":
-        kappa = _optimize_kappa(Delta, U, threshold, as_step(arg, "optimize_at"))
+        kappa = _optimize_kappa(Delta, U, threshold, step)
     else:
         kappa = float(arg) * threshold
 

@@ -251,7 +251,9 @@ def empirical_mean_process(model: StateSpaceModel, n: int, x, horizon: int,
     ``_MEAN_RECURSION_TOL`` (scaled by the path magnitude; a NaN fails) and is
     recorded in provenance.
     """
-    n, horizon, x = as_count(n, "n"), as_count(horizon, "horizon"), _start(model, x)
+    n = as_count(n, "n")
+    horizon = as_count(horizon, "horizon")
+    x = _start(model, x)
     draw = model.noise.sampler()
     Qt, Gt = model.Q.T, model.noise_loading
 

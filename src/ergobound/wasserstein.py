@@ -145,7 +145,9 @@ def sphere_moment_ratio(d: int, r: float) -> float:
     Equals ``Gamma((r+1)/2) Gamma(d/2) / (Gamma((r+d)/2) sqrt(pi))``; at
     ``r = 2`` this is exactly ``1/d``.
     """
-    return float(math.exp(_log_sphere_moment_ratio(as_count(d, "d", 2), as_order(r))))
+    d = as_count(d, "d", 2)
+    as_order(r)
+    return float(math.exp(_log_sphere_moment_ratio(d, r)))
 
 
 def _directions(d: int, n_distinct: int, seed: int) -> np.ndarray:

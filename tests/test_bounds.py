@@ -1158,7 +1158,8 @@ class TestKeptState:
         bnd.generic_bounds(b, x, 2.0, 5)
         bnd.law_at(b, x, 3)
         ref, start, rows = bnd._LAST_START[0]
-        assert ref() is b and start == x.tobytes() and set(rows) == {("gap", 5), ("x", 3)}
+        assert ref() is b and start == x.tobytes()
+        assert set(rows) == {("gap", 5), ("gap_norms", 5), ("x", 3)}
         assert bnd._LAST_SUMS[0][0]() is b and bnd._LAST_SUMS[0][1] == 3
         del b
         gc.collect()
@@ -1191,7 +1192,7 @@ class TestKeptState:
         _, at, *sums = bnd._LAST_SUMS[0]
         rows = bnd._LAST_START[0][2]
         assert at == 4 and {kind for kind, _ in rows} == {"x", "gap"}
-        for kept in (*sums, rows[("x", 4)], rows[("gap", 4)][0]):
+        for kept in (*sums, *rows.values()):
             assert not kept.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             sums[1][0, 0] = 1.0

@@ -107,9 +107,12 @@ def test_bad_input_raises_before_any_work(count_calls, name, call, value):
 def test_the_rules():
     assert [as_count(np.int64(3), "n"), as_count(True, "n"), as_step(0)] == [3, 1, 0]
     assert type(as_count(np.int32(3), "n")) is int
+    # star_norm takes the policy's step from its one check
+    steps = [check_kappa_policy({"optimize_at": np.int64(7)}), check_kappa_policy({"fixed": 3.0})]
+    assert steps == [7, 0] and type(steps[0]) is int
     for value in (1, 1.0, 2.5, np.float64(7.0)):
         assert as_order(value) is value
     with pytest.raises(ValueError, match="^mc_draws must be an integer of at least 2, got 1$"):
         as_count(1, "mc_draws", 2)
-    with pytest.raises(ValueError, match=r"^order p must be finite and at least 1, got 0\.5$"):
-        as_order(0.5, "p")
+    with pytest.raises(ValueError, match=r"^order r must be finite and at least 1, got 0\.5$"):
+        as_order(0.5)
