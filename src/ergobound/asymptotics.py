@@ -34,7 +34,7 @@ __all__ = [
     "lyapunov_sandwich",
 ]
 
-# Exact integer binomials below this time step; logarithms above (overflow).
+# jordan_power's exact integer binomials below this time step; logarithms above (overflow).
 _EXACT_BINOM_MAX_T = 1000
 
 
@@ -43,11 +43,9 @@ def _log_comb(t: int, k: int) -> float:
 
 
 def _comb_ratios(t: int, n: int, k: int) -> np.ndarray:
-    """``C(t, j) / C(t, k)`` for ``j < n``: exact integers for moderate t, logs beyond."""
-    if t <= _EXACT_BINOM_MAX_T:
-        ratios = [math.comb(t, j) / math.comb(t, k) for j in range(min(n, t + 1))]
-    else:
-        ratios = [math.exp(_log_comb(t, j) - _log_comb(t, k)) for j in range(min(n, t + 1))]
+    """``C(t, j) / C(t, k)`` for ``j < n``, each a correctly rounded quotient of two exact
+    integers at every ``t`` (a difference of ``lgamma`` values is 3.6e-8 off at ``t = 1e7``)."""
+    ratios = [math.comb(t, j) / math.comb(t, k) for j in range(min(n, t + 1))]
     return np.array(ratios + [0.0] * (n - len(ratios)))
 
 

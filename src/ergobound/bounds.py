@@ -38,7 +38,8 @@ from .errors import (
     as_order,
     as_step,
 )
-from .linalg import StarNorm, _read_only, as_matrix, fro, row_norms, smallest_eigenvalue_sym
+from .linalg import (StarNorm, _last, _once, _read_only, as_matrix, fro, row_norms,
+                     smallest_eigenvalue_sym)
 from .model import StateSpaceModel, stationary_cov_positive
 from .wasserstein import GaussianLaw, sphere_moment_ratio
 
@@ -146,9 +147,9 @@ def law_at(model: StateSpaceModel, x, t: int, B=None) -> GaussianLaw:
     return _laws(model, x, [t], B)[0]
 
 
-# the Neumann sums of the last model asked: (weak reference to it, t, drift, cov, Q^t); one
-# state for the process, so a program that holds many models keeps the sums of one
-_LAST_SUMS: list = [(None, math.inf, None, None, None)]
+# the Neumann sums of the last model asked at the last step reached, keyed on a weak reference
+# to it and that step; one slot for the process, which holds one model's sums but not the model
+_SUMS: list = [((None, 0), None)]
 
 
 def _neumann_sums(model: StateSpaceModel, t: int) -> tuple:
@@ -159,16 +160,18 @@ def _neumann_sums(model: StateSpaceModel, t: int) -> tuple:
     from them, one power per step, so increasing steps to ``T`` cost O(T) products in all;
     an earlier step or another model starts from 0.
     """
-    ref, at, drift, cov, P = _LAST_SUMS[0]
-    if ref is None or ref() is not model or at > t:
-        at, drift, cov, P = 0, np.zeros(model.d), np.zeros((model.d, model.d)), np.eye(model.d)
-    if at < t:
-        m, V = _once(model, ("neumann_terms",), lambda: (
-            model.Sigma @ model.noise.mean_vector(), model.noise_cov))
+    def resume():  # the sums, then the term Sigma E[xi] they add, kept beside them
+        (ref, at), sums = _SUMS[0]
+        if ref is not key[0] or at > t:
+            m = _read_only(model.Sigma @ model.noise.mean_vector())
+            at, sums = 0, (np.zeros(model.d), np.zeros((model.d, model.d)), np.eye(model.d), m)
+        drift, cov, P, m = sums
         for _ in range(t - at):
-            drift, cov, P = drift + P @ m, cov + P @ V @ P.T, model.Q @ P
-    _LAST_SUMS[0] = (weakref.ref(model), t, _read_only(drift), _read_only(cov), _read_only(P))
-    return drift, cov, P
+            drift, cov, P = drift + P @ m, cov + P @ model.noise_cov @ P.T, model.Q @ P
+        return _read_only(drift), _read_only(cov), _read_only(P), m
+
+    key = (weakref.ref(model), t)
+    return _last(_SUMS, key, resume)[:3]
 
 
 def _laws(model: StateSpaceModel, x, ts, B=None) -> list[GaussianLaw]:
@@ -233,9 +236,9 @@ def _start(model: StateSpaceModel, x) -> np.ndarray:
 # floats for each of these, not for each of its steps
 _KEPT_ROWS = 1024
 
-# the last single-step call's (weak reference to its model, start bytes, {(kind, t): rows});
-# one slot for the process, so a program that holds many models keeps the rows of one
-_LAST_START: list = [(None, None, {})]
+# the last single-step call's rows {(kind, t): rows}, keyed on a weak reference to its model
+# and its start's bytes; one slot for the process, which holds one model's rows but not the model
+_ROWS: list = [(None, None)]
 
 
 def _per_step(model: StateSpaceModel, x: np.ndarray, ts: list, kind: str, compute):
@@ -248,14 +251,10 @@ def _per_step(model: StateSpaceModel, x: np.ndarray, ts: list, kind: str, comput
     """
     if len(ts) != 1:
         return compute()
-    key, start = (kind, ts[0]), x.tobytes()
-    ref, kept, rows = _LAST_START[0]
-    if ref is None or ref() is not model or kept != start or len(rows) >= _KEPT_ROWS:
-        rows = {}
-        _LAST_START[0] = (weakref.ref(model), start, rows)
-    if key not in rows:
-        rows[key] = compute()
-    return rows[key]
+    rows = _last(_ROWS, (weakref.ref(model), x.tobytes()), dict)
+    if len(rows) >= _KEPT_ROWS:
+        rows.clear()
+    return _once(rows, (kind, ts[0]), compute)
 
 
 def _power_rows(model: StateSpaceModel, ts: list, zs, vs=()) -> list[np.ndarray]:
@@ -266,11 +265,11 @@ def _power_rows(model: StateSpaceModel, ts: list, zs, vs=()) -> list[np.ndarray]
     a row costs O(d^2 log t) and no ``Q^t`` is formed.  Each step makes its own stacked
     product per level, so its bits do not depend on the other steps of ``ts``.
     """
-    levels = max(ts, default=0).bit_length()
-    ladder = list(_once(model, ("power_ladder",), lambda: (model.Q,)))
-    while len(ladder) < levels:  # grown here and published whole, so no thread sees it half-grown
-        ladder.append(ladder[-1] @ ladder[-1])
-        model._bound_constants[("power_ladder",)] = tuple(ladder)
+    kept, levels = model._bound_constants, max(ts, default=0).bit_length()
+    ladder = kept.get(("power_ladder", levels), (model.Q,))
+    while len(ladder) < levels:  # each longer ladder kept whole, so no thread sees one half-grown
+        ladder = _once(kept, ("power_ladder", len(ladder) + 1),
+                       lambda: ladder + (ladder[-1] @ ladder[-1],))
     stacks = [[np.array(g, dtype=float)[None].repeat(len(ts), axis=0), transpose]
               for g, transpose in ((zs, True), (vs, False)) if len(g)]
     for k in range(levels):
@@ -296,24 +295,6 @@ def _gap_norms(model: StateSpaceModel, x: np.ndarray, ts: list) -> list:
     return _per_step(model, x, ts, "gap_norms", lambda: row_norms(_gap_rows(model, x, ts)).tolist())
 
 
-def ar1_params(model: StateSpaceModel) -> tuple[float, float]:
-    """``(q, sigma)`` of a scalar, centered Gaussian model."""
-    if model.d != 1 or model.noise.family != "gaussian":
-        raise ValueError("exact_ar1 needs a scalar Gaussian model")
-    if model.noise.mean_vector()[0] != 0.0:
-        raise ValueError("exact_ar1 needs centered noise")
-    return float(model.Q[0, 0]), math.sqrt(model.noise_cov[0, 0])
-
-
-def _once(model: StateSpaceModel, key, compute):
-    """``compute()``, kept on the model under ``key``: a bound constant of the model
-    alone, such as a moment root, solved once whatever ``t`` and ``x``."""
-    kept = model._bound_constants
-    if key not in kept:
-        kept[key] = compute()
-    return kept[key]
-
-
 def lambda_minus(model: StateSpaceModel, B=None) -> float:
     """Smallest eigenvalue of ``B Sigma_inf B^T`` (``B = I`` by default), solved once per
     model and ``B`` (keyed on its bytes); raises ``SingularStationaryCovariance`` unless
@@ -326,7 +307,8 @@ def lambda_minus(model: StateSpaceModel, B=None) -> float:
                 f"smallest stationary eigenvalue {lam:.3e} is not safely positive")
         return lam
 
-    return _once(model, ("lambda_minus", None if B is None else (B.tobytes(), B.shape)), solve)
+    key = ("lambda_minus", None if B is None else (B.tobytes(), B.shape))
+    return _once(model._bound_constants, key, solve)
 
 
 def sweep(model: StateSpaceModel, flavor: str, x, r: float, ts, *, star: StarNorm | None = None,
@@ -353,8 +335,11 @@ def _sweep(model, flavor, x, r, ts, star, v, mode, mc_seed, n, per_copy_flavor, 
     """:func:`sweep` at a checked order ``r``, checked steps ``ts`` and ``n`` copies."""
     x = _start(model, x)
     if flavor == "exact_ar1":
-        q, sigma = _once(model, ("ar1_params",), lambda: ar1_params(model))
-        return _exact_ar1(q, sigma, float(x[0]), ts)
+        if model.d != 1 or model.noise.family != "gaussian":
+            raise ValueError("exact_ar1 needs a scalar Gaussian model")
+        if model.noise.mean_vector()[0] != 0.0:
+            raise ValueError("exact_ar1 needs centered noise")
+        return _exact_ar1(float(model.Q[0, 0]), math.sqrt(model.noise_cov[0, 0]), float(x[0]), ts)
     if flavor == "parallel":
         if per_copy_flavor == "parallel":
             raise ValueError("the per-copy flavor of parallel cannot be parallel")
@@ -412,7 +397,7 @@ def _gaussian(model, flavor, x, r, ts, star, B, v, mode) -> list[BoundReport]:
     s = star.value
     # the t-free tail before lambda_minus: where its constants overflow, the refusal
     # comes without the Stein solve and eigensolve
-    tail, moment = _once(model, ("gauss_tail", star.C_star, k, r), lambda: (
+    tail, moment = _once(model._bound_constants, ("gauss_tail", star.C_star, k, r), lambda: (
         star.C_star**2 * fro(model.Sigma) ** 2 * fro(model.noise.covariance()),
         gaussian_abs_moment(k, r)))
     lam = lambda_minus(model, B if flavor == "gauss_affine" else None)
@@ -505,7 +490,7 @@ def _coupling(model, flavor, x, p, ts, star, mc_seed, n) -> list[BoundReport]:
     s = star.value
 
     def coupling(majorant):
-        return _once(model, ("coupling", p, mc_seed, majorant),
+        return _once(model._bound_constants, ("coupling", p, mc_seed, majorant),
                      lambda: _coupling_constants(model, p, mc_seed, majorant))
 
     m1_root, se1, mp_root, sep, sound = coupling(flavor == "empirical_mean")

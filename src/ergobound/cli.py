@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, bounds as bnd
 from ._format import CELL, format_17g
 from .errors import ErgoboundError
-from .linalg import check_kappa_policy, star_norm
+from .linalg import StarNorm, _last, check_kappa_policy, star_norm
 from .model import (
     NoiseSpec,
     StateSpaceModel,
@@ -119,7 +119,7 @@ def _start_state(args, model: StateSpaceModel) -> np.ndarray:
     return x
 
 
-def _kappa_policy(text: str | None) -> dict:
+def _star(model: StateSpaceModel, text: str | None) -> StarNorm:
     kind, _, val = (text or "auto").partition(":")
     try:
         if kind == "auto":
@@ -133,7 +133,7 @@ def _kappa_policy(text: str | None) -> dict:
         check_kappa_policy(policy)
     except ValueError as exc:
         raise _ParseError(f"bad kappa policy {text!r}: {exc}") from exc
-    return policy
+    return star_norm(model.schur, policy)  # the Schur form is taken once the policy passes
 
 
 def _manifest(command: str, model: StateSpaceModel | None, args, keys) -> dict:
@@ -194,7 +194,7 @@ def _cmd_bounds(args) -> int:
     if v is not None and not np.all(np.isfinite(v)):
         raise _ParseError(f"--v must be finite, got {args.v!r}")
     x = _start_state(args, model)
-    star = star_norm(model.schur, _kappa_policy(args.kappa_policy))
+    star = _star(model, args.kappa_policy)
     reps = bnd.sweep(
         model, args.flavor, x, args.r, range(args.t_max + 1), star=star, v=v, mode=args.mode,
         mc_seed=args.seed, n_copies=args.n_copies, per_copy_flavor=args.per_copy_flavor,
@@ -247,7 +247,7 @@ def _references(model: StateSpaceModel, args, x: np.ndarray, star, ts: list) -> 
 def _cmd_validate(args) -> int:
     model = _load_model(args)
     x = _start_state(args, model)
-    star = star_norm(model.schur, _kappa_policy(args.kappa_policy))
+    star = _star(model, args.kappa_policy)
     ts = list(range(args.t_max + 1))
     reps = bnd.sweep(model, args.flavor, x, args.r, ts, star=star, mode=args.mode,
                      mc_seed=args.seed)
@@ -443,15 +443,12 @@ _RANGES = (
     ("seed", lambda v: 0 <= v < 2**64, "in [0, 2**64)"),
 )
 
-# built on the first main call and reused: parsing leaves an argparse parser unchanged
-_PARSER: argparse.ArgumentParser | None = None
+# build_parser's parser, kept from the first main call: parsing leaves a parser unchanged
+_PARSER: list = [(None, None)]
 
 
 def main(argv=None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    args = _last(_PARSER, build_parser, build_parser).parse_args(argv)
     try:
         if getattr(args, "out", None) == "":
             raise _ParseError("--out must name a file, got ''")

@@ -118,9 +118,6 @@ def _check_conjugate_pairs(w: np.ndarray) -> None:
         raise NonConvergence("non-real eigenvalues of real input failed to pair")
 
 
-_LAST: dict = {}  # per remembered function, the (key, result) of its last call
-
-
 def _read_only(*arrays) -> np.ndarray:
     """Mark the arrays read-only; returns the first."""
     for a in arrays:
@@ -128,23 +125,33 @@ def _read_only(*arrays) -> np.ndarray:
     return arrays[0]
 
 
-def _remembered(compute, A):
-    """``compute(A)`` on a private read-only copy of the validated ``A``, or its last result
-    again while the key (dtype, shape and bytes of ``A``) is unchanged.  A call that raises
-    keeps nothing."""
-    A = as_matrix(A, name="A")
-    key = (A.dtype.str, A.shape, A.tobytes())
-    last = _LAST.get(compute, (None, None))
-    if last[0] != key:
-        _LAST[compute] = last = (key, compute(_read_only(A.copy())))
-    return last[1]
+def _once(kept: dict, key, compute):
+    """``kept[key]``, stored as ``compute()`` on the first call with ``key``: every key of an
+    object's own dict is kept.  A ``compute`` that raises stores nothing."""
+    value = kept.get(key, kept)  # the dict itself marks a missing key
+    if value is kept:
+        value = kept[key] = compute()
+    return value
+
+
+def _last(slot: list, key, compute):
+    """``compute()``, kept in the one-entry ``slot`` while calls ask for the same ``key``: one
+    ``(key, value)`` per slot, stored whole, and nothing when ``compute`` raises."""
+    kept = slot[0]
+    if kept[0] != key:
+        kept = slot[0] = key, compute()
+    return kept[1]
+
+
+_EIGEN, _SCHUR = [(None, None)], [(None, None)]  # the last matrix's (key, result) of each
 
 
 def eigen(A) -> SpectralInfo:
     """Eigenvalues and eigenvectors of a square matrix with finite entries, remembered for the
     last matrix, with read-only arrays.  Raises ``NonConvergence`` if the iteration fails or
     misses ``||A V - V diag(w)||_F <= 1e-8 ||A||_F``."""
-    return _remembered(_eigen, A)
+    A = as_matrix(A, name="A")
+    return _last(_EIGEN, (A.dtype.str, A.shape, A.tobytes()), lambda: _eigen(_read_only(A.copy())))
 
 
 def _eigen(A: np.ndarray) -> SpectralInfo:
@@ -210,7 +217,8 @@ def schur_triangularize(A) -> SchurForm:
     remembered for the last matrix, and ``A``, ``U`` and ``Delta`` are read-only, ``A`` a
     private copy; so every caller on one matrix shares one decomposition.
     """
-    return _remembered(_schur, A)
+    A = as_matrix(A, name="A")
+    return _last(_SCHUR, (A.dtype.str, A.shape, A.tobytes()), lambda: _schur(_read_only(A.copy())))
 
 
 def _schur(A: np.ndarray) -> SchurForm:
@@ -373,8 +381,19 @@ def star_norm(schur: SchurForm, kappa_policy: dict | None = None) -> StarNorm:
     ValueError
         If the policy fails :func:`check_kappa_policy`.
     """
+    return _star_norm(lambda: schur, kappa_policy)
+
+
+def build_star_norm(Q, kappa_policy: dict | None = None) -> StarNorm:
+    """:func:`star_norm` of the Schur form of the square matrix ``Q``, factored after the check."""
+    return _star_norm(lambda: schur_triangularize(as_matrix(Q, name="Q")), kappa_policy)
+
+
+def _star_norm(schur_of, kappa_policy: dict | None) -> StarNorm:
+    """:func:`star_norm` of the Schur form ``schur_of()``, asked for once the policy passes."""
     policy = dict(kappa_policy) if kappa_policy else {"auto_margin": 2.0}
     step = check_kappa_policy(policy)
+    schur = schur_of()
     U, Delta, rho = schur.U, schur.Delta, schur.spectral_radius
     if rho >= 1.0 - _STABILITY_TOL:
         raise NotSchurStable(f"spectral radius {rho:.12g} is not below 1")
@@ -396,11 +415,6 @@ def star_norm(schur: SchurForm, kappa_policy: dict | None = None) -> StarNorm:
     K_d, C_star = _star_constants(U, kappa)
     return StarNorm(U=U, Delta=Delta, kappa=kappa, value=value, K_d=K_d, C_star=C_star,
                     schur_residual=schur.residual, spectral_radius=rho)
-
-
-def build_star_norm(Q, kappa_policy: dict | None = None) -> StarNorm:
-    """:func:`star_norm` of the Schur form of the square matrix ``Q``."""
-    return star_norm(schur_triangularize(as_matrix(Q, name="Q")), kappa_policy)
 
 
 def _sym(S: np.ndarray) -> np.ndarray:

@@ -23,8 +23,9 @@ from ._special import erf, erfcx, log_gamma_ratio
 from .asymptotics import EigenSandwich
 from .errors import (EmptyCoefficients, MomentUnavailable, NonConvergence, OrderViolation, as_count,
                      as_order)
-from .linalg import (SchurForm, SpectralInfo, StarNorm, _read_only, as_matrix, eigen, psd_factor,
-                     psd_sqrt, schur_triangularize, smallest_eigenvalue_sym, solve_stein, star_norm)
+from .linalg import (SchurForm, SpectralInfo, StarNorm, _once, _read_only, as_matrix, eigen,
+                     psd_factor, psd_sqrt, schur_triangularize, smallest_eigenvalue_sym,
+                     solve_stein, star_norm)
 from .stability import _verdict
 
 __all__ = [
@@ -498,15 +499,12 @@ class NoiseSpec:
         mc_draws = as_count(mc_draws, "mc_draws", 2)  # a Monte Carlo stderr needs two draws
         Sigma = as_matrix(Sigma, name="Sigma").astype(float)
         self._require_moment(p)
-        cache, key = self._moment_cache, (Sigma.tobytes(), Sigma.shape, p)
-        if key not in cache:
-            exact = self._exact_abs_moment(Sigma, p)
-            cache[key] = None if exact is None else (exact, 0.0)
-        mc_key = key + (mc_draws, seed)
-        if cache[key] is None and mc_key not in cache:
-            cache[mc_key] = _mc_abs_moment(self.sampler(), (Sigma @ self.loading.T).T, p,
-                                           mc_draws, seed)
-        return cache[key] or cache[mc_key]
+        kept, key = self._moment_cache, (Sigma.tobytes(), Sigma.shape, p)
+        exact = _once(kept, key, lambda: (self._exact_abs_moment(Sigma, p), 0.0))
+        if exact[0] is not None:
+            return exact
+        return _once(kept, key + (mc_draws, seed), lambda: _mc_abs_moment(
+            self.sampler(), (Sigma @ self.loading.T).T, p, mc_draws, seed))
 
     def moment_root(self, Sigma, p: float, seed: int = 0) -> tuple[float, float]:
         """``(E|Sigma xi|**p + 3 stderr)**(1/p)`` and the stderr: Monte Carlo
@@ -597,7 +595,7 @@ class StateSpaceModel:
             raise ValueError("Q and Sigma must be d x d")
         if self.noise.dim != self.d:
             raise ValueError("noise dimension must match the state dimension")
-        object.__setattr__(self, "_bound_constants", {})  # kept by ``bounds._once``
+        object.__setattr__(self, "_bound_constants", {})  # kept through ``linalg._once``
 
     @cached_property
     def noise_cov(self) -> np.ndarray:

@@ -68,13 +68,11 @@ def gaussian_w2(a: GaussianLaw, b: GaussianLaw) -> float:
     """Exact W2 between Gaussian laws: the one-law case of :func:`gaussian_w2_rows`."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions {a.dim} and {b.dim} disagree")
-    if a.dim == 1:
-        return _w2_1d(float(a.mean[0] - b.mean[0]), float(a.cov[0, 0]), b)
-    return float(_w2_bures(a.mean - b.mean, a.cov, b))
+    return float(gaussian_w2_rows(a.mean[None], a.cov[None], b)[0])
 
 
 def gaussian_w2_rows(means, covs, b: GaussianLaw) -> np.ndarray:
-    """Each law ``(means[k], covs[k])``'s exact W2 to ``b``, bit for bit :func:`gaussian_w2`."""
+    """Each law ``(means[k], covs[k])``'s exact W2 to ``b``."""
     means, covs = np.asarray(means, dtype=float), np.asarray(covs, dtype=float)
     if means.ndim != 2 or means.shape[1] != b.dim or covs.shape != (*means.shape, b.dim):
         raise DimensionMismatch(f"laws {means.shape}, {covs.shape} against dimension {b.dim}")

@@ -6,6 +6,7 @@ import pytest
 
 from ergobound.asymptotics import (
     JordanPairQuery,
+    _comb_ratios,
     JordanQuery,
     jordan_estimate,
     jordan_pair_estimate,
@@ -130,6 +131,16 @@ class TestJordanEstimate:
     def test_zero_eigenvalue(self):
         with pytest.raises(ZeroEigenvalue):
             jordan_estimate(JordanQuery(2, 0.0, [1.0, 1.0]), 10)
+
+    @pytest.mark.parametrize("t", [1001, 10**5, 10**7])
+    def test_binomial_ratios_are_correctly_rounded(self, t):
+        # quotients of exact integers at every t; lgamma differences were 3.6e-8 off at 1e7
+        with mpmath.workdps(50):
+            for k in (0, 3, 7):
+                got = _comb_ratios(t, 8, k)
+                for j in range(8):
+                    want = mpmath.binomial(t, j) / mpmath.binomial(t, k)
+                    assert abs(got[j] - want) <= 2.0**-53 * want, (t, j, k)
 
     def test_rate_stabilization(self):
         # error_bound * t approaches a constant (1/t rate)

@@ -912,9 +912,10 @@ class TestPowerRows:
         # reader's snapshot of the kept squares stays what it was when read
         m, z = ar40(), np.eye(40)[0]
         bnd._power_rows(m, [3], (z,))
-        snapshot = m._bound_constants[("power_ladder",)]
+        snapshot = m._bound_constants[("power_ladder", 2)]
         bnd._power_rows(m, [1000], (z,))
-        assert len(snapshot) == 2 and len(m._bound_constants[("power_ladder",)]) == 10
+        assert len(snapshot) == 2 and len(m._bound_constants[("power_ladder", 10)]) == 10
+        assert m._bound_constants[("power_ladder", 2)] is snapshot
 
     def test_long_sweep_memory_is_linear_in_steps(self):
         m, T = ar40(), 5000
@@ -1153,18 +1154,18 @@ class TestKeptState:
         x = np.array([1.0, -2.0])
         bnd.generic_bounds(a, x, 2.0, 4)
         bnd.law_at(a, x, 6)
-        assert bnd._LAST_START[0][0]() is a and bnd._LAST_SUMS[0][0]() is a
+        assert bnd._ROWS[0][0][0]() is a and bnd._SUMS[0][0][0]() is a
         # another model replaces the rows and the Neumann sums of the one before
         bnd.generic_bounds(b, x, 2.0, 5)
         bnd.law_at(b, x, 3)
-        ref, start, rows = bnd._LAST_START[0]
+        (ref, start), rows = bnd._ROWS[0]
         assert ref() is b and start == x.tobytes()
         assert set(rows) == {("gap", 5), ("gap_norms", 5), ("x", 3)}
-        assert bnd._LAST_SUMS[0][0]() is b and bnd._LAST_SUMS[0][1] == 3
+        assert bnd._SUMS[0][0][0]() is b and bnd._SUMS[0][0][1] == 3
         del b
         gc.collect()
         # the slots do not keep their model alive
-        assert bnd._LAST_START[0][0]() is None and bnd._LAST_SUMS[0][0]() is None
+        assert bnd._ROWS[0][0][0]() is None and bnd._SUMS[0][0][0]() is None
         want = [bnd.law_at(neumann_models(False)["ar2"], x, 9),
                 bnd.generic_bounds(neumann_models(False)["ar2"], x, 2.0, 5)]
         assert bits(bnd.law_at(a, x, 9)) == bits(want[0])
@@ -1189,8 +1190,8 @@ class TestKeptState:
         m, x = neumann_models(False)["ar2"], np.array([1.0, -2.0])
         law = bnd.law_at(m, x, 4)
         bnd.gaussian_affine_bounds(m, None, x, 2.0, 4)
-        _, at, *sums = bnd._LAST_SUMS[0]
-        rows = bnd._LAST_START[0][2]
+        (_, at), sums = bnd._SUMS[0]
+        rows = bnd._ROWS[0][1]
         assert at == 4 and {kind for kind, _ in rows} == {"x", "gap"}
         for kept in (*sums, *rows.values()):
             assert not kept.flags.writeable
@@ -1199,12 +1200,32 @@ class TestKeptState:
         law.mean[:], law.cov[:] = 7.0, 7.0  # the caller's copies
         assert bits(bnd.law_at(m, x, 4)) == bits(bnd.law_at(neumann_models(False)["ar2"], x, 4))
 
+    def test_a_call_that_raises_keeps_nothing(self, monkeypatch):
+        m, x = neumann_models(False)["ar2"], np.array([1.0, -2.0])
+        bnd.law_at(m, x, 4)
+        rows, sums = bnd._ROWS[0], bnd._SUMS[0]
+
+        def fail(*args):
+            raise FloatingPointError("no value")
+
+        with pytest.raises(FloatingPointError):
+            bnd._per_step(m, x, [5], "x", fail)
+        assert bnd._ROWS[0] is rows and set(rows[1]) == {("x", 4)}
+        monkeypatch.setattr(NoiseSpec, "mean_vector", fail)
+        with pytest.raises(FloatingPointError):
+            bnd.law_at(neumann_models(False)["ar2"], x, 6)  # its rows are kept, its sums not
+        assert bnd._SUMS[0] is sums and bnd._ROWS[0] is not rows
+        monkeypatch.setattr(bnd, "smallest_eigenvalue_sym", fail)
+        with pytest.raises(FloatingPointError):
+            bnd.lambda_minus(m, np.ones((1, 2)))
+        assert not any(key[0] == "lambda_minus" for key in m._bound_constants)
+
     def test_a_long_single_step_loop_keeps_a_bounded_number_of_rows(self):
         m, x = neumann_models(True)["arma"], np.array([1.0, -2.0, 0.5])
         fresh = neumann_models(True)["arma"]
         for t in range(3 * bnd._KEPT_ROWS // 2):
             rep = bnd.generic_bounds(m, x, 2.0, t)
-            assert 1 <= len(bnd._LAST_START[0][2]) <= bnd._KEPT_ROWS
+            assert 1 <= len(bnd._ROWS[0][1]) <= bnd._KEPT_ROWS
         assert repr(rep) == repr(bnd.generic_bounds(fresh, x, 2.0, t))
 
     def test_sweeps_keep_nothing_and_the_sums_stay_quadratic(self):
@@ -1213,7 +1234,7 @@ class TestKeptState:
         for flavor in ("generic", "gauss_affine"):  # the constants and squares, kept
             bnd.report(m, flavor, x, 2.0, T - 1)
             bnd.sweep(m, flavor, x, 2.0, range(100))  # and the interpreter's free lists filled
-        kept = dict(bnd._LAST_START[0][2])
+        kept = dict(bnd._ROWS[0][1])
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -1226,10 +1247,10 @@ class TestKeptState:
             summed, peak = (n - base for n in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        assert bnd._LAST_START[0][2] == kept
+        assert bnd._ROWS[0][1] == kept
         assert swept < 32 * 1024  # one float per step would take 160 kB
         # drift, cov and Q^t: d + 2 d^2 floats; a list of steps would take 2000 d^2
-        assert bnd._LAST_SUMS[0][1] == 2000
+        assert bnd._SUMS[0][0][1] == 2000
         assert summed < 3 * m.d * m.d * 8 and peak < 10 * m.d * m.d * 8
 
 

@@ -135,13 +135,18 @@ def test_negative_t_max_exit_2(capsys, tmp_path, command):
 @pytest.mark.parametrize(
     "policy", ["fixed:nan", "fixed:inf", "auto:nan", "auto:inf", "auto:1", "optimize:-3"]
 )
-def test_invalid_kappa_policy_exit_2(capsys, tmp_path, command, policy):
+def test_invalid_kappa_policy_exit_2(capsys, tmp_path, lapack_calls, monkeypatch, command,
+                                     policy):
+    from ergobound import linalg
+
+    monkeypatch.setattr(linalg, "_SCHUR", [(None, None)])  # no Schur form remembered
     out = tmp_path / "rows.csv"
     code, _, err = run(capsys, command, "--phi", "0.5", "--t-max", "2",
                        "--kappa-policy", policy, "--out", str(out))
     assert code == 2
     assert "bad kappa policy" in err
     assert not out.exists()
+    assert lapack_calls["schur"] == 0  # refused before the model's Schur form
 
 
 @pytest.mark.parametrize("n_directions", ["0", "-3"])
@@ -718,7 +723,7 @@ class TestValidate:
         law_at_calls, advances, sums = count_calls("law_at"), [], bnd._neumann_sums
 
         def counted(model, t):
-            ref, at = bnd._LAST_SUMS[0][:2]
+            (ref, at), _ = bnd._SUMS[0]
             at = at if ref is not None and ref() is model else 0
             advances.append(t - at if at <= t else t)
             return sums(model, t)
@@ -921,13 +926,13 @@ class TestParser:
             return build_parser()
 
         build_parser = cli.build_parser
-        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "_PARSER", [(None, None)])
         monkeypatch.setattr(cli, "build_parser", counted)
         for argv in (["stability", "--phi", "0.5"], ["bounds", "--phi", "0.5", "--t-max", "2"],
                      ["simulate", "--phi", "0.5", "--horizon", "2"]):
             assert run(capsys, *argv)[0] == 0
         assert built == [1]
-        assert build_parser() is not cli._PARSER  # a fresh parser per call, as before
+        assert build_parser() is not cli._PARSER[0][1]  # a fresh parser per call, as before
 
     def test_options_do_not_leak_into_the_next_call(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -359,6 +359,28 @@ class TestDecompositionMemo:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
 
+    @pytest.mark.parametrize("policy", [{"optimize_at": -1}, {"fixed": math.nan},
+                                        {"auto_margin": 1.0}, {"fixed": 2.0, "auto_margin": 3.0}])
+    def test_bad_policy_refused_before_the_schur_form(self, lapack_calls, monkeypatch, policy):
+        monkeypatch.setattr(linalg, "_SCHUR", [(None, None)])  # no Schur form remembered
+        with pytest.raises(ValueError, match="kappa policy|optimize_at must be"):
+            build_star_norm(np.array([[0.3, 0.2], [1.0, 0.0]]), policy)
+        assert lapack_calls["schur"] == 0
+
+    def test_once_and_last_keep_nothing_from_a_raise(self):
+        def fail():
+            raise FloatingPointError("no value")
+
+        kept, slot = {"a": 1}, [("a", 1)]
+        for call in (lambda: linalg._once(kept, "b", fail), lambda: linalg._last(slot, "b", fail)):
+            with pytest.raises(FloatingPointError):
+                call()
+        assert kept == {"a": 1} and slot == [("a", 1)]
+        # _once keeps every key, _last the one asked last
+        assert [linalg._once(kept, "b", lambda: 2), linalg._once(kept, "b", fail)] == [2, 2]
+        assert [linalg._last(slot, "b", lambda: 2), linalg._last(slot, "b", fail)] == [2, 2]
+        assert kept == {"a": 1, "b": 2} and slot == [("b", 2)]
+
     def test_non_convergence_is_not_remembered(self, lapack_calls, monkeypatch):
         Q = np.array([[0.52, 0.29], [-0.17, 0.33]])
         counted = scipy.linalg.schur

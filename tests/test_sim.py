@@ -282,7 +282,7 @@ class TestExactGaussianDraws:
             m = make()
             bnd.law_at(m, x, left_at)
             assert simulate_paths(m, x, config, times=times).samples.tobytes() == want
-            assert bnd._LAST_SUMS[0][1] == 33  # the longest jump, 7 -> 40
+            assert bnd._SUMS[0][0][1] == 33  # the longest jump, 7 -> 40
         m, fresh = make(), sim._transitions(make(), [2, 5, 38])
         for k, jump in sim._transitions(m, [38, 2, 5]).items():
             assert [a.tobytes() for a in jump] == [a.tobytes() for a in fresh[k]], k
