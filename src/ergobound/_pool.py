@@ -1,4 +1,4 @@
-"""The worker pool of the Monte Carlo and sliced-estimator kernels, and the keyed Philox
+"""The worker pool of the simulation and sliced-estimator kernels, and the keyed Philox
 streams (Salmon et al., SC 2011) that every random draw of the package comes from.
 
 ``ERGOBOUND_THREADS`` caps the worker count (by default the CPUs this process
@@ -98,9 +98,8 @@ BLOCK = 4096  # rows per block of :func:`run_blocks`
 # Stream classes; block ``b`` of a class draws from ``first + 2 b``, disjoint below b = 2**62:
 #   PATHS       2 b             simulate_paths, empirical_mean_process
 #   STATIONARY  2 b + 1         sample_stationary
-#   MOMENTS     2**63 + 2 b     Monte Carlo moments (NoiseSpec.abs_moment_sigma)
 #   DIRECTIONS  2**63 + 1       sliced-estimator directions, one stream
-PATHS, STATIONARY, MOMENTS, DIRECTIONS = 0, 1, 1 << 63, (1 << 63) + 1
+PATHS, STATIONARY, DIRECTIONS = 0, 1, (1 << 63) + 1
 
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:

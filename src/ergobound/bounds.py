@@ -312,7 +312,7 @@ def lambda_minus(model: StateSpaceModel, B=None) -> float:
 
 
 def sweep(model: StateSpaceModel, flavor: str, x, r: float, ts, *, star: StarNorm | None = None,
-          v=None, mode: str = "jensen_consistent", mc_seed: int = 0, n_copies: int = 1,
+          v=None, mode: str = "jensen_consistent", n_copies: int = 1,
           per_copy_flavor: str = "generic", B=None) -> list[BoundReport]:
     """The ``flavor`` reports at start ``x`` and order ``r``, one per step of ``ts``.
 
@@ -327,11 +327,11 @@ def sweep(model: StateSpaceModel, flavor: str, x, r: float, ts, *, star: StarNor
     Every flavor needs a finite order ``r >= 1``.
     """
     ts = [as_step(t) for t in list(ts)]  # list() sizes a range at once: too long fails here
-    return _sweep(model, flavor, x, as_order(r), ts, star, v, mode, mc_seed,
+    return _sweep(model, flavor, x, as_order(r), ts, star, v, mode,
                   as_count(n_copies, "n_copies"), per_copy_flavor, B)
 
 
-def _sweep(model, flavor, x, r, ts, star, v, mode, mc_seed, n, per_copy_flavor, B):
+def _sweep(model, flavor, x, r, ts, star, v, mode, n, per_copy_flavor, B):
     """:func:`sweep` at a checked order ``r``, checked steps ``ts`` and ``n`` copies."""
     x = _start(model, x)
     if flavor == "exact_ar1":
@@ -343,12 +343,12 @@ def _sweep(model, flavor, x, r, ts, star, v, mode, mc_seed, n, per_copy_flavor, 
     if flavor == "parallel":
         if per_copy_flavor == "parallel":
             raise ValueError("the per-copy flavor of parallel cannot be parallel")
-        per_copy = _sweep(model, per_copy_flavor, x, r, ts, star, v, mode, mc_seed, n, None, B)
+        per_copy = _sweep(model, per_copy_flavor, x, r, ts, star, v, mode, n, None, B)
         return [_parallel(rep, n, r) for rep in per_copy]
     if flavor in ("gauss_affine", "projected", "sliced_gauss"):
         return _gaussian(model, flavor, x, r, ts, star, B, v, mode)
     if flavor in ("generic", "generic_diag", "sliced_generic", "empirical_mean"):
-        return _coupling(model, flavor, x, r, ts, star, mc_seed, n)
+        return _coupling(model, flavor, x, r, ts, star, n)
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
@@ -442,38 +442,30 @@ def _gaussian(model, flavor, x, r, ts, star, B, v, mode) -> list[BoundReport]:
 # generic (coupling) flavors
 
 
-def _coupling_constants(model, p: float, mc_seed: int, majorant: bool) -> tuple:
-    """The t-invariant part of the coupling routes: the first and order-``p``
-    moment roots of the centered noise ``xi - E xi`` with their stderrs (with
-    ``majorant``, the order-``p`` root is the n-free majorant ``||Sigma||_F
-    (E|xi - E xi|^p)^{1/p}``), and whether the routes are reliable upper bounds as
-    evaluated at ``t >= 1``.
-
-    Two mechanisms can make the stated routes undershoot the true distance:
-    the moment split of the noise tail is only valid up to ``p = 2``
-    (von Bahr-Esseen, for the centered noise the routes read), and the tail
-    starts one step past ``t``, so the missing leading term bites at ``t = 0``.
-    ``1 <= p <= 2`` at ``t >= 1`` avoids both.  A Monte Carlo moment of order
-    ``q`` with infinite variance (``df <= 2q``) has an infinite stderr.
-    """
+def _coupling_constants(model, p: float, majorant: bool) -> tuple:
+    """The t-invariant part of the coupling routes: the first and order-``p`` moment roots
+    of the centered noise ``xi - E xi`` (with ``majorant``, the order-``p`` root is the
+    n-free majorant ``||Sigma||_F (E|xi - E xi|^p)^{1/p}``)."""
     noise = model.noise.centered
-    m1_root, se1 = noise.moment_root(model.Sigma, 1.0, mc_seed)
     if majorant:
-        raw_root, sep = noise.moment_root(np.eye(model.d), p, mc_seed)
-        mp_root = fro(model.Sigma) * raw_root
+        mp_root = fro(model.Sigma) * noise.moment_root(np.eye(model.d), p)
     else:
-        mp_root, sep = noise.moment_root(model.Sigma, p, mc_seed)
-    se1, sep = (math.inf if se > 0.0 and not noise.has_moment(2.0 * q) else se
-                for q, se in ((1.0, se1), (p, sep)))
-    return m1_root, se1, mp_root, sep, p <= 2.0 and se1 + sep < math.inf
+        mp_root = noise.moment_root(model.Sigma, p)
+    return noise.moment_root(model.Sigma, 1.0), mp_root
 
 
-def _coupling(model, flavor, x, p, ts, star, mc_seed, n) -> list[BoundReport]:
+def _coupling(model, flavor, x, p, ts, star, n) -> list[BoundReport]:
     """Routes (a)/(b) of the coupling flavors, on the centered recursion ``X_t - mean_inf``
     from ``x - mean_inf`` with noise ``xi - E xi``.  ``sliced_generic`` scales the mean terms
     by the r = 1 sphere ratio; ``generic_diag`` takes ``|Q^t z|`` and route (a)'s
     ``K_d s^t`` from the eigen sandwich, as ``||U||_F ||U^{-1}||_F rho^t``;
     ``empirical_mean``'s route (b) takes the n-free majorant (``_coupling_constants``).
+
+    The routes are reliable upper bounds only for ``1 <= p <= 2`` at ``t >= 1``, which
+    ``details["coupling_regime_sound"]`` records.  Two mechanisms can make them undershoot
+    the true distance: the moment split of the noise tail is only valid up to ``p = 2``
+    (von Bahr-Esseen, for the centered noise the routes read), and the tail starts one step
+    past ``t``, so the missing leading term bites at ``t = 0``.
     """
     weight, constants, sw = 1.0, {}, None
     if flavor == "sliced_generic":
@@ -490,10 +482,10 @@ def _coupling(model, flavor, x, p, ts, star, mc_seed, n) -> list[BoundReport]:
     s = star.value
 
     def coupling(majorant):
-        return _once(model._bound_constants, ("coupling", p, mc_seed, majorant),
-                     lambda: _coupling_constants(model, p, mc_seed, majorant))
+        return _once(model._bound_constants, ("coupling", p, majorant),
+                     lambda: _coupling_constants(model, p, majorant))
 
-    m1_root, se1, mp_root, sep, sound = coupling(flavor == "empirical_mean")
+    m1_root, mp_root = coupling(flavor == "empirical_mean")
     gap = x - model.stationary_mean  # x itself for centered noise: x - 0.0 is x
     start = math.sqrt(gap @ gap) + star.K_d * m1_root * s / (1.0 - s)  # as np.linalg.norm
     root_p = (1.0 - s**p) ** (1.0 / p)
@@ -510,15 +502,14 @@ def _coupling(model, flavor, x, p, ts, star, mc_seed, n) -> list[BoundReport]:
         const, rate = sw.u_fro * sw.uinv_fro, sw.rho
     if flavor == "empirical_mean" and model.noise.family == "gaussian":
         # the mean of n i.i.d. centered Gaussian drivers has the law of one over sqrt(n)
-        exact_n = star.K_d * coupling(False)[2] / math.sqrt(n)
+        exact_n = star.K_d * coupling(False)[1] / math.sqrt(n)
     reports = []
     for t, (low, high) in zip(ts, rows):
         lower, mean_b = weight * low, weight * high
         upper_a = weight * const * rate**t * start
         noise_b = star.K_d * mp_root * s ** (t + 1) / root_p
-        details = {"upper_a": upper_a, "upper_b": mean_b + noise_b, "moment_stderr": sep,
-                   "first_moment_stderr": se1,
-                   "coupling_regime_sound": bool(sound and t >= 1)}
+        details = {"upper_a": upper_a, "upper_b": mean_b + noise_b,
+                   "coupling_regime_sound": bool(p <= 2.0 and t >= 1)}
         if sw is not None:
             details["upper_b_eigenrate"] = mean_b + (const * mp_root * rate ** (t + 1) / (
                 1.0 - rate**p) ** (1.0 / p) if rate > 0.0 else 0.0)
@@ -576,29 +567,29 @@ def sliced_gauss_bounds(model: StateSpaceModel, x, r: float, t: int, star: StarN
     return sweep(model, "sliced_gauss", x, r, (t,), star=star, mode=mode)[0]
 
 
-def generic_bounds(model: StateSpaceModel, x, p: float, t: int, star: StarNorm | None = None,
-                   mc_seed: int = 0) -> BoundReport:
+def generic_bounds(model: StateSpaceModel, x, p: float, t: int,
+                   star: StarNorm | None = None) -> BoundReport:
     """Coupling sandwich for ``W_p(X_t(x), X_inf)``, any noise with p moments.
 
     The routes run on the centered recursion ``X_t - mean_inf``, whose noise is
     ``eta = xi - E xi``.  The upper bound is the minimum of two routes: (a) the
     stationarity coupling ``K_d s^t (|x - mean_inf| + K_d E|Sigma eta| s / (1 - s))``
     and (b) the tail route ``|Q^t (x - mean_inf)| + K_d (E|Sigma eta|^p)^{1/p}
-    s^{t+1} / (1 - s^p)^{1/p}``.  Monte Carlo moment estimates enter with a +3
-    stderr margin, recorded in ``details``.
+    s^{t+1} / (1 - s^p)^{1/p}``.  Where no exact route gives a moment, a proven upper
+    bound on it enters (``NoiseSpec.abs_moment_sigma``).
 
     The routes are evaluated as stated for every admissible input, but
     they are reliable upper bounds only for ``1 <= p <= 2`` at ``t >= 1``:
     orders past 2 can push the true distance above the evaluated tail
-    (see ``_coupling_constants``).
+    (see ``_coupling``).
     ``details["coupling_regime_sound"]`` records whether the inputs are in
     the reliable regime.
     """
-    return sweep(model, "generic", x, p, (t,), star=star, mc_seed=mc_seed)[0]
+    return sweep(model, "generic", x, p, (t,), star=star)[0]
 
 
-def diagonalizable_bounds(model: StateSpaceModel, x, p: float, t: int, star: StarNorm | None = None,
-                          mc_seed: int = 0) -> BoundReport:
+def diagonalizable_bounds(model: StateSpaceModel, x, p: float, t: int,
+                          star: StarNorm | None = None) -> BoundReport:
     """Generic sandwich refined through the eigen-coordinate split.
 
     Matrix-power terms ``|Q^t z|`` are replaced by the two-sided estimate
@@ -610,18 +601,18 @@ def diagonalizable_bounds(model: StateSpaceModel, x, p: float, t: int, star: Sta
     ``||U||_F ||U^{-1}||_F``.  ``U`` is the model's eigenvector matrix,
     inverted once per model (``StateSpaceModel.sandwich``).
     """
-    return sweep(model, "generic_diag", x, p, (t,), star=star, mc_seed=mc_seed)[0]
+    return sweep(model, "generic_diag", x, p, (t,), star=star)[0]
 
 
-def sliced_generic_bounds(model: StateSpaceModel, x, p: float, t: int, star: StarNorm | None = None,
-                          mc_seed: int = 0) -> BoundReport:
+def sliced_generic_bounds(model: StateSpaceModel, x, p: float, t: int,
+                          star: StarNorm | None = None) -> BoundReport:
     """Sliced order-p coupling sandwich; mean terms carry the r = 1 sphere ratio.
 
     The order-1 sphere ratio multiplies the mean terms of both the lower
     bound and the upper routes, while the noise tail keeps its full
     (unprojected) constant.
     """
-    return sweep(model, "sliced_generic", x, p, (t,), star=star, mc_seed=mc_seed)[0]
+    return sweep(model, "sliced_generic", x, p, (t,), star=star)[0]
 
 
 def parallel_bounds(per_copy: BoundReport, n: int, p: float) -> BoundReport:
@@ -647,7 +638,7 @@ def _parallel(per_copy: BoundReport, n: int, p: float) -> BoundReport:
 
 
 def empirical_mean_bounds(model: StateSpaceModel, n: int, x, p: float, t: int,
-                          star: StarNorm | None = None, mc_seed: int = 0) -> BoundReport:
+                          star: StarNorm | None = None) -> BoundReport:
     """Coupling sandwich for the empirical mean of n i.i.d. paths.
 
     The averaged process satisfies the same recursion with averaged noise,
@@ -656,10 +647,10 @@ def empirical_mean_bounds(model: StateSpaceModel, n: int, x, p: float, t: int,
     the averaged-noise moment.  For Gaussian noise the averaged noise is the
     centered noise divided by ``sqrt(n)``, so the exact per-n route (b), reported
     in ``details["upper_b_exact_n"]``, takes ``generic``'s moment root over ``sqrt(n)``
-    (a Monte Carlo root, as at ``p > 2`` in ``d >= 2``, keeps its +3 stderr margin).
+    (at ``p > 2`` in ``d >= 2`` that root is Minkowski's upper bound on it).
     """
     return _sweep(model, "empirical_mean", x, as_order(p), [as_step(t)], star, None,
-                  "jensen_consistent", mc_seed, as_count(n, "n"), None, None)[0]
+                  "jensen_consistent", as_count(n, "n"), None, None)[0]
 
 
 def chafai_w2_affine(X_law: GaussianLaw, R, v) -> float:

@@ -197,7 +197,7 @@ def _cmd_bounds(args) -> int:
     star = _star(model, args.kappa_policy)
     reps = bnd.sweep(
         model, args.flavor, x, args.r, range(args.t_max + 1), star=star, v=v, mode=args.mode,
-        mc_seed=args.seed, n_copies=args.n_copies, per_copy_flavor=args.per_copy_flavor,
+        n_copies=args.n_copies, per_copy_flavor=args.per_copy_flavor,
     )
     # one flavor, order and lambda_minus (nan if unused) per sweep: formatted once
     template = "%d" + ",%.17g" * 4 + "," + _row(
@@ -226,11 +226,6 @@ def _references(model: StateSpaceModel, args, x: np.ndarray, star, ts: list) -> 
         dist = gaussian_w2_rows([law.mean for law in laws], [law.cov for law in laws],
                                 bnd.stationary_law(model))
         return dist, np.zeros_like(dist)
-    if model.d >= 2 and args.flavor == "generic":
-        raise ValueError(
-            "empirical validation of the unsliced generic flavor needs d = 1; "
-            "use sliced_generic for multivariate models"
-        )
     config = SimConfig(n_paths=args.n_samples, horizon=max(ts[-1], 1), seed=args.seed)
     ens = simulate_paths(model, x, config)
     stat = sample_stationary(model, args.n_samples, args.seed, eps_stat=args.eps,
@@ -247,10 +242,12 @@ def _references(model: StateSpaceModel, args, x: np.ndarray, star, ts: list) -> 
 def _cmd_validate(args) -> int:
     model = _load_model(args)
     x = _start_state(args, model)
+    if model.d >= 2 and args.flavor == "generic":
+        raise ValueError("empirical validation of the unsliced generic flavor needs d = 1; "
+                         "use sliced_generic for multivariate models")
     star = _star(model, args.kappa_policy)
     ts = list(range(args.t_max + 1))
-    reps = bnd.sweep(model, args.flavor, x, args.r, ts, star=star, mode=args.mode,
-                     mc_seed=args.seed)
+    reps = bnd.sweep(model, args.flavor, x, args.r, ts, star=star, mode=args.mode)
     dist, se = _references(model, args, x, star, ts)
     lower, upper = np.array([(rep.lower, rep.upper) for rep in reps]).T
     ok = (lower - 3.0 * se <= dist) & (dist <= upper + 3.0 * se)
@@ -384,7 +381,8 @@ def _add_sweep_args(p: argparse.ArgumentParser, flavors) -> None:
                    choices=["as_printed", "jensen_consistent"])
     p.add_argument("--kappa-policy", dest="kappa_policy",
                    help="auto[:margin] | fixed:value | optimize[:t]")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of validate's draws (bounds records it in the manifest only)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,11 +18,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._pool import MOMENTS, run_blocks
 from ._special import erf, erfcx, log_gamma_ratio
 from .asymptotics import EigenSandwich
-from .errors import (EmptyCoefficients, MomentUnavailable, NonConvergence, OrderViolation, as_count,
-                     as_order)
+from .errors import EmptyCoefficients, MomentUnavailable, NonConvergence, OrderViolation, as_order
 from .linalg import (SchurForm, SpectralInfo, StarNorm, _once, _read_only, as_matrix, eigen,
                      psd_factor, psd_sqrt, schur_triangularize, smallest_eigenvalue_sym,
                      solve_stein, star_norm)
@@ -224,28 +222,6 @@ def _student_log_laplace(df: float, z: np.ndarray) -> np.ndarray:
     return np.log(sum(wj / np.sqrt(1.0 + z * cj) for wj, cj in zip(w / w.sum(), 2.0 * np.exp(-y))))
 
 
-def _mc_abs_moment(draw, loading, p, n, seed) -> tuple[float, float]:
-    """Seeded Monte Carlo ``(E|eta @ loading|**p, stderr)`` over the drivers ``eta`` of the
-    ``MOMENTS`` blocks; their counts, means and centered sums of squares merge in block order by
-    the pairwise update of Chan, Golub & LeVeque (1979), so no bit depends on the worker count."""
-    def run(rng, lo: int, hi: int) -> tuple[int, float, float]:
-        vals = np.linalg.norm(draw(rng, hi - lo) @ loading, axis=1)
-        if p != 1:
-            vals **= p
-        block_mean = float(vals.mean())
-        vals -= block_mean
-        return hi - lo, block_mean, float(vals @ vals)
-
-    count, mean, m2 = 0, 0.0, 0.0
-    for k, block_mean, block_m2 in run_blocks(n, seed, MOMENTS, run):
-        delta = block_mean - mean
-        total = count + k
-        mean += delta * k / total
-        m2 += block_m2 + delta * delta * count * k / total
-        count = total
-    return mean, math.sqrt(m2 / (n - 1) / n)
-
-
 def _coords(x) -> np.ndarray:
     """Per-coordinate parameters as a float array of at least one dimension."""
     return np.atleast_1d(np.asarray(x, dtype=float))
@@ -421,8 +397,8 @@ class NoiseSpec:
         return self.params["df"] if self.family == "student_t" else math.inf
 
     def has_moment(self, r: float) -> bool:
-        """Whether ``E|xi|**r`` is finite (strict at the Student-t boundary)."""
-        return r < self.r_max
+        """Whether ``E|xi|**r`` is a finite moment of order ``0 < r`` (strict at ``r_max``)."""
+        return 0 < r < self.r_max
 
     def _require_moment(self, r: float) -> None:
         if not self.has_moment(r):
@@ -439,8 +415,10 @@ class NoiseSpec:
     # One formula per family (``_LAWS``), read through ``G``, ``C`` and ``_driver``.
 
     def mean_vector(self) -> np.ndarray:
+        """``E xi``, read-only and kept on the spec."""
         self._require_moment(1)
-        return np.broadcast_to(self._location, len(self.loading)) @ self.loading
+        return _once(self._moment_cache, "mean", lambda: _read_only(
+            np.broadcast_to(self._location, len(self.loading)) @ self.loading))
 
     @property
     def _location(self):
@@ -477,15 +455,13 @@ class NoiseSpec:
         factor, mean = psd_factor(prm["cov"]), prm["mean"]
         return lambda rng, n: mean + rng.standard_normal((n, k)) @ factor.T
 
-    def abs_moment_sigma(
-        self, Sigma, p: float, mc_draws: int = 10**6, seed: int = 0
-    ) -> tuple[float, float]:
-        """``(E|Sigma xi|**p, stderr)``; stderr is zero for deterministic routes.
+    def abs_moment_sigma(self, Sigma, p: float) -> tuple[float, float]:
+        """``(E|Sigma xi|**p, 0.0)``, kept on the spec per ``(Sigma, p)``.
 
-        Deterministic routes (``_exact_abs_moment``), cached without ``mc_draws`` and ``seed``:
-        closed forms where at most one driver reaches ``Sigma xi``, for point masses and ``p =
-        2``, and at ``0 < p < 2`` ``_quad_form_moment`` for Gaussian noise and centered Laplace,
-        Student-t and uniform noise with exactly diagonal ``Sigma^T Sigma``; else Monte Carlo.
+        The value is exact (``_abs_moment``) where at most one driver reaches ``Sigma xi``,
+        for point masses and at ``p = 2``, and at ``0 < p < 2`` for Gaussian noise and for
+        centered Laplace, Student-t and uniform noise with exactly diagonal ``Sigma^T Sigma``.
+        Elsewhere it is a proven upper bound.  The second entry is a zero standard error.
 
         Raises
         ------
@@ -493,27 +469,20 @@ class NoiseSpec:
             If the order-``p`` moment is infinite.
         NonConvergence
             If a quadrature misses its relative error cap.
-        ValueError
-            If ``mc_draws`` is not an integer of at least 2.
         """
-        mc_draws = as_count(mc_draws, "mc_draws", 2)  # a Monte Carlo stderr needs two draws
         Sigma = as_matrix(Sigma, name="Sigma").astype(float)
         self._require_moment(p)
-        kept, key = self._moment_cache, (Sigma.tobytes(), Sigma.shape, p)
-        exact = _once(kept, key, lambda: (self._exact_abs_moment(Sigma, p), 0.0))
-        if exact[0] is not None:
-            return exact
-        return _once(kept, key + (mc_draws, seed), lambda: _mc_abs_moment(
-            self.sampler(), (Sigma @ self.loading.T).T, p, mc_draws, seed))
+        return _once(self._moment_cache, (Sigma.tobytes(), Sigma.shape, p),
+                     lambda: (self._abs_moment(Sigma, p), 0.0))
 
-    def moment_root(self, Sigma, p: float, seed: int = 0) -> tuple[float, float]:
-        """``(E|Sigma xi|**p + 3 stderr)**(1/p)`` and the stderr: Monte Carlo
-        estimates enter bounds with a +3 stderr margin (exact routes have none)."""
-        val, se = self.abs_moment_sigma(Sigma, p, seed=seed)
-        return (val + 3.0 * se) ** (1.0 / p), se
+    def moment_root(self, Sigma, p: float) -> float:
+        """``(E|Sigma xi|**p)**(1/p)`` from :meth:`abs_moment_sigma`."""
+        return self.abs_moment_sigma(Sigma, p)[0] ** (1.0 / p)
 
-    def _exact_abs_moment(self, Sigma, p) -> float | None:
-        """The deterministic ``E|Sigma xi|**p`` of ``abs_moment_sigma``, None where none applies."""
+    def _abs_moment(self, Sigma, p) -> float:
+        """The ``E|Sigma xi|**p`` of ``abs_moment_sigma``: exact where a route applies, else
+        the smaller of two proven upper bounds, Minkowski's over the drivers and, at ``p < 2``
+        with a finite variance, Lyapunov's ``(E|Sigma xi|**2)**(p/2)``."""
         L = (Sigma @ self.loading.T).T  # Sigma xi = eta @ L over the drivers eta
         hit = np.flatnonzero(np.any(L, axis=1))
         if hit.size <= 1:  # one driver k matters: E|eta_k|**p |L_k|**p
@@ -527,7 +496,14 @@ class NoiseSpec:
             return float(m @ m + np.trace(c)) if p == 2 else _gauss_norm_moment(m, c, p)
         law, prm, s, gram = self._law, self.params, p / 2.0, Sigma.T @ Sigma
         if not 0 < p < 2 or np.any(gram - np.diag(np.diag(gram))) or np.any(self._location):
-            return None
+            # Minkowski's inequality, below p = 1 the subadditivity of t**p: with q = min(p, 1),
+            # E|sum_k eta_k L_k|**p <= (sum_k (E|eta_k|**p)**(q/p) |L_k|**q)**(p/q)
+            q = min(p, 1.0)
+            bound = sum(law.abs_moment(self._driver(k), p) ** (q / p) * np.linalg.norm(L[k]) ** q
+                        for k in hit) ** (p / q)
+            if p < 2 and self.has_moment(2.0):
+                bound = min(bound, self._abs_moment(Sigma, 2.0) ** s)
+            return float(bound)
         # orthogonal columns: |Sigma xi|**2 = sum_k w_k eta_k**2 over unit-spread eta_k
         w = np.sum(Sigma * Sigma, axis=0) * prm[law.names[-1]] ** 2
         lam = w[w > 0.0] / w.sum()

@@ -167,7 +167,7 @@ def truncation_horizon(
     star = _star(model, star)
     if not model.noise.has_moment(1.0):
         raise MomentUnavailable("stationary sampling needs a finite first moment")
-    m1, _ = model.noise.moment_root(model.Sigma, 1.0)
+    m1 = model.noise.moment_root(model.Sigma, 1.0)
     s = star.value
     if m1 == 0.0 or s == 0.0:
         return 0

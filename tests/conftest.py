@@ -1,6 +1,7 @@
 """Shared test fixtures."""
 
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -51,3 +52,31 @@ def lapack_calls(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     return counts
+
+
+@pytest.fixture
+def run_threads():
+    """``run_threads(run, n)`` calls ``run(i)`` on ``n`` threads that pass one barrier
+    together, under a short switch interval so that they interleave often; it fails
+    unless every thread has finished within a minute."""
+
+    def start(run, n: int = 4) -> None:
+        barrier = threading.Barrier(n, timeout=60)
+
+        def body(i):
+            barrier.wait()
+            run(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=body, args=(i,), daemon=True) for i in range(n)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+
+    return start

@@ -149,6 +149,22 @@ def test_invalid_kappa_policy_exit_2(capsys, tmp_path, lapack_calls, monkeypatch
     assert lapack_calls["schur"] == 0  # refused before the model's Schur form
 
 
+def test_unsliced_generic_validate_refused_before_any_work(capsys, tmp_path, lapack_calls,
+                                                          monkeypatch, count_calls):
+    from ergobound import linalg
+
+    monkeypatch.setattr(linalg, "_SCHUR", [(None, None)])  # no Schur form remembered
+    sweeps = count_calls("sweep")
+    out = tmp_path / "rows.csv"
+    code, _, err = run(capsys, "validate", "--phi=1.2,-0.5", "--flavor", "generic",
+                       "--t-max", "300", "--x=2,0", "--out", str(out))
+    assert code == 4
+    assert err.startswith("ValueError: empirical validation of the unsliced generic flavor "
+                          "needs d = 1; use sliced_generic for multivariate models")
+    assert not out.exists()
+    assert lapack_calls["schur"] == 0 and sweeps == []  # refused before the star norm
+
+
 @pytest.mark.parametrize("n_directions", ["0", "-3"])
 def test_nonpositive_n_directions_exit_2(capsys, tmp_path, n_directions):
     out = tmp_path / "rows.csv"
@@ -415,12 +431,12 @@ class TestBounds:
             "gauss_affine": lambda t: bnd.gaussian_affine_bounds(m, np.eye(2), x, 1.5, t, star),
             "projected": lambda t: bnd.projected_bounds(m, v, x, 1.5, t, star),
             "sliced_gauss": lambda t: bnd.sliced_gauss_bounds(m, x, 1.5, t, star),
-            "generic": lambda t: bnd.generic_bounds(m, x, 1.5, t, star, mc_seed=3),
-            "generic_diag": lambda t: bnd.diagonalizable_bounds(m, x, 1.5, t, star=star, mc_seed=3),
-            "sliced_generic": lambda t: bnd.sliced_generic_bounds(m, x, 1.5, t, star, mc_seed=3),
+            "generic": lambda t: bnd.generic_bounds(m, x, 1.5, t, star),
+            "generic_diag": lambda t: bnd.diagonalizable_bounds(m, x, 1.5, t, star=star),
+            "sliced_generic": lambda t: bnd.sliced_generic_bounds(m, x, 1.5, t, star),
             "parallel": lambda t: bnd.parallel_bounds(
-                bnd.generic_bounds(m, x, 1.5, t, star, mc_seed=3), 3, 1.5),
-            "empirical_mean": lambda t: bnd.empirical_mean_bounds(m, 3, x, 1.5, t, star, mc_seed=3),
+                bnd.generic_bounds(m, x, 1.5, t, star), 3, 1.5),
+            "empirical_mean": lambda t: bnd.empirical_mean_bounds(m, 3, x, 1.5, t, star),
         }
         for flavor, call in calls.items():
             rows = cli_rows("--phi", "0.3,0.5", "--x=1,-0.5", "--flavor", flavor)
@@ -545,7 +561,7 @@ def sweep_battery():
     }
 
 
-# Kept across builds, so the reference side draws its Monte Carlo moments once.
+# Kept across builds, so the reference side solves its moments once.
 STUDENT_3D = NoiseSpec.student_t_d(4.5, [1.0, 0.5, 2.0])
 
 
@@ -579,7 +595,7 @@ class TestSweepRows:
                              "--v=" + ",".join(map(repr, v)))
         star = build_star_norm(m.Q, {"auto_margin": 2.0})
         try:
-            reps = [bnd.report(m, flavor, x, 1.5, t, star=star, v=v, n_copies=3, mc_seed=2)
+            reps = [bnd.report(m, flavor, x, 1.5, t, star=star, v=v, n_copies=3)
                     for t in range(31)]
         except Exception as exc:  # noqa: BLE001 - the CLI names the same error
             assert code == 4 and out == ""
@@ -610,7 +626,7 @@ class TestSweepRows:
                              "64", "--n-directions", "8", "--x=" + ",".join(map(repr, x)))
         star = build_star_norm(m.Q, {"auto_margin": 2.0})
         try:
-            reps = [bnd.report(m, flavor, x, 2.0, t, star=star, mc_seed=2) for t in range(31)]
+            reps = [bnd.report(m, flavor, x, 2.0, t, star=star) for t in range(31)]
             if flavor in ("exact_ar1", "gauss_affine") and m.noise.family == "gaussian":
                 refs = [(gaussian_w2(bnd.law_at(m, x, t), bnd.stationary_law(m)), 0.0)
                         for t in range(31)]

@@ -408,6 +408,23 @@ class TestDecompositionMemo:
         assert eigen(Q) is eigen(Q)
         assert lapack_calls["eig"] == before + 2
 
+    def test_threads_alternating_two_matrices_get_their_own_forms(self, run_threads):
+        # each slot holds one matrix: threads that alternate two replace it on every call,
+        # and each must still read the form of the matrix it asked for
+        mats = memo_models()[-2:]
+        want = [(bits(fresh_schur(Q)), bits(linalg._eigen(linalg._read_only(Q.copy()))))
+                for Q in mats]
+        bad = []
+
+        def run(i):
+            for j in range(300):
+                k = (i + j) % 2
+                if (bits(schur_triangularize(mats[k])), bits(eigen(mats[k]))) != want[k]:
+                    bad.append((i, j))
+
+        run_threads(run)
+        assert bad == []
+
 
 class TestStationaryCovariance:
     def test_scalar(self):

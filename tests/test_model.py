@@ -12,7 +12,6 @@ from scipy.integrate import quad
 from scipy.special import gammaln, hyp1f1
 
 import ergobound
-from ergobound import _pool
 from ergobound.errors import (EmptyCoefficients, MomentUnavailable, NotPSD, NotSymmetric,
                               OrderViolation)
 from ergobound.linalg import eigen
@@ -251,53 +250,6 @@ class TestNoiseSpec:
         want = np.linalg.norm(Sigma @ mean) ** 2 + np.trace(Sigma @ cov @ Sigma.T)
         assert val == pytest.approx(want, rel=1e-12)
 
-    def test_sigma_moment_mc_route(self):
-        spec = NoiseSpec.laplace_d(np.zeros(2), np.array([1.0, 2.0]))
-        val, se = spec.abs_moment_sigma(np.eye(2), 3.0, mc_draws=200_000, seed=1)
-        assert se > 0.0
-        # independent oracle with a different seed
-        rng = np.random.default_rng(99)
-        draws = rng.laplace(0.0, [1.0, 2.0], size=(200_000, 2))
-        vals = np.linalg.norm(draws, axis=1) ** 3
-        assert val == pytest.approx(vals.mean(), abs=4 * (se + vals.std() / math.sqrt(len(vals))))
-
-    def test_sigma_moment_mc_route_streams_one_draw(self):
-        # the draws are the rows of the keyed blocks: block b draws from stream MOMENTS + 2 b
-        n = 150_000
-        Sigma = np.array([[1.0, 0.4], [0.0, 0.7]])
-        for spec in (
-            NoiseSpec.laplace_d(np.array([0.3, 0.0]), np.array([1.0, 2.0])),
-            NoiseSpec.student_t_d(4.5, np.array([1.0, 0.5])),
-            NoiseSpec.uniform_d(np.array([1.0, 3.0])),
-            NoiseSpec.gaussian_d([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]]),
-        ):
-            # p = 1 is exact for Gaussian noise; p = 3 is Monte Carlo for all
-            for p in (1.0, 3.0) if spec.family != "gaussian" else (3.0,):
-                val, se = spec.abs_moment_sigma(Sigma, p, mc_draws=n, seed=4)
-                draw = spec.sampler()
-                xi = np.concatenate([
-                    draw(_pool.stream_rng(4, _pool.MOMENTS + 2 * b), min(_pool.BLOCK, n - lo))
-                    for b, lo in enumerate(range(0, n, _pool.BLOCK))
-                ])
-                vals = np.linalg.norm(xi @ Sigma.T, axis=1) ** p
-                assert val == pytest.approx(vals.mean(), rel=1e-12)
-                assert se == pytest.approx(vals.std(ddof=1) / math.sqrt(n), rel=1e-9)
-
-    def test_sigma_moment_mc_bits_ignore_the_worker_count(self, monkeypatch):
-        Sigma = np.array([[1.0, 0.4], [0.0, 0.7]])
-        got = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("ERGOBOUND_THREADS", threads)
-            spec = NoiseSpec.laplace_d(np.array([0.3, 0.0]), np.array([1.0, 2.0]))  # no cache
-            got.append(spec.abs_moment_sigma(Sigma, 3.0, mc_draws=5 * _pool.BLOCK + 7, seed=9))
-        assert got[0] == got[1]
-
-    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 4])
-    def test_sigma_moment_mc_seed_outside_key_range_raises(self, seed):
-        spec = NoiseSpec.laplace_d(np.zeros(2), np.array([1.0, 2.0]))
-        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
-            spec.abs_moment_sigma(np.eye(2), 3.0, mc_draws=100, seed=seed)
-
     def test_scalar_gaussian_with_mean_exact(self):
         # 40-digit references by adaptive quadrature of |m + sd z|^p phi(z)
         for mean, var, p, want in (
@@ -465,10 +417,10 @@ class TestGaussianVectorMoments:
         assert spec.abs_moment_sigma(np.eye(2), 1.0) == (0.0, 0.0)
 
     def test_stderr_zero_below_two_positive_above(self):
+        # exact below 2 and at 2, a proven upper bound above: no route has a standard error
         spec = NoiseSpec.gaussian_d([0.5, 0.0], [[1.0, 0.2], [0.2, 0.5]])
-        for p in (1.0, 1.5, 1.99):
+        for p in (1.0, 1.5, 1.99, 2.0, 3.0):
             assert spec.abs_moment_sigma(np.eye(2), p)[1] == 0.0
-        assert spec.abs_moment_sigma(np.eye(2), 3.0, mc_draws=10_000)[1] > 0.0
 
 
 def quad_gauss_norm_moment(mu, S, p):
@@ -583,6 +535,78 @@ class TestMomentQuadrature:
             assert _laplace_abs_moment(loc, scale, float(p)) == pytest.approx(want, rel=1e-13)
 
 
+def majorant(spec, Sigma, p):
+    """Test-side upper bound on ``E|Sigma xi|**p`` over the drivers ``eta_k`` with rows ``L_k``
+    of ``Sigma xi = eta @ L``: Minkowski's ``(sum_k (E|eta_k|**p)**(1/p) |L_k|)**p`` (below
+    ``p = 1``, ``sum_k E|eta_k|**p |L_k|**p``) and, at ``p < 2`` with a finite variance, no
+    more than Lyapunov's ``(E|Sigma xi|**2)**(p/2)``."""
+    prm, L = spec.params, (Sigma @ spec.loading.T).T
+    one = {"gaussian": lambda k: NoiseSpec.gaussian(prm["mean"][k], prm["cov"][k, k]),
+           "laplace": lambda k: NoiseSpec.laplace(prm["loc"][k], prm["scale"][k]),
+           "student_t": lambda k: NoiseSpec.student_t(prm["df"], prm["scale"][k]),
+           "uniform": lambda k: NoiseSpec.uniform(prm["half_width"][k]),
+           "point_mass": lambda k: NoiseSpec.point_mass(prm["value"][k])}[spec.family]
+    q = min(p, 1.0)
+    bound = sum(one(k).scalar_abs_moment(p) ** (q / p) * np.linalg.norm(L[k]) ** q
+                for k in range(len(L))) ** (p / q)
+    if p < 2 and spec.has_moment(2.0):
+        m = Sigma @ spec.mean_vector()
+        bound = min(bound, (m @ m + np.trace(Sigma @ spec.covariance() @ Sigma.T)) ** (p / 2))
+    return bound
+
+
+class TestMomentMajorant:
+    """Two or more drivers on a non-orthogonal ``Sigma``, or a location, or ``p > 2``: the
+    moment is a proven upper bound, checked against seeded sampled estimates."""
+
+    ROT = np.array([[1.0, 0.6, 0.2], [0.0, 0.8, -0.5], [0.3, 0.0, 1.1]])
+    CASES = {
+        "gaussian": (NoiseSpec.gaussian_d([0.5, -1.0, 0.2], [[2.0, 0.3, 0.1], [0.3, 1.0, -0.2],
+                                                              [0.1, -0.2, 0.5]]), ROT),
+        "laplace": (NoiseSpec.laplace_d([0.7, 0.0, -0.3], [1.0, 0.5, 2.0]), ROT),
+        "student_t": (NoiseSpec.student_t_d(5.0, [1.0, 0.5, 2.0]), ROT),
+        "student_t_1.8": (NoiseSpec.student_t_d(1.8, [1.0, 0.5]), ROT[:2, :2]),
+        "uniform": (NoiseSpec.uniform_d([1.0, 3.0]), ROT[:2, :2]),
+        "point_mass": (NoiseSpec.point_mass_d([1.0, -2.0, 0.5]), ROT),
+    }
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_at_least_a_sampled_estimate(self, name, p):
+        spec, Sigma = self.CASES[name]
+        if not spec.has_moment(p):  # Student-t at df 1.8 < p
+            with pytest.raises(MomentUnavailable):
+                spec.abs_moment_sigma(Sigma, p)
+            return
+        n = 400_000
+        ys = spec.sampler()(np.random.default_rng(11), n) @ (Sigma @ spec.loading.T).T
+        vals = np.linalg.norm(ys, axis=1) ** p
+        val, se = spec.abs_moment_sigma(Sigma, p)
+        assert se == 0.0
+        # a point mass's estimate is exact but for its rounding
+        assert val >= vals.mean() * (1.0 - 1e-12) - 4.0 * vals.std(ddof=1) / math.sqrt(n)
+        assert val <= majorant(spec, Sigma, p) * (1.0 + 1e-14)
+
+    @pytest.mark.parametrize("p", [0.0, -0.5])
+    def test_orders_at_most_zero_are_refused(self, p):
+        # neither inequality holds there: at p = -0.5 Minkowski's sum fell below the moment
+        spec, Sigma = self.CASES["laplace"]
+        assert not spec.has_moment(p)
+        with pytest.raises(MomentUnavailable, match=f"order {p} moment unavailable"):
+            spec.abs_moment_sigma(Sigma, p)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_second_moment_is_the_closed_form(self, name):
+        spec, Sigma = self.CASES[name]
+        if not spec.has_moment(2.0):  # Student-t at df 1.8
+            with pytest.raises(MomentUnavailable):
+                spec.abs_moment_sigma(Sigma, 2.0)
+            return
+        m = Sigma @ spec.mean_vector()
+        want = m @ m + np.trace(Sigma @ spec.covariance() @ Sigma.T)
+        assert spec.abs_moment_sigma(Sigma, 2.0) == (pytest.approx(want, rel=1e-12), 0.0)
+
+
 class TestIndependentCoordinateMoments:
     """``E|Sigma xi|**p`` of centered Laplace, Student-t and uniform noise, ``0 < p < 2``,
     for ``Sigma`` with orthogonal columns: one quadrature, no draws."""
@@ -601,7 +625,7 @@ class TestIndependentCoordinateMoments:
         cases += [(NoiseSpec.student_t_d(df, [scale]), scale**p * _student_abs_moment(df, p))
                   for df in (1.5, 2.05, 2.5, 4.5, 30.0, 1e4, 1e6) if p < df]
         for spec, want in cases:
-            val, se = spec.abs_moment_sigma(np.eye(1), p, seed=3)
+            val, se = spec.abs_moment_sigma(np.eye(1), p)
             assert se == 0.0
             assert val == pytest.approx(want, rel=1e-12)
 
@@ -672,28 +696,35 @@ class TestIndependentCoordinateMoments:
             assert val == pytest.approx(2.0**p * one.abs_moment_sigma(np.eye(1), p)[0], rel=1e-13)
         assert spec.abs_moment_sigma(np.zeros((3, 3)), 1.0) == (0.0, 0.0)
 
-    def test_monte_carlo_only_off_the_exact_regime(self, count_calls):
-        draws = count_calls("_mc_abs_moment")
+    def test_monte_carlo_only_off_the_exact_regime(self):
+        # where the Monte Carlo estimate used to enter (p > 2, columns that are not exactly
+        # orthogonal, a location), the moment is the majorant; on the exact regime it is not
         spec = NoiseSpec.student_t_d(3.0, [1.0, 2.0])
         # columns orthogonal to 1e-12: far inside any tolerance, yet far above the rounding
         # of every BLAS kernel's product, so the exact route, which takes no tolerance, is off
         rotation = np.array([[math.cos(0.7), -math.sin(0.7 + 1e-12)],
                              [math.sin(0.7), math.cos(0.7 + 1e-12)]])
         assert not np.array_equal(rotation.T @ rotation, np.diag(np.diag(rotation.T @ rotation)))
-        for Sigma, p in ((np.eye(2), 2.5), (rotation, 1.0)):
-            assert spec.abs_moment_sigma(Sigma, p, mc_draws=1000)[1] > 0.0
-        NoiseSpec.laplace_d([0.5, 0.0], [1.0, 1.0]).abs_moment_sigma(np.eye(2), 1.0, mc_draws=1000)
-        assert len(draws) == 3
+        shifted = NoiseSpec.laplace_d([0.5, 0.0], [1.0, 1.0])
+        for noise, Sigma, p in ((spec, np.eye(2), 2.5), (spec, rotation, 1.0),
+                                (shifted, np.eye(2), 1.0)):
+            val, se = noise.abs_moment_sigma(Sigma, p)
+            assert se == 0.0 and val == pytest.approx(majorant(noise, Sigma, p), rel=1e-14)
+        assert spec.abs_moment_sigma(np.eye(2), 1.0)[0] < 0.9 * majorant(spec, np.eye(2), 1.0)
 
-    def test_exact_moments_ignore_draws_and_seed(self):
+    def test_exact_moments_ignore_draws_and_seed(self, count_calls):
+        # a moment takes no draw count and no seed, opens no stream and is kept per (Sigma, p)
+        draws = count_calls("stream_rng")
         spec = NoiseSpec.uniform_d([1.0, 2.0])
-        first = spec.abs_moment_sigma(np.eye(2), 1.0, mc_draws=10, seed=1)
-        assert spec.abs_moment_sigma(np.eye(2), 1.0, mc_draws=99, seed=2) is first
+        first = spec.abs_moment_sigma(np.eye(2), 1.0)
+        assert spec.abs_moment_sigma(np.eye(2), 1.0) is first and draws == []
+        with pytest.raises(TypeError):
+            spec.abs_moment_sigma(np.eye(2), 1.0, seed=1)
 
     def test_coupling_sweeps_draw_nothing(self, count_calls):
         from ergobound import bounds as bnd
 
-        draws = count_calls("_mc_abs_moment")
+        draws = count_calls("stream_rng")
         rng = np.random.default_rng(7)
         for k, family in enumerate(("laplace", "student_t", "uniform") * 2):
             # model_scan's raw models: non-normal Q, spectral radius in [0.95, 0.995]
@@ -709,8 +740,10 @@ class TestIndependentCoordinateMoments:
             for flavor in ("generic", "generic_diag", "sliced_generic", "parallel",
                            "empirical_mean"):
                 for r in (1.0, 1.5, 2.0):
-                    rows = bnd.sweep(m, flavor, rng.normal(size=d), r, range(11), n_copies=4)
-                    assert all(rep.details.get("moment_stderr", 0.0) == 0.0 for rep in rows)
+                    bnd.sweep(m, flavor, rng.normal(size=d), r, range(11), n_copies=4)
+            # the kept moments the sweeps read are exact: below the majorant
+            for p in (1.0, 1.5):
+                assert m.noise.abs_moment_sigma(m.Sigma, p)[0] < majorant(m.noise, m.Sigma, p)
         assert draws == []
 
 

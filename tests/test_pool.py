@@ -43,10 +43,11 @@ def test_sim_and_sliced_estimators_share_the_rule(count_calls):
 
 
 def test_stream_classes_never_share_a_key():
-    # a blocked class's streams are first + 2 b; DIRECTIONS is one stream
+    # a blocked class's streams are first + 2 b; DIRECTIONS is one stream.  The values are
+    # pinned: a class that moves moves every draw made from it
+    assert (_pool.PATHS, _pool.STATIONARY, _pool.DIRECTIONS) == (0, 1, 2**63 + 1)
     blocks = 1 << 62
-    classes = [(_pool.PATHS, blocks), (_pool.STATIONARY, blocks), (_pool.MOMENTS, blocks),
-               (_pool.DIRECTIONS, 1)]
+    classes = [(_pool.PATHS, blocks), (_pool.STATIONARY, blocks), (_pool.DIRECTIONS, 1)]
     for first, count in classes:
         assert 0 <= first and first + 2 * (count - 1) < 2**64  # no stream wraps in the key
     for (fa, na), (fb, nb) in itertools.combinations(classes, 2):
@@ -59,11 +60,14 @@ def test_block_b_is_keyed_by_seed_and_first_plus_2b():
         return rng.bit_generator.state["state"]["key"].tolist(), lo, hi
 
     n = 2 * _pool.BLOCK + 5
-    for first in (_pool.PATHS, _pool.STATIONARY, _pool.MOMENTS):
+    for first in (_pool.PATHS, _pool.STATIONARY):
         assert _pool.run_blocks(n, 2**64 - 1, first, key) == [
             ([first + 2 * b, 2**64 - 1], b * _pool.BLOCK, min((b + 1) * _pool.BLOCK, n))
             for b in range(3)
         ]
+    # the one DIRECTIONS stream is keyed like block 0
+    assert key(_pool.stream_rng(2**64 - 1, _pool.DIRECTIONS), 0, 0)[0] == [
+        _pool.DIRECTIONS, 2**64 - 1]
 
 
 MODEL = ar_state_space([0.3, 0.5], [0.0], NoiseSpec.gaussian(0.0, 1.0))
