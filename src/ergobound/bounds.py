@@ -7,11 +7,11 @@ compare the time-t law against the stationary law through the affine
 interpolation route; generic flavors use coupling estimates valid for any
 noise with enough moments.
 
-Where several upper estimates form a chain of successively cheaper
-forms, all of them are evaluated; reports carry the minimum together
-with the chain members in ``details``.  The estimates are derived for
-positive time steps; reports at ``t = 0`` evaluate the same expressions
-and set ``details["t_in_stated_range"]`` accordingly.
+Each flavor evaluates its competing upper routes by name; a report's ``upper`` is the
+smallest selectable one, ``details["routes"]`` maps every route to its value and
+``details["route"]`` names the winner.  The estimates are derived for positive time
+steps; reports at ``t = 0`` evaluate the same expressions and set
+``details["t_in_stated_range"]`` accordingly.
 
 :func:`sweep` evaluates a flavor over an array of steps in one pass;
 :func:`report` and the per-flavor functions are its single-step views.
@@ -19,7 +19,6 @@ and set ``details["t_in_stated_range"]`` accordingly.
 
 from __future__ import annotations
 
-import itertools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -178,8 +177,7 @@ def _laws(model: StateSpaceModel, x, ts, B=None) -> list[GaussianLaw]:
     """:func:`law_at` for each of the steps ``ts``, in any order: ``Q^t x`` from
     :func:`_power_rows`, the noise parts from :func:`_neumann_sums` in increasing steps;
     nothing is added to ``Q^0 x``."""
-    x, ts = _start(model, x), list(ts)
-    B = np.eye(model.d) if B is None else as_matrix(B, square=False, name="B")
+    x, ts, B = _start(model, x), list(ts), _map_matrix(model, B)
     means = _per_step(model, x, ts, "x", lambda: _read_only(_power_rows(model, ts, (x,))[0][:, 0]))
     laws = [None] * len(ts)
     for i in sorted(range(len(ts)), key=ts.__getitem__):
@@ -192,8 +190,19 @@ def _laws(model: StateSpaceModel, x, ts, B=None) -> list[GaussianLaw]:
 def stationary_law(model: StateSpaceModel, B=None) -> GaussianLaw:
     """Gaussian stationary law of ``B X_inf``."""
     _require_gaussian(model)
-    B = np.eye(model.d) if B is None else as_matrix(B, square=False, name="B")
+    B = _map_matrix(model, B)
     return GaussianLaw(mean=B @ model.stationary_mean, cov=B @ model.stationary_cov @ B.T)
+
+
+def _map_matrix(model: StateSpaceModel, B) -> np.ndarray:
+    """``B`` as a float matrix, the identity when omitted: ``DimensionMismatch`` unless it
+    has ``d`` columns."""
+    if B is None:
+        return np.eye(model.d)
+    B = as_matrix(B, square=False, name="B")
+    if B.shape[1] != model.d:
+        raise DimensionMismatch("B must have d columns")
+    return B
 
 
 def _require_gaussian(model: StateSpaceModel) -> None:
@@ -251,10 +260,10 @@ def _per_step(model: StateSpaceModel, x: np.ndarray, ts: list, kind: str, comput
     """
     if len(ts) != 1:
         return compute()
-    rows = _last(_ROWS, (weakref.ref(model), x.tobytes()), dict)
-    if len(rows) >= _KEPT_ROWS:
-        rows.clear()
-    return _once(rows, (kind, ts[0]), compute)
+    key = weakref.ref(model), x.tobytes()
+    if len(_last(_ROWS, key, dict)) >= _KEPT_ROWS:  # replaced whole, never emptied in place
+        _ROWS[0] = None, None
+    return _once(_last(_ROWS, key, dict), (kind, ts[0]), compute)
 
 
 def _power_rows(model: StateSpaceModel, ts: list, zs, vs=()) -> list[np.ndarray]:
@@ -344,7 +353,7 @@ def _sweep(model, flavor, x, r, ts, star, v, mode, n, per_copy_flavor, B):
         if per_copy_flavor == "parallel":
             raise ValueError("the per-copy flavor of parallel cannot be parallel")
         per_copy = _sweep(model, per_copy_flavor, x, r, ts, star, v, mode, n, None, B)
-        return [_parallel(rep, n, r) for rep in per_copy]
+        return [parallel_bounds(rep, n, r) for rep in per_copy]
     if flavor in ("gauss_affine", "projected", "sliced_gauss"):
         return _gaussian(model, flavor, x, r, ts, star, B, v, mode)
     if flavor in ("generic", "generic_diag", "sliced_generic", "empirical_mean"):
@@ -357,12 +366,15 @@ def report(model: StateSpaceModel, flavor: str, x, r: float, t: int, **options) 
     return sweep(model, flavor, x, r, (t,), **options)[0]
 
 
-def _report(star, flavor, order, t, lower, upper, mean_part, noise_part, constants, details):
-    """A report with the star constants and ``t_in_stated_range`` filled in."""
+def _report(star, flavor, order, t, lower, routes, mean_part, noise_part, constants, details):
+    """A report whose ``upper`` is the smallest of the named ``routes``, the first listed on a
+    tie (``b_eigenrate`` and ``b_exact_n`` are recorded, never chosen), with the route table,
+    the winner, the star constants and ``t_in_stated_range`` filled in."""
+    route = min((k for k in routes if k not in ("b_eigenrate", "b_exact_n")), key=routes.get)
     constants = {"star_norm": star.value, "K_d": star.K_d, "C_star": star.C_star,
                  "kappa": star.kappa, **constants}
-    return BoundReport(t, flavor, order, lower, upper, mean_part, noise_part, constants,
-                       {**details, "t_in_stated_range": t >= 1})
+    return BoundReport(t, flavor, order, lower, routes[route], mean_part, noise_part, constants,
+                       {**details, "routes": routes, "route": route, "t_in_stated_range": t >= 1})
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +388,12 @@ def _gaussian(model, flavor, x, r, ts, star, B, v, mode) -> list[BoundReport]:
     ``cov`` the noise covariance, scaled by ``(E|N_k|^r)^(1/r)``.
     """
     _require_gaussian(model)
-    k, details = 1, {}
-    if flavor == "gauss_affine" and B is not None:
-        B = as_matrix(B, square=False, name="B")
-        if B.shape[1] != model.d:
-            raise DimensionMismatch("B must have d columns")
+    k, scale, mean_const, lam_map, details, wcw = 1, 1.0, 1.0, None, {}, [None] * len(ts)
+    if flavor == "gauss_affine":  # lambda_minus reads None as the model's own smallest eigenvalue
+        lam_map = None if B is None else _map_matrix(model, B)
+        B = _map_matrix(model, lam_map)
+        k, scale = B.shape[0], fro(B) ** 2
+        details = {"hemmen_ando_constant": "1/sqrt(lambda_minus)"}
     if flavor == "projected":
         v = _vec(v)
         if v.shape[0] != model.d:
@@ -391,8 +404,6 @@ def _gaussian(model, flavor, x, r, ts, star, B, v, mode) -> list[BoundReport]:
         raise ValueError("sliced bounds need dimension at least 2")
     if flavor == "sliced_gauss" and mode not in ("as_printed", "jensen_consistent"):
         raise ValueError(f"unknown mode {mode!r}")
-    if flavor == "gauss_affine":
-        k = model.d if B is None else B.shape[0]
     star = _star(model, star)
     s = star.value
     # the t-free tail before lambda_minus: where its constants overflow, the refusal
@@ -400,17 +411,11 @@ def _gaussian(model, flavor, x, r, ts, star, B, v, mode) -> list[BoundReport]:
     tail, moment = _once(model._bound_constants, ("gauss_tail", star.C_star, k, r), lambda: (
         star.C_star**2 * fro(model.Sigma) ** 2 * fro(model.noise.covariance()),
         gaussian_abs_moment(k, r)))
-    lam = lambda_minus(model, B if flavor == "gauss_affine" else None)
-    if flavor == "gauss_affine":
-        B = np.eye(model.d) if B is None else B
-        scale = fro(B) ** 2
-        details = {"hemmen_ando_constant": "1/sqrt(lambda_minus)"}
+    lam = lambda_minus(model, lam_map)
     if flavor == "sliced_gauss":
         c_tilde = sphere_moment_ratio(model.d, r)
         mean_const = c_tilde if mode == "as_printed" else c_tilde ** (1.0 / r)
         details = {"mode": mode, "moment_ratio": c_tilde}
-    wcw = itertools.repeat(None)
-    if flavor == "sliced_gauss":
         gaps = _gap_norms(model, x, ts)
     elif flavor == "gauss_affine":
         gaps = row_norms(np.matmul(B, _gap_rows(model, x, ts)[:, :, None])[:, :, 0]).tolist()
@@ -425,15 +430,13 @@ def _gaussian(model, flavor, x, r, ts, star, B, v, mode) -> list[BoundReport]:
     for t, lower, w_sq in zip(ts, gaps, wcw):
         decay = tail * s ** (2 * t)
         fin = decay / ((1.0 - s * s) * math.sqrt(lam)) * moment
-        if flavor == "gauss_affine":
-            noise = scale * fin
-        elif flavor == "sliced_gauss":
-            lower, noise = mean_const * lower, fin
-        else:
+        if flavor == "projected":
             mid = decay / ((1.0 - s * s) * math.sqrt(2.0 * vcv - w_sq)) * moment
-            noise = min(mid, fin)
-            details = {"upper_middle": lower + mid, "upper_final": lower + fin}
-        reports.append(_report(star, flavor, r, t, lower, lower + noise, lower, noise,
+            noise, routes = min(mid, fin), {"middle": lower + mid, "final": lower + fin}
+        else:  # a unit scale or mean constant changes no bit
+            lower, noise = mean_const * lower, scale * fin
+            routes = {"affine": lower + noise}
+        reports.append(_report(star, flavor, r, t, lower, routes, lower, noise,
                                {"lambda_minus": lam}, details))
     return reports
 
@@ -506,19 +509,18 @@ def _coupling(model, flavor, x, p, ts, star, n) -> list[BoundReport]:
     reports = []
     for t, (low, high) in zip(ts, rows):
         lower, mean_b = weight * low, weight * high
-        upper_a = weight * const * rate**t * start
         noise_b = star.K_d * mp_root * s ** (t + 1) / root_p
-        details = {"upper_a": upper_a, "upper_b": mean_b + noise_b,
-                   "coupling_regime_sound": bool(p <= 2.0 and t >= 1)}
+        routes = {"a": weight * const * rate**t * start, "b": mean_b + noise_b}
+        details = {"coupling_regime_sound": bool(p <= 2.0 and t >= 1)}
         if sw is not None:
-            details["upper_b_eigenrate"] = mean_b + (const * mp_root * rate ** (t + 1) / (
+            routes["b_eigenrate"] = mean_b + (const * mp_root * rate ** (t + 1) / (
                 1.0 - rate**p) ** (1.0 / p) if rate > 0.0 else 0.0)
         if flavor == "empirical_mean":
             details["n_copies"] = n
             if model.noise.family == "gaussian":
-                details["upper_b_exact_n"] = mean_b + exact_n * s ** (t + 1) / root_p
-        reports.append(_report(star, flavor, p, t, lower, min(upper_a, mean_b + noise_b),
-                               mean_b, noise_b, constants, details))
+                routes["b_exact_n"] = mean_b + exact_n * s ** (t + 1) / root_p
+        reports.append(_report(star, flavor, p, t, lower, routes, mean_b, noise_b, constants,
+                               details))
     return reports
 
 
@@ -545,10 +547,10 @@ def projected_bounds(model: StateSpaceModel, v, x, r: float, t: int,
                      star: StarNorm | None = None) -> BoundReport:
     """Sandwich for the projection ``<v, X_t(x)>`` vs ``<v, X_inf>``.
 
-    Two upper forms are computed: the sharper one with
-    ``sqrt(<v, (Sigma_t + Sigma_inf) v>)`` in the denominator and the
-    cheaper one with ``sqrt(lambda_minus)``; the report's upper is their
-    minimum and ``details`` carries both chain members.
+    Two upper routes are computed: ``middle``, the sharper one with
+    ``sqrt(<v, (Sigma_t + Sigma_inf) v>)`` in the denominator, and ``final``,
+    the cheaper one with ``sqrt(lambda_minus)``; the report's upper is their
+    minimum and ``details["routes"]`` carries both.
     """
     return sweep(model, "projected", x, r, (t,), star=star, v=v)[0]
 
@@ -596,10 +598,10 @@ def diagonalizable_bounds(model: StateSpaceModel, x, p: float, t: int,
     ``||U^{-1}||_F^{-1} S(z, t) <= |Q^t z| <= ||U||_F S(z, t)`` with
     ``S(z, t)^2 = sum |q_j|^{2t} |(U^{-1} z)_j|^2``; the noise tails keep
     the coupling constants.  The lower prefactor is ``||U^{-1}||_F^{-1}``,
-    the square root of the squared-norm estimate; ``details`` additionally
-    reports the noise tail at the eigenvalue rate with constant
-    ``||U||_F ||U^{-1}||_F``.  ``U`` is the model's eigenvector matrix,
-    inverted once per model (``StateSpaceModel.sandwich``).
+    the square root of the squared-norm estimate.  The route table also records
+    ``b_eigenrate``, route (b) with the noise tail at the eigenvalue rate and
+    constant ``||U||_F ||U^{-1}||_F``, which is never selected.  ``U`` is the
+    model's eigenvector matrix, inverted once per model (``StateSpaceModel.sandwich``).
     """
     return sweep(model, "generic_diag", x, p, (t,), star=star)[0]
 
@@ -619,19 +621,17 @@ def parallel_bounds(per_copy: BoundReport, n: int, p: float) -> BoundReport:
     """Sandwich for n i.i.d. copies run in parallel.
 
     The joint distance scales between ``sqrt(n)`` times the per-copy mean
-    gap and ``sqrt(n)`` times the per-copy upper bound.  When the per-copy
-    report is exact and ``p = 2``, the tensorization identity gives the
-    joint W2 exactly; it is reported in ``details["tensorized_w2"]``.
+    gap and ``sqrt(n)`` times the per-copy upper bound, with the per-copy
+    ``t_in_stated_range`` and ``coupling_regime_sound`` flags.  When the per-copy
+    report is exact and ``p = 2``, the tensorization identity makes the joint
+    W2 that upper bound exactly, and ``details["exact"]`` says so.
     """
-    return _parallel(per_copy, as_count(n, "n"), p)
-
-
-def _parallel(per_copy: BoundReport, n: int, p: float) -> BoundReport:
-    """:func:`parallel_bounds` for a checked count ``n``."""
-    root = math.sqrt(n)
-    details = {"n_copies": n, "per_copy_flavor": per_copy.flavor}
+    n = as_count(n, "n")
+    root, flags = math.sqrt(n), ("t_in_stated_range", "coupling_regime_sound")
+    details = {"n_copies": n, "per_copy_flavor": per_copy.flavor,
+               **{k: v for k, v in per_copy.details.items() if k in flags}}
     if p == 2 and per_copy.details.get("exact"):
-        details["tensorized_w2"] = root * per_copy.upper
+        details["exact"] = True
     return BoundReport(per_copy.t, "parallel", p, root * per_copy.lower, root * per_copy.upper,
                        root * per_copy.mean_part, root * per_copy.noise_part,
                        dict(per_copy.constants_used), details)
@@ -645,9 +645,9 @@ def empirical_mean_bounds(model: StateSpaceModel, n: int, x, p: float, t: int,
     so the lower bound (and route (a)) coincide with the single-path case.
     Route (b) uses the n-free majorant ``||Sigma||_F (E|xi - E xi|^p)^{1/p}`` for
     the averaged-noise moment.  For Gaussian noise the averaged noise is the
-    centered noise divided by ``sqrt(n)``, so the exact per-n route (b), reported
-    in ``details["upper_b_exact_n"]``, takes ``generic``'s moment root over ``sqrt(n)``
-    (at ``p > 2`` in ``d >= 2`` that root is Minkowski's upper bound on it).
+    centered noise divided by ``sqrt(n)``, so the exact per-n route (b), recorded as
+    ``b_exact_n`` in the route table and never selected, takes ``generic``'s moment root
+    over ``sqrt(n)`` (at ``p > 2`` in ``d >= 2`` that root is Minkowski's upper bound on it).
     """
     return _sweep(model, "empirical_mean", x, as_order(p), [as_step(t)], star, None,
                   "jensen_consistent", as_count(n, "n"), None, None)[0]

@@ -214,7 +214,7 @@ class TestProjected:
         a = bnd.projected_bounds(m, [1.0], [2.0], 2.0, 3)
         b = bnd.gaussian_affine_bounds(m, np.eye(1), [2.0], 2.0, 3)
         assert a.lower == pytest.approx(b.lower, rel=1e-12)
-        assert a.details["upper_final"] == pytest.approx(b.upper, rel=1e-12)
+        assert a.details["routes"]["final"] == pytest.approx(b.upper, rel=1e-12)
 
     def test_orthogonal_direction_zero_lower(self):
         rng = np.random.default_rng(6)
@@ -229,8 +229,8 @@ class TestProjected:
     def test_chain_ordering(self):
         m = ar_state_space([0.3, 0.5], [0.0], NoiseSpec.gaussian(0.0, 1.0))
         rep = bnd.projected_bounds(m, [1.0, 0.0], [1.0, 0.0], 2.0, 3)
-        assert rep.details["upper_middle"] <= rep.details["upper_final"] * (1 + 1e-12)
-        assert rep.upper == pytest.approx(rep.details["upper_middle"])
+        assert rep.details["routes"]["middle"] <= rep.details["routes"]["final"] * (1 + 1e-12)
+        assert rep.upper == pytest.approx(rep.details["routes"]["middle"])
 
     def test_sandwich_against_projected_law(self):
         rng = np.random.default_rng(7)
@@ -312,7 +312,7 @@ class TestGeneric:
     def test_scalar_example(self):
         m = ar1(0.5)
         rep = bnd.generic_bounds(m, [2.0], 2.0, 2)
-        assert rep.details["upper_b"] == pytest.approx(0.5 + 0.125 / math.sqrt(0.75), rel=1e-12)
+        assert rep.details["routes"]["b"] == pytest.approx(0.5 + 0.125 / math.sqrt(0.75), rel=1e-12)
         assert rep.lower == pytest.approx(0.5, abs=1e-12)
 
     def test_point_mass_zero_noise(self):
@@ -321,7 +321,7 @@ class TestGeneric:
             rep = bnd.generic_bounds(m, [1.0, -1.0], 2.0, t)
             qtx = np.linalg.norm(np.linalg.matrix_power(m.Q, t) @ [1.0, -1.0])
             assert rep.lower == pytest.approx(qtx, rel=1e-12, abs=1e-14)
-            assert rep.details["upper_b"] == pytest.approx(qtx, rel=1e-12, abs=1e-14)
+            assert rep.details["routes"]["b"] == pytest.approx(qtx, rel=1e-12, abs=1e-14)
 
     def test_stationary_start_zero_lower(self):
         m = ar_state_space([0.5], noise1d=NoiseSpec.laplace(0.7, 1.0))
@@ -395,7 +395,7 @@ class TestGeneric:
             assert 0.0 < val < math.inf and se == 0.0
         for rep in bnd.sweep(m, "generic", [1.0, -1.0], 1.5, range(1, 4)):
             assert rep.details["coupling_regime_sound"]
-            assert math.isfinite(rep.details["upper_a"]) and math.isfinite(rep.details["upper_b"])
+            assert math.isfinite(rep.details["routes"]["a"]) and math.isfinite(rep.details["routes"]["b"])
             assert 0.0 < rep.lower <= rep.upper < math.inf
 
     def test_mean_dominated_noise_keeps_the_coupling_sandwich(self):
@@ -441,7 +441,7 @@ class TestCenteredRecursion:
             for flavor, rep in reps.items():
                 assert rep.lower <= rep.upper, (flavor, t, rep.lower, rep.upper)
             # the exact W_p of a point mass is the mean gap: route (b) is that, to the bit
-            assert generic.details["upper_b"] == generic.lower
+            assert generic.details["routes"]["b"] == generic.lower
             exact = np.linalg.norm(np.linalg.matrix_power(m.Q, t) @ gap)
             assert generic.lower == pytest.approx(exact, rel=1e-12)
 
@@ -526,7 +526,7 @@ class TestSlicedGeneric:
             rep = bnd.sliced_generic_bounds(m, [1.0, 1.0], 1.0, t)
             qtx = np.linalg.norm(np.linalg.matrix_power(m.Q, t) @ [1.0, 1.0])
             assert rep.lower == pytest.approx(qtx * 2 / math.pi, rel=1e-12, abs=1e-14)
-            assert rep.details["upper_b"] == pytest.approx(qtx * 2 / math.pi, rel=1e-12, abs=1e-14)
+            assert rep.details["routes"]["b"] == pytest.approx(qtx * 2 / math.pi, rel=1e-12, abs=1e-14)
 
     def test_lower_below_upper_sweep(self):
         rng = np.random.default_rng(9)
@@ -547,10 +547,9 @@ class TestParallel:
             mean_part=0.5, noise_part=0.0, details={"exact": True},
         )
         rep = bnd.parallel_bounds(per_half, 4, 2.0)
-        assert rep.details["tensorized_w2"] == pytest.approx(1.0, abs=1e-14)
-        assert bnd.parallel_bounds(per, 4, 2.0).details["tensorized_w2"] == pytest.approx(
-            2.0 * per.upper, rel=1e-14
-        )
+        assert rep.details["exact"] and rep.upper == pytest.approx(1.0, abs=1e-14)
+        rep = bnd.parallel_bounds(per, 4, 2.0)
+        assert rep.details["exact"] and rep.upper == pytest.approx(2.0 * per.upper, rel=1e-14)
 
     def test_identity_at_n1(self):
         per = bnd.exact_ar1_report(0.5, 1.0, 2.0, 3)
@@ -568,7 +567,22 @@ class TestParallel:
             GaussianLaw([q**t * x] * n, np.diag([var_t] * n)),
             GaussianLaw([0.0] * n, np.diag([var_inf] * n)),
         )
-        assert rep.details["tensorized_w2"] == pytest.approx(joint, rel=1e-10)
+        assert rep.details["exact"] and rep.upper == pytest.approx(joint, rel=1e-10)
+
+    def test_exact_only_at_order_two(self):
+        per = bnd.exact_ar1_report(0.5, 1.0, 2.0, 3)
+        assert "exact" not in bnd.parallel_bounds(per, 4, 1.5).details
+        per = bnd.gaussian_affine_bounds(ar1(0.5), None, [2.0], 2.0, 3)
+        assert "exact" not in bnd.parallel_bounds(per, 4, 2.0).details
+
+    @pytest.mark.parametrize("t, p, sound", [(0, 3.0, False), (0, 1.5, False), (1, 3.0, False),
+                                             (1, 1.5, True)])
+    def test_per_copy_regime_flags_carried(self, t, p, sound):
+        m, x = ar_state_space([0.3, 0.5], [0.0], NoiseSpec.laplace(0.0, 1.0)), [1.0, 0.0]
+        per = bnd.report(m, "generic", x, p, t)
+        rep = bnd.report(m, "parallel", x, p, t, n_copies=2)
+        for flag, want in (("t_in_stated_range", t >= 1), ("coupling_regime_sound", sound)):
+            assert per.details[flag] is want and rep.details[flag] is want
 
     def test_scaling(self):
         m = ar1(0.5)
@@ -597,7 +611,7 @@ class TestEmpiricalMean:
     def test_gaussian_exact_per_n_shrinks(self):
         m = ar1(0.5)
         reps = [bnd.empirical_mean_bounds(m, n, [2.0], 2.0, 3) for n in (1, 4, 16)]
-        exact = [r.details["upper_b_exact_n"] for r in reps]
+        exact = [r.details["routes"]["b_exact_n"] for r in reps]
         assert exact[0] > exact[1] > exact[2]
         # covariance of the average is Xi / n: noise tail shrinks like 1/sqrt(n)
         tail0 = exact[0] - reps[0].mean_part
@@ -629,7 +643,7 @@ class TestEmpiricalMean:
         for t in (1, 5):
             rep = bnd.empirical_mean_bounds(m, n, [1.0, -2.0, 0.5], p, t)
             want = rep.mean_part + self.tail(rep, val ** (1.0 / p))
-            assert rep.details["upper_b_exact_n"] == pytest.approx(want, rel=1e-13, abs=0.0)
+            assert rep.details["routes"]["b_exact_n"] == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_exact_n_keeps_the_monte_carlo_margin(self, n):
@@ -642,7 +656,7 @@ class TestEmpiricalMean:
         assert se == 0.0
         rep = bnd.empirical_mean_bounds(m, n, [1.0, -2.0, 0.5], p, 2)
         want = self.tail(rep, val ** (1.0 / p) / math.sqrt(n))
-        assert rep.details["upper_b_exact_n"] - rep.mean_part == pytest.approx(want, rel=1e-12)
+        assert rep.details["routes"]["b_exact_n"] - rep.mean_part == pytest.approx(want, rel=1e-12)
         draws = np.random.default_rng(4).multivariate_normal(np.zeros(3), C, 200_000) @ Sigma
         assert val > 1.05 * np.mean(np.linalg.norm(draws, axis=1) ** p)
 
@@ -755,6 +769,38 @@ class TestReportShape:
     def test_t_zero_flagged(self):
         rep = bnd.generic_bounds(ar1(0.5), [2.0], 2.0, 0)
         assert not rep.details["t_in_stated_range"]
+
+    SELECTABLE = {"gauss_affine": ["affine"], "projected": ["middle", "final"],
+                  "sliced_gauss": ["affine"], **dict.fromkeys(
+                      ["generic", "generic_diag", "sliced_generic", "empirical_mean"], ["a", "b"])}
+
+    @pytest.mark.parametrize("flavor", bnd.FLAVORS)
+    def test_upper_is_the_smallest_selectable_route(self, flavor):
+        # one rule for every flavor: upper is routes[route], the smallest selectable route
+        # and the first listed on a tie; b_eigenrate and b_exact_n are recorded, never chosen
+        rows, undercut = 0, 0
+        for m, x, v in sweep_models().values():
+            for r in (1.0, 1.5, 2.0, 3.0):
+                reps = outcome(lambda: bnd.sweep(m, flavor, x, r, range(41), v=v, n_copies=3))
+                for rep in reps if isinstance(reps, list) else ():
+                    if flavor in ("exact_ar1", "parallel"):  # a formula and a scaled report
+                        assert "routes" not in rep.details and "route" not in rep.details
+                        continue
+                    routes, route = rep.details["routes"], rep.details["route"]
+                    selectable = [k for k in routes if k not in ("b_eigenrate", "b_exact_n")]
+                    assert selectable == self.SELECTABLE[flavor]
+                    assert rep.upper == routes[route]
+                    assert route == next(k for k in selectable if routes[k] <= rep.upper)
+                    assert all(rep.upper <= routes[k] for k in selectable)
+                    recorded = set(routes) - set(selectable)
+                    assert recorded == {"generic_diag": {"b_eigenrate"},
+                                        "empirical_mean": {"b_exact_n"} if m.noise.family
+                                        == "gaussian" else set()}.get(flavor, set())
+                    undercut += any(routes[k] < rep.upper for k in recorded)
+                    rows += 1
+        assert rows > 0 or flavor in ("exact_ar1", "parallel")
+        if flavor in ("generic_diag", "empirical_mean"):  # rows where a recorded route is smaller
+            assert undercut > 0
 
 
 def neumann_oracle(model, x, t, B=None):
@@ -939,6 +985,20 @@ class TestPowerRows:
 
         run_threads(run)
         assert bad == []
+        # one model and start past _KEPT_ROWS rows: the kept rows are replaced while other
+        # threads read them, and each thread must still get the serial reports
+        m, x = models[0]
+        steps = range(bnd._KEPT_ROWS // 2 + 200)  # "gap" and "gap_norms" rows at each step
+        want = [repr(rep) for rep in bnd.sweep(neumann_models(False)["ar2"], "generic", x, 1.5,
+                                                steps)]
+
+        def run_long(i):
+            for t in steps[i::4]:
+                if repr(bnd.report(m, "generic", x, 1.5, t)) != want[t]:
+                    bad.append((i, t))
+
+        run_threads(run_long)
+        assert bad == [] and 1 <= len(bnd._ROWS[0][1]) <= bnd._KEPT_ROWS
 
     def test_kept_squares_are_replaced_not_grown(self):
         # the race above needs two CPUs to show; this is its single-CPU witness: a

@@ -1077,6 +1077,12 @@ PINNED_RUNS = {
         "ebb71f795bf67f67fda79658a87a310dc5dee52b5a890ced4d42dfd4f5a278fd",
         "cb8306571a4dfbd3a43a81ce5009c6aa736a95c213c1fabb215faaa329db4074",
     ),
+    # route (a) gives the upper bound on 54 of the 61 rows, which keep route (b)'s split
+    "bounds_generic_route_a": (
+        ["bounds", "--phi=0.9", "--x", "1", "--flavor", "generic", "--r", "1", "--t-max", "60"],
+        "14ce62b26388d646828863033a2464a8bac026d411235c0819af6391c333601b",
+        "7178d113640eba8dd19070f51b30409dd92ffd5070a523827443ffce0d2c4a67",
+    ),
 }
 
 

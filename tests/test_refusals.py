@@ -44,6 +44,10 @@ ROWS = [
      ValueError, "unknown flavor 'bogus'"),
     ("gauss_affine-B", ar2, lambda m: bnd.gaussian_affine_bounds(m, np.ones((1, 3)), X, 2.0, 1),
      DimensionMismatch, "B must have d columns"),
+    ("law_at-B", ar2, lambda m: bnd.law_at(m, X, 1, np.ones((1, 3))),
+     DimensionMismatch, "B must have d columns"),
+    ("stationary_law-B", ar2, lambda m: bnd.stationary_law(m, np.ones((1, 3))),
+     DimensionMismatch, "B must have d columns"),
     ("projected-v", ar2, lambda m: bnd.projected_bounds(m, [1.0, 0.0, 0.0], X, 2.0, 1),
      DimensionMismatch, "v must have length d"),
     ("chafai-shapes", ar2, lambda m: bnd.chafai_w2_affine(LAW, EYE3, [0.0, 0.0, 0.0]),
