@@ -7,11 +7,11 @@ compare the time-t law against the stationary law through the affine
 interpolation route; generic flavors use coupling estimates valid for any
 noise with enough moments.
 
-Each flavor evaluates its competing upper routes by name; a report's ``upper`` is the
-smallest selectable one, ``details["routes"]`` maps every route to its value and
-``details["route"]`` names the winner.  The estimates are derived for positive time
-steps; reports at ``t = 0`` evaluate the same expressions and set
-``details["t_in_stated_range"]`` accordingly.
+Each flavor evaluates its competing upper routes by name, each as a ``(mean_part,
+noise_part)`` pair; a report's ``upper`` is the smallest sum, its parts are that route's
+own, ``details["routes"]`` maps every route to its sum and ``details["route"]`` names the
+winner.  The estimates are derived for positive time steps; reports at ``t = 0`` evaluate
+the same expressions and set ``details["t_in_stated_range"]`` accordingly.
 
 :func:`sweep` evaluates a flavor over an array of steps in one pass;
 :func:`report` and the per-flavor functions are its single-step views.
@@ -126,7 +126,8 @@ def _exact_ar1(q: float, sigma: float, x: float, ts) -> list[BoundReport]:
         value = math.sqrt(mean_sq + noise_sq)
         reports.append(BoundReport(t, "exact_ar1", 2.0, value, value, math.sqrt(mean_sq),
                                    math.sqrt(noise_sq), {"q": q, "sigma": sigma},
-                                   {"exact": True, "t_in_stated_range": t >= 1}))
+                                   {"exact": True, "routes": {"exact": value}, "route": "exact",
+                                    "t_in_stated_range": t >= 1}))
     return reports
 
 
@@ -343,6 +344,8 @@ def sweep(model: StateSpaceModel, flavor: str, x, r: float, ts, *, star: StarNor
 def _sweep(model, flavor, x, r, ts, star, v, mode, n, per_copy_flavor, B):
     """:func:`sweep` at a checked order ``r``, checked steps ``ts`` and ``n`` copies."""
     x = _start(model, x)
+    if flavor in ("sliced_gauss", "sliced_generic") and model.d < 2:
+        raise ValueError("sliced bounds need dimension at least 2")
     if flavor == "exact_ar1":
         if model.d != 1 or model.noise.family != "gaussian":
             raise ValueError("exact_ar1 needs a scalar Gaussian model")
@@ -366,15 +369,17 @@ def report(model: StateSpaceModel, flavor: str, x, r: float, t: int, **options) 
     return sweep(model, flavor, x, r, (t,), **options)[0]
 
 
-def _report(star, flavor, order, t, lower, routes, mean_part, noise_part, constants, details):
-    """A report whose ``upper`` is the smallest of the named ``routes``, the first listed on a
-    tie (``b_eigenrate`` and ``b_exact_n`` are recorded, never chosen), with the route table,
-    the winner, the star constants and ``t_in_stated_range`` filled in."""
-    route = min((k for k in routes if k not in ("b_eigenrate", "b_exact_n")), key=routes.get)
+def _report(star, flavor, order, t, lower, routes, constants, details):
+    """A report from the named ``routes``, each a ``(mean_part, noise_part)`` pair: ``upper``
+    is the smallest sum, the first listed on a tie, and the parts are that route's own.  The
+    route table (name -> sum), the winner, the star constants and ``t_in_stated_range`` are
+    filled in."""
+    sums = {k: mean + noise for k, (mean, noise) in routes.items()}
+    route = min(sums, key=sums.get)
     constants = {"star_norm": star.value, "K_d": star.K_d, "C_star": star.C_star,
                  "kappa": star.kappa, **constants}
-    return BoundReport(t, flavor, order, lower, routes[route], mean_part, noise_part, constants,
-                       {**details, "routes": routes, "route": route, "t_in_stated_range": t >= 1})
+    return BoundReport(t, flavor, order, lower, sums[route], *routes[route], constants,
+                       {**details, "routes": sums, "route": route, "t_in_stated_range": t >= 1})
 
 
 # ---------------------------------------------------------------------------
@@ -388,20 +393,17 @@ def _gaussian(model, flavor, x, r, ts, star, B, v, mode) -> list[BoundReport]:
     ``cov`` the noise covariance, scaled by ``(E|N_k|^r)^(1/r)``.
     """
     _require_gaussian(model)
-    k, scale, mean_const, lam_map, details, wcw = 1, 1.0, 1.0, None, {}, [None] * len(ts)
+    k, scale, mean_const, lam_map, wcw = 1, 1.0, 1.0, None, [None] * len(ts)
     if flavor == "gauss_affine":  # lambda_minus reads None as the model's own smallest eigenvalue
         lam_map = None if B is None else _map_matrix(model, B)
         B = _map_matrix(model, lam_map)
         k, scale = B.shape[0], fro(B) ** 2
-        details = {"hemmen_ando_constant": "1/sqrt(lambda_minus)"}
     if flavor == "projected":
         v = _vec(v)
         if v.shape[0] != model.d:
             raise DimensionMismatch("v must have length d")
         if not abs(np.linalg.norm(v) - 1.0) <= 1e-8:  # a NaN entry fails too
             raise ValueError("v must be a unit vector")
-    if flavor == "sliced_gauss" and model.d < 2:
-        raise ValueError("sliced bounds need dimension at least 2")
     if flavor == "sliced_gauss" and mode not in ("as_printed", "jensen_consistent"):
         raise ValueError(f"unknown mode {mode!r}")
     star = _star(model, star)
@@ -411,11 +413,10 @@ def _gaussian(model, flavor, x, r, ts, star, B, v, mode) -> list[BoundReport]:
     tail, moment = _once(model._bound_constants, ("gauss_tail", star.C_star, k, r), lambda: (
         star.C_star**2 * fro(model.Sigma) ** 2 * fro(model.noise.covariance()),
         gaussian_abs_moment(k, r)))
-    lam = lambda_minus(model, lam_map)
+    constants = {"lambda_minus": lambda_minus(model, lam_map)}
     if flavor == "sliced_gauss":
-        c_tilde = sphere_moment_ratio(model.d, r)
+        c_tilde = constants["moment_ratio"] = sphere_moment_ratio(model.d, r)
         mean_const = c_tilde if mode == "as_printed" else c_tilde ** (1.0 / r)
-        details = {"mode": mode, "moment_ratio": c_tilde}
         gaps = _gap_norms(model, x, ts)
     elif flavor == "gauss_affine":
         gaps = row_norms(np.matmul(B, _gap_rows(model, x, ts)[:, :, None])[:, :, 0]).tolist()
@@ -429,15 +430,14 @@ def _gaussian(model, flavor, x, r, ts, star, B, v, mode) -> list[BoundReport]:
     reports = []
     for t, lower, w_sq in zip(ts, gaps, wcw):
         decay = tail * s ** (2 * t)
-        fin = decay / ((1.0 - s * s) * math.sqrt(lam)) * moment
+        fin = decay / ((1.0 - s * s) * math.sqrt(constants["lambda_minus"])) * moment
         if flavor == "projected":
             mid = decay / ((1.0 - s * s) * math.sqrt(2.0 * vcv - w_sq)) * moment
-            noise, routes = min(mid, fin), {"middle": lower + mid, "final": lower + fin}
+            routes = {"middle": (lower, mid), "final": (lower, fin)}
         else:  # a unit scale or mean constant changes no bit
-            lower, noise = mean_const * lower, scale * fin
-            routes = {"affine": lower + noise}
-        reports.append(_report(star, flavor, r, t, lower, routes, lower, noise,
-                               {"lambda_minus": lam}, details))
+            lower = mean_const * lower
+            routes = {"affine": (lower, scale * fin)}
+        reports.append(_report(star, flavor, r, t, lower, routes, constants, {}))
     return reports
 
 
@@ -472,8 +472,6 @@ def _coupling(model, flavor, x, p, ts, star, n) -> list[BoundReport]:
     """
     weight, constants, sw = 1.0, {}, None
     if flavor == "sliced_generic":
-        if model.d < 2:
-            raise ValueError("sliced bounds need dimension at least 2")
         weight = sphere_moment_ratio(model.d, 1.0)
         constants = {"moment_ratio_r1": weight}
     elif flavor == "generic_diag":
@@ -490,7 +488,7 @@ def _coupling(model, flavor, x, p, ts, star, n) -> list[BoundReport]:
 
     m1_root, mp_root = coupling(flavor == "empirical_mean")
     gap = x - model.stationary_mean  # x itself for centered noise: x - 0.0 is x
-    start = math.sqrt(gap @ gap) + star.K_d * m1_root * s / (1.0 - s)  # as np.linalg.norm
+    gap_norm, tail_a = math.sqrt(gap @ gap), star.K_d * m1_root * s / (1.0 - s)  # as linalg.norm
     root_p = (1.0 - s**p) ** (1.0 / p)
     if sw is None:  # per step [|Q^t gap|, |Q^t gap|]
         norms = _gap_norms(model, x, ts)
@@ -508,19 +506,18 @@ def _coupling(model, flavor, x, p, ts, star, n) -> list[BoundReport]:
         exact_n = star.K_d * coupling(False)[1] / math.sqrt(n)
     reports = []
     for t, (low, high) in zip(ts, rows):
-        lower, mean_b = weight * low, weight * high
-        noise_b = star.K_d * mp_root * s ** (t + 1) / root_p
-        routes = {"a": weight * const * rate**t * start, "b": mean_b + noise_b}
+        c, mean_b = weight * const * rate**t, weight * high
+        routes = {"a": (c * gap_norm, c * tail_a),
+                  "b": (mean_b, star.K_d * mp_root * s ** (t + 1) / root_p)}
         details = {"coupling_regime_sound": bool(p <= 2.0 and t >= 1)}
         if sw is not None:
-            routes["b_eigenrate"] = mean_b + (const * mp_root * rate ** (t + 1) / (
+            routes["b_eigenrate"] = (mean_b, const * mp_root * rate ** (t + 1) / (
                 1.0 - rate**p) ** (1.0 / p) if rate > 0.0 else 0.0)
         if flavor == "empirical_mean":
             details["n_copies"] = n
             if model.noise.family == "gaussian":
-                routes["b_exact_n"] = mean_b + exact_n * s ** (t + 1) / root_p
-        reports.append(_report(star, flavor, p, t, lower, routes, mean_b, noise_b, constants,
-                               details))
+                routes["b_exact_n"] = (mean_b, exact_n * s ** (t + 1) / root_p)
+        reports.append(_report(star, flavor, p, t, weight * low, routes, constants, details))
     return reports
 
 
@@ -537,8 +534,7 @@ def gaussian_affine_bounds(model: StateSpaceModel, B, x, r: float, t: int,
     gap of the covariance square roots through the matrix square-root
     Lipschitz estimate with constant ``1/sqrt(lambda_minus)``; dividing by
     ``lambda_minus`` itself instead of its square root would break the
-    sandwich whenever ``lambda_minus`` exceeds one
-    (``details["hemmen_ando_constant"]`` records the choice).
+    sandwich whenever ``lambda_minus`` exceeds one.
     """
     return sweep(model, "gauss_affine", x, r, (t,), star=star, B=B)[0]
 
@@ -574,11 +570,12 @@ def generic_bounds(model: StateSpaceModel, x, p: float, t: int,
     """Coupling sandwich for ``W_p(X_t(x), X_inf)``, any noise with p moments.
 
     The routes run on the centered recursion ``X_t - mean_inf``, whose noise is
-    ``eta = xi - E xi``.  The upper bound is the minimum of two routes: (a) the
-    stationarity coupling ``K_d s^t (|x - mean_inf| + K_d E|Sigma eta| s / (1 - s))``
-    and (b) the tail route ``|Q^t (x - mean_inf)| + K_d (E|Sigma eta|^p)^{1/p}
-    s^{t+1} / (1 - s^p)^{1/p}``.  Where no exact route gives a moment, a proven upper
-    bound on it enters (``NoiseSpec.abs_moment_sigma``).
+    ``eta = xi - E xi``.  The upper bound is the smaller of two routes, and the report's
+    parts are its own: (a) the stationarity coupling, with mean part ``K_d s^t
+    |x - mean_inf|`` and noise part ``K_d s^t K_d E|Sigma eta| s / (1 - s)``, and (b) the
+    tail route, with mean part ``|Q^t (x - mean_inf)|`` and noise part ``K_d
+    (E|Sigma eta|^p)^{1/p} s^{t+1} / (1 - s^p)^{1/p}``.  Where no exact route gives a
+    moment, a proven upper bound on it enters (``NoiseSpec.abs_moment_sigma``).
 
     The routes are evaluated as stated for every admissible input, but
     they are reliable upper bounds only for ``1 <= p <= 2`` at ``t >= 1``:
@@ -598,9 +595,9 @@ def diagonalizable_bounds(model: StateSpaceModel, x, p: float, t: int,
     ``||U^{-1}||_F^{-1} S(z, t) <= |Q^t z| <= ||U||_F S(z, t)`` with
     ``S(z, t)^2 = sum |q_j|^{2t} |(U^{-1} z)_j|^2``; the noise tails keep
     the coupling constants.  The lower prefactor is ``||U^{-1}||_F^{-1}``,
-    the square root of the squared-norm estimate.  The route table also records
-    ``b_eigenrate``, route (b) with the noise tail at the eigenvalue rate and
-    constant ``||U||_F ||U^{-1}||_F``, which is never selected.  ``U`` is the
+    the square root of the squared-norm estimate.  A third route, ``b_eigenrate``,
+    is route (b) with the noise tail at the eigenvalue rate and constant
+    ``||U||_F ||U^{-1}||_F``; the smallest of the three gives ``upper``.  ``U`` is the
     model's eigenvector matrix, inverted once per model (``StateSpaceModel.sandwich``).
     """
     return sweep(model, "generic_diag", x, p, (t,), star=star)[0]
@@ -622,14 +619,17 @@ def parallel_bounds(per_copy: BoundReport, n: int, p: float) -> BoundReport:
 
     The joint distance scales between ``sqrt(n)`` times the per-copy mean
     gap and ``sqrt(n)`` times the per-copy upper bound, with the per-copy
-    ``t_in_stated_range`` and ``coupling_regime_sound`` flags.  When the per-copy
-    report is exact and ``p = 2``, the tensorization identity makes the joint
-    W2 that upper bound exactly, and ``details["exact"]`` says so.
+    ``t_in_stated_range`` and ``coupling_regime_sound`` flags and its route table,
+    scaled by ``sqrt(n)``, and winner.  When the per-copy report is exact and
+    ``p = 2``, the tensorization identity makes the joint W2 that upper bound
+    exactly, and ``details["exact"]`` says so.
     """
     n = as_count(n, "n")
-    root, flags = math.sqrt(n), ("t_in_stated_range", "coupling_regime_sound")
+    root, kept = math.sqrt(n), ("t_in_stated_range", "coupling_regime_sound", "route")
     details = {"n_copies": n, "per_copy_flavor": per_copy.flavor,
-               **{k: v for k, v in per_copy.details.items() if k in flags}}
+               **{k: v for k, v in per_copy.details.items() if k in kept}}
+    if "routes" in per_copy.details:  # a hand-built per-copy report may carry none
+        details["routes"] = {k: root * u for k, u in per_copy.details["routes"].items()}
     if p == 2 and per_copy.details.get("exact"):
         details["exact"] = True
     return BoundReport(per_copy.t, "parallel", p, root * per_copy.lower, root * per_copy.upper,
@@ -645,9 +645,9 @@ def empirical_mean_bounds(model: StateSpaceModel, n: int, x, p: float, t: int,
     so the lower bound (and route (a)) coincide with the single-path case.
     Route (b) uses the n-free majorant ``||Sigma||_F (E|xi - E xi|^p)^{1/p}`` for
     the averaged-noise moment.  For Gaussian noise the averaged noise is the
-    centered noise divided by ``sqrt(n)``, so the exact per-n route (b), recorded as
-    ``b_exact_n`` in the route table and never selected, takes ``generic``'s moment root
-    over ``sqrt(n)`` (at ``p > 2`` in ``d >= 2`` that root is Minkowski's upper bound on it).
+    centered noise divided by ``sqrt(n)``, so a third route, the exact per-n route (b)
+    ``b_exact_n``, takes ``generic``'s moment root over ``sqrt(n)`` (at ``p > 2`` in
+    ``d >= 2`` that root is Minkowski's upper bound on it); the smallest route gives ``upper``.
     """
     return _sweep(model, "empirical_mean", x, as_order(p), [as_step(t)], star, None,
                   "jensen_consistent", as_count(n, "n"), None, None)[0]

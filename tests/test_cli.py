@@ -1077,11 +1077,19 @@ PINNED_RUNS = {
         "ebb71f795bf67f67fda79658a87a310dc5dee52b5a890ced4d42dfd4f5a278fd",
         "cb8306571a4dfbd3a43a81ce5009c6aa736a95c213c1fabb215faaa329db4074",
     ),
-    # route (a) gives the upper bound on 54 of the 61 rows, which keep route (b)'s split
+    # at r = 1 with s = |q| and K_d = 1 routes (a) and (b) agree in exact arithmetic, so the
+    # rounding of each picks the winner: (a) on 57 of the 61 rows, each row with its own parts
     "bounds_generic_route_a": (
         ["bounds", "--phi=0.9", "--x", "1", "--flavor", "generic", "--r", "1", "--t-max", "60"],
-        "14ce62b26388d646828863033a2464a8bac026d411235c0819af6391c333601b",
+        "c40b7b51575797da3370080df6bb2a495ecd80247c98e2557ba96ee0fe861f76",
         "7178d113640eba8dd19070f51b30409dd92ffd5070a523827443ffce0d2c4a67",
+    ),
+    # the exact per-n route b_exact_n gives the upper bound on all 61 rows
+    "bounds_empirical_mean_exact_n": (
+        ["bounds", "--phi=0.9", "--x", "1", "--flavor", "empirical_mean", "--n-copies", "4",
+         "--r", "2", "--t-max", "60"],
+        "12e5c6ee63456517aedddfb824d23b07cabf77568903d0fc9f7cc929945cadaa",
+        "7e6ec2307e7102f9c9b71b9f4c517ea08d0af2be5233cec718d9fd8dcf9603bf",
     ),
 }
 
